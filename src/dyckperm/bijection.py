@@ -13,17 +13,24 @@ reversal.  Reducible paths map factor by factor, composing the images with
 the shifted concatenation in reverse factor order, which makes the set of
 bottom letters equal the set of rise positions.
 
-The inverse is a pruned depth-first search over weight vectors: partial
-assignments are replayed incrementally against the target bottom and top
-words from both ends of the path, and any insertion that deviates from the
-target's relative order is cut immediately.  The search scans its whole
-(pruned) space so that a second solution would be detected.
+The inverse undoes the insertions one rise at a time.  A rise's insertion
+index is the number of earlier rises standing before it in the target
+bottom word; index 0 means a jump, and any other index gives the weight
+``(length_before - index) - shift`` (plus one on the left half).  The same
+read-off of the top word on the mirrored path gives the fall weights.  A
+jump's weight is its extremal feasible value, which reads one neighbour, so
+the jumps are settled in passes once their neighbours are known; only two
+jumps that read each other, which the floor split produces, are tried over
+their feasible range.  Every candidate is confirmed by the forward map, so
+the inverse rejects non-images and detects a second preimage.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import product
 from typing import Callable, Optional, Sequence
 
 from .paths import (
@@ -45,6 +52,7 @@ from .perms import (
     assemble,
     avoids_1234,
     is_up_down,
+    perm_text,
     schutzenberger_word,
     shifted_concat,
     standardize,
@@ -387,56 +395,6 @@ def parking_to_123_avoiding(pf: ParkingFunction) -> tuple[int, ...]:
     return tuple(word)
 
 
-class _InsertionReplay:
-    """Replays the insertion of rise positions against a fixed target word,
-    validating relative order after every insertion; supports rollback."""
-
-    def __init__(self, steps: str, target: tuple[int, ...], rule: str):
-        self.infos = _up_infos(steps, rule)
-        self.h = _height_profile(steps)
-        self.rank = {letter: idx for idx, letter in enumerate(target)}
-        self.word: list[int] = []
-        self.done = 0
-        self._hist: list[int] = []
-
-    def mark(self) -> int:
-        return self.done
-
-    def feed(self, wt: Callable[[int], int], avail: int) -> bool:
-        """Consume every rise whose jump rule only reads the first `avail`
-        weights.  Returns False when the target order is contradicted; the
-        partial feeds stay applied and the caller rolls back to its mark."""
-        infos = self.infos
-        word = self.word
-        rank = self.rank
-        while self.done < len(infos) and infos[self.done].ready <= avail:
-            info = infos[self.done]
-            w = wt(info.pos)
-            if w == _bound_of(info, self.h, wt):
-                idx = 0
-            else:
-                dist = w + info.shift - (1 if info.membership == LEFT else 0)
-                if dist < 0 or dist > len(word):
-                    return False
-                idx = len(word) - dist
-            r = rank.get(info.pos)
-            if r is None:
-                return False
-            if idx > 0 and rank[word[idx - 1]] > r:
-                return False
-            if idx < len(word) and rank[word[idx]] < r:
-                return False
-            word.insert(idx, info.pos)
-            self._hist.append(idx)
-            self.done += 1
-        return True
-
-    def rollback(self, mark: int) -> None:
-        while self.done > mark:
-            del self.word[self._hist.pop()]
-            self.done -= 1
-
-
 def _local_span(steps: str, h: tuple[int, ...], i: int,
                 left_w: Optional[int], right_w: Optional[int]) -> tuple[int, int]:
     """Feasible weights for step i given whichever neighbours are fixed."""
@@ -465,69 +423,100 @@ def _local_span(steps: str, h: tuple[int, ...], i: int,
     return lo, hi
 
 
-def _factor_preimages(steps: str, bot_target: tuple[int, ...],
-                      topref_target: tuple[int, ...], rule: str,
-                      limit: int = 2) -> list[tuple[int, ...]]:
-    """All weight vectors (up to `limit`) whose insertion runs reproduce the
-    target bottom word and, on the mirrored path, the target top word."""
-    m = len(steps)
-    if m == 0:
-        return [()]
-    h = _height_profile(steps)
-    eng_bot = _InsertionReplay(steps, bot_target, rule)
-    eng_top = _InsertionReplay(_reflected_steps(steps), topref_target, rule)
-    w: list[Optional[int]] = [None] * m
+def _read_off(steps: str, target: tuple[int, ...], rule: str
+              ) -> list[tuple[_UpInfo, Optional[int]]]:
+    """Undo the insertion run of `steps` whose final word is `target`: each
+    rise with the weight its insertion index implies, or None for a jump.
 
-    # outside-in assignment order lets both replays prune early
-    order: list[int] = []
-    lo_i, hi_i = 1, m
-    while lo_i <= hi_i:
-        order.append(lo_i)
-        lo_i += 1
-        if lo_i <= hi_i:
-            order.append(hi_i)
-            hi_i -= 1
-
-    def wt_fwd(i: int) -> int:
-        return w[i - 1]  # type: ignore[return-value]
-
-    def wt_rev(r: int) -> int:
-        return w[m - r]  # type: ignore[return-value]
-
-    sols: list[tuple[int, ...]] = []
-
-    def rec(depth: int, left_len: int, right_len: int) -> None:
-        if len(sols) >= limit:
-            return
-        if depth == m:
-            sols.append(tuple(w))  # type: ignore[arg-type]
-            return
-        i = order[depth]
-        left_w = w[i - 2] if i >= 2 else None
-        right_w = w[i] if i < m else None
-        lo, hi = _local_span(steps, h, i, left_w, right_w)
-        new_left = left_len + 1 if i == left_len + 1 else left_len
-        new_right = right_len + 1 if i == m - right_len else right_len
-        if depth + 1 == m:
-            # the two assignment fronts have met: every weight is fixed, so
-            # both replays may consume the whole path
-            bot_avail = top_avail = m
+    Later insertions never reorder earlier letters, so a rise's index is
+    the number of earlier rises that precede it in the target.  A non-jump
+    never lands at the front (the insertion_lemma suite checks this), so
+    index 0 marks a jump.
+    """
+    rank = {letter: i for i, letter in enumerate(target)}
+    placed: list[int] = []  # target ranks of the rises read so far, sorted
+    out: list[tuple[_UpInfo, Optional[int]]] = []
+    for info in _up_infos(steps, rule):
+        idx = bisect_left(placed, rank[info.pos])
+        dist = len(placed) - idx
+        placed.insert(idx, rank[info.pos])
+        if idx == 0:
+            out.append((info, None))
         else:
-            bot_avail, top_avail = new_left, new_right
-        for v in range(lo, hi + 1):
-            w[i - 1] = v
-            mb = eng_bot.mark()
-            mt = eng_top.mark()
-            if eng_bot.feed(wt_fwd, bot_avail) and eng_top.feed(wt_rev, top_avail):
-                rec(depth + 1, new_left, new_right)
-            eng_bot.rollback(mb)
-            eng_top.rollback(mt)
-            if len(sols) >= limit:
-                break
-        w[i - 1] = None
+            adj = 1 if info.membership == LEFT else 0
+            out.append((info, dist - info.shift + adj))
+    return out
 
-    rec(0, 0, 0)
-    return sols
+
+# a jump: its step, the neighbouring step its bound reads, and the bound
+_Jump = tuple[int, int, Callable[[], int]]
+
+
+def _settle(w: list[Optional[int]], jumps: list[_Jump]) -> None:
+    """Set each unset jump weight to its bound once the neighbour it reads
+    is set, pass after pass, until a pass sets nothing."""
+    pending = [j for j in jumps if w[j[0]] is None]
+    while pending:
+        ready = [j for j in pending if w[j[1]] is not None]
+        if not ready:
+            return
+        for step, _, bound in ready:
+            w[step] = bound()
+        pending = [j for j in pending if w[j[0]] is None]
+
+
+def _invert_factor(steps: str, image: tuple[int, ...], rule: str
+                   ) -> list[tuple[int, ...]]:
+    """Every weighting of the irreducible path `steps` whose image is
+    `image` (standardized to 1..len(steps)).
+
+    The read-off of the bottom word fixes each non-jumping rise, and that of
+    the top word, on the mirrored path, each non-jumping fall.  A jump's
+    weight is its bound, which reads one neighbour.  Two jumps that read
+    each other (a peak or valley cycle, which the floor split produces) are
+    tried at every weight C1 allows the first.  The forward map confirms
+    each candidate.
+    """
+    m = len(steps)
+    h = _height_profile(steps)
+    # 1-based; the ends stand in for the neighbour that step 1's and step
+    # m's bounds never read, so those jumps settle in the first pass
+    w: list[Optional[int]] = [0] + [None] * m + [0]
+    jumps: list[_Jump] = []
+    topref = tuple(m + 1 - t for t in reversed(image[1::2]))
+    for frame, target, to_step in ((steps, image[0::2], lambda p: p),
+                                   (_reflected_steps(steps), topref,
+                                    lambda p: m + 1 - p)):
+        hf = _height_profile(frame)
+
+        def wt(p: int, to_step: Callable[[int], int] = to_step) -> int:
+            return w[to_step(p)]  # type: ignore[return-value]
+
+        for info, weight in _read_off(frame, target, rule):
+            if weight is not None:
+                w[to_step(info.pos)] = weight
+            else:
+                nb = info.pos - 1 if info.membership == LEFT else info.pos + 1
+                jumps.append((to_step(info.pos), to_step(nb),
+                              partial(_bound_of, info, hf, wt)))
+    _settle(w, jumps)
+    stuck = {step: (nb, bound) for step, nb, bound in jumps if w[step] is None}
+    cycles = [s for s, (nb, _) in stuck.items() if s < nb and stuck[nb][0] == s]
+    found: list[tuple[int, ...]] = []
+    for values in product(*(range(min(h[s - 1], h[s]) + 1) for s in cycles)):
+        for s in stuck:
+            w[s] = None
+        for s, v in zip(cycles, values):
+            w[s] = v
+        _settle(w, jumps)
+        # every other jump was set to its bound after the one weight it reads
+        if any(w[s] != stuck[s][1]() for s in cycles):
+            continue
+        weights = tuple(w[1:m + 1])  # type: ignore[arg-type]
+        if (not validate_weighted(WeightedDyckPath(DyckPath(steps), weights))
+                and _map_factor(steps, weights, rule) == image):
+            found.append(weights)
+    return found
 
 
 def _membership_checks(p: tuple[int, ...]) -> tuple[DyckPath, str]:
@@ -538,7 +527,8 @@ def _membership_checks(p: tuple[int, ...]) -> tuple[DyckPath, str]:
     if not avoids_1234(p):
         raise NotInImageError(
             "not in image: contains an increasing subsequence of length 4")
-    word = "".join(UP if i in set(p[0::2]) else DOWN for i in range(1, len(p) + 1))
+    bottom = set(p[0::2])
+    word = "".join(UP if i in bottom else DOWN for i in range(1, len(p) + 1))
     try:
         return DyckPath(word), word
     except ValueError:
@@ -549,36 +539,37 @@ def _membership_checks(p: tuple[int, ...]) -> tuple[DyckPath, str]:
 def from_permutation(p: Sequence[int], rule: str = SPLIT_CEIL) -> WeightedDyckPath:
     """The unique weighted Dyck path whose image is p.
 
-    Raises NotInImageError naming the first failed membership check (shape,
-    avoidance, bottom letters not a Dyck path, or search exhaustion) and
-    InternalConsistencyError if the search ever finds two preimages.
+    Each irreducible factor is inverted directly from its block of p by
+    reading off its insertion runs.  Raises NotInImageError naming the first
+    failed membership check (shape, avoidance, bottom letters not a Dyck
+    path, a block that no factor maps to), and ValueError naming the count
+    when several paths map to p, which happens under the floor split.
     """
     p = tuple(p)
     if not p:
         return WeightedDyckPath(DyckPath(""), ())
     path, word = _membership_checks(p)
     weights: list[int] = [0] * len(p)
+    preimages = 1
     offset = 0
     for a, b in reversed(factor_spans(word)):
         length = b - a
         block = p[offset:offset + length]
         offset += length
         if set(block) != set(range(a + 1, b + 1)):
-            raise NotInImageError("not in image: preimage search exhausted")
-        local = standardize(block)
-        topref = tuple(length + 1 - t for t in reversed(local[1::2]))
-        sols = _factor_preimages(word[a:b], local[0::2], topref, rule)
+            raise NotInImageError(
+                f"not in image: block {perm_text(block)} does not hold {a + 1}..{b}")
+        sols = _invert_factor(word[a:b], standardize(block), rule)
         if not sols:
-            raise NotInImageError("not in image: preimage search exhausted")
-        if len(sols) > 1:
-            raise InternalConsistencyError(
-                f"two preimages found for block {block}")
+            raise NotInImageError(
+                f"not in image: no weighting of {word[a:b]} maps to block {perm_text(block)}")
+        preimages *= len(sols)
         weights[a:b] = sols[0]
-    wd = WeightedDyckPath(path, tuple(weights))
-    if validate_weighted(wd):
-        raise InternalConsistencyError(
-            f"reconstructed weighting is invalid: {serialize_path(wd)}")
-    return wd
+    if preimages > 1:
+        raise ValueError(
+            f"ambiguous: {preimages} weighted paths map to this permutation "
+            f"under the {rule} split rule")
+    return WeightedDyckPath(path, tuple(weights))
 
 
 @lru_cache(maxsize=None)

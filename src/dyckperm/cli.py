@@ -96,10 +96,9 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.suite == "all":
-        reports = verify.run_all(args.max_n, rule=args.split_rule, jobs=args.jobs)
+        reports = verify.run_all(args.max_n, rule=args.split_rule)
     else:
-        reports = [verify.run_suite(args.suite, args.max_n,
-                                    rule=args.split_rule, jobs=args.jobs)]
+        reports = [verify.run_suite(args.suite, args.max_n, rule=args.split_rule)]
     ok = True
     for report in reports:
         print(json.dumps(report.to_record()))
@@ -169,8 +168,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=verify.SUITES + ("all",), default="all")
     p.add_argument("--max-n", type=_nonneg, default=None)
     p.add_argument("--split-rule", choices=("ceil", "floor"), default="ceil")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallelism hint (reports never depend on it)")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("render", help="draw a weighted path as an ASCII staircase")
@@ -186,10 +183,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (paths.PathFormatError, bijection.NotInImageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (ValueError, bijection.InternalConsistencyError,
+            bijection.InsertionOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence, Union
 
+from .perms import parse_int_list
+
 UP = "U"
 DOWN = "D"
 
@@ -388,7 +390,7 @@ def parse_path(text: str) -> WeightedDyckPath:
     weight_part = weight_part.strip()
     if weight_part:
         try:
-            weights = tuple(int(tok) for tok in weight_part.split(","))
+            weights = parse_int_list(weight_part)
         except ValueError:
             raise PathFormatError(f"malformed weight list {weight_part!r}") from None
     else:

@@ -10,6 +10,7 @@ subsequence of length 4.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
@@ -117,12 +118,27 @@ def perm_text(p: Sequence[int]) -> str:
     return ",".join(map(str, p))
 
 
+_NATURAL = re.compile(r"[0-9]+")
+
+
+def parse_int_list(text: str) -> tuple[int, ...]:
+    """Comma-separated tokens of ASCII digits only, the grammar of both
+    permutation and weight text.  Raises ValueError on any other token,
+    including the signs, underscores, spaces and non-ASCII digits that
+    int() would accept."""
+    tokens = text.split(",")
+    for tok in tokens:
+        if not _NATURAL.fullmatch(tok):
+            raise ValueError(f"malformed number {tok!r}")
+    return tuple(int(tok) for tok in tokens)
+
+
 def parse_perm_text(text: str) -> Permutation:
     body = text.strip()
     if not body:
         return ()
     try:
-        return tuple(int(tok) for tok in body.split(","))
+        return parse_int_list(body)
     except ValueError:
         raise ValueError(f"malformed permutation text {body!r}") from None
 

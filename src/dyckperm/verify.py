@@ -342,10 +342,12 @@ def _suite_insertion_lemma(cap: int, rule: str) -> tuple[int, list[dict]]:
                     if alt == bound:
                         continue
                     d = alt + info.shift - (1 if info.membership == LEFT else 0)
-                    if d < 0 or d > length_before:
+                    # d < length_before: a non-jump never lands at the front,
+                    # which the inverse's read-off relies on
+                    if d < 0 or d >= length_before:
                         failures.append(_fail(
                             text,
-                            f"feasible weight {alt} of rise {info.pos} lands in [0,{length_before}]",
+                            f"feasible weight {alt} of rise {info.pos} lands in [0,{length_before})",
                             f"distance {d}"))
                     if d < st.shift:
                         failures.append(_fail(
@@ -449,16 +451,13 @@ _SUITE_FUNCS = {
 }
 
 
-def run_suite(suite: str, max_n: Optional[int] = None, rule: str = SPLIT_CEIL,
-              jobs: int = 1) -> VerificationReport:
+def run_suite(suite: str, max_n: Optional[int] = None,
+              rule: str = SPLIT_CEIL) -> VerificationReport:
     """Run one suite exhaustively up to max_n (the suite's default cap when
-    None).  The jobs hint is accepted for interface stability; execution is
-    serial, so reports never depend on it.  Failures are reported in the
-    deterministic order the instances are enumerated."""
+    None).  Failures are reported in the deterministic order the instances
+    are enumerated."""
     if suite not in _SUITE_FUNCS:
         raise ValueError(f"unknown suite {suite!r}")
-    if jobs < 1:
-        raise ValueError("jobs must be positive")
     cap = DEFAULT_CAPS[suite] if max_n is None else max_n
     start = time.perf_counter()
     checked, failures = _SUITE_FUNCS[suite](cap, rule)
@@ -466,11 +465,11 @@ def run_suite(suite: str, max_n: Optional[int] = None, rule: str = SPLIT_CEIL,
                               time.perf_counter() - start)
 
 
-def run_all(max_n: Optional[int] = None, rule: str = SPLIT_CEIL,
-            jobs: int = 1) -> list[VerificationReport]:
+def run_all(max_n: Optional[int] = None,
+            rule: str = SPLIT_CEIL) -> list[VerificationReport]:
     """Run every suite at its default cap, lowered to max_n when given."""
     out = []
     for suite in SUITES:
         cap = DEFAULT_CAPS[suite] if max_n is None else min(DEFAULT_CAPS[suite], max_n)
-        out.append(run_suite(suite, cap, rule, jobs))
+        out.append(run_suite(suite, cap, rule))
     return out

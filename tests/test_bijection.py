@@ -1,3 +1,6 @@
+import random
+from collections import defaultdict
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,8 +26,11 @@ from dyckperm.bijection import (
 from dyckperm.paths import (
     UP,
     WeightedDyckPath,
+    _height_profile,
+    _weight_span,
     concat,
     enumerate_weighted,
+    factor_spans,
     parse_path,
     reflect,
     serialize_path,
@@ -39,6 +45,37 @@ EX14 = parse_path(EXAMPLE14_TEXT)
 
 def wd(steps, weights=None):
     return WeightedDyckPath.from_steps(steps, weights)
+
+
+def random_dyck_word(rng, n):
+    """Uniform Dyck word of semilength n by the cycle lemma: of the rotations
+    of a shuffled word with n rises and n + 1 falls, exactly one keeps every
+    proper prefix at or above the ground; drop its final fall."""
+    seq = ["U"] * n + ["D"] * (n + 1)
+    rng.shuffle(seq)
+    height = lowest = cut = 0
+    for i, s in enumerate(seq):
+        height += 1 if s == "U" else -1
+        if height < lowest:
+            lowest, cut = height, i + 1
+    return "".join(seq[cut:] + seq[:cut])[:-1]
+
+
+def random_path(rng, n, irreducible):
+    """A seeded random weighted path of semilength n >= 2, irreducible or
+    with at least two factors; each weight is drawn from the interval the
+    previous one leaves feasible."""
+    if irreducible:
+        steps = "U" + random_dyck_word(rng, n - 1) + "D"
+    else:
+        k = rng.randint(1, n - 1)
+        steps = "U" + random_dyck_word(rng, k - 1) + "D" + random_dyck_word(rng, n - k)
+    h = _height_profile(steps)
+    weights = []
+    for i in range(1, len(steps) + 1):
+        lo, hi = _weight_span(steps, h, i, weights[-1] if weights else 0)
+        weights.append(rng.randint(lo, hi))
+    return wd(steps, weights)
 
 
 small_wd = st.builds(
@@ -272,6 +309,38 @@ class TestInverse:
                 assert to_permutation(x).perm == p
                 images.add(x)
             assert len(images) == len(perm_pools[n])
+
+
+class TestInverseBeyondExhaustive:
+    @pytest.mark.parametrize("irreducible", [True, False])
+    @pytest.mark.parametrize("n", [20, 50, 200])
+    def test_seeded_random_roundtrip(self, n, irreducible):
+        rng = random.Random(n)
+        for _ in range(5):
+            x = random_path(rng, n, irreducible)
+            assert (len(factor_spans(x.steps)) == 1) == irreducible
+            assert from_permutation(to_permutation(x).perm) == x
+
+    def test_floor_split_finds_every_preimage(self, wd_pools, perm_pools):
+        # the floor split is neither injective nor onto from n = 3 on
+        kinds = defaultdict(int)
+        for n in range(5):
+            preimages = defaultdict(list)
+            for x in wd_pools[n]:
+                preimages[to_permutation(x, SPLIT_FLOOR).perm].append(x)
+            for p in perm_pools[n]:  # exactly the inputs passing the membership checks
+                xs = preimages[p]
+                kinds[min(len(xs), 2)] += 1
+                if not xs:
+                    with pytest.raises(NotInImageError, match="no weighting"):
+                        from_permutation(p, SPLIT_FLOOR)
+                elif len(xs) == 1:
+                    assert from_permutation(p, SPLIT_FLOOR) == xs[0]
+                else:
+                    with pytest.raises(ValueError,
+                                       match=f"ambiguous: {len(xs)} weighted paths .* floor"):
+                        from_permutation(p, SPLIT_FLOOR)
+        assert kinds[0] and kinds[1] and kinds[2]
 
 
 class TestBruteInverse:

@@ -3,6 +3,8 @@ import json
 
 import pytest
 
+from dyckperm import bijection
+from dyckperm.bijection import InsertionOverflowError, InternalConsistencyError
 from dyckperm.cli import main, render_ascii
 from dyckperm.paths import parse_path
 
@@ -105,6 +107,21 @@ class TestMap:
         code, out, _ = run(capsys, "map", "-")
         assert (code, out.strip()) == (0, "1,2")
 
+    def test_non_ascii_digit_weights(self, capsys):
+        code, out, err = run(capsys, "map", "UD;+0,\u0660")
+        assert (code, out) == (1, "")
+        assert "malformed weight" in err
+
+    @pytest.mark.parametrize("exc", [InternalConsistencyError("boom"),
+                                     InsertionOverflowError("boom", ())])
+    def test_internal_error_is_an_error_line(self, capsys, monkeypatch, exc):
+        def broken(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(bijection, "to_permutation", broken)
+        code, out, err = run(capsys, "map", "UD;0,0")
+        assert (code, out, err) == (1, "", "error: boom\n")
+
 
 class TestInvert:
     def test_worked_example(self, capsys):
@@ -120,6 +137,17 @@ class TestInvert:
         code, out, err = run(capsys, "invert", "2,1")
         assert code == 1
         assert "not in image" in err and "up-down" in err
+
+    def test_non_ascii_digits(self, capsys):
+        code, out, err = run(capsys, "invert", "\u0662,\u0661")
+        assert (code, out) == (1, "")
+        assert "malformed permutation text" in err
+
+    def test_ambiguous_floor_preimage(self, capsys):
+        code, out, err = run(capsys, "invert", "3,5,1,6,2,4", "--split-rule", "floor")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ambiguous: 2 weighted paths")
+        assert "floor split rule" in err
 
     def test_pipe_coherence(self, capsys):
         for text in (EXAMPLE14_TEXT, "UD;0,0", "UDUD;0,0,0,0", "UUDD;0,1,1,0",

@@ -308,6 +308,14 @@ class TestParseSerialize:
         with pytest.raises(PathFormatError, match="malformed weight"):
             parse_path("UD;a,b")
 
+    @pytest.mark.parametrize("weights", [
+        "+0,0", "1_0,0", "\u0660,0", "\uff10,0", "0, 0", "0,-0", "0,,0", "0x0,0",
+    ])
+    def test_weights_are_ascii_digit_tokens(self, weights):
+        # int() accepts signs, underscores, spaces and non-ASCII digits
+        with pytest.raises(PathFormatError, match="malformed weight"):
+            parse_path(f"UD;{weights}")
+
     def test_length_mismatch(self):
         with pytest.raises(PathFormatError, match="2 steps but 3 weights"):
             parse_path("UD;0,0,0")

@@ -250,3 +250,15 @@ class TestTextForms:
     def test_malformed(self):
         with pytest.raises(ValueError, match="malformed"):
             parse_perm_text("1,x")
+
+    @pytest.mark.parametrize("text", [
+        "+1,2", "1_0", "\u0662,\u0661", "\uff11,\uff12", "1, 2", "-1", "1,,2",
+    ])
+    def test_tokens_are_ascii_digits(self, text):
+        # int() accepts signs, underscores, spaces and non-ASCII digits
+        with pytest.raises(ValueError, match="malformed"):
+            parse_perm_text(text)
+
+    @given(perms_up_to_6)
+    def test_text_roundtrip(self, p):
+        assert parse_perm_text(perm_text(p)) == tuple(p)
