@@ -41,6 +41,7 @@ from .paths import (
     WeightedDyckPath,
     _height_profile,
     _reflected_steps,
+    _span,
     enumerate_weightings,
     factor_irreducible,
     factor_spans,
@@ -112,7 +113,8 @@ def split_up_slopes(decomp: SlopeDecomposition, rule: str = SPLIT_CEIL) -> Split
     return SplitAssignment(tuple(LEFT if i < cut else RIGHT for i in range(k)), rule)
 
 
-@dataclass(frozen=True)
+# slots: the _up_infos cache holds one of these per rise of every cached path
+@dataclass(frozen=True, slots=True)
 class _UpInfo:
     pos: int          # 1-based step index of the rise
     slope: int        # 1-based up-slope index
@@ -124,7 +126,7 @@ class _UpInfo:
     ready: int        # last weight index (1-based) the jump rule reads
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _up_infos(steps: str, rule: str) -> tuple[_UpInfo, ...]:
     h = _height_profile(steps)
     runs: list[tuple[int, int]] = []  # (start, length) of up slopes
@@ -397,29 +399,19 @@ def parking_to_123_avoiding(pf: ParkingFunction) -> tuple[int, ...]:
 
 def _local_span(steps: str, h: tuple[int, ...], i: int,
                 left_w: Optional[int], right_w: Optional[int]) -> tuple[int, int]:
-    """Feasible weights for step i given whichever neighbours are fixed."""
-    s = steps[i - 1]
-    lo, hi = 0, h[i - 1] if s == UP else h[i]
+    """Feasible weights for step i given whichever neighbours are fixed.
+
+    The right neighbour's bound is the left one's on the mirrored path,
+    where step i+1 comes first, both kinds flip and the heights swap.
+    """
+    lo, hi = _span(None, steps[i - 1], h[i - 1], h[i], 0)
     if left_w is not None:
-        p = steps[i - 2]
-        if p == UP and s == UP:
-            lo = max(lo, left_w)
-        elif p == UP:
-            hi = min(hi, h[i - 1] - left_w)
-        elif s == UP:
-            lo = max(lo, h[i - 1] - left_w)
-        else:
-            hi = min(hi, left_w)
+        a, b = _span(steps[i - 2], steps[i - 1], h[i - 1], h[i], left_w)
+        lo, hi = max(lo, a), min(hi, b)
     if right_w is not None:
-        nxt = steps[i]
-        if s == UP and nxt == UP:
-            hi = min(hi, right_w)
-        elif s == UP:
-            hi = min(hi, h[i] - right_w)
-        elif nxt == UP:
-            lo = max(lo, h[i] - right_w)
-        else:
-            lo = max(lo, right_w)
+        prev, kind = _reflected_steps(steps[i - 1:i + 1])
+        a, b = _span(prev, kind, h[i], h[i - 1], right_w)
+        lo, hi = max(lo, a), min(hi, b)
     return lo, hi
 
 

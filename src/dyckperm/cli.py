@@ -172,15 +172,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("render", help="draw a weighted path as an ASCII staircase")
     p.add_argument("input", help="path text or '-' for stdin")
-    p.add_argument("--style", choices=("ascii",), default="ascii")
     p.set_defaults(func=_cmd_render)
 
     return parser
 
 
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:  # built on first use, so importing the package stays cheap
+        _parser = _build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, bijection.InternalConsistencyError,

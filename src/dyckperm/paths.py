@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterator, Optional, Sequence, Union
 
 from .perms import parse_int_list
@@ -110,7 +111,7 @@ def _steps_of(path: PathLike) -> str:
     raise TypeError(f"expected a path, got {type(path).__name__}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _height_profile(steps: str) -> tuple[int, ...]:
     out = [0]
     h = 0
@@ -290,24 +291,36 @@ def _dyck_words(n: int) -> Iterator[str]:
     yield from rec(0, 0)
 
 
-def _weight_span(steps: str, h: tuple[int, ...], i: int, prev_w: int) -> tuple[int, int]:
-    """Feasible weight interval for step i given the weight of step i-1.
+def _span(prev: Optional[str], kind: str, h0: int, h1: int, prev_w: int) -> tuple[int, int]:
+    """Feasible weight interval of a step of `kind` from height h0 to h1,
+    after a step of kind `prev` and weight `prev_w` (`prev` None for the
+    first step).  The one encoding of C1..C5 as a span: C1 caps the weight
+    by the lower height, and the pair constraint between the two steps
+    bounds it by `prev_w`.
 
-    Because C2..C5 only couple adjacent steps, the interval is never empty,
-    which makes the left-to-right enumeration output-linear.
+    Because C2..C5 only couple adjacent steps, the interval is never empty
+    when `prev_w` is feasible itself, which makes the left-to-right
+    enumeration output-linear.
     """
-    s = steps[i - 1]
-    lower = h[i - 1] if s == UP else h[i]
-    if i == 1:
+    # conditional expressions rather than min/max: this is the inner step
+    # of both the enumeration and the counting pass
+    lower = h0 if h0 < h1 else h1
+    if prev is None:
         return 0, lower
-    p = steps[i - 2]
-    if p == UP and s == UP:
-        return prev_w, lower
-    if p == UP:  # peak at h[i-1]
-        return 0, min(lower, h[i - 1] - prev_w)
-    if s == UP:  # valley at h[i-1]
-        return max(0, h[i - 1] - prev_w), lower
-    return 0, min(lower, prev_w)
+    if prev == UP:
+        if kind == UP:  # C2
+            return prev_w, lower
+        cap = h0 - prev_w  # C4: peak at h0
+        return 0, (cap if cap < lower else lower)
+    if kind == UP:  # C5: valley at h0
+        least = h0 - prev_w
+        return (least if least > 0 else 0), lower
+    return 0, (prev_w if prev_w < lower else lower)  # C3
+
+
+def _weight_span(steps: str, h: tuple[int, ...], i: int, prev_w: int) -> tuple[int, int]:
+    """Feasible weight interval for step i of `steps` given the weight of step i-1."""
+    return _span(steps[i - 2] if i > 1 else None, steps[i - 1], h[i - 1], h[i], prev_w)
 
 
 def enumerate_weightings(path: DyckPath) -> Iterator[WeightedDyckPath]:
@@ -318,13 +331,14 @@ def enumerate_weightings(path: DyckPath) -> Iterator[WeightedDyckPath]:
         yield WeightedDyckPath(path, ())
         return
     h = _height_profile(steps)
+    prevs = (None,) + tuple(steps[:-1])
     w = [0] * m
 
     def rec(i: int) -> Iterator[WeightedDyckPath]:
         if i > m:
             yield WeightedDyckPath(path, tuple(w))
             return
-        lo, hi = _weight_span(steps, h, i, w[i - 2] if i > 1 else 0)
+        lo, hi = _span(prevs[i - 1], steps[i - 1], h[i - 1], h[i], w[i - 2] if i > 1 else 0)
         for v in range(lo, hi + 1):
             w[i - 1] = v
             yield from rec(i + 1)
@@ -347,28 +361,33 @@ def enumerate_weighted(n: int) -> Iterator[WeightedDyckPath]:
 def count_weighted(n: int) -> int:
     """Number of weighted Dyck paths of semilength n (exact integer).
 
-    Counts by dynamic programming over the weight of the last placed step,
-    without materializing the paths.
+    One transfer-matrix pass over all paths at once, without materializing
+    them.  After each step the state is (kind of the step, height, weight
+    of the step), held as one count list per (kind, height) indexed by
+    weight; only heights from which the ground is still reachable are
+    kept.  Each state adds its count to the whole weight interval that
+    `_span` allows for the next step through a difference list, so the
+    pass takes O(n^3) additions.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    total = 0
-    for word in _dyck_words(n):
-        if not word:
-            total += 1
-            continue
-        h = _height_profile(word)
-        lo, hi = _weight_span(word, h, 1, 0)
-        cur = {v: 1 for v in range(lo, hi + 1)}
-        for i in range(2, len(word) + 1):
-            nxt: dict[int, int] = {}
-            for pv, c in cur.items():
-                lo, hi = _weight_span(word, h, i, pv)
-                for v in range(lo, hi + 1):
-                    nxt[v] = nxt.get(v, 0) + c
-            cur = nxt
-        total += sum(cur.values())
-    return total
+    m = 2 * n
+    layer: dict[tuple[Optional[str], int], list[int]] = {(None, 0): [1]}
+    for i in range(1, m + 1):
+        diff: dict[tuple[Optional[str], int], list[int]] = {}
+        for (prev, h0), counts in layer.items():
+            for kind, h1 in ((UP, h0 + 1), (DOWN, h0 - 1)):
+                if not 0 <= h1 <= m - i:
+                    continue
+                d = diff.get((kind, h1))
+                if d is None:
+                    d = diff[(kind, h1)] = [0] * (min(h0, h1) + 2)
+                for pw, c in enumerate(counts):
+                    lo, hi = _span(prev, kind, h0, h1, pw)
+                    d[lo] += c
+                    d[hi + 1] -= c
+        layer = {key: list(accumulate(d[:-1])) for key, d in diff.items()}
+    return sum(sum(counts) for counts in layer.values())
 
 
 def parse_path(text: str) -> WeightedDyckPath:

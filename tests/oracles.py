@@ -8,6 +8,7 @@ tests really compare two routes.
 from __future__ import annotations
 
 import itertools
+from math import factorial
 
 
 def brute_dyck_words(n: int) -> list[str]:
@@ -31,6 +32,17 @@ def brute_heights(steps: str) -> list[int]:
     return h
 
 
+def brute_pair_ok(a: str, b: str, wa: int, wb: int, height: int) -> bool:
+    """The condition on two consecutive steps a, b meeting at `height`."""
+    if a == "U" and b == "U":
+        return wa <= wb
+    if a == "D" and b == "D":
+        return wa >= wb
+    if a == "U":
+        return wa + wb <= height
+    return wa + wb >= height
+
+
 def brute_weighting_ok(steps: str, w: tuple[int, ...]) -> bool:
     """The five weight conditions, checked literally and globally."""
     h = brute_heights(steps)
@@ -38,17 +50,32 @@ def brute_weighting_ok(steps: str, w: tuple[int, ...]) -> bool:
     for u in range(1, m + 1):
         if not 0 <= w[u - 1] <= min(h[u - 1], h[u]):
             return False
-    for u in range(1, m):
-        a, b = steps[u - 1], steps[u]
-        if a == "U" and b == "U" and not w[u - 1] <= w[u]:
-            return False
-        if a == "D" and b == "D" and not w[u - 1] >= w[u]:
-            return False
-        if a == "U" and b == "D" and not w[u - 1] + w[u] <= h[u]:
-            return False
-        if a == "D" and b == "U" and not w[u - 1] + w[u] >= h[u]:
-            return False
-    return True
+    return all(brute_pair_ok(steps[u - 1], steps[u], w[u - 1], w[u], h[u])
+               for u in range(1, m))
+
+
+def closed_form(n: int) -> int:
+    """2(3n)! / (n! (n+1)! (n+2)!), OEIS A005789: the number of weighted
+    paths of semilength n."""
+    return 2 * factorial(3 * n) // (factorial(n) * factorial(n + 1) * factorial(n + 2))
+
+
+def per_word_count(n: int) -> int:
+    """Weighted paths of semilength n, counted one Dyck word at a time: for
+    each word, a dynamic program over the weight of the last placed step,
+    with every weight in 0..lower height tried against the pair condition."""
+    total = 0
+    for steps in brute_dyck_words(n):
+        h = brute_heights(steps)
+        ways = {None: 1}  # weight of the last placed step -> prefixes
+        for u in range(1, len(steps) + 1):
+            ways = {
+                v: sum(c for pv, c in ways.items()
+                       if pv is None or brute_pair_ok(steps[u - 2], steps[u - 1], pv, v, h[u - 1]))
+                for v in range(min(h[u - 1], h[u]) + 1)
+            }
+        total += sum(ways.values())
+    return total
 
 
 def brute_weighted_set(n: int) -> set[tuple[str, tuple[int, ...]]]:

@@ -11,6 +11,7 @@ from dyckperm.bijection import (
     SPLIT_FLOOR,
     NotInImageError,
     ParkingFunction,
+    _up_infos,
     bottom_traces,
     flatten_to_single_slope,
     from_permutation,
@@ -320,6 +321,16 @@ class TestInverseBeyondExhaustive:
             x = random_path(rng, n, irreducible)
             assert (len(factor_spans(x.steps)) == 1) == irreducible
             assert from_permutation(to_permutation(x).perm) == x
+
+    def test_caches_stay_bounded(self):
+        # every fresh path adds two keys (itself and its mirror) to each
+        # cache, so 2,100 of them would grow an unbounded cache past 4,096
+        rng = random.Random(2100)
+        for _ in range(2100):
+            x = random_path(rng, 50, True)
+            assert from_permutation(to_permutation(x).perm) == x
+        for cache in (_height_profile, _up_infos):
+            assert cache.cache_info().currsize <= 4096
 
     def test_floor_split_finds_every_preimage(self, wd_pools, perm_pools):
         # the floor split is neither injective nor onto from n = 3 on

@@ -1,16 +1,32 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import dyckperm
 from dyckperm import bijection
 from dyckperm.bijection import InsertionOverflowError, InternalConsistencyError
 from dyckperm.cli import main, render_ascii
 from dyckperm.paths import parse_path
 
 from .conftest import EXAMPLE14_TEXT
+from .oracles import closed_form
 
 EXAMPLE14_PERM_TEXT = "8,13,6,12,11,14,7,10,2,9,4,5,1,3"
+
+COUNT7 = (
+    "0: 1 (ref 1)\n"
+    "1: 1 (ref 1)\n"
+    "2: 5 (ref 5)\n"
+    "3: 42 (ref 42)\n"
+    "4: 462 (ref 462)\n"
+    "5: 6006 (ref 6006)\n"
+    "6: 87516 (ref 87516)\n"
+    "7: 1385670 (ref 1385670)\n"
+)
 
 RENDER14 = (
     "       22\n"
@@ -174,6 +190,17 @@ class TestCount:
         code, out, _ = run(capsys, "count", "--max-n", "0")
         assert (code, out.strip()) == (0, "0: 1 (ref 1)")
 
+    def test_reference_table_bytes(self, capsys):
+        code, out, _ = run(capsys, "count", "--max-n", "7")
+        assert (code, out) == (0, COUNT7)
+
+    def test_past_the_reference_list(self, capsys):
+        code, out, _ = run(capsys, "count", "--max-n", "30")
+        lines = out.splitlines()
+        assert code == 0
+        assert len(lines) == 31
+        assert lines[-1] == f"30: {closed_form(30)}"
+
 
 class TestVerify:
     def test_single_suite(self, capsys):
@@ -222,9 +249,31 @@ class TestRender:
     def test_render_function_direct(self):
         assert render_ascii(parse_path(EXAMPLE14_TEXT)) == RENDER14
 
+    def test_style_option_is_gone(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["render", "UD;0,0", "--style", "ascii"])
+        assert exc.value.code == 2
+
 
 class TestDeterminism:
     def test_byte_identical_output(self, capsys):
         _, first, _ = run(capsys, "enumerate", "--family", "wd", "--n", "3")
         _, second, _ = run(capsys, "enumerate", "--family", "wd", "--n", "3")
         assert first == second
+
+    def test_reused_parser_matches_fresh_process(self, capsys):
+        # main() keeps one parser for the process; no option of one call may
+        # leak into the next, so each output equals a fresh interpreter's
+        calls = [
+            ["map", EXAMPLE14_TEXT, "--trace"],
+            ["map", EXAMPLE14_TEXT],
+            ["invert", EXAMPLE14_PERM_TEXT],
+            ["count", "--max-n", "4"],
+        ]
+        src = os.path.dirname(os.path.dirname(dyckperm.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        for argv in calls:
+            code, out, err = run(capsys, *argv)
+            fresh = subprocess.run([sys.executable, "-m", "dyckperm", *argv],
+                                   capture_output=True, text=True, env=env, check=False)
+            assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv

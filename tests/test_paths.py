@@ -24,7 +24,7 @@ from dyckperm.paths import (
 )
 
 from .conftest import EXAMPLE14_TEXT
-from .oracles import brute_weighted_set, brute_weighting_ok
+from .oracles import brute_weighted_set, brute_weighting_ok, closed_form, per_word_count
 
 EX14 = parse_path(EXAMPLE14_TEXT)
 
@@ -269,6 +269,14 @@ class TestEnumerateWeighted:
 class TestCountWeighted:
     def test_reference_values(self):
         assert [count_weighted(n) for n in range(6)] == [1, 1, 5, 42, 462, 6006]
+
+    def test_closed_form_up_to_100(self):
+        for n in range(101):
+            assert count_weighted(n) == closed_form(n), n
+
+    def test_matches_per_word_oracle(self):
+        for n in range(9):
+            assert count_weighted(n) == per_word_count(n), n
 
     def test_matches_enumeration(self):
         for n in range(5):
