@@ -3,7 +3,7 @@
 
 Exit code 0 only if every suite passes.  --max-n lowers the per-suite caps
 (never raises them); --stretch additionally runs the n=7 counting job,
-which enumerates the 1385670 permutations of size 14 and may take minutes.
+which enumerates the 1385670 permutations of size 14 in about 15 s.
 """
 
 import argparse

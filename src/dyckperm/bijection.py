@@ -564,9 +564,13 @@ def from_permutation(p: Sequence[int], rule: str = SPLIT_CEIL) -> WeightedDyckPa
     return WeightedDyckPath(path, tuple(weights))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _image_table(steps: str, rule: str) -> dict:
-    """perm -> weights over all valid weightings of one fixed path."""
+    """perm -> weights over all valid weightings of one fixed path.
+
+    Bounded: callers that sweep the paths in order, like the roundtrip
+    suite, ask for one path's table many times in a row, so a few tables
+    suffice."""
     table: dict[tuple[int, ...], tuple[int, ...]] = {}
     for wd in enumerate_weightings(DyckPath(steps)):
         perm = to_permutation(wd, rule).perm

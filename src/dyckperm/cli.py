@@ -1,13 +1,15 @@
 """Command line surface: enumerate, map, invert, count, verify, render.
 
 Exit codes: 0 on success, 1 on a domain failure (validation, membership,
-reference mismatch, failing suite), 2 on a usage error.
+reference mismatch, failing suite) or when the reader of stdout closes it
+early, 2 on a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -186,7 +188,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _parser = _build_parser()
     args = _parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed pipe surfaces here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader left (e.g. `| head -1`).  Point stdout at devnull so
+        # that the interpreter's flush at exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except (ValueError, bijection.InternalConsistencyError,
             bijection.InsertionOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

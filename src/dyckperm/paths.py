@@ -272,23 +272,28 @@ def factor_irreducible(wd: WeightedDyckPath) -> list[WeightedDyckPath]:
 
 
 def _dyck_words(n: int) -> Iterator[str]:
-    """All Dyck words of semilength n, lexicographically with U < D."""
-    word: list[str] = []
+    """All Dyck words of semilength n, lexicographically with U < D.
 
-    def rec(ups: int, height: int) -> Iterator[str]:
-        if len(word) == 2 * n:
-            yield "".join(word)
+    Iterative: the next word turns the last U that has a positive height
+    before it into a D, and refills everything after that step with the
+    least completion, its rises first.
+    """
+    word = [UP] * n + [DOWN] * n
+    while True:
+        yield "".join(word)
+        h = ups = 0  # height after step i, and rises after it
+        for i in range(2 * n - 1, -1, -1):
+            if word[i] == DOWN:
+                h += 1
+            elif h >= 2:  # the height before this U is positive
+                break
+            else:
+                h -= 1
+                ups += 1
+        else:
             return
-        if ups < n:
-            word.append(UP)
-            yield from rec(ups + 1, height + 1)
-            word.pop()
-        if height > 0:
-            word.append(DOWN)
-            yield from rec(ups, height - 1)
-            word.pop()
-
-    yield from rec(0, 0)
+        downs = 2 * n - 1 - i - ups
+        word[i:] = [DOWN] + [UP] * (ups + 1) + [DOWN] * (downs - 1)
 
 
 def _span(prev: Optional[str], kind: str, h0: int, h1: int, prev_w: int) -> tuple[int, int]:
@@ -324,26 +329,35 @@ def _weight_span(steps: str, h: tuple[int, ...], i: int, prev_w: int) -> tuple[i
 
 
 def enumerate_weightings(path: DyckPath) -> Iterator[WeightedDyckPath]:
-    """All valid weightings of one fixed path, in lexicographic weight order."""
+    """All valid weightings of one fixed path, in lexicographic weight order.
+
+    An odometer over the weights: `his` holds each step's largest feasible
+    weight given the one before it, and the next weighting raises the last
+    step still below its cap by one and resets every later step to the
+    least weight `_span` allows.  Every span is non-empty, so each reset
+    succeeds.
+    """
     steps = path.steps
     m = len(steps)
-    if m == 0:
-        yield WeightedDyckPath(path, ())
-        return
     h = _height_profile(steps)
     prevs = (None,) + tuple(steps[:-1])
     w = [0] * m
+    his = [0] * m
 
-    def rec(i: int) -> Iterator[WeightedDyckPath]:
-        if i > m:
-            yield WeightedDyckPath(path, tuple(w))
+    def reset(start: int) -> None:
+        for k in range(start, m):
+            w[k], his[k] = _span(prevs[k], steps[k], h[k], h[k + 1], w[k - 1] if k else 0)
+
+    reset(0)
+    while True:
+        yield WeightedDyckPath(path, tuple(w))
+        i = m - 1
+        while i >= 0 and w[i] == his[i]:
+            i -= 1
+        if i < 0:
             return
-        lo, hi = _span(prevs[i - 1], steps[i - 1], h[i - 1], h[i], w[i - 2] if i > 1 else 0)
-        for v in range(lo, hi + 1):
-            w[i - 1] = v
-            yield from rec(i + 1)
-
-    yield from rec(1)
+        w[i] += 1
+        reset(i + 1)
 
 
 def enumerate_weighted(n: int) -> Iterator[WeightedDyckPath]:

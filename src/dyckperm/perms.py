@@ -6,12 +6,19 @@ up-down permutation rises into every even position and falls out of it
 letters, those at even positions the *top* letters.  The family of
 interest is the up-down permutations of size 2n with no increasing
 subsequence of length 4.
+
+The family is enumerated by a backtracker that extends a prefix only when
+it can still be completed.  Whether it can is read off the prefix's
+patience tails and its largest unused letters (see
+enumerate_updown_avoiders), so no branch of the search dies more than one
+letter below where it went wrong, and every permutation, the first one
+included, comes after time polynomial in n.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
@@ -201,54 +208,88 @@ def assemble(bot: Sequence[int], top: Sequence[int]) -> AlternatingPermutation:
 def enumerate_updown_avoiders(n: int) -> Iterator[Permutation]:
     """Up-down permutations of size 2n avoiding 1234, lexicographically.
 
-    Backtracks position by position with the shape constraint built into
-    the candidate ranges and an incremental patience bound that never
-    extends a prefix whose longest increasing subsequence already exceeds 3.
+    A backtracker over positions, driven by an explicit stack, that places
+    a letter only when the prefix it makes can still be completed.  The
+    state of a prefix is its patience tails (tails[k] is the least last
+    letter of an increasing subsequence of length k+1; there are at most
+    three) and the sorted list R of unused letters.
+
+    Completion test.  When the next position is a top, a completion exists
+    iff all of
+
+    (a) max R > the last letter,
+    (b) max R < tails[2] when there are three tails,
+    (c) when there are at least two tails, the letters of R above tails[1]
+        number at most ceil(|R|/2), the top positions still to fill.
+
+    They are necessary: a letter above tails[2] completes a 4-chain
+    wherever it goes, and a letter above tails[1] placed at a bottom is
+    followed by a larger top, which completes one.  They are sufficient:
+    the largest ceil(|R|/2) letters as decreasing tops, interleaved with
+    the rest as decreasing bottoms, rise above the last letter by (a), and
+    that suffix has no increasing subsequence longer than 2, a bottom
+    followed by a later top.  Such a pair lies above tails[1] in neither
+    letter, since by (c) every letter above tails[1] is a top, and no
+    single suffix letter lies above tails[2], by (b); so no 4-chain forms.
+
+    The full test runs after each bottom letter.  After a top only (b) is
+    checked, so a prefix that cannot be completed is dropped at most one
+    level below where it arose, and the delay between two outputs is
+    polynomial in n.  Candidates rise through R, so the first one that
+    would end an increasing 4-chain (a 3-chain at a bottom, which the top
+    after it would extend) ends the loop: every larger letter does too.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    if n == 0:
-        yield ()
-        return
     N = 2 * n
-    used = [False] * (N + 1)
+    free = list(range(1, N + 1))  # R, sorted
     cur: list[int] = []
     tails: list[int] = []
-
-    def rec() -> Iterator[Permutation]:
-        pos = len(cur) + 1
-        if pos > N:
+    undo: list[tuple[int, int, int]] = []  # per letter: index in R, tail index, old tail
+    after = 0  # the next letter tried at this depth must exceed this
+    while True:
+        d = len(cur)
+        if d == N:
             yield tuple(cur)
-            return
-        if pos == 1:
-            lo, hi = 1, N
-        elif pos % 2 == 0:  # rise into an even position
-            lo, hi = cur[-1] + 1, N
-        else:  # fall into an odd position
-            lo, hi = 1, cur[-1] - 1
-        for v in range(lo, hi + 1):
-            if used[v]:
-                continue
+        else:
+            if d & 1:  # a top: rise above the last letter, end at a 4-chain
+                bound, stop = N + 1, 3
+                if after < cur[-1]:
+                    after = cur[-1]
+            else:  # a bottom: fall below the last letter, end at a 3-chain
+                bound, stop = (cur[-1] if d else N + 1), 2
+            i = bisect_right(free, after)
+            v = free[i] if i < len(free) else bound
             j = bisect_left(tails, v)
-            if j == 3:
-                continue  # would complete an increasing 4-chain
-            if j == len(tails):
-                tails.append(v)
-                old = None
-            else:
-                old = tails[j]
-                tails[j] = v
-            used[v] = True
-            cur.append(v)
-            yield from rec()
-            cur.pop()
-            used[v] = False
-            if old is None:
-                tails.pop()
-            else:
-                tails[j] = old
-
-    yield from rec()
+            if v < bound and j < stop:
+                del free[i]
+                if j == len(tails):
+                    undo.append((i, j, 0))
+                    tails.append(v)
+                else:
+                    undo.append((i, j, tails[j]))
+                    tails[j] = v
+                cur.append(v)
+                if d & 1:  # (b)
+                    ok = len(tails) < 3 or not free or free[-1] < tails[2]
+                else:  # (a) and (c); (b) held before, and a bottom keeps tails[2]
+                    ok = free[-1] > v and (
+                        len(tails) < 2
+                        or len(free) - bisect_right(free, tails[1]) <= (len(free) + 1) >> 1)
+                if ok:
+                    after = 0
+                    continue
+        # backtrack: drop the last letter and try the next one at its depth
+        if not cur:
+            return
+        v = cur.pop()
+        i, j, old = undo.pop()
+        free.insert(i, v)
+        if old:
+            tails[j] = old
+        else:
+            tails.pop()
+        after = v
 
 
 @dataclass(frozen=True)

@@ -382,19 +382,19 @@ def _suite_transformation(cap: int, rule: str) -> tuple[int, list[dict]]:
 
 
 def _parking_functions(n: int) -> Iterator[tuple[int, ...]]:
-    vals: list[int] = []
-
-    def rec(i: int) -> Iterator[tuple[int, ...]]:
-        if i == n:
-            yield tuple(vals)
+    """Weakly increasing (v_0..v_{n-1}) with v_i <= i, lexicographically:
+    an odometer that raises the last entry below its cap and resets the
+    later ones to it."""
+    vals = [0] * n
+    while True:
+        yield tuple(vals)
+        i = n - 1
+        while i >= 0 and vals[i] == i:
+            i -= 1
+        if i < 0:
             return
-        lo = vals[-1] if vals else 0
-        for v in range(lo, i + 1):
-            vals.append(v)
-            yield from rec(i + 1)
-            vals.pop()
-
-    yield from rec(0)
+        vals[i] += 1
+        vals[i + 1:] = [vals[i]] * (n - 1 - i)
 
 
 def _suite_parking(cap: int, rule: str) -> tuple[int, list[dict]]:

@@ -11,6 +11,7 @@ from dyckperm.bijection import (
     SPLIT_FLOOR,
     NotInImageError,
     ParkingFunction,
+    _image_table,
     _up_infos,
     bottom_traces,
     flatten_to_single_slope,
@@ -26,11 +27,14 @@ from dyckperm.bijection import (
 )
 from dyckperm.paths import (
     UP,
+    DyckPath,
     WeightedDyckPath,
+    _dyck_words,
     _height_profile,
     _weight_span,
     concat,
     enumerate_weighted,
+    enumerate_weightings,
     factor_spans,
     parse_path,
     reflect,
@@ -369,6 +373,15 @@ class TestBruteInverse:
     def test_cap(self):
         with pytest.raises(ValueError, match="cap"):
             from_permutation_brute(tuple(range(1, 17)), cap_n=7)
+
+    def test_table_cache_is_bounded(self):
+        # the 64 Dyck words of semilength 1..5 and the last 16 of semilength
+        # 6 (few weightings each) need more tables than the cache keeps
+        words = [w for n in range(1, 6) for w in _dyck_words(n)] + list(_dyck_words(6))[-16:]
+        for steps in words:
+            x = next(enumerate_weightings(DyckPath(steps)))
+            assert from_permutation_brute(to_permutation(x).perm) == x
+        assert _image_table.cache_info().currsize <= 64
 
 
 class TestStructuralCompatibility:

@@ -255,6 +255,24 @@ class TestRender:
         assert exc.value.code == 2
 
 
+class TestBrokenPipe:
+    def test_reader_leaving_early_is_quiet(self):
+        src = os.path.dirname(os.path.dirname(dyckperm.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "dyckperm", "enumerate", "--family", "wd", "--n", "5"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        code = proc.wait(timeout=60)
+        assert first == b"UUUUUDDDDD;0,0,0,0,0,0,0,0,0,0\n"
+        assert b"Traceback" not in err
+        assert err == b""
+        assert code == 1
+
+
 class TestDeterminism:
     def test_byte_identical_output(self, capsys):
         _, first, _ = run(capsys, "enumerate", "--family", "wd", "--n", "3")

@@ -249,9 +249,17 @@ class TestEnumerateWeighted:
         assert sum(1 for _ in enumerate_weighted(3)) == 42
 
     def test_matches_brute_force(self):
+        # in order: step word with U < D first, then the weight vector
         for n in range(6):
-            ours = {(x.steps, x.weights) for x in enumerate_weighted(n)}
-            assert ours == brute_weighted_set(n)
+            ours = [(x.steps, x.weights) for x in enumerate_weighted(n)]
+            want = sorted(brute_weighted_set(n),
+                          key=lambda x: (x[0].replace("U", "0").replace("D", "1"), x[1]))
+            assert ours == want
+
+    def test_first_at_large_n_without_recursion(self):
+        first = next(enumerate_weighted(600))
+        assert first.steps == "U" * 600 + "D" * 600
+        assert first.weights == (0,) * 1200
 
     def test_all_emitted_valid(self, wd_pools):
         for pool in wd_pools.values():

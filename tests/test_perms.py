@@ -194,8 +194,21 @@ class TestEnumeration:
         assert got == [(1, 3, 2, 4), (1, 4, 2, 3), (2, 3, 1, 4), (2, 4, 1, 3), (3, 4, 1, 2)]
 
     def test_matches_brute_force(self):
-        for n in range(4):
-            assert set(enumerate_updown_avoiders(n)) == brute_updown_avoiders(n)
+        for n in range(5):
+            assert list(enumerate_updown_avoiders(n)) == sorted(brute_updown_avoiders(n))
+
+    @staticmethod
+    def first_avoider(n):
+        # 1, n+1, n, 2n, n-1, 2n-1, ..., 2, n+2
+        bot = [1] + list(range(n, 1, -1))
+        top = [n + 1] + list(range(2 * n, n + 1, -1))
+        return tuple(v for pair in zip(bot, top) for v in pair)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 600])
+    def test_first_is_closed_form(self, n):
+        # n = 600 finishes only if the search neither recurses 1200 deep
+        # nor wanders through prefixes that cannot be completed
+        assert next(enumerate_updown_avoiders(n)) == self.first_avoider(n)
 
     def test_n3_order_and_count(self):
         got = list(enumerate_updown_avoiders(3))
