@@ -33,8 +33,7 @@ def main() -> int:
     print()
 
     for factor in factor_irreducible(wd):
-        assignment = split_up_slopes(slopes(factor))
-        print(f"factor {factor.steps}: slope halves {assignment.memberships}")
+        print(f"factor {factor.steps}: slope halves {split_up_slopes(slopes(factor))}")
 
     print("\nbottom-word insertion:")
     for st in bottom_traces(wd):

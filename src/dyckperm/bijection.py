@@ -41,6 +41,7 @@ from .paths import (
     WeightedDyckPath,
     _height_profile,
     _reflected_steps,
+    _runs,
     _span,
     enumerate_weightings,
     factor_irreducible,
@@ -86,14 +87,6 @@ class InsertionOverflowError(RuntimeError):
         self.trace = trace
 
 
-@dataclass(frozen=True)
-class SplitAssignment:
-    """Left/right membership per up slope: an 'L' prefix then an 'R' suffix."""
-
-    memberships: tuple[str, ...]
-    rule: str
-
-
 def _left_count(k: int, rule: str) -> int:
     if rule == SPLIT_CEIL:
         return (k + 1) // 2
@@ -102,15 +95,15 @@ def _left_count(k: int, rule: str) -> int:
     raise ValueError(f"unknown split rule {rule!r}")
 
 
-def split_up_slopes(decomp: SlopeDecomposition, rule: str = SPLIT_CEIL) -> SplitAssignment:
-    """Assign each up slope to the left or right half.
+def split_up_slopes(decomp: SlopeDecomposition, rule: str = SPLIT_CEIL) -> tuple[str, ...]:
+    """Left/right membership per up slope: an 'L' prefix then an 'R' suffix.
 
     Under "ceil" (the default) the left half takes ceil(k/2) of the k up
     slopes; under "floor" it takes floor(k/2).
     """
     k = len(decomp.up_slopes)
     cut = _left_count(k, rule)
-    return SplitAssignment(tuple(LEFT if i < cut else RIGHT for i in range(k)), rule)
+    return tuple(LEFT if i < cut else RIGHT for i in range(k))
 
 
 # slots: the _up_infos cache holds one of these per rise of every cached path
@@ -118,73 +111,57 @@ def split_up_slopes(decomp: SlopeDecomposition, rule: str = SPLIT_CEIL) -> Split
 class _UpInfo:
     pos: int          # 1-based step index of the rise
     slope: int        # 1-based up-slope index
-    first: bool       # first rise of its slope
-    last: bool        # last rise of its slope
     shift: int        # falls strictly left of the slope
-    lower: int        # lower height of the step
     membership: str
-    ready: int        # last weight index (1-based) the jump rule reads
+    # the jump bound is end `end` of _span(prev, kind, h0, h1, weight of step nb)
+    nb: int
+    prev: Optional[str]
+    kind: str
+    h0: int
+    h1: int
+    end: int
+
+
+def _jump_args(steps: str, h: tuple[int, ...], pos: int, membership: str
+               ) -> tuple[int, Optional[str], str, int, int, int]:
+    """What the jump bound of the rise at `pos` reads: the neighbouring
+    step `nb`, `_span`'s kinds and heights for the pair, and which end of
+    the span is the bound.
+
+    Under 'L' the pair is (step pos-1, the rise) and the bound is the least
+    weight; for the first step `nb` is 0, whose weight `_span` ignores when
+    there is no previous step.  Under 'R' the pair is (the rise, step pos+1), read on the
+    mirrored path, where step pos+1 comes first, both kinds flip and the
+    heights swap; the bound is the greatest weight.
+    """
+    if membership == LEFT:
+        return pos - 1, steps[pos - 2] if pos > 1 else None, UP, h[pos - 1], h[pos], 0
+    return pos + 1, DOWN if steps[pos] == UP else UP, DOWN, h[pos], h[pos - 1], 1
 
 
 @lru_cache(maxsize=4096)
 def _up_infos(steps: str, rule: str) -> tuple[_UpInfo, ...]:
     h = _height_profile(steps)
-    runs: list[tuple[int, int]] = []  # (start, length) of up slopes
-    i = 0
-    while i < len(steps):
-        j = i
-        while j < len(steps) and steps[j] == steps[i]:
-            j += 1
-        if steps[i] == UP:
-            runs.append((i + 1, j - i))
-        i = j
-    cut = _left_count(len(runs), rule)
+    ups = [r for r in _runs(steps) if r.kind == UP]
+    cut = _left_count(len(ups), rule)
     infos: list[_UpInfo] = []
-    for idx, (start, length) in enumerate(runs, start=1):
+    rises_before = 0
+    for idx, run in enumerate(ups, start=1):
         # falls left of the slope = steps before it minus rises before it
-        rises_before = sum(l for _, l in runs[: idx - 1])
-        shift = start - 1 - rises_before
-        membership = LEFT if idx - 1 < cut else RIGHT
-        for off in range(length):
-            p = start + off
-            infos.append(
-                _UpInfo(
-                    pos=p,
-                    slope=idx,
-                    first=off == 0,
-                    last=off == length - 1,
-                    shift=shift,
-                    lower=h[p - 1],
-                    membership=membership,
-                    ready=p if membership == LEFT else p + 1,
-                )
-            )
+        shift = run.start - 1 - rises_before
+        rises_before += run.length
+        membership = LEFT if idx <= cut else RIGHT
+        for p in range(run.start, run.start + run.length):
+            infos.append(_UpInfo(p, idx, shift, membership,
+                                 *_jump_args(steps, h, p, membership)))
     return tuple(infos)
 
 
-def _bound_of(info: _UpInfo, h: tuple[int, ...], wt: Callable[[int], int]) -> int:
-    """Extremal feasible weight for a rise: the least value under 'L'
-    membership, the greatest under 'R'."""
-    if info.membership == LEFT:
-        if not info.first:
-            return wt(info.pos - 1)
-        if info.pos == 1:
-            return 0
-        # valley entering the slope: fall weight d at height h_val caps the
-        # minimum at h_val - d
-        return h[info.pos - 1] - wt(info.pos - 1)
-    if not info.last:
-        return min(info.lower, wt(info.pos + 1))
-    # peak leaving the slope: fall weight e at height h_peak caps the
-    # maximum at h_peak - e (and the lower height always caps it)
-    return min(info.lower, h[info.pos] - wt(info.pos + 1))
-
-
-def _info_for(steps: str, u: int) -> _UpInfo:
-    for info in _up_infos(steps, SPLIT_CEIL):
-        if info.pos == u:
-            return info
-    raise ValueError(f"step {u} is not a rise")
+def _bound_of(info: _UpInfo, wt: Callable[[int], int]) -> int:
+    """Extremal feasible weight for a rise, given the 1-based weights `wt`:
+    the end of the rise's span, with the one neighbour its membership reads
+    fixed; the least value under 'L', the greatest under 'R'."""
+    return _span(info.prev, info.kind, info.h0, info.h1, wt(info.nb))[info.end]
 
 
 def jump_bound(wd: WeightedDyckPath, u: int, membership: str) -> int:
@@ -194,16 +171,17 @@ def jump_bound(wd: WeightedDyckPath, u: int, membership: str) -> int:
     valley residual for the slope's first rise, 0 on the path's first
     slope).  'R': the least upper bound (the minimum of the lower height
     and the next weight on the slope, or the peak residual for the last).
+    Both are an end of the `_span` that the forward map's jump rule reads.
     """
     if membership not in (LEFT, RIGHT):
         raise ValueError(f"membership must be {LEFT!r} or {RIGHT!r}")
     steps = wd.path.steps
     if not 1 <= u <= len(steps):
         raise IndexError(f"step index {u} out of range 1..{len(steps)}")
-    base = _info_for(steps, u)
-    info = _UpInfo(base.pos, base.slope, base.first, base.last, base.shift,
-                   base.lower, membership, base.ready)
-    return _bound_of(info, _height_profile(steps), lambda i: wd.weights[i - 1])
+    if steps[u - 1] != UP:
+        raise ValueError(f"step {u} is not a rise")
+    nb, prev, kind, h0, h1, end = _jump_args(steps, _height_profile(steps), u, membership)
+    return _span(prev, kind, h0, h1, wd.weights[nb - 1])[end]
 
 
 def jumps(wd: WeightedDyckPath, u: int, membership: str) -> bool:
@@ -230,7 +208,6 @@ InsertionTrace = tuple[InsertionStep, ...]
 
 def _run_insertion(steps: str, weights: Sequence[int], rule: str,
                    want_trace: bool) -> tuple[tuple[int, ...], InsertionTrace]:
-    h = _height_profile(steps)
     word: list[int] = []
     trace: list[InsertionStep] = []
 
@@ -239,7 +216,7 @@ def _run_insertion(steps: str, weights: Sequence[int], rule: str,
 
     for info in _up_infos(steps, rule):
         w = weights[info.pos - 1]
-        bound = _bound_of(info, h, wt)
+        bound = _bound_of(info, wt)
         if w == bound:
             word.insert(0, info.pos)
             jumped, dist = True, None
@@ -397,24 +374,6 @@ def parking_to_123_avoiding(pf: ParkingFunction) -> tuple[int, ...]:
     return tuple(word)
 
 
-def _local_span(steps: str, h: tuple[int, ...], i: int,
-                left_w: Optional[int], right_w: Optional[int]) -> tuple[int, int]:
-    """Feasible weights for step i given whichever neighbours are fixed.
-
-    The right neighbour's bound is the left one's on the mirrored path,
-    where step i+1 comes first, both kinds flip and the heights swap.
-    """
-    lo, hi = _span(None, steps[i - 1], h[i - 1], h[i], 0)
-    if left_w is not None:
-        a, b = _span(steps[i - 2], steps[i - 1], h[i - 1], h[i], left_w)
-        lo, hi = max(lo, a), min(hi, b)
-    if right_w is not None:
-        prev, kind = _reflected_steps(steps[i - 1:i + 1])
-        a, b = _span(prev, kind, h[i], h[i - 1], right_w)
-        lo, hi = max(lo, a), min(hi, b)
-    return lo, hi
-
-
 def _read_off(steps: str, target: tuple[int, ...], rule: str
               ) -> list[tuple[_UpInfo, Optional[int]]]:
     """Undo the insertion run of `steps` whose final word is `target`: each
@@ -479,8 +438,6 @@ def _invert_factor(steps: str, image: tuple[int, ...], rule: str
     for frame, target, to_step in ((steps, image[0::2], lambda p: p),
                                    (_reflected_steps(steps), topref,
                                     lambda p: m + 1 - p)):
-        hf = _height_profile(frame)
-
         def wt(p: int, to_step: Callable[[int], int] = to_step) -> int:
             return w[to_step(p)]  # type: ignore[return-value]
 
@@ -488,9 +445,8 @@ def _invert_factor(steps: str, image: tuple[int, ...], rule: str
             if weight is not None:
                 w[to_step(info.pos)] = weight
             else:
-                nb = info.pos - 1 if info.membership == LEFT else info.pos + 1
-                jumps.append((to_step(info.pos), to_step(nb),
-                              partial(_bound_of, info, hf, wt)))
+                jumps.append((to_step(info.pos), to_step(info.nb),
+                              partial(_bound_of, info, wt)))
     _settle(w, jumps)
     stuck = {step: (nb, bound) for step, nb, bound in jumps if w[step] is None}
     cycles = [s for s, (nb, _) in stuck.items() if s < nb and stuck[nb][0] == s]

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .perms import parse_int_list
 
@@ -171,9 +171,10 @@ def is_valid_weighted(wd: WeightedDyckPath) -> bool:
     return not validate_weighted(wd)
 
 
-@dataclass(frozen=True)
-class Slope:
-    """A maximal run of equal steps."""
+class Slope(NamedTuple):
+    """A maximal run of equal steps.  A named tuple: `_runs` builds one per
+    run on the forward map's cold path, where a frozen dataclass costs
+    several times as much to construct."""
 
     kind: str
     start: int  # 1-based index of the first step of the run
@@ -200,10 +201,8 @@ class SlopeDecomposition:
     valley_weights: Optional[tuple[tuple[int, int], ...]]
 
 
-def slopes(path: PathLike) -> SlopeDecomposition:
-    """Decompose a path into maximal rises and falls with boundary context."""
-    steps = _steps_of(path)
-    h = _height_profile(steps)
+def _runs(steps: str) -> tuple[Slope, ...]:
+    """The maximal runs of equal steps, left to right: the one slope scan."""
     runs: list[Slope] = []
     i = 0
     while i < len(steps):
@@ -212,6 +211,14 @@ def slopes(path: PathLike) -> SlopeDecomposition:
             j += 1
         runs.append(Slope(steps[i], i + 1, j - i))
         i = j
+    return tuple(runs)
+
+
+def slopes(path: PathLike) -> SlopeDecomposition:
+    """Decompose a path into maximal rises and falls with boundary context."""
+    steps = _steps_of(path)
+    h = _height_profile(steps)
+    runs = _runs(steps)
     ups = tuple(r for r in runs if r.kind == UP)
     downs = tuple(r for r in runs if r.kind == DOWN)
     peak_heights = tuple(h[r.start + r.length - 1] for r in ups)
@@ -321,11 +328,6 @@ def _span(prev: Optional[str], kind: str, h0: int, h1: int, prev_w: int) -> tupl
         least = h0 - prev_w
         return (least if least > 0 else 0), lower
     return 0, (prev_w if prev_w < lower else lower)  # C3
-
-
-def _weight_span(steps: str, h: tuple[int, ...], i: int, prev_w: int) -> tuple[int, int]:
-    """Feasible weight interval for step i of `steps` given the weight of step i-1."""
-    return _span(steps[i - 2] if i > 1 else None, steps[i - 1], h[i - 1], h[i], prev_w)
 
 
 def enumerate_weightings(path: DyckPath) -> Iterator[WeightedDyckPath]:

@@ -19,28 +19,28 @@ from .bijection import (
     SPLIT_CEIL,
     InsertionOverflowError,
     _bound_of,
-    _local_span,
-    _left_count,
     _run_insertion,
     _up_infos,
     flatten_to_single_slope,
     from_permutation,
     from_permutation_brute,
     parking_to_123_avoiding,
+    split_up_slopes,
     to_permutation,
 )
 from .paths import (
-    DOWN,
     UP,
     WeightedDyckPath,
-    _height_profile,
     _reflected_steps,
+    _span,
     concat,
     enumerate_weighted,
     count_weighted,
     factor_spans,
+    heights,
     reflect,
     serialize_path,
+    slopes,
 )
 from .perms import (
     _criteria_verdict,
@@ -136,28 +136,20 @@ def top_word_direct(wd: WeightedDyckPath, rule: str = SPLIT_CEIL) -> tuple[int, 
     elements go to the right end.  Must equal the reflected-path
     construction used by the forward map.
     """
-    steps = wd.path.steps
     w = wd.weights
-    h = _height_profile(steps)
-    m = len(steps)
-    runs: list[tuple[int, int]] = []  # down slopes (start, length), left to right
-    i = 0
-    while i < m:
-        j = i
-        while j < m and steps[j] == steps[i]:
-            j += 1
-        if steps[i] == DOWN:
-            runs.append((i + 1, j - i))
-        i = j
-    k = len(runs)
-    minimal_from = k - _left_count(k, rule) + 1  # slopes s >= this use minimality
+    h = heights(wd)
+    m = len(wd)
+    decomp = slopes(wd)
+    runs = decomp.down_slopes
+    halves = split_up_slopes(decomp, rule)
     word: list[int] = []
-    for s in range(k, 0, -1):
-        start, length = runs[s - 1]
-        end = start + length - 1
-        falls_right = sum(l for st, l in runs if st > end)
+    # the s-th down slope from the right takes the s-th up slope's half
+    for run, half in zip(reversed(runs), halves):
+        length = run.length
+        end = run.start + length - 1
+        falls_right = sum(r.length for r in runs if r.start > end)
         shift = (m - end) - falls_right  # rises strictly right of the slope
-        minimal = s >= minimal_from
+        minimal = half == LEFT
         for off in range(length):
             pos = end - off  # bottom-up within the slope
             wu = w[pos - 1]
@@ -312,6 +304,24 @@ def _suite_criteria(cap: int, rule: str) -> tuple[int, list[dict]]:
     return checked, failures
 
 
+def _local_span(steps: str, h: tuple[int, ...], i: int,
+                left_w: Optional[int], right_w: Optional[int]) -> tuple[int, int]:
+    """Feasible weights for step i given whichever neighbours are fixed.
+
+    The right neighbour's bound is the left one's on the mirrored path,
+    where step i+1 comes first, both kinds flip and the heights swap.
+    """
+    lo, hi = _span(None, steps[i - 1], h[i - 1], h[i], 0)
+    if left_w is not None:
+        a, b = _span(steps[i - 2], steps[i - 1], h[i - 1], h[i], left_w)
+        lo, hi = max(lo, a), min(hi, b)
+    if right_w is not None:
+        prev, kind = _reflected_steps(steps[i - 1:i + 1])
+        a, b = _span(prev, kind, h[i], h[i - 1], right_w)
+        lo, hi = max(lo, a), min(hi, b)
+    return lo, hi
+
+
 def _suite_insertion_lemma(cap: int, rule: str) -> tuple[int, list[dict]]:
     checked = 0
     failures: list[dict] = []
@@ -320,7 +330,7 @@ def _suite_insertion_lemma(cap: int, rule: str) -> tuple[int, list[dict]]:
             checked += 1
             text = serialize_path(wd)
             steps = wd.path.steps
-            h = _height_profile(steps)
+            h = heights(wd)
             weights = wd.weights
             try:
                 _, trace = _run_insertion(steps, weights, rule, want_trace=True)
@@ -333,7 +343,7 @@ def _suite_insertion_lemma(cap: int, rule: str) -> tuple[int, list[dict]]:
                 if st.shift < prev_shift:
                     failures.append(_fail(text, "non-decreasing shifts", f"rise {st.position}"))
                 prev_shift = st.shift
-                bound = _bound_of(info, h, lambda i: weights[i - 1])
+                bound = _bound_of(info, lambda i: weights[i - 1])
                 left_w = weights[info.pos - 2] if info.pos >= 2 else None
                 right_w = weights[info.pos] if info.pos < len(steps) else None
                 lo, hi = _local_span(steps, h, info.pos, left_w, right_w)
@@ -455,9 +465,12 @@ def run_suite(suite: str, max_n: Optional[int] = None,
               rule: str = SPLIT_CEIL) -> VerificationReport:
     """Run one suite exhaustively up to max_n (the suite's default cap when
     None).  Failures are reported in the deterministic order the instances
-    are enumerated."""
+    are enumerated.  A negative max_n is a ValueError: it would check
+    nothing and still pass."""
     if suite not in _SUITE_FUNCS:
         raise ValueError(f"unknown suite {suite!r}")
+    if max_n is not None and max_n < 0:
+        raise ValueError(f"max_n must be non-negative, got {max_n}")
     cap = DEFAULT_CAPS[suite] if max_n is None else max_n
     start = time.perf_counter()
     checked, failures = _SUITE_FUNCS[suite](cap, rule)
@@ -467,7 +480,8 @@ def run_suite(suite: str, max_n: Optional[int] = None,
 
 def run_all(max_n: Optional[int] = None,
             rule: str = SPLIT_CEIL) -> list[VerificationReport]:
-    """Run every suite at its default cap, lowered to max_n when given."""
+    """Run every suite at its default cap, lowered to max_n when given; a
+    negative max_n is a ValueError, raised by the first suite."""
     out = []
     for suite in SUITES:
         cap = DEFAULT_CAPS[suite] if max_n is None else min(DEFAULT_CAPS[suite], max_n)

@@ -31,7 +31,7 @@ from dyckperm.paths import (
     WeightedDyckPath,
     _dyck_words,
     _height_profile,
-    _weight_span,
+    _span,
     concat,
     enumerate_weighted,
     enumerate_weightings,
@@ -44,6 +44,7 @@ from dyckperm.paths import (
 from dyckperm.perms import schutzenberger, shifted_concat
 
 from .conftest import EXAMPLE14_IMAGE, EXAMPLE14_TEXT
+from .oracles import brute_heights, brute_pair_ok
 
 EX14 = parse_path(EXAMPLE14_TEXT)
 
@@ -78,7 +79,8 @@ def random_path(rng, n, irreducible):
     h = _height_profile(steps)
     weights = []
     for i in range(1, len(steps) + 1):
-        lo, hi = _weight_span(steps, h, i, weights[-1] if weights else 0)
+        lo, hi = _span(steps[i - 2] if i > 1 else None, steps[i - 1], h[i - 1], h[i],
+                       weights[-1] if weights else 0)
         weights.append(rng.randint(lo, hi))
     return wd(steps, weights)
 
@@ -92,22 +94,19 @@ small_wd = st.builds(
 
 class TestSplit:
     def test_example14_two_and_two(self):
-        assignment = split_up_slopes(slopes(EX14))
-        assert assignment.memberships == (LEFT, LEFT, RIGHT, RIGHT)
+        assert split_up_slopes(slopes(EX14)) == (LEFT, LEFT, RIGHT, RIGHT)
 
     def test_three_slopes_sixteen_steps(self):
         from dyckperm.paths import DyckPath
 
-        assignment = split_up_slopes(slopes(DyckPath("UUUDDUUUDDUUDDDD")))
-        assert assignment.memberships == (LEFT, LEFT, RIGHT)
+        assert split_up_slopes(slopes(DyckPath("UUUDDUUUDDUUDDDD"))) == (LEFT, LEFT, RIGHT)
 
     def test_single_slope(self):
-        assert split_up_slopes(slopes(wd("UUDD"))).memberships == (LEFT,)
+        assert split_up_slopes(slopes(wd("UUDD"))) == (LEFT,)
 
     def test_floor_rule(self):
-        assert split_up_slopes(slopes(wd("UUDD")), SPLIT_FLOOR).memberships == (RIGHT,)
-        assignment = split_up_slopes(slopes(EX14), SPLIT_FLOOR)
-        assert assignment.memberships == (LEFT, LEFT, RIGHT, RIGHT)
+        assert split_up_slopes(slopes(wd("UUDD")), SPLIT_FLOOR) == (RIGHT,)
+        assert split_up_slopes(slopes(EX14), SPLIT_FLOOR) == (LEFT, LEFT, RIGHT, RIGHT)
 
     def test_unknown_rule(self):
         with pytest.raises(ValueError, match="split rule"):
@@ -146,6 +145,27 @@ class TestJumpRule:
     def test_out_of_range(self):
         with pytest.raises(IndexError):
             jump_bound(EX14, 15, LEFT)
+
+    def test_matches_brute_force(self):
+        # the least (L) or greatest (R) weight in 0..lower height that the
+        # literal pair condition allows next to the one fixed neighbour
+        checked = 0
+        for n in range(6):
+            for path in enumerate_weighted(n):
+                steps, w = path.steps, path.weights
+                h = brute_heights(steps)
+                for u in range(1, len(steps) + 1):
+                    if steps[u - 1] != "U":
+                        continue
+                    cands = range(min(h[u - 1], h[u]) + 1)
+                    left = [v for v in cands if u == 1 or brute_pair_ok(
+                        steps[u - 2], "U", w[u - 2], v, h[u - 1])]
+                    right = [v for v in cands if brute_pair_ok(
+                        "U", steps[u], v, w[u], h[u])]
+                    assert jump_bound(path, u, LEFT) == min(left), (serialize_path(path), u)
+                    assert jump_bound(path, u, RIGHT) == max(right), (serialize_path(path), u)
+                    checked += 1
+        assert checked == 32_015
 
 
 class TestInsertionWord:

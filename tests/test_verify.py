@@ -35,6 +35,13 @@ class TestRunSuite:
         with pytest.raises(ValueError, match="unknown suite"):
             run_suite("everything")
 
+    def test_negative_cap_rejected(self):
+        # a negative cap would check nothing and still report a pass
+        with pytest.raises(ValueError, match="non-negative"):
+            run_suite("counts", -1)
+        with pytest.raises(ValueError, match="non-negative"):
+            run_all(-1)
+
     @pytest.mark.parametrize("suite", SUITES)
     def test_every_suite_passes_small(self, suite):
         report = run_suite(suite, 2)
