@@ -21,17 +21,19 @@ read-off of the top word on the mirrored path gives the fall weights.  A
 jump's weight is its extremal feasible value, which reads one neighbour, so
 the jumps are settled in passes once their neighbours are known; only two
 jumps that read each other, which the floor split produces, are tried over
-their feasible range.  Every candidate is confirmed by the forward map, so
-the inverse rejects non-images and detects a second preimage.
+their feasible range.  A candidate is accepted when it is a valid weighting
+and every rise read as a non-jump misses its jump bound; the forward run
+then rebuilds both target words, so the inverse rejects non-images and
+detects a second preimage without mapping a candidate forward.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import product
-from typing import Callable, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .paths import (
     DOWN,
@@ -106,9 +108,9 @@ def split_up_slopes(decomp: SlopeDecomposition, rule: str = SPLIT_CEIL) -> tuple
     return tuple(LEFT if i < cut else RIGHT for i in range(k))
 
 
-# slots: the _up_infos cache holds one of these per rise of every cached path
-@dataclass(frozen=True, slots=True)
-class _UpInfo:
+# a named tuple: the _up_infos cache holds one per rise of every cached path,
+# and a frozen dataclass costs several times as much to construct
+class _UpInfo(NamedTuple):
     pos: int          # 1-based step index of the rise
     slope: int        # 1-based up-slope index
     shift: int        # falls strictly left of the slope
@@ -157,11 +159,11 @@ def _up_infos(steps: str, rule: str) -> tuple[_UpInfo, ...]:
     return tuple(infos)
 
 
-def _bound_of(info: _UpInfo, wt: Callable[[int], int]) -> int:
-    """Extremal feasible weight for a rise, given the 1-based weights `wt`:
-    the end of the rise's span, with the one neighbour its membership reads
-    fixed; the least value under 'L', the greatest under 'R'."""
-    return _span(info.prev, info.kind, info.h0, info.h1, wt(info.nb))[info.end]
+def _bound_of(info: _UpInfo, nb_w: int) -> int:
+    """Extremal feasible weight for a rise, given the weight `nb_w` of its
+    neighbour step `info.nb`: the end of the rise's span, with that one
+    neighbour fixed; the least value under 'L', the greatest under 'R'."""
+    return _span(info.prev, info.kind, info.h0, info.h1, nb_w)[info.end]
 
 
 def jump_bound(wd: WeightedDyckPath, u: int, membership: str) -> int:
@@ -189,9 +191,10 @@ def jumps(wd: WeightedDyckPath, u: int, membership: str) -> bool:
     return wd.weights[u - 1] == jump_bound(wd, u, membership)
 
 
-@dataclass(frozen=True)
-class InsertionStep:
-    """One record of the insertion run for a single rise."""
+class InsertionStep(NamedTuple):
+    """One record of the insertion run for a single rise.  A named tuple:
+    traced runs build one per rise, where a frozen dataclass costs several
+    times as much to construct."""
 
     position: int
     weight: int
@@ -210,14 +213,10 @@ def _run_insertion(steps: str, weights: Sequence[int], rule: str,
                    want_trace: bool) -> tuple[tuple[int, ...], InsertionTrace]:
     word: list[int] = []
     trace: list[InsertionStep] = []
-
-    def wt(i: int) -> int:
-        return weights[i - 1]
-
     for info in _up_infos(steps, rule):
         w = weights[info.pos - 1]
-        bound = _bound_of(info, wt)
-        if w == bound:
+        # for the first step nb is 0, and _span ignores the weight read
+        if w == _bound_of(info, weights[info.nb - 1]):
             word.insert(0, info.pos)
             jumped, dist = True, None
         else:
@@ -399,11 +398,12 @@ def _read_off(steps: str, target: tuple[int, ...], rule: str
     return out
 
 
-# a jump: its step, the neighbouring step its bound reads, and the bound
-_Jump = tuple[int, int, Callable[[], int]]
+# a rise of either frame in the factor's own step numbering: its step, the
+# neighbouring step its jump bound reads, and its _up_infos record
+_Rise = tuple[int, int, _UpInfo]
 
 
-def _settle(w: list[Optional[int]], jumps: list[_Jump]) -> None:
+def _settle(w: list[Optional[int]], jumps: list[_Rise]) -> None:
     """Set each unset jump weight to its bound once the neighbour it reads
     is set, pass after pass, until a pass sets nothing."""
     pending = [j for j in jumps if w[j[0]] is None]
@@ -411,9 +411,19 @@ def _settle(w: list[Optional[int]], jumps: list[_Jump]) -> None:
         ready = [j for j in pending if w[j[1]] is not None]
         if not ready:
             return
-        for step, _, bound in ready:
-            w[step] = bound()
+        for step, nb, info in ready:
+            w[step] = _bound_of(info, w[nb])  # type: ignore[arg-type]
         pending = [j for j in pending if w[j[0]] is None]
+
+
+def _certify(path: DyckPath, w: list[int], nonjumps: list[_Rise]
+             ) -> Optional[tuple[int, ...]]:
+    """The weights w[1..m] when every rise read as a non-jump misses its
+    jump bound and the weighting is valid, else None."""
+    if any(w[s] == _bound_of(info, w[nb]) for s, nb, info in nonjumps):
+        return None
+    wd = WeightedDyckPath(path, tuple(w[1:-1]))
+    return None if validate_weighted(wd) else wd.weights
 
 
 def _invert_factor(steps: str, image: tuple[int, ...], rule: str
@@ -425,30 +435,48 @@ def _invert_factor(steps: str, image: tuple[int, ...], rule: str
     the top word, on the mirrored path, each non-jumping fall.  A jump's
     weight is its bound, which reads one neighbour.  Two jumps that read
     each other (a peak or valley cycle, which the floor split produces) are
-    tried at every weight C1 allows the first.  The forward map confirms
-    each candidate.
+    tried at every weight C1 allows the first.
+
+    A candidate is certified instead of mapped forward.  Let it be valid,
+    and let every rise read as a non-jump (in either frame) have a weight
+    other than its jump bound; every jump has its bound by construction.
+    The forward run of a frame then takes, at each rise, the branch that
+    was read off: a jump inserts at index 0, where the rise stands among
+    the earlier rises in the target, and a non-jump inserts at distance
+    ``weight + shift`` (one less on the left half) from the right end,
+    which is the distance read off, so at the index read off.  Insertions
+    never reorder earlier letters, so the run rebuilds the target word,
+    the bottom word in the path's frame and the mirrored top word in the
+    other, and the candidate maps to `image`.  Conversely a non-jump whose
+    weight equals its bound would jump to index 0, which the read-off
+    ruled out, so the certificate accepts exactly what the forward map
+    would confirm.
     """
     m = len(steps)
     h = _height_profile(steps)
+    path = DyckPath(steps)
     # 1-based; the ends stand in for the neighbour that step 1's and step
     # m's bounds never read, so those jumps settle in the first pass
     w: list[Optional[int]] = [0] + [None] * m + [0]
-    jumps: list[_Jump] = []
+    jumps: list[_Rise] = []
+    nonjumps: list[_Rise] = []
     topref = tuple(m + 1 - t for t in reversed(image[1::2]))
-    for frame, target, to_step in ((steps, image[0::2], lambda p: p),
-                                   (_reflected_steps(steps), topref,
-                                    lambda p: m + 1 - p)):
-        def wt(p: int, to_step: Callable[[int], int] = to_step) -> int:
-            return w[to_step(p)]  # type: ignore[return-value]
-
+    for frame, target, mirrored in ((steps, image[0::2], False),
+                                    (_reflected_steps(steps), topref, True)):
         for info, weight in _read_off(frame, target, rule):
-            if weight is not None:
-                w[to_step(info.pos)] = weight
+            step, nb = info.pos, info.nb
+            if mirrored:
+                step, nb = m + 1 - step, m + 1 - nb
+            if weight is None:
+                jumps.append((step, nb, info))
             else:
-                jumps.append((to_step(info.pos), to_step(info.nb),
-                              partial(_bound_of, info, wt)))
+                w[step] = weight
+                nonjumps.append((step, nb, info))
     _settle(w, jumps)
-    stuck = {step: (nb, bound) for step, nb, bound in jumps if w[step] is None}
+    stuck = {step: (nb, info) for step, nb, info in jumps if w[step] is None}
+    if not stuck:
+        weights = _certify(path, w, nonjumps)  # type: ignore[arg-type]
+        return [] if weights is None else [weights]
     cycles = [s for s, (nb, _) in stuck.items() if s < nb and stuck[nb][0] == s]
     found: list[tuple[int, ...]] = []
     for values in product(*(range(min(h[s - 1], h[s]) + 1) for s in cycles)):
@@ -458,11 +486,10 @@ def _invert_factor(steps: str, image: tuple[int, ...], rule: str
             w[s] = v
         _settle(w, jumps)
         # every other jump was set to its bound after the one weight it reads
-        if any(w[s] != stuck[s][1]() for s in cycles):
+        if any(w[s] != _bound_of(stuck[s][1], w[stuck[s][0]]) for s in cycles):
             continue
-        weights = tuple(w[1:m + 1])  # type: ignore[arg-type]
-        if (not validate_weighted(WeightedDyckPath(DyckPath(steps), weights))
-                and _map_factor(steps, weights, rule) == image):
+        weights = _certify(path, w, nonjumps)  # type: ignore[arg-type]
+        if weights is not None:
             found.append(weights)
     return found
 

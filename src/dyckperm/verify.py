@@ -18,20 +18,26 @@ from .bijection import (
     LEFT,
     SPLIT_CEIL,
     InsertionOverflowError,
+    InternalConsistencyError,
     _bound_of,
+    _image_table,
+    _left_count,
     _run_insertion,
     _up_infos,
     flatten_to_single_slope,
     from_permutation,
     from_permutation_brute,
     parking_to_123_avoiding,
-    split_up_slopes,
     to_permutation,
 )
 from .paths import (
+    DOWN,
     UP,
+    DyckPath,
     WeightedDyckPath,
+    _dyck_words,
     _reflected_steps,
+    _runs,
     _span,
     concat,
     enumerate_weighted,
@@ -40,7 +46,6 @@ from .paths import (
     heights,
     reflect,
     serialize_path,
-    slopes,
 )
 from .perms import (
     _criteria_verdict,
@@ -139,17 +144,17 @@ def top_word_direct(wd: WeightedDyckPath, rule: str = SPLIT_CEIL) -> tuple[int, 
     w = wd.weights
     h = heights(wd)
     m = len(wd)
-    decomp = slopes(wd)
-    runs = decomp.down_slopes
-    halves = split_up_slopes(decomp, rule)
+    runs = [r for r in _runs(wd.path.steps) if r.kind == DOWN]
+    cut = _left_count(len(runs), rule)
     word: list[int] = []
+    falls_right = 0  # falls strictly right of the slope
     # the s-th down slope from the right takes the s-th up slope's half
-    for run, half in zip(reversed(runs), halves):
+    for s, run in enumerate(reversed(runs)):
         length = run.length
         end = run.start + length - 1
-        falls_right = sum(r.length for r in runs if r.start > end)
         shift = (m - end) - falls_right  # rises strictly right of the slope
-        minimal = half == LEFT
+        falls_right += length
+        minimal = s < cut
         for off in range(length):
             pos = end - off  # bottom-up within the slope
             wu = w[pos - 1]
@@ -227,23 +232,37 @@ def _suite_bijectivity(cap: int, rule: str) -> tuple[int, list[dict]]:
 
 
 def _suite_roundtrip(cap: int, rule: str) -> tuple[int, list[dict]]:
+    """Each path's image comes from `_image_table`, the brute-force
+    oracle's table of one Dyck word: it maps every weighting forward once,
+    in `enumerate_weighted` order, and `from_permutation_brute` then reads
+    the same cached table, so each path is mapped forward once.  A word
+    two of whose weightings share an image is one failure, and its paths
+    are not checked."""
     checked = 0
     failures: list[dict] = []
     for n in range(cap + 1):
-        for wd in enumerate_weighted(n):
-            checked += 1
-            sigma = to_permutation(wd, rule).perm
-            text = serialize_path(wd)
+        for word in _dyck_words(n):
             try:
-                back = from_permutation(sigma, rule)
-            except Exception as exc:  # noqa: BLE001 - report, don't crash the suite
-                failures.append(_fail(text, "inverse succeeds", f"{type(exc).__name__}: {exc}"))
+                table = _image_table(word, rule)
+            except InternalConsistencyError as exc:
+                failures.append(_fail(word, "weightings with distinct images", str(exc)))
                 continue
-            if back != wd:
-                failures.append(_fail(text, text, serialize_path(back)))
-            brute = from_permutation_brute(sigma, cap_n=max(cap, 7), rule=rule)
-            if brute != wd:
-                failures.append(_fail(text, text, f"brute: {serialize_path(brute)}"))
+            path = DyckPath(word)
+            for sigma, weights in table.items():
+                checked += 1
+                wd = WeightedDyckPath(path, weights)
+                text = serialize_path(wd)
+                try:
+                    back = from_permutation(sigma, rule)
+                except Exception as exc:  # noqa: BLE001 - report, don't crash the suite
+                    failures.append(_fail(text, "inverse succeeds",
+                                          f"{type(exc).__name__}: {exc}"))
+                    continue
+                if back != wd:
+                    failures.append(_fail(text, text, serialize_path(back)))
+                brute = from_permutation_brute(sigma, cap_n=max(cap, 7), rule=rule)
+                if brute != wd:
+                    failures.append(_fail(text, text, f"brute: {serialize_path(brute)}"))
     return checked, failures
 
 
@@ -343,7 +362,7 @@ def _suite_insertion_lemma(cap: int, rule: str) -> tuple[int, list[dict]]:
                 if st.shift < prev_shift:
                     failures.append(_fail(text, "non-decreasing shifts", f"rise {st.position}"))
                 prev_shift = st.shift
-                bound = _bound_of(info, lambda i: weights[i - 1])
+                bound = _bound_of(info, weights[info.nb - 1])
                 left_w = weights[info.pos - 2] if info.pos >= 2 else None
                 right_w = weights[info.pos] if info.pos < len(steps) else None
                 lo, hi = _local_span(steps, h, info.pos, left_w, right_w)

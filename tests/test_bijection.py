@@ -41,7 +41,7 @@ from dyckperm.paths import (
     serialize_path,
     slopes,
 )
-from dyckperm.perms import schutzenberger, shifted_concat
+from dyckperm.perms import enumerate_updown_avoiders, schutzenberger, shifted_concat
 
 from .conftest import EXAMPLE14_IMAGE, EXAMPLE14_TEXT
 from .oracles import brute_heights, brute_pair_ok
@@ -356,14 +356,17 @@ class TestInverseBeyondExhaustive:
         for cache in (_height_profile, _up_infos):
             assert cache.cache_info().currsize <= 4096
 
-    def test_floor_split_finds_every_preimage(self, wd_pools, perm_pools):
-        # the floor split is neither injective nor onto from n = 3 on
+    def test_floor_split_finds_every_preimage(self):
+        # the floor split is neither injective nor onto from n = 3 on; the
+        # inverse certifies its candidates without mapping them forward, and
+        # this is the check that every preimage, and no other, is accepted
         kinds = defaultdict(int)
-        for n in range(5):
+        for n in range(6):
             preimages = defaultdict(list)
-            for x in wd_pools[n]:
+            for x in enumerate_weighted(n):
                 preimages[to_permutation(x, SPLIT_FLOOR).perm].append(x)
-            for p in perm_pools[n]:  # exactly the inputs passing the membership checks
+            # exactly the inputs passing the membership checks
+            for p in enumerate_updown_avoiders(n):
                 xs = preimages[p]
                 kinds[min(len(xs), 2)] += 1
                 if not xs:

@@ -225,6 +225,22 @@ class TestVerify:
         assert code == 1
         assert record["verdict"] == "fail"
 
+    def test_floor_roundtrip_records_shared_image(self, capsys):
+        # two weightings of UUUDDD share an image under the floor split, so
+        # the brute-force table of that word cannot be built
+        code, out, err = run(capsys, "verify", "--suite", "roundtrip",
+                             "--max-n", "3", "--split-rule", "floor")
+        record = json.loads(out)
+        assert (code, err) == (1, "")
+        assert record["verdict"] == "fail"
+        assert record["failures"] == [{
+            "input": "UUUDDD",
+            "expected": "weightings with distinct images",
+            "actual": "two weightings of UUUDDD share the image (3, 5, 1, 6, 2, 4)",
+        }]
+        code, out, _ = run(capsys, "verify", "--suite", "roundtrip", "--max-n", "3")
+        assert (code, json.loads(out)["checked"]) == (0, 49)
+
     def test_unknown_suite_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "nonsense"])
