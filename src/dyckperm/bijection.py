@@ -494,6 +494,14 @@ def _invert_factor(steps: str, image: tuple[int, ...], rule: str
     return found
 
 
+def _bottom_word(p: tuple[int, ...]) -> str:
+    """A rise at each bottom letter of the permutation p, a fall elsewhere."""
+    word = [DOWN] * len(p)
+    for i in p[0::2]:
+        word[i - 1] = UP
+    return "".join(word)
+
+
 def _membership_checks(p: tuple[int, ...]) -> tuple[DyckPath, str]:
     if sorted(p) != list(range(1, len(p) + 1)):
         raise ValueError("input is not a permutation of 1..N")
@@ -502,8 +510,7 @@ def _membership_checks(p: tuple[int, ...]) -> tuple[DyckPath, str]:
     if not avoids_1234(p):
         raise NotInImageError(
             "not in image: contains an increasing subsequence of length 4")
-    bottom = set(p[0::2])
-    word = "".join(UP if i in bottom else DOWN for i in range(1, len(p) + 1))
+    word = _bottom_word(p)
     try:
         return DyckPath(word), word
     except ValueError:
@@ -547,13 +554,19 @@ def from_permutation(p: Sequence[int], rule: str = SPLIT_CEIL) -> WeightedDyckPa
     return WeightedDyckPath(path, tuple(weights))
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=256)
 def _image_table(steps: str, rule: str) -> dict:
-    """perm -> weights over all valid weightings of one fixed path.
+    """perm -> weights over all valid weightings of one fixed path, in
+    `enumerate_weightings` order.
 
-    Bounded: callers that sweep the paths in order, like the roundtrip
-    suite, ask for one path's table many times in a row, so a few tables
-    suffice."""
+    Bounded at 256 tables, above the 197 Dyck words of semilength <= 6:
+    the bijectivity, roundtrip and statistic suites each scan those words
+    in order, and an LRU cache smaller than one scan misses on every
+    lookup, so each path would be mapped forward once per suite instead of
+    once per process.  At most 94,033 entries are held at n <= 6; in the
+    worst case, 256 tables of the n = 7 words with the most weightings,
+    about 1.35M entries (871k with 64 tables), which only a long-lived
+    process that asks the oracle about many n = 7 words reaches."""
     table: dict[tuple[int, ...], tuple[int, ...]] = {}
     for wd in enumerate_weightings(DyckPath(steps)):
         perm = to_permutation(wd, rule).perm
@@ -562,6 +575,16 @@ def _image_table(steps: str, rule: str) -> dict:
                 f"two weightings of {steps} share the image {perm}")
         table[perm] = wd.weights
     return table
+
+
+def _brute_weights(p: tuple[int, ...], word: str, rule: str) -> tuple[int, ...]:
+    """The oracle's lookup once p has passed the membership checks: the
+    weights of the path `word`, the one p's bottom letters mark, whose
+    image is p."""
+    weights = _image_table(word, rule).get(p)
+    if weights is None:
+        raise NotInImageError("not in image: no weighting of the bottom path matches")
+    return weights
 
 
 def from_permutation_brute(p: Sequence[int], cap_n: int = 7,
@@ -574,7 +597,4 @@ def from_permutation_brute(p: Sequence[int], cap_n: int = 7,
     if not p:
         return WeightedDyckPath(DyckPath(""), ())
     path, word = _membership_checks(p)
-    weights = _image_table(word, rule).get(p)
-    if weights is None:
-        raise NotInImageError("not in image: no weighting of the bottom path matches")
-    return WeightedDyckPath(path, weights)
+    return WeightedDyckPath(path, _brute_weights(p, word, rule))

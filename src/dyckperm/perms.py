@@ -20,7 +20,6 @@ from __future__ import annotations
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 Permutation = tuple[int, ...]
@@ -369,7 +368,3 @@ def membership_criteria(p: Sequence[int]) -> CriteriaBreakdown:
         raise ValueError("size must be even")
     return CriteriaBreakdown(_c1(p), _c2(p), _c3(p), _c4(p))
 
-
-def contains_1234_naive(p: Sequence[int]) -> bool:
-    """Quadruple scan over positions; the independent oracle for avoids_1234."""
-    return any(a < b < c < d for a, b, c, d in combinations(p, 4))

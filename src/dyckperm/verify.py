@@ -19,14 +19,15 @@ from .bijection import (
     SPLIT_CEIL,
     InsertionOverflowError,
     InternalConsistencyError,
+    _bottom_word,
     _bound_of,
+    _brute_weights,
     _image_table,
     _left_count,
     _run_insertion,
     _up_infos,
     flatten_to_single_slope,
     from_permutation,
-    from_permutation_brute,
     parking_to_123_avoiding,
     to_permutation,
 )
@@ -41,6 +42,7 @@ from .paths import (
     _span,
     concat,
     enumerate_weighted,
+    enumerate_weightings,
     count_weighted,
     factor_spans,
     heights,
@@ -127,9 +129,32 @@ def _fail(input_text: str, expected: str, actual: str) -> dict:
 
 
 def _irreducible(n: int) -> Iterator[WeightedDyckPath]:
-    for wd in enumerate_weighted(n):
-        if len(factor_spans(wd.path.steps)) <= 1:
-            yield wd
+    """The irreducible paths of semilength n, in `enumerate_weighted`
+    order: the weightings of each Dyck word with at most one factor."""
+    for word in _dyck_words(n):
+        if len(factor_spans(word)) <= 1:
+            yield from enumerate_weightings(DyckPath(word))
+
+
+def _word_images(word: str, rule: str
+                 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(weights, image) for each weighting of one Dyck word, in
+    `enumerate_weighted` order, read from `_image_table`, so each path is
+    mapped forward once per process however many suites read it.  A word
+    two of whose weightings share an image, which happens under the floor
+    split, has no table; its paths are mapped one by one instead."""
+    try:
+        table = _image_table(word, rule)
+    except InternalConsistencyError:
+        for wd in enumerate_weightings(DyckPath(word)):
+            yield wd.weights, to_permutation(wd, rule).perm
+        return
+    for perm, weights in table.items():
+        yield weights, perm
+
+
+def _path_text(word: str, weights: tuple[int, ...]) -> str:
+    return serialize_path(WeightedDyckPath(DyckPath(word), weights))
 
 
 def top_word_direct(wd: WeightedDyckPath, rule: str = SPLIT_CEIL) -> tuple[int, ...]:
@@ -203,28 +228,31 @@ def _suite_counts(cap: int, rule: str) -> tuple[int, list[dict]]:
 
 
 def _suite_bijectivity(cap: int, rule: str) -> tuple[int, list[dict]]:
+    """Images come from `_word_images`.  The avoiders are streamed in
+    lexicographic order and each hit leaves `seen`, so the misses come out
+    sorted and what stays in `seen` is the images outside the family."""
     checked = 0
     failures: list[dict] = []
     for n in range(cap + 1):
-        seen: dict[tuple[int, ...], WeightedDyckPath] = {}
-        for wd in enumerate_weighted(n):
-            perm = to_permutation(wd, rule).perm
+        seen: dict[tuple[int, ...], tuple[str, tuple[int, ...]]] = {}
+        for word in _dyck_words(n):
+            for weights, perm in _word_images(word, rule):
+                checked += 1
+                if perm in seen:
+                    failures.append(_fail(
+                        _path_text(word, weights),
+                        "a fresh image",
+                        f"{perm_text(perm)} already hit by {_path_text(*seen[perm])}",
+                    ))
+                else:
+                    seen[perm] = (word, weights)
+        for perm in enumerate_updown_avoiders(n):
             checked += 1
-            if perm in seen:
-                failures.append(_fail(
-                    serialize_path(wd),
-                    "a fresh image",
-                    f"{perm_text(perm)} already hit by {serialize_path(seen[perm])}",
-                ))
-            else:
-                seen[perm] = wd
-        target = set(enumerate_updown_avoiders(n))
-        checked += len(target)
-        for perm in sorted(target - set(seen)):
-            failures.append(_fail(perm_text(perm), "hit by some weighted path", "missed"))
-        for perm in sorted(set(seen) - target):
+            if seen.pop(perm, None) is None:
+                failures.append(_fail(perm_text(perm), "hit by some weighted path", "missed"))
+        for perm in sorted(seen):
             failures.append(_fail(
-                serialize_path(seen[perm]),
+                _path_text(*seen[perm]),
                 "an up-down permutation avoiding 1234",
                 perm_text(perm),
             ))
@@ -233,11 +261,12 @@ def _suite_bijectivity(cap: int, rule: str) -> tuple[int, list[dict]]:
 
 def _suite_roundtrip(cap: int, rule: str) -> tuple[int, list[dict]]:
     """Each path's image comes from `_image_table`, the brute-force
-    oracle's table of one Dyck word: it maps every weighting forward once,
-    in `enumerate_weighted` order, and `from_permutation_brute` then reads
-    the same cached table, so each path is mapped forward once.  A word
-    two of whose weightings share an image is one failure, and its paths
-    are not checked."""
+    oracle's table of one Dyck word, so each path is mapped forward once.
+    `from_permutation` runs the membership checks on the image; the
+    oracle's half then reads the table of the word the image's bottom
+    letters mark, without checking the image again.  A word two of whose
+    weightings share an image is one failure, and its paths are not
+    checked."""
     checked = 0
     failures: list[dict] = []
     for n in range(cap + 1):
@@ -260,9 +289,11 @@ def _suite_roundtrip(cap: int, rule: str) -> tuple[int, list[dict]]:
                     continue
                 if back != wd:
                     failures.append(_fail(text, text, serialize_path(back)))
-                brute = from_permutation_brute(sigma, cap_n=max(cap, 7), rule=rule)
-                if brute != wd:
-                    failures.append(_fail(text, text, f"brute: {serialize_path(brute)}"))
+                bottom = _bottom_word(sigma)
+                brute = _brute_weights(sigma, bottom, rule)
+                if (bottom, brute) != (word, weights):
+                    failures.append(_fail(text, text,
+                                          f"brute: {_path_text(bottom, brute)}"))
     return checked, failures
 
 
@@ -302,12 +333,13 @@ def _suite_statistic(cap: int, rule: str) -> tuple[int, list[dict]]:
     checked = 0
     failures: list[dict] = []
     for n in range(cap + 1):
-        for wd in enumerate_weighted(n):
-            checked += 1
-            bots = sorted(to_permutation(wd, rule).perm[0::2])
-            ups = [i for i, s in enumerate(wd.path.steps, start=1) if s == UP]
-            if bots != ups:
-                failures.append(_fail(serialize_path(wd), str(ups), str(bots)))
+        for word in _dyck_words(n):
+            ups = [i for i, s in enumerate(word, start=1) if s == UP]
+            for weights, perm in _word_images(word, rule):
+                checked += 1
+                bots = sorted(perm[0::2])
+                if bots != ups:
+                    failures.append(_fail(_path_text(word, weights), str(ups), str(bots)))
     return checked, failures
 
 

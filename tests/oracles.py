@@ -2,13 +2,19 @@
 
 Everything here is written from the definitions, without reusing the
 library's pruned generators or patience-based scans, so that agreement
-tests really compare two routes.
+tests really compare two routes.  The per-path reference loops at the end
+are the exception: they reuse the forward map and the enumerators, and
+differ from the suites in mapping every path on its own.
 """
 
 from __future__ import annotations
 
 import itertools
 from math import factorial
+
+from dyckperm.bijection import to_permutation
+from dyckperm.paths import enumerate_weighted, serialize_path
+from dyckperm.perms import enumerate_updown_avoiders, perm_text
 
 
 def brute_dyck_words(n: int) -> list[str]:
@@ -60,22 +66,24 @@ def closed_form(n: int) -> int:
     return 2 * factorial(3 * n) // (factorial(n) * factorial(n + 1) * factorial(n + 2))
 
 
+def word_weighting_count(steps: str) -> int:
+    """Valid weightings of one Dyck word: a dynamic program over the weight
+    of the last placed step, with every weight in 0..lower height tried
+    against the pair condition."""
+    h = brute_heights(steps)
+    ways = {None: 1}  # weight of the last placed step -> prefixes
+    for u in range(1, len(steps) + 1):
+        ways = {
+            v: sum(c for pv, c in ways.items()
+                   if pv is None or brute_pair_ok(steps[u - 2], steps[u - 1], pv, v, h[u - 1]))
+            for v in range(min(h[u - 1], h[u]) + 1)
+        }
+    return sum(ways.values())
+
+
 def per_word_count(n: int) -> int:
-    """Weighted paths of semilength n, counted one Dyck word at a time: for
-    each word, a dynamic program over the weight of the last placed step,
-    with every weight in 0..lower height tried against the pair condition."""
-    total = 0
-    for steps in brute_dyck_words(n):
-        h = brute_heights(steps)
-        ways = {None: 1}  # weight of the last placed step -> prefixes
-        for u in range(1, len(steps) + 1):
-            ways = {
-                v: sum(c for pv, c in ways.items()
-                       if pv is None or brute_pair_ok(steps[u - 2], steps[u - 1], pv, v, h[u - 1]))
-                for v in range(min(h[u - 1], h[u]) + 1)
-            }
-        total += sum(ways.values())
-    return total
+    """Weighted paths of semilength n, counted one Dyck word at a time."""
+    return sum(word_weighting_count(steps) for steps in brute_dyck_words(n))
 
 
 def brute_weighted_set(n: int) -> set[tuple[str, tuple[int, ...]]]:
@@ -105,6 +113,11 @@ def naive_lis(seq) -> int:
     return max(best)
 
 
+def contains_1234_naive(p) -> bool:
+    """Quadruple scan over positions; the independent oracle for avoids_1234."""
+    return any(a < b < c < d for a, b, c, d in itertools.combinations(p, 4))
+
+
 def contains_123_triple(word) -> bool:
     word = list(word)
     return any(a < b < c for a, b, c in itertools.combinations(word, 3))
@@ -125,3 +138,53 @@ def brute_updown_avoiders(n: int) -> set[tuple[int, ...]]:
             continue
         out.add(p)
     return out
+
+
+# Per-path reference loops for the suites that read images from the
+# oracle's per-word table: each path is mapped forward on its own, so they
+# record every failure, under either split rule, without the table.
+
+def _fail(input_text: str, expected: str, actual: str) -> dict:
+    return {"input": input_text, "expected": expected, "actual": actual}
+
+
+def per_path_bijectivity(cap: int, rule: str) -> tuple[int, list[dict]]:
+    """(checked, failures) of the bijectivity suite: repeated images in
+    enumeration order, then the missed avoiders and the images outside the
+    family, each sorted."""
+    checked = 0
+    failures: list[dict] = []
+    for n in range(cap + 1):
+        seen = {}
+        for wd in enumerate_weighted(n):
+            perm = to_permutation(wd, rule).perm
+            checked += 1
+            if perm in seen:
+                failures.append(_fail(
+                    serialize_path(wd), "a fresh image",
+                    f"{perm_text(perm)} already hit by {serialize_path(seen[perm])}"))
+            else:
+                seen[perm] = wd
+        target = set(enumerate_updown_avoiders(n))
+        checked += len(target)
+        for perm in sorted(target - set(seen)):
+            failures.append(_fail(perm_text(perm), "hit by some weighted path", "missed"))
+        for perm in sorted(set(seen) - target):
+            failures.append(_fail(serialize_path(seen[perm]),
+                                  "an up-down permutation avoiding 1234", perm_text(perm)))
+    return checked, failures
+
+
+def per_path_statistic(cap: int, rule: str) -> tuple[int, list[dict]]:
+    """(checked, failures) of the statistic suite: the sorted bottom letters
+    of each image against the rise positions of its path."""
+    checked = 0
+    failures: list[dict] = []
+    for n in range(cap + 1):
+        for wd in enumerate_weighted(n):
+            checked += 1
+            bots = sorted(to_permutation(wd, rule).perm[0::2])
+            ups = [i for i, s in enumerate(wd.path.steps, start=1) if s == "U"]
+            if bots != ups:
+                failures.append(_fail(serialize_path(wd), str(ups), str(bots)))
+    return checked, failures

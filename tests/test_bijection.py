@@ -44,7 +44,7 @@ from dyckperm.paths import (
 from dyckperm.perms import enumerate_updown_avoiders, schutzenberger, shifted_concat
 
 from .conftest import EXAMPLE14_IMAGE, EXAMPLE14_TEXT
-from .oracles import brute_heights, brute_pair_ok
+from .oracles import brute_heights, brute_pair_ok, word_weighting_count
 
 EX14 = parse_path(EXAMPLE14_TEXT)
 
@@ -398,13 +398,17 @@ class TestBruteInverse:
             from_permutation_brute(tuple(range(1, 17)), cap_n=7)
 
     def test_table_cache_is_bounded(self):
-        # the 64 Dyck words of semilength 1..5 and the last 16 of semilength
-        # 6 (few weightings each) need more tables than the cache keeps
-        words = [w for n in range(1, 6) for w in _dyck_words(n)] + list(_dyck_words(6))[-16:]
+        # the 64 Dyck words of semilength 1..5, the last 16 of semilength 6
+        # and the 180 of semilength 7 with the fewest weightings need more
+        # tables than the cache keeps
+        low7 = sorted(_dyck_words(7), key=word_weighting_count)[:180]
+        words = ([w for n in range(1, 6) for w in _dyck_words(n)]
+                 + list(_dyck_words(6))[-16:] + low7)
+        assert len(set(words)) > 256
         for steps in words:
             x = next(enumerate_weightings(DyckPath(steps)))
             assert from_permutation_brute(to_permutation(x).perm) == x
-        assert _image_table.cache_info().currsize <= 64
+        assert _image_table.cache_info().currsize <= 256
 
 
 class TestStructuralCompatibility:

@@ -9,7 +9,6 @@ from dyckperm.perms import (
     assemble,
     avoids_123_word,
     avoids_1234,
-    contains_1234_naive,
     descent_set,
     enumerate_updown_avoiders,
     is_up_down,
@@ -23,7 +22,12 @@ from dyckperm.perms import (
     standardize,
 )
 
-from .oracles import brute_updown_avoiders, contains_123_triple, naive_lis
+from .oracles import (
+    brute_updown_avoiders,
+    contains_1234_naive,
+    contains_123_triple,
+    naive_lis,
+)
 
 perms_up_to_6 = st.integers(min_value=1, max_value=6).flatmap(
     lambda n: st.permutations(list(range(1, n + 1)))

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+import dyckperm.bijection as bijection
 import dyckperm.verify as verify
-from dyckperm.bijection import SPLIT_FLOOR, to_permutation
+from dyckperm.bijection import SPLIT_CEIL, SPLIT_FLOOR, _image_table, to_permutation
 from dyckperm.paths import WeightedDyckPath, parse_path, serialize_path
 from dyckperm.verify import (
     DEFAULT_CAPS,
@@ -15,6 +16,7 @@ from dyckperm.verify import (
 )
 
 from .conftest import EXAMPLE14_TEXT
+from .oracles import per_path_bijectivity, per_path_statistic
 
 EX14 = parse_path(EXAMPLE14_TEXT)
 
@@ -109,6 +111,37 @@ class TestAlternativeSplitRule:
         assert len(report.failures) == 16
 
 
+class TestSharedImageTable:
+    def test_each_path_mapped_forward_once(self, monkeypatch):
+        # bijectivity, roundtrip and statistic read every image from the
+        # per-word table, so one process maps each path once
+        calls = 0
+
+        def counting(*args, **kw):
+            nonlocal calls
+            calls += 1
+            return to_permutation(*args, **kw)
+
+        _image_table.cache_clear()
+        monkeypatch.setattr(bijection, "to_permutation", counting)
+        monkeypatch.setattr(verify, "to_permutation", counting)
+        try:
+            for suite in ("bijectivity", "roundtrip", "statistic"):
+                assert run_suite(suite, 5).verdict == "pass"
+        finally:
+            _image_table.cache_clear()
+        assert calls == sum(REFERENCE_COUNTS[:6]) == 6517
+
+    @pytest.mark.parametrize("rule", [SPLIT_CEIL, SPLIT_FLOOR])
+    def test_records_equal_per_path_reference(self, rule):
+        # under floor some words have two weightings with one image, and
+        # those words are mapped path by path instead of through the table
+        for suite, reference in (("bijectivity", per_path_bijectivity),
+                                 ("statistic", per_path_statistic)):
+            report = run_suite(suite, 4, rule=rule)
+            assert (report.checked, list(report.failures)) == reference(4, rule)
+
+
 class TestFaultInjection:
     def test_bijectivity_catches_a_corrupted_map(self, monkeypatch):
         fixture = WeightedDyckPath.from_steps("UUDD")
@@ -119,8 +152,17 @@ class TestFaultInjection:
                 return to_permutation(other)
             return to_permutation(x)
 
+        # the suite reads images from _image_table, which maps with
+        # bijection.to_permutation; the corruption gives two weightings of
+        # UUDD one image, so that word is mapped path by path, with verify's
+        # binding.  No table of the corrupted map may outlive the test.
+        _image_table.cache_clear()
+        monkeypatch.setattr(bijection, "to_permutation", corrupted)
         monkeypatch.setattr(verify, "to_permutation", corrupted)
-        report = run_suite("bijectivity", 2)
+        try:
+            report = run_suite("bijectivity", 2)
+        finally:
+            _image_table.cache_clear()
         assert report.verdict == "fail"
         blob = json.dumps(report.to_record())
         assert serialize_path(fixture) in blob or serialize_path(other) in blob
