@@ -41,13 +41,16 @@ from .paths import (
     DyckPath,
     SlopeDecomposition,
     WeightedDyckPath,
+    _fits,
     _height_profile,
     _reflected_steps,
     _runs,
     _span,
+    _span_row,
+    _step_rows,
     enumerate_weightings,
-    factor_irreducible,
     factor_spans,
+    is_valid_weighted,
     serialize_path,
     validate_weighted,
 )
@@ -108,20 +111,27 @@ def split_up_slopes(decomp: SlopeDecomposition, rule: str = SPLIT_CEIL) -> tuple
     return tuple(LEFT if i < cut else RIGHT for i in range(k))
 
 
-# a named tuple: the _up_infos cache holds one per rise of every cached path,
-# and a frozen dataclass costs several times as much to construct
 class _UpInfo(NamedTuple):
+    """One rise of a word under a split rule.  A named tuple: the
+    `_up_infos` cache holds one per rise of every cached path, and a frozen
+    dataclass costs several times as much to construct.
+
+    The jump bound is `bounds[weight of step nb]`: `bounds` is the
+    `_bound_row` of the pair the bound reads (see `_jump_args`), shared by
+    every rise of the same shape, so its indices are the C1-feasible
+    weights of step `nb`.  Every caller indexes it with such a weight: the
+    forward map reads only weightings that passed the validity test, and
+    the inverse reads a row only after its early C1 exit (see
+    `_invert_factor`).
+    """
+
     pos: int          # 1-based step index of the rise
     slope: int        # 1-based up-slope index
     shift: int        # falls strictly left of the slope
     membership: str
-    # the jump bound is end `end` of _span(prev, kind, h0, h1, weight of step nb)
+    off: int          # a non-jump inserts weight + off letters from the right end
     nb: int
-    prev: Optional[str]
-    kind: str
-    h0: int
-    h1: int
-    end: int
+    bounds: tuple[int, ...]
 
 
 def _jump_args(steps: str, h: tuple[int, ...], pos: int, membership: str
@@ -131,14 +141,22 @@ def _jump_args(steps: str, h: tuple[int, ...], pos: int, membership: str
     the span is the bound.
 
     Under 'L' the pair is (step pos-1, the rise) and the bound is the least
-    weight; for the first step `nb` is 0, whose weight `_span` ignores when
-    there is no previous step.  Under 'R' the pair is (the rise, step pos+1), read on the
-    mirrored path, where step pos+1 comes first, both kinds flip and the
-    heights swap; the bound is the greatest weight.
+    weight; for the first step `nb` is 0, and with no previous step the
+    pair's row has one entry, at index 0.  Under 'R' the pair is (the
+    rise, step pos+1), read on the mirrored path, where step pos+1 comes
+    first, both kinds flip and the heights swap; the bound is the greatest
+    weight.
     """
     if membership == LEFT:
         return pos - 1, steps[pos - 2] if pos > 1 else None, UP, h[pos - 1], h[pos], 0
     return pos + 1, DOWN if steps[pos] == UP else UP, DOWN, h[pos], h[pos - 1], 1
+
+
+@lru_cache(maxsize=1024)
+def _bound_row(prev: Optional[str], kind: str, h0: int, h1: int, end: int) -> tuple[int, ...]:
+    """End `end` of each span in `_span_row(prev, kind, h0, h1)`: the jump
+    bound of one pair shape for every C1-feasible neighbour weight."""
+    return tuple(span[end] for span in _span_row(prev, kind, h0, h1))
 
 
 @lru_cache(maxsize=4096)
@@ -153,17 +171,11 @@ def _up_infos(steps: str, rule: str) -> tuple[_UpInfo, ...]:
         shift = run.start - 1 - rises_before
         rises_before += run.length
         membership = LEFT if idx <= cut else RIGHT
+        off = shift - (1 if membership == LEFT else 0)
         for p in range(run.start, run.start + run.length):
-            infos.append(_UpInfo(p, idx, shift, membership,
-                                 *_jump_args(steps, h, p, membership)))
+            nb, *shape = _jump_args(steps, h, p, membership)
+            infos.append(_UpInfo(p, idx, shift, membership, off, nb, _bound_row(*shape)))
     return tuple(infos)
-
-
-def _bound_of(info: _UpInfo, nb_w: int) -> int:
-    """Extremal feasible weight for a rise, given the weight `nb_w` of its
-    neighbour step `info.nb`: the end of the rise's span, with that one
-    neighbour fixed; the least value under 'L', the greatest under 'R'."""
-    return _span(info.prev, info.kind, info.h0, info.h1, nb_w)[info.end]
 
 
 def jump_bound(wd: WeightedDyckPath, u: int, membership: str) -> int:
@@ -215,12 +227,13 @@ def _run_insertion(steps: str, weights: Sequence[int], rule: str,
     trace: list[InsertionStep] = []
     for info in _up_infos(steps, rule):
         w = weights[info.pos - 1]
-        # for the first step nb is 0, and _span ignores the weight read
-        if w == _bound_of(info, weights[info.nb - 1]):
+        # for the first step nb is 0, and its one-entry row is read at the
+        # last weight, which C1 sets to 0
+        if w == info.bounds[weights[info.nb - 1]]:
             word.insert(0, info.pos)
             jumped, dist = True, None
         else:
-            dist = w + info.shift - (1 if info.membership == LEFT else 0)
+            dist = w + info.off
             if dist < 0 or dist > len(word):
                 raise InsertionOverflowError(
                     f"insertion overflow at rise {info.pos}: "
@@ -238,9 +251,8 @@ def _run_insertion(steps: str, weights: Sequence[int], rule: str,
 
 
 def _require_valid(wd: WeightedDyckPath) -> None:
-    bad = validate_weighted(wd)
-    if bad:
-        cid, step = bad[0]
+    if not is_valid_weighted(wd):
+        cid, step = validate_weighted(wd)[0]
         raise ValueError(f"invalid weighting: {cid} violated at step {step}")
 
 
@@ -288,9 +300,10 @@ def to_permutation(wd: WeightedDyckPath, rule: str = SPLIT_CEIL) -> AlternatingP
     sorted bottom letters of the image equal the rise positions of the path.
     """
     _require_valid(wd)
+    steps, weights = wd.path.steps, wd.weights
     acc: tuple[int, ...] = ()
-    for f in factor_irreducible(wd):
-        acc = shifted_concat(_map_factor(f.path.steps, f.weights, rule), acc)
+    for a, b in factor_spans(steps):
+        acc = shifted_concat(_map_factor(steps[a:b], weights[a:b], rule), acc)
     return AlternatingPermutation(acc)
 
 
@@ -298,9 +311,10 @@ def bottom_traces(wd: WeightedDyckPath, rule: str = SPLIT_CEIL) -> InsertionTrac
     """Bottom-word insertion records for all factors, with positions and
     word snapshots shifted to global step indices."""
     _require_valid(wd)
+    steps, weights = wd.path.steps, wd.weights
     out: list[InsertionStep] = []
-    for (a, _b), f in zip(factor_spans(wd.path.steps), factor_irreducible(wd)):
-        _, trace = _run_insertion(f.path.steps, f.weights, rule, want_trace=True)
+    for a, b in factor_spans(steps):
+        _, trace = _run_insertion(steps[a:b], weights[a:b], rule, want_trace=True)
         for st in trace:
             out.append(
                 InsertionStep(st.position + a, st.weight, st.slope,
@@ -390,11 +404,7 @@ def _read_off(steps: str, target: tuple[int, ...], rule: str
         idx = bisect_left(placed, rank[info.pos])
         dist = len(placed) - idx
         placed.insert(idx, rank[info.pos])
-        if idx == 0:
-            out.append((info, None))
-        else:
-            adj = 1 if info.membership == LEFT else 0
-            out.append((info, dist - info.shift + adj))
+        out.append((info, dist - info.off if idx else None))
     return out
 
 
@@ -412,18 +422,18 @@ def _settle(w: list[Optional[int]], jumps: list[_Rise]) -> None:
         if not ready:
             return
         for step, nb, info in ready:
-            w[step] = _bound_of(info, w[nb])  # type: ignore[arg-type]
+            w[step] = info.bounds[w[nb]]  # type: ignore[index]
         pending = [j for j in pending if w[j[0]] is None]
 
 
-def _certify(path: DyckPath, w: list[int], nonjumps: list[_Rise]
+def _certify(steps: str, w: list[int], nonjumps: list[_Rise]
              ) -> Optional[tuple[int, ...]]:
     """The weights w[1..m] when every rise read as a non-jump misses its
     jump bound and the weighting is valid, else None."""
-    if any(w[s] == _bound_of(info, w[nb]) for s, nb, info in nonjumps):
+    if any(w[s] == info.bounds[w[nb]] for s, nb, info in nonjumps):
         return None
-    wd = WeightedDyckPath(path, tuple(w[1:-1]))
-    return None if validate_weighted(wd) else wd.weights
+    weights = tuple(w[1:-1])
+    return weights if _fits(_step_rows(steps), weights) else None
 
 
 def _invert_factor(steps: str, image: tuple[int, ...], rule: str
@@ -451,10 +461,19 @@ def _invert_factor(steps: str, image: tuple[int, ...], rule: str
     weight equals its bound would jump to index 0, which the read-off
     ruled out, so the certificate accepts exactly what the forward map
     would confirm.
+
+    Every weight the search reads is C1-feasible, so every `bounds` row is
+    indexed in range, and so is every row `_certify`'s validity test reads
+    before it stops.  A read-off weight is at most its step's lower height
+    h0 (the height before the rise in its frame): the distance read off is
+    below the r earlier rises, and h0 = r - shift, so the weight is at
+    most h0 - 1, plus one on the left half.  It can be negative, on a
+    target no image has; C1 then fails for every candidate, so the search
+    returns [] there.  A jump's weight is an end of a non-empty span inside
+    [0, lower height], and a cycle's trial value lies in that range too.
     """
     m = len(steps)
     h = _height_profile(steps)
-    path = DyckPath(steps)
     # 1-based; the ends stand in for the neighbour that step 1's and step
     # m's bounds never read, so those jumps settle in the first pass
     w: list[Optional[int]] = [0] + [None] * m + [0]
@@ -469,13 +488,15 @@ def _invert_factor(steps: str, image: tuple[int, ...], rule: str
                 step, nb = m + 1 - step, m + 1 - nb
             if weight is None:
                 jumps.append((step, nb, info))
+            elif weight < 0:
+                return []
             else:
                 w[step] = weight
                 nonjumps.append((step, nb, info))
     _settle(w, jumps)
     stuck = {step: (nb, info) for step, nb, info in jumps if w[step] is None}
     if not stuck:
-        weights = _certify(path, w, nonjumps)  # type: ignore[arg-type]
+        weights = _certify(steps, w, nonjumps)  # type: ignore[arg-type]
         return [] if weights is None else [weights]
     cycles = [s for s, (nb, _) in stuck.items() if s < nb and stuck[nb][0] == s]
     found: list[tuple[int, ...]] = []
@@ -486,9 +507,9 @@ def _invert_factor(steps: str, image: tuple[int, ...], rule: str
             w[s] = v
         _settle(w, jumps)
         # every other jump was set to its bound after the one weight it reads
-        if any(w[s] != _bound_of(stuck[s][1], w[stuck[s][0]]) for s in cycles):
+        if any(w[s] != stuck[s][1].bounds[w[stuck[s][0]]] for s in cycles):
             continue
-        weights = _certify(path, w, nonjumps)  # type: ignore[arg-type]
+        weights = _certify(steps, w, nonjumps)  # type: ignore[arg-type]
         if weights is not None:
             found.append(weights)
     return found

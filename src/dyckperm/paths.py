@@ -167,8 +167,33 @@ def validate_weighted(wd: WeightedDyckPath) -> list[tuple[str, int]]:
     return out
 
 
+def _fits(rows: tuple[tuple[tuple[int, int], ...], ...], weights: Sequence[int]) -> bool:
+    """True when every weight lies in the span its step's row gives at the
+    previous weight (at 0 for the first step, whose row has one entry).
+
+    Each row holds `_span`, that is C1 and the pair constraint, for every
+    C1-feasible previous weight, and a weight that passes lies in
+    [0, lower height], so the next index is always in range.  The scan
+    stops at the first weight outside its span; it accepts exactly the
+    weightings `validate_weighted` accepts.  A non-integer weight that
+    passes its own span cannot index the next row, which raises TypeError.
+    """
+    pw = 0
+    for row, x in zip(rows, weights):
+        lo, hi = row[pw]
+        if not lo <= x <= hi:
+            return False
+        pw = x
+    return True
+
+
 def is_valid_weighted(wd: WeightedDyckPath) -> bool:
-    return not validate_weighted(wd)
+    """C1..C5 hold: the rows of `_step_rows` decide, and a weighting they
+    cannot index (a non-integer weight) falls back to `validate_weighted`."""
+    try:
+        return _fits(_step_rows(wd.path.steps), wd.weights)
+    except TypeError:
+        return not validate_weighted(wd)
 
 
 class Slope(NamedTuple):
@@ -330,6 +355,29 @@ def _span(prev: Optional[str], kind: str, h0: int, h1: int, prev_w: int) -> tupl
     return 0, (prev_w if prev_w < lower else lower)  # C3
 
 
+@lru_cache(maxsize=1024)
+def _span_row(prev: Optional[str], kind: str, h0: int, h1: int) -> tuple[tuple[int, int], ...]:
+    """`_span` of one step shape for every C1-feasible weight of the
+    previous step, indexed by that weight: 0..h0-1 after a rise (which
+    ends at h0), 0..h0 after a fall, and the single index 0 for the first
+    step.  A span depends only on the shape and the previous weight, so
+    every path shares the rows.  There are four shapes per height, so the
+    1024 rows kept hold every shape up to height 255."""
+    if prev is None:
+        return (_span(None, kind, h0, h1, 0),)
+    feasible = h0 if prev == UP else h0 + 1
+    return tuple(_span(prev, kind, h0, h1, pw) for pw in range(feasible))
+
+
+@lru_cache(maxsize=4096)
+def _step_rows(steps: str) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The `_span_row` of each step of a word, shared with every word that
+    has a step of the same shape."""
+    h = _height_profile(steps)
+    return tuple(_span_row(steps[k - 1] if k else None, steps[k], h[k], h[k + 1])
+                 for k in range(len(steps)))
+
+
 def enumerate_weightings(path: DyckPath) -> Iterator[WeightedDyckPath]:
     """All valid weightings of one fixed path, in lexicographic weight order.
 
@@ -435,9 +483,8 @@ def parse_path(text: str) -> WeightedDyckPath:
             f"{len(path)} steps but {len(weights)} weights"
         )
     wd = WeightedDyckPath(path, weights)
-    bad = validate_weighted(wd)
-    if bad:
-        cid, step = bad[0]
+    if not is_valid_weighted(wd):
+        cid, step = validate_weighted(wd)[0]
         raise PathFormatError(f"{cid} violated at step {step}")
     return wd
 

@@ -20,7 +20,6 @@ from .bijection import (
     InsertionOverflowError,
     InternalConsistencyError,
     _bottom_word,
-    _bound_of,
     _brute_weights,
     _image_table,
     _left_count,
@@ -266,7 +265,7 @@ def _suite_roundtrip(cap: int, rule: str) -> tuple[int, list[dict]]:
     oracle's half then reads the table of the word the image's bottom
     letters mark, without checking the image again.  A word two of whose
     weightings share an image is one failure, and its paths are not
-    checked."""
+    checked.  A path's text is built only for a failure."""
     checked = 0
     failures: list[dict] = []
     for n in range(cap + 1):
@@ -276,22 +275,21 @@ def _suite_roundtrip(cap: int, rule: str) -> tuple[int, list[dict]]:
             except InternalConsistencyError as exc:
                 failures.append(_fail(word, "weightings with distinct images", str(exc)))
                 continue
-            path = DyckPath(word)
             for sigma, weights in table.items():
                 checked += 1
-                wd = WeightedDyckPath(path, weights)
-                text = serialize_path(wd)
                 try:
                     back = from_permutation(sigma, rule)
                 except Exception as exc:  # noqa: BLE001 - report, don't crash the suite
-                    failures.append(_fail(text, "inverse succeeds",
+                    failures.append(_fail(_path_text(word, weights), "inverse succeeds",
                                           f"{type(exc).__name__}: {exc}"))
                     continue
-                if back != wd:
+                if (back.path.steps, back.weights) != (word, weights):
+                    text = _path_text(word, weights)
                     failures.append(_fail(text, text, serialize_path(back)))
                 bottom = _bottom_word(sigma)
                 brute = _brute_weights(sigma, bottom, rule)
                 if (bottom, brute) != (word, weights):
+                    text = _path_text(word, weights)
                     failures.append(_fail(text, text,
                                           f"brute: {_path_text(bottom, brute)}"))
     return checked, failures
@@ -379,22 +377,22 @@ def _suite_insertion_lemma(cap: int, rule: str) -> tuple[int, list[dict]]:
     for n in range(cap + 1):
         for wd in _irreducible(n):
             checked += 1
-            text = serialize_path(wd)
             steps = wd.path.steps
             h = heights(wd)
             weights = wd.weights
             try:
                 _, trace = _run_insertion(steps, weights, rule, want_trace=True)
             except InsertionOverflowError as exc:
-                failures.append(_fail(text, "no insertion overflow", str(exc)))
+                failures.append(_fail(serialize_path(wd), "no insertion overflow", str(exc)))
                 continue
             infos = _up_infos(steps, rule)
             prev_shift = 0
             for length_before, (info, st) in enumerate(zip(infos, trace)):
                 if st.shift < prev_shift:
-                    failures.append(_fail(text, "non-decreasing shifts", f"rise {st.position}"))
+                    failures.append(_fail(serialize_path(wd), "non-decreasing shifts",
+                                          f"rise {st.position}"))
                 prev_shift = st.shift
-                bound = _bound_of(info, weights[info.nb - 1])
+                bound = info.bounds[weights[info.nb - 1]]
                 left_w = weights[info.pos - 2] if info.pos >= 2 else None
                 right_w = weights[info.pos] if info.pos < len(steps) else None
                 lo, hi = _local_span(steps, h, info.pos, left_w, right_w)
@@ -407,17 +405,18 @@ def _suite_insertion_lemma(cap: int, rule: str) -> tuple[int, list[dict]]:
                     # which the inverse's read-off relies on
                     if d < 0 or d >= length_before:
                         failures.append(_fail(
-                            text,
+                            serialize_path(wd),
                             f"feasible weight {alt} of rise {info.pos} lands in [0,{length_before})",
                             f"distance {d}"))
                     if d < st.shift:
                         failures.append(_fail(
-                            text,
+                            serialize_path(wd),
                             f"distance of rise {info.pos} at least shift {st.shift}",
                             f"distance {d}"))
                     if d in dists:
                         failures.append(_fail(
-                            text, f"distinct distances at rise {info.pos}", f"repeat {d}"))
+                            serialize_path(wd), f"distinct distances at rise {info.pos}",
+                            f"repeat {d}"))
                     dists.add(d)
     return checked, failures
 
@@ -428,17 +427,16 @@ def _suite_transformation(cap: int, rule: str) -> tuple[int, list[dict]]:
     for n in range(cap + 1):
         for wd in _irreducible(n):
             checked += 1
-            text = serialize_path(wd)
             try:
                 pf = flatten_to_single_slope(wd, rule)
             except Exception as exc:  # noqa: BLE001
-                failures.append(_fail(text, "a valid parking function", str(exc)))
+                failures.append(_fail(serialize_path(wd), "a valid parking function", str(exc)))
                 continue
             word, _ = _run_insertion(wd.path.steps, wd.weights, rule, want_trace=False)
             expect = standardize(word)
             got = parking_to_123_avoiding(pf)
             if got != expect:
-                failures.append(_fail(text, perm_text(expect), perm_text(got)))
+                failures.append(_fail(serialize_path(wd), perm_text(expect), perm_text(got)))
     return checked, failures
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import defaultdict
 
@@ -11,7 +12,10 @@ from dyckperm.bijection import (
     SPLIT_FLOOR,
     NotInImageError,
     ParkingFunction,
+    _bound_row,
     _image_table,
+    _invert_factor,
+    _read_off,
     _up_infos,
     bottom_traces,
     flatten_to_single_slope,
@@ -32,6 +36,8 @@ from dyckperm.paths import (
     _dyck_words,
     _height_profile,
     _span,
+    _span_row,
+    _step_rows,
     concat,
     enumerate_weighted,
     enumerate_weightings,
@@ -219,6 +225,31 @@ class TestInsertionWord:
                     assert 0 <= st_.distance <= length_before
 
 
+class TestInvalidWeightingMessages:
+    # the reducible paths break C2..C5 in their second factor; the validity
+    # test can index no row at 0.5, so it falls back to validate_weighted
+    @pytest.mark.parametrize("steps, weights, reason, parse_reason", [
+        ("UUDD", (0, -1, 0, 0), "C1 violated at step 2", "malformed weight list '0,-1,0,0'"),
+        ("UUDD", (0, 2, 0, 0), "C1 violated at step 2", "C1 violated at step 2"),
+        ("UUDD", (0, 1, 2, 0), "C1 violated at step 3", "C1 violated at step 3"),
+        ("UDUUUDDD", (0, 0, 0, 1, 0, 0, 0, 0), "C2 violated at step 5", "C2 violated at step 5"),
+        ("UDUUUDDD", (0, 0, 0, 0, 0, 0, 1, 0), "C3 violated at step 7", "C3 violated at step 7"),
+        ("UDUUUDDD", (0, 0, 0, 1, 2, 2, 1, 0), "C4 violated at step 6", "C4 violated at step 6"),
+        ("UDUUDUDD", (0,) * 8, "C5 violated at step 6", "C5 violated at step 6"),
+        ("UUDD", (0, 1.5, 0, 0), "C1 violated at step 2", "malformed weight list '0,1.5,0,0'"),
+        ("UUDD", (0, 0.5, 2, 0), "C1 violated at step 3", "malformed weight list '0,0.5,2,0'"),
+    ])
+    def test_same_text_from_every_entry_point(self, steps, weights, reason, parse_reason):
+        x = wd(steps, weights)
+        for entry in (to_permutation, insertion_word):
+            with pytest.raises(ValueError) as info:
+                entry(x)
+            assert str(info.value) == f"invalid weighting: {reason}"
+        with pytest.raises(ValueError) as info:
+            parse_path(f"{steps};{','.join(map(str, weights))}")
+        assert str(info.value) == parse_reason
+
+
 class TestForwardMap:
     def test_worked_example(self):
         sigma = to_permutation_irreducible(EX14)
@@ -355,6 +386,9 @@ class TestInverseBeyondExhaustive:
             assert from_permutation(to_permutation(x).perm) == x
         for cache in (_height_profile, _up_infos):
             assert cache.cache_info().currsize <= 4096
+        assert _step_rows.cache_info().currsize <= 4096
+        for cache in (_span_row, _bound_row):
+            assert cache.cache_info().currsize <= 1024
 
     def test_floor_split_finds_every_preimage(self):
         # the floor split is neither injective nor onto from n = 3 on; the
@@ -379,6 +413,32 @@ class TestInverseBeyondExhaustive:
                                        match=f"ambiguous: {len(xs)} weighted paths .* floor"):
                         from_permutation(p, SPLIT_FLOOR)
         assert kinds[0] and kinds[1] and kinds[2]
+
+
+class TestInvertFactor:
+    def test_negative_read_off_has_no_preimage(self):
+        # a target no image has (it contains 1234, so from_permutation never
+        # passes it on): the bottom word reads rise 4 at weight -1, and the
+        # inverse stops there, before any row is read at that weight
+        steps, image = "UUDUDD", (1, 3, 2, 5, 4, 6)
+        read = dict((info.pos, w) for info, w in _read_off(steps, image[0::2], "ceil"))
+        assert read[4] == -1
+        assert _invert_factor(steps, image, "ceil") == []
+        assert image not in _image_table(steps, "ceil")
+
+    def test_read_off_weights_never_exceed_the_lower_height(self):
+        # the bound the docstring of _invert_factor proves, on every pair of
+        # rise and fall orders of the irreducible words of semilength <= 4
+        for n in range(1, 5):
+            for steps in _dyck_words(n):
+                if len(factor_spans(steps)) > 1:
+                    continue
+                h = _height_profile(steps)
+                rises = [i for i, s in enumerate(steps, start=1) if s == UP]
+                for target, rule in itertools.product(itertools.permutations(rises),
+                                                      ("ceil", SPLIT_FLOOR)):
+                    for info, w in _read_off(steps, target, rule):
+                        assert w is None or w <= min(h[info.pos - 1], h[info.pos])
 
 
 class TestBruteInverse:

@@ -8,6 +8,8 @@ from dyckperm.paths import (
     DyckPath,
     PathFormatError,
     WeightedDyckPath,
+    _fits,
+    _step_rows,
     concat,
     count_weighted,
     enumerate_weighted,
@@ -116,6 +118,20 @@ class TestValidateWeighted:
             for weights in itertools.product(*(range(c + 1) for c in caps)):
                 ours = not validate_weighted(wd(steps, weights))
                 assert ours == brute_weighting_ok(steps, weights)
+
+    def test_row_test_agrees_with_naive_checker_on_a_box(self):
+        # one weight below and one above C1's range at every step, so the
+        # row scan stops at each kind of violation, at every step
+        for steps in ("UUDD", "UDUD", "UUDUDD", "UUUDDD"):
+            h = heights(DyckPath(steps))
+            caps = [min(h[u - 1], h[u]) for u in range(1, len(steps) + 1)]
+            rows = _step_rows(steps)
+            for weights in itertools.product(*(range(-1, c + 2) for c in caps)):
+                x = wd(steps, weights)
+                expect = brute_weighting_ok(steps, weights)
+                assert _fits(rows, weights) == expect
+                assert is_valid_weighted(x) == expect
+                assert (not validate_weighted(x)) == expect
 
 
 class TestSlopes:
