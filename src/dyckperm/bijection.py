@@ -33,7 +33,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .paths import (
     DOWN,
@@ -43,6 +43,7 @@ from .paths import (
     WeightedDyckPath,
     _fits,
     _height_profile,
+    _LazyRow,
     _reflected_steps,
     _runs,
     _span,
@@ -131,7 +132,7 @@ class _UpInfo(NamedTuple):
     membership: str
     off: int          # a non-jump inserts weight + off letters from the right end
     nb: int
-    bounds: tuple[int, ...]
+    bounds: Union[tuple[int, ...], _LazyRow]
 
 
 def _jump_args(steps: str, h: tuple[int, ...], pos: int, membership: str
@@ -153,10 +154,15 @@ def _jump_args(steps: str, h: tuple[int, ...], pos: int, membership: str
 
 
 @lru_cache(maxsize=1024)
-def _bound_row(prev: Optional[str], kind: str, h0: int, h1: int, end: int) -> tuple[int, ...]:
+def _bound_row(prev: Optional[str], kind: str, h0: int, h1: int, end: int
+               ) -> Union[tuple[int, ...], _LazyRow]:
     """End `end` of each span in `_span_row(prev, kind, h0, h1)`: the jump
-    bound of one pair shape for every C1-feasible neighbour weight."""
-    return tuple(span[end] for span in _span_row(prev, kind, h0, h1))
+    bound of one pair shape for every C1-feasible neighbour weight, read
+    on demand when the span row is."""
+    row = _span_row(prev, kind, h0, h1)
+    if isinstance(row, _LazyRow):
+        return _LazyRow(lambda w: row[w][end])
+    return tuple(span[end] for span in row)
 
 
 @lru_cache(maxsize=4096)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .perms import parse_int_list
 
@@ -167,7 +167,7 @@ def validate_weighted(wd: WeightedDyckPath) -> list[tuple[str, int]]:
     return out
 
 
-def _fits(rows: tuple[tuple[tuple[int, int], ...], ...], weights: Sequence[int]) -> bool:
+def _fits(rows: Sequence[SpanRow], weights: Sequence[int]) -> bool:
     """True when every weight lies in the span its step's row gives at the
     previous weight (at 0 for the first step, whose row has one entry).
 
@@ -355,22 +355,46 @@ def _span(prev: Optional[str], kind: str, h0: int, h1: int, prev_w: int) -> tupl
     return 0, (prev_w if prev_w < lower else lower)  # C3
 
 
+# The tallest shape whose row is tabulated.  A row holds one span per
+# feasible previous weight, so tabulating every shape of a path of height H
+# takes O(H^2) memory (about 27 MB at H = 600).  Up to this height there are
+# at most 4 * 64 + 1 shapes, which the row caches keep without evicting.
+_TABULATED_HEIGHT = 64
+
+
+class _LazyRow:
+    """The row of a shape above `_TABULATED_HEIGHT`: entry i is `entry(i)`,
+    computed when it is read, so a tall path keeps O(1) memory per step."""
+
+    __slots__ = ("entry",)
+
+    def __init__(self, entry: Callable[[int], object]) -> None:
+        self.entry = entry
+
+    def __getitem__(self, i: int):
+        return self.entry(i)
+
+
+SpanRow = Union[tuple[tuple[int, int], ...], _LazyRow]
+
+
 @lru_cache(maxsize=1024)
-def _span_row(prev: Optional[str], kind: str, h0: int, h1: int) -> tuple[tuple[int, int], ...]:
+def _span_row(prev: Optional[str], kind: str, h0: int, h1: int) -> SpanRow:
     """`_span` of one step shape for every C1-feasible weight of the
     previous step, indexed by that weight: 0..h0-1 after a rise (which
     ends at h0), 0..h0 after a fall, and the single index 0 for the first
     step.  A span depends only on the shape and the previous weight, so
-    every path shares the rows.  There are four shapes per height, so the
-    1024 rows kept hold every shape up to height 255."""
+    every path shares the rows."""
     if prev is None:
         return (_span(None, kind, h0, h1, 0),)
+    if h0 > _TABULATED_HEIGHT:
+        return _LazyRow(lambda pw: _span(prev, kind, h0, h1, pw))
     feasible = h0 if prev == UP else h0 + 1
     return tuple(_span(prev, kind, h0, h1, pw) for pw in range(feasible))
 
 
 @lru_cache(maxsize=4096)
-def _step_rows(steps: str) -> tuple[tuple[tuple[int, int], ...], ...]:
+def _step_rows(steps: str) -> tuple[SpanRow, ...]:
     """The `_span_row` of each step of a word, shared with every word that
     has a step of the same shape."""
     h = _height_profile(steps)

@@ -82,6 +82,12 @@ def random_path(rng, n, irreducible):
     else:
         k = rng.randint(1, n - 1)
         steps = "U" + random_dyck_word(rng, k - 1) + "D" + random_dyck_word(rng, n - k)
+    return random_weighting(rng, steps)
+
+
+def random_weighting(rng, steps):
+    """A seeded random valid weighting: each weight is drawn from the
+    interval the previous one leaves feasible."""
     h = _height_profile(steps)
     weights = []
     for i in range(1, len(steps) + 1):
@@ -376,6 +382,15 @@ class TestInverseBeyondExhaustive:
             x = random_path(rng, n, irreducible)
             assert (len(factor_spans(x.steps)) == 1) == irreducible
             assert from_permutation(to_permutation(x).perm) == x
+
+    def test_tall_paths_roundtrip(self):
+        # heights above 64, where the span and bound rows are read on demand
+        rng = random.Random(70)
+        for steps in ("U" * 70 + "DU" * 3 + "D" * 70,
+                      "U" * 90 + "D" * 30 + "U" * 20 + "D" * 80 + "UD"):
+            for _ in range(5):
+                x = random_weighting(rng, steps)
+                assert from_permutation(to_permutation(x).perm) == x
 
     def test_caches_stay_bounded(self):
         # every fresh path adds two keys (itself and its mirror) to each

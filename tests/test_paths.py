@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -132,6 +133,25 @@ class TestValidateWeighted:
                 assert _fits(rows, weights) == expect
                 assert is_valid_weighted(x) == expect
                 assert (not validate_weighted(x)) == expect
+
+    def test_tall_path_keeps_memory_small(self):
+        # rows above a fixed height are computed when read: tabulating every
+        # shape of this path would hold about 27 MB of spans
+        steps = "U" * 600 + "D" * 600
+        tracemalloc.start()
+        try:
+            assert is_valid_weighted(wd(steps))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        # C1 at a rise and C3 at a fall, both far above the tabulated rows
+        for u, v, cid in ((300, 300, "C1"), (700, 1, "C3")):
+            weights = [0] * len(steps)
+            weights[u - 1] = v
+            x = wd(steps, weights)
+            assert not is_valid_weighted(x)
+            assert validate_weighted(x)[0] == (cid, u)
 
 
 class TestSlopes:
