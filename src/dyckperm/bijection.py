@@ -41,9 +41,10 @@ from .paths import (
     DyckPath,
     SlopeDecomposition,
     WeightedDyckPath,
+    _TABULATED_HEIGHT,
+    _LazyRow,
     _fits,
     _height_profile,
-    _LazyRow,
     _reflected_steps,
     _runs,
     _span,
@@ -118,7 +119,7 @@ class _UpInfo(NamedTuple):
     dataclass costs several times as much to construct.
 
     The jump bound is `bounds[weight of step nb]`: `bounds` is the
-    `_bound_row` of the pair the bound reads (see `_jump_args`), shared by
+    `_bounds` row of the pair the bound reads (see `_jump_args`), shared by
     every rise of the same shape, so its indices are the C1-feasible
     weights of step `nb`.  Every caller indexes it with such a weight: the
     forward map reads only weightings that passed the validity test, and
@@ -153,16 +154,22 @@ def _jump_args(steps: str, h: tuple[int, ...], pos: int, membership: str
     return pos + 1, DOWN if steps[pos] == UP else UP, DOWN, h[pos], h[pos - 1], 1
 
 
-@lru_cache(maxsize=1024)
-def _bound_row(prev: Optional[str], kind: str, h0: int, h1: int, end: int
-               ) -> Union[tuple[int, ...], _LazyRow]:
+@lru_cache(maxsize=512)
+def _bound_row(prev: Optional[str], kind: str, h0: int, h1: int, end: int) -> tuple[int, ...]:
     """End `end` of each span in `_span_row(prev, kind, h0, h1)`: the jump
-    bound of one pair shape for every C1-feasible neighbour weight, read
-    on demand when the span row is."""
-    row = _span_row(prev, kind, h0, h1)
-    if isinstance(row, _LazyRow):
-        return _LazyRow(lambda w: row[w][end])
-    return tuple(span[end] for span in row)
+    bound of one pair shape for every C1-feasible neighbour weight.  Called
+    for shapes up to `_TABULATED_HEIGHT` only (see `_bounds`)."""
+    return tuple(span[end] for span in _span_row(prev, kind, h0, h1))
+
+
+def _bounds(prev: Optional[str], kind: str, h0: int, h1: int, end: int
+            ) -> Union[tuple[int, ...], _LazyRow]:
+    """The jump bounds of a pair shape: `_bound_row` up to
+    `_TABULATED_HEIGHT`, and above it a row that computes each bound when
+    read."""
+    if h0 > _TABULATED_HEIGHT:
+        return _LazyRow(lambda w: _span(prev, kind, h0, h1, w)[end])
+    return _bound_row(prev, kind, h0, h1, end)
 
 
 @lru_cache(maxsize=4096)
@@ -180,7 +187,7 @@ def _up_infos(steps: str, rule: str) -> tuple[_UpInfo, ...]:
         off = shift - (1 if membership == LEFT else 0)
         for p in range(run.start, run.start + run.length):
             nb, *shape = _jump_args(steps, h, p, membership)
-            infos.append(_UpInfo(p, idx, shift, membership, off, nb, _bound_row(*shape)))
+            infos.append(_UpInfo(p, idx, shift, membership, off, nb, _bounds(*shape)))
     return tuple(infos)
 
 

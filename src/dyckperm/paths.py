@@ -358,7 +358,8 @@ def _span(prev: Optional[str], kind: str, h0: int, h1: int, prev_w: int) -> tupl
 # The tallest shape whose row is tabulated.  A row holds one span per
 # feasible previous weight, so tabulating every shape of a path of height H
 # takes O(H^2) memory (about 27 MB at H = 600).  Up to this height there are
-# at most 4 * 64 + 1 shapes, which the row caches keep without evicting.
+# at most 4 * 65 + 1 shapes, so the row caches never evict a row, and no
+# cached word holds a copy of one.
 _TABULATED_HEIGHT = 64
 
 
@@ -378,27 +379,34 @@ class _LazyRow:
 SpanRow = Union[tuple[tuple[int, int], ...], _LazyRow]
 
 
-@lru_cache(maxsize=1024)
-def _span_row(prev: Optional[str], kind: str, h0: int, h1: int) -> SpanRow:
+@lru_cache(maxsize=512)
+def _span_row(prev: Optional[str], kind: str, h0: int, h1: int) -> tuple[tuple[int, int], ...]:
     """`_span` of one step shape for every C1-feasible weight of the
     previous step, indexed by that weight: 0..h0-1 after a rise (which
     ends at h0), 0..h0 after a fall, and the single index 0 for the first
     step.  A span depends only on the shape and the previous weight, so
-    every path shares the rows."""
+    every path shares the rows.  Called for shapes up to
+    `_TABULATED_HEIGHT` only (see `_row`)."""
     if prev is None:
         return (_span(None, kind, h0, h1, 0),)
-    if h0 > _TABULATED_HEIGHT:
-        return _LazyRow(lambda pw: _span(prev, kind, h0, h1, pw))
     feasible = h0 if prev == UP else h0 + 1
     return tuple(_span(prev, kind, h0, h1, pw) for pw in range(feasible))
 
 
+def _row(prev: Optional[str], kind: str, h0: int, h1: int) -> SpanRow:
+    """The span row of a step shape: `_span_row` up to `_TABULATED_HEIGHT`,
+    and above it a row that computes each span when read."""
+    if h0 > _TABULATED_HEIGHT:
+        return _LazyRow(lambda pw: _span(prev, kind, h0, h1, pw))
+    return _span_row(prev, kind, h0, h1)
+
+
 @lru_cache(maxsize=4096)
 def _step_rows(steps: str) -> tuple[SpanRow, ...]:
-    """The `_span_row` of each step of a word, shared with every word that
-    has a step of the same shape."""
+    """The span row of each step of a word, shared with every word that has
+    a step of the same shape."""
     h = _height_profile(steps)
-    return tuple(_span_row(steps[k - 1] if k else None, steps[k], h[k], h[k + 1])
+    return tuple(_row(steps[k - 1] if k else None, steps[k], h[k], h[k + 1])
                  for k in range(len(steps)))
 
 
