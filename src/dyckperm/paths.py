@@ -176,7 +176,8 @@ def _fits(rows: Sequence[SpanRow], weights: Sequence[int]) -> bool:
     [0, lower height], so the next index is always in range.  The scan
     stops at the first weight outside its span; it accepts exactly the
     weightings `validate_weighted` accepts.  A non-integer weight that
-    passes its own span cannot index the next row, which raises TypeError.
+    passes its own span cannot index a tabulated row, which raises
+    TypeError.
     """
     pw = 0
     for row, x in zip(rows, weights):
