@@ -53,7 +53,6 @@ from .paths import (
     enumerate_weightings,
     factor_spans,
     is_valid_weighted,
-    serialize_path,
     validate_weighted,
 )
 from .perms import (
@@ -370,7 +369,15 @@ def flatten_to_single_slope(wd: WeightedDyckPath, rule: str = SPLIT_CEIL) -> Par
     """
     _require_valid(wd)
     _require_irreducible(wd)
-    _, trace = _run_insertion(wd.path.steps, wd.weights, rule, want_trace=True)
+    return _flatten_run(wd.path.steps, wd.weights, rule)[1]
+
+
+def _flatten_run(steps: str, weights: tuple[int, ...], rule: str
+                 ) -> tuple[tuple[int, ...], ParkingFunction]:
+    """The bottom word of one irreducible factor and its flattening, both
+    from one traced insertion run: the rule of `flatten_to_single_slope`,
+    without its input checks."""
+    word, trace = _run_insertion(steps, weights, rule, want_trace=True)
     vals: list[int] = []
     for st in trace:
         if st.jumped:
@@ -378,10 +385,11 @@ def flatten_to_single_slope(wd: WeightedDyckPath, rule: str = SPLIT_CEIL) -> Par
         else:
             vals.append(st.weight + st.shift + (1 if st.membership == RIGHT else 0))
     try:
-        return ParkingFunction(tuple(vals))
+        return word, ParkingFunction(tuple(vals))
     except ValueError as exc:
         raise InternalConsistencyError(
-            f"flattening {serialize_path(wd)} produced a non-parking sequence {vals}"
+            f"flattening {steps};{','.join(map(str, weights))} "
+            f"produced a non-parking sequence {vals}"
         ) from exc
 
 
@@ -593,6 +601,26 @@ def _image_table(steps: str, rule: str) -> dict:
     """perm -> weights over all valid weightings of one fixed path, in
     `enumerate_weightings` order.
 
+    An irreducible word's weightings are mapped one by one with
+    `_map_factor`.  A reducible word's table is built from its factors'
+    tables.  At an interior ground return both steps have lower height 0,
+    so C1 pins their weights to 0, and the valley constraint between them
+    (a sum of at least 0) always holds; no other constraint spans two
+    factors.  So the word's weightings are exactly the concatenations of
+    its factors' weightings, and since the factors have fixed lengths, the
+    lexicographic product of the factors' tables lists them in
+    `enumerate_weightings` order.  Each image is composed with
+    `shifted_concat`, rightmost factor first, as `to_permutation` composes
+    it, and distinct factor images give distinct composed images.  When a
+    factor has two weightings with one image (the floor split does this),
+    the word's paths are mapped one by one with `to_permutation` instead,
+    so the error names the word and its first repeated image.
+
+    The table stays an independent oracle for the read-off inverse: every
+    irreducible factor is still mapped forward by the insertion runs, and
+    the composition it borrows from `to_permutation` is checked on its
+    own, on every concatenation, by the product suite.
+
     Bounded at 256 tables, above the 197 Dyck words of semilength <= 6:
     the bijectivity, roundtrip and statistic suites each scan those words
     in order, and an LRU cache smaller than one scan misses on every
@@ -601,9 +629,26 @@ def _image_table(steps: str, rule: str) -> dict:
     worst case, 256 tables of the n = 7 words with the most weightings,
     about 1.35M entries (871k with 64 tables), which only a long-lived
     process that asks the oracle about many n = 7 words reaches."""
+    spans = factor_spans(steps)
+    if len(spans) != 1:
+        try:
+            tables = [_image_table(steps[a:b], rule) for a, b in spans]
+        except InternalConsistencyError:
+            pass  # a factor has no table: map the word's paths one by one
+        else:
+            composed = {}
+            for items in product(*(t.items() for t in tables)):
+                perm: tuple[int, ...] = ()
+                for image, _ in items:
+                    perm = shifted_concat(image, perm)
+                composed[perm] = sum((w for _, w in items), ())
+            return composed
     table: dict[tuple[int, ...], tuple[int, ...]] = {}
     for wd in enumerate_weightings(DyckPath(steps)):
-        perm = to_permutation(wd, rule).perm
+        if len(spans) == 1:
+            perm = _map_factor(steps, wd.weights, rule)
+        else:
+            perm = to_permutation(wd, rule).perm
         if perm in table:
             raise InternalConsistencyError(
                 f"two weightings of {steps} share the image {perm}")

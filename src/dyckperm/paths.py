@@ -417,19 +417,20 @@ def enumerate_weightings(path: DyckPath) -> Iterator[WeightedDyckPath]:
     An odometer over the weights: `his` holds each step's largest feasible
     weight given the one before it, and the next weighting raises the last
     step still below its cap by one and resets every later step to the
-    least weight `_span` allows.  Every span is non-empty, so each reset
-    succeeds.
+    least weight its span allows, read from the step's row of
+    `_step_rows` at the previous weight.  Every span is non-empty, so each
+    reset succeeds, and every weight set is C1-feasible, so it indexes the
+    next row in range.
     """
     steps = path.steps
     m = len(steps)
-    h = _height_profile(steps)
-    prevs = (None,) + tuple(steps[:-1])
+    rows = _step_rows(steps)
     w = [0] * m
     his = [0] * m
 
     def reset(start: int) -> None:
         for k in range(start, m):
-            w[k], his[k] = _span(prevs[k], steps[k], h[k], h[k + 1], w[k - 1] if k else 0)
+            w[k], his[k] = rows[k][w[k - 1] if k else 0]
 
     reset(0)
     while True:

@@ -11,21 +11,22 @@ from __future__ import annotations
 
 import itertools
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
+from math import factorial
 from typing import Iterator, Optional
 
 from .bijection import (
-    LEFT,
     SPLIT_CEIL,
     InsertionOverflowError,
     InternalConsistencyError,
     _bottom_word,
     _brute_weights,
+    _flatten_run,
     _image_table,
     _left_count,
     _run_insertion,
     _up_infos,
-    flatten_to_single_slope,
     from_permutation,
     parking_to_123_avoiding,
     to_permutation,
@@ -38,7 +39,7 @@ from .paths import (
     _dyck_words,
     _reflected_steps,
     _runs,
-    _span,
+    _step_rows,
     concat,
     enumerate_weighted,
     enumerate_weightings,
@@ -53,7 +54,6 @@ from .perms import (
     avoids_123_word,
     avoids_1234,
     enumerate_updown_avoiders,
-    is_up_down,
     perm_text,
     schutzenberger,
     schutzenberger_word,
@@ -93,6 +93,10 @@ DEFAULT_CAPS = {
 # families, embedded so no lookup is ever needed.
 REFERENCE_COUNTS = (1, 1, 5, 42, 462, 6006, 87516, 1385670)
 
+# Euler zigzag numbers E_0, E_2, ..., E_10 (OEIS A000364): the up-down
+# permutations of each even size up to the criteria suite's default 10.
+EULER_ZIGZAG = (1, 1, 5, 61, 1385, 50521)
+
 # Catalan numbers: non-decreasing parking functions of length n and
 # 123-avoiding permutations of size n.
 CATALAN = (1, 1, 2, 5, 14, 42, 132, 429, 1430)
@@ -127,12 +131,16 @@ def _fail(input_text: str, expected: str, actual: str) -> dict:
     return {"input": input_text, "expected": expected, "actual": actual}
 
 
+def _irreducible_words(n: int) -> Iterator[str]:
+    """The Dyck words of semilength n with at most one factor, in order."""
+    return (word for word in _dyck_words(n) if len(factor_spans(word)) <= 1)
+
+
 def _irreducible(n: int) -> Iterator[WeightedDyckPath]:
     """The irreducible paths of semilength n, in `enumerate_weighted`
     order: the weightings of each Dyck word with at most one factor."""
-    for word in _dyck_words(n):
-        if len(factor_spans(word)) <= 1:
-            yield from enumerate_weightings(DyckPath(word))
+    for word in _irreducible_words(n):
+        yield from enumerate_weightings(DyckPath(word))
 
 
 def _word_images(word: str, rule: str
@@ -341,98 +349,143 @@ def _suite_statistic(cap: int, rule: str) -> tuple[int, list[dict]]:
     return checked, failures
 
 
+def _up_down_perms(m: int) -> Iterator[tuple[int, ...]]:
+    """Up-down permutations of size 2m (ascents at odd positions, descents
+    at even ones, 1-based), lexicographically: a plain backtracker that
+    tries, in increasing order, the unused letters above the last one at
+    an odd position and those below it at an even one.  It knows nothing
+    of the pattern 1234."""
+    size = 2 * m
+    prefix: list[int] = []
+    unused = list(range(1, size + 1))
+
+    def extend() -> Iterator[tuple[int, ...]]:
+        if len(prefix) == size:
+            yield tuple(prefix)
+            return
+        if not prefix:
+            candidates = range(len(unused))
+        elif len(prefix) % 2:
+            candidates = range(bisect_left(unused, prefix[-1]), len(unused))
+        else:
+            candidates = range(bisect_left(unused, prefix[-1]))
+        for i in candidates:
+            prefix.append(unused.pop(i))
+            yield from extend()
+            unused.insert(i, prefix.pop())
+
+    return extend()
+
+
 def _suite_criteria(cap: int, rule: str) -> tuple[int, list[dict]]:
+    """Every permutation of each even size 2m is checked: `_criteria_verdict`
+    runs on all (2m)! of them, through `filter`, and the ones it accepts
+    come out in lexicographic order, as `itertools.permutations` makes
+    them.  The ground truth, up-down and 1234-avoiding, is a set built once
+    per size: `_up_down_perms` filtered by `avoids_1234`, also in
+    lexicographic order, its size checked against `EULER_ZIGZAG`.  A
+    permutation is a failure exactly when it lies in one of the two
+    sorted streams and not the other, so merging them yields the failures
+    of a loop that compares the verdict with the ground truth on every
+    permutation, in the same order, with the same text: accepted outside
+    the ground set is expected False, rejected inside it expected True."""
     checked = 0
     failures: list[dict] = []
     for m in range(cap + 1):
-        for p in itertools.permutations(range(1, 2 * m + 1)):
-            checked += 1
-            ground = is_up_down(p) and avoids_1234(p)
-            if _criteria_verdict(p) != ground:
-                failures.append(_fail(perm_text(p), str(ground), str(not ground)))
+        up_down = list(_up_down_perms(m))
+        ref = EULER_ZIGZAG[m] if m < len(EULER_ZIGZAG) else None
+        if ref is not None and len(up_down) != ref:
+            failures.append(_fail(f"up-down permutations, size={2 * m}",
+                                  str(ref), str(len(up_down))))
+        ground = [p for p in up_down if avoids_1234(p)]
+        checked += factorial(2 * m)
+        i = 0
+        for p in filter(_criteria_verdict, itertools.permutations(range(1, 2 * m + 1))):
+            while i < len(ground) and ground[i] < p:
+                failures.append(_fail(perm_text(ground[i]), "True", "False"))
+                i += 1
+            if i < len(ground) and ground[i] == p:
+                i += 1
+            else:
+                failures.append(_fail(perm_text(p), "False", "True"))
+        failures.extend(_fail(perm_text(q), "True", "False") for q in ground[i:])
     return checked, failures
 
 
-def _local_span(steps: str, h: tuple[int, ...], i: int,
-                left_w: Optional[int], right_w: Optional[int]) -> tuple[int, int]:
-    """Feasible weights for step i given whichever neighbours are fixed.
-
-    The right neighbour's bound is the left one's on the mirrored path,
-    where step i+1 comes first, both kinds flip and the heights swap.
-    """
-    lo, hi = _span(None, steps[i - 1], h[i - 1], h[i], 0)
-    if left_w is not None:
-        a, b = _span(steps[i - 2], steps[i - 1], h[i - 1], h[i], left_w)
-        lo, hi = max(lo, a), min(hi, b)
-    if right_w is not None:
-        prev, kind = _reflected_steps(steps[i - 1:i + 1])
-        a, b = _span(prev, kind, h[i], h[i - 1], right_w)
-        lo, hi = max(lo, a), min(hi, b)
-    return lo, hi
-
-
 def _suite_insertion_lemma(cap: int, rule: str) -> tuple[int, list[dict]]:
+    """Per irreducible word, its rises and span rows are read once.  The
+    feasible weights of a rise given its fixed neighbours are the
+    intersection of two spans: the one its own row gives at the left
+    neighbour's weight (the first step's one-entry row gives C1 alone), and
+    the one the mirrored word's row gives at the right neighbour's weight,
+    where that neighbour comes first, both kinds flip and the heights swap.
+    Both rows include C1."""
     checked = 0
     failures: list[dict] = []
     for n in range(cap + 1):
-        for wd in _irreducible(n):
-            checked += 1
-            steps = wd.path.steps
-            h = heights(wd)
-            weights = wd.weights
-            try:
-                _, trace = _run_insertion(steps, weights, rule, want_trace=True)
-            except InsertionOverflowError as exc:
-                failures.append(_fail(serialize_path(wd), "no insertion overflow", str(exc)))
-                continue
-            infos = _up_infos(steps, rule)
-            prev_shift = 0
-            for length_before, (info, st) in enumerate(zip(infos, trace)):
-                if st.shift < prev_shift:
-                    failures.append(_fail(serialize_path(wd), "non-decreasing shifts",
-                                          f"rise {st.position}"))
-                prev_shift = st.shift
-                bound = info.bounds[weights[info.nb - 1]]
-                left_w = weights[info.pos - 2] if info.pos >= 2 else None
-                right_w = weights[info.pos] if info.pos < len(steps) else None
-                lo, hi = _local_span(steps, h, info.pos, left_w, right_w)
-                dists = set()
-                for alt in range(lo, hi + 1):
-                    if alt == bound:
-                        continue
-                    d = alt + info.shift - (1 if info.membership == LEFT else 0)
-                    # d < length_before: a non-jump never lands at the front,
-                    # which the inverse's read-off relies on
-                    if d < 0 or d >= length_before:
-                        failures.append(_fail(
-                            serialize_path(wd),
-                            f"feasible weight {alt} of rise {info.pos} lands in [0,{length_before})",
-                            f"distance {d}"))
-                    if d < st.shift:
-                        failures.append(_fail(
-                            serialize_path(wd),
-                            f"distance of rise {info.pos} at least shift {st.shift}",
-                            f"distance {d}"))
-                    if d in dists:
-                        failures.append(_fail(
-                            serialize_path(wd), f"distinct distances at rise {info.pos}",
-                            f"repeat {d}"))
-                    dists.add(d)
+        for word in _irreducible_words(n):
+            m = len(word)
+            rows = _step_rows(word)
+            mirror_rows = _step_rows(_reflected_steps(word))
+            infos = _up_infos(word, rule)
+            for wd in enumerate_weightings(DyckPath(word)):
+                checked += 1
+                weights = wd.weights
+                try:
+                    _run_insertion(word, weights, rule, want_trace=False)
+                except InsertionOverflowError as exc:
+                    failures.append(_fail(serialize_path(wd), "no insertion overflow", str(exc)))
+                    continue
+                prev_shift = 0
+                for length_before, info in enumerate(infos):
+                    pos = info.pos
+                    if info.shift < prev_shift:
+                        failures.append(_fail(serialize_path(wd), "non-decreasing shifts",
+                                              f"rise {pos}"))
+                    prev_shift = info.shift
+                    bound = info.bounds[weights[info.nb - 1]]
+                    lo, hi = rows[pos - 1][weights[pos - 2] if pos >= 2 else 0]
+                    if pos < m:
+                        a, b = mirror_rows[m - pos][weights[pos]]
+                        lo, hi = max(lo, a), min(hi, b)
+                    dists = set()
+                    for alt in range(lo, hi + 1):
+                        if alt == bound:
+                            continue
+                        d = alt + info.off
+                        # d < length_before: a non-jump never lands at the front,
+                        # which the inverse's read-off relies on
+                        if d < 0 or d >= length_before:
+                            failures.append(_fail(
+                                serialize_path(wd),
+                                f"feasible weight {alt} of rise {pos} lands in [0,{length_before})",
+                                f"distance {d}"))
+                        if d < info.shift:
+                            failures.append(_fail(
+                                serialize_path(wd),
+                                f"distance of rise {pos} at least shift {info.shift}",
+                                f"distance {d}"))
+                        if d in dists:
+                            failures.append(_fail(
+                                serialize_path(wd), f"distinct distances at rise {pos}",
+                                f"repeat {d}"))
+                        dists.add(d)
     return checked, failures
 
 
 def _suite_transformation(cap: int, rule: str) -> tuple[int, list[dict]]:
+    """One traced insertion run per path gives both the bottom word and its
+    flattening (`_flatten_run`, the rule `flatten_to_single_slope` uses)."""
     checked = 0
     failures: list[dict] = []
     for n in range(cap + 1):
         for wd in _irreducible(n):
             checked += 1
             try:
-                pf = flatten_to_single_slope(wd, rule)
+                word, pf = _flatten_run(wd.path.steps, wd.weights, rule)
             except Exception as exc:  # noqa: BLE001
                 failures.append(_fail(serialize_path(wd), "a valid parking function", str(exc)))
                 continue
-            word, _ = _run_insertion(wd.path.steps, wd.weights, rule, want_trace=False)
             expect = standardize(word)
             got = parking_to_123_avoiding(pf)
             if got != expect:

@@ -12,9 +12,32 @@ from __future__ import annotations
 import itertools
 from math import factorial
 
-from dyckperm.bijection import to_permutation
-from dyckperm.paths import enumerate_weighted, serialize_path
-from dyckperm.perms import enumerate_updown_avoiders, perm_text
+import dyckperm.bijection as bijection
+from dyckperm.bijection import (
+    LEFT,
+    InsertionOverflowError,
+    InternalConsistencyError,
+    flatten_to_single_slope,
+    parking_to_123_avoiding,
+    to_permutation,
+)
+from dyckperm.paths import (
+    DyckPath,
+    _reflected_steps,
+    _span,
+    enumerate_weighted,
+    enumerate_weightings,
+    factor_spans,
+    heights,
+    serialize_path,
+)
+from dyckperm.perms import (
+    avoids_1234,
+    enumerate_updown_avoiders,
+    is_up_down,
+    perm_text,
+    standardize,
+)
 
 
 def brute_dyck_words(n: int) -> list[str]:
@@ -58,6 +81,26 @@ def brute_weighting_ok(steps: str, w: tuple[int, ...]) -> bool:
             return False
     return all(brute_pair_ok(steps[u - 1], steps[u], w[u - 1], w[u], h[u])
                for u in range(1, m))
+
+
+def lex_weightings(steps: str):
+    """The valid weightings of one Dyck word in lexicographic order: a
+    depth-first search that tries each weight 0..lower height of a step
+    against the pair condition with the step before."""
+    h = brute_heights(steps)
+    w: list[int] = []
+
+    def extend(u):
+        if u > len(steps):
+            yield tuple(w)
+            return
+        for v in range(min(h[u - 1], h[u]) + 1):
+            if u == 1 or brute_pair_ok(steps[u - 2], steps[u - 1], w[-1], v, h[u - 1]):
+                w.append(v)
+                yield from extend(u + 1)
+                w.pop()
+
+    return extend(1)
 
 
 def closed_form(n: int) -> int:
@@ -142,7 +185,9 @@ def brute_updown_avoiders(n: int) -> set[tuple[int, ...]]:
 
 # Per-path reference loops for the suites that read images from the
 # oracle's per-word table: each path is mapped forward on its own, so they
-# record every failure, under either split rule, without the table.
+# record every failure, under either split rule, without the table.  The
+# same goes for the other suites whose per-instance work the library
+# shares: each reference repeats it per instance.
 
 def _fail(input_text: str, expected: str, actual: str) -> dict:
     return {"input": input_text, "expected": expected, "actual": actual}
@@ -187,4 +232,120 @@ def per_path_statistic(cap: int, rule: str) -> tuple[int, list[dict]]:
             ups = [i for i, s in enumerate(wd.path.steps, start=1) if s == "U"]
             if bots != ups:
                 failures.append(_fail(serialize_path(wd), str(ups), str(bots)))
+    return checked, failures
+
+
+def per_path_image_table(steps: str, rule: str) -> dict:
+    """perm -> weights of one word, every weighting mapped with
+    `to_permutation`, raising on a repeated image as the library's table
+    does."""
+    table = {}
+    for wd in enumerate_weightings(DyckPath(steps)):
+        perm = to_permutation(wd, rule).perm
+        if perm in table:
+            raise InternalConsistencyError(
+                f"two weightings of {steps} share the image {perm}")
+        table[perm] = wd.weights
+    return table
+
+
+def per_permutation_criteria(cap: int, verdict) -> tuple[int, list[dict]]:
+    """(checked, failures) of the criteria suite: `verdict` against
+    up-down and 1234-avoiding on every permutation, one at a time."""
+    checked = 0
+    failures: list[dict] = []
+    for m in range(cap + 1):
+        for p in itertools.permutations(range(1, 2 * m + 1)):
+            checked += 1
+            ground = is_up_down(p) and avoids_1234(p)
+            if verdict(p) != ground:
+                failures.append(_fail(perm_text(p), str(ground), str(not ground)))
+    return checked, failures
+
+
+def _irreducible_paths(n: int):
+    return (wd for wd in enumerate_weighted(n) if len(factor_spans(wd.path.steps)) <= 1)
+
+
+def _local_span(steps, h, i, left_w, right_w):
+    lo, hi = _span(None, steps[i - 1], h[i - 1], h[i], 0)
+    if left_w is not None:
+        a, b = _span(steps[i - 2], steps[i - 1], h[i - 1], h[i], left_w)
+        lo, hi = max(lo, a), min(hi, b)
+    if right_w is not None:
+        prev, kind = _reflected_steps(steps[i - 1:i + 1])
+        a, b = _span(prev, kind, h[i], h[i - 1], right_w)
+        lo, hi = max(lo, a), min(hi, b)
+    return lo, hi
+
+
+def per_path_insertion_lemma(cap: int, rule: str) -> tuple[int, list[dict]]:
+    """(checked, failures) of the insertion_lemma suite: per path, a traced
+    insertion run, its rises, and each rise's feasible weights from
+    `_span` given its fixed neighbours."""
+    checked = 0
+    failures: list[dict] = []
+    for n in range(cap + 1):
+        for wd in _irreducible_paths(n):
+            checked += 1
+            steps = wd.path.steps
+            h = heights(wd)
+            weights = wd.weights
+            try:
+                _, trace = bijection._run_insertion(steps, weights, rule, want_trace=True)
+            except InsertionOverflowError as exc:
+                failures.append(_fail(serialize_path(wd), "no insertion overflow", str(exc)))
+                continue
+            infos = bijection._up_infos(steps, rule)
+            prev_shift = 0
+            for length_before, (info, st) in enumerate(zip(infos, trace)):
+                if st.shift < prev_shift:
+                    failures.append(_fail(serialize_path(wd), "non-decreasing shifts",
+                                          f"rise {st.position}"))
+                prev_shift = st.shift
+                bound = info.bounds[weights[info.nb - 1]]
+                left_w = weights[info.pos - 2] if info.pos >= 2 else None
+                right_w = weights[info.pos] if info.pos < len(steps) else None
+                lo, hi = _local_span(steps, h, info.pos, left_w, right_w)
+                dists = set()
+                for alt in range(lo, hi + 1):
+                    if alt == bound:
+                        continue
+                    d = alt + info.shift - (1 if info.membership == LEFT else 0)
+                    if d < 0 or d >= length_before:
+                        failures.append(_fail(
+                            serialize_path(wd),
+                            f"feasible weight {alt} of rise {info.pos} lands in [0,{length_before})",
+                            f"distance {d}"))
+                    if d < st.shift:
+                        failures.append(_fail(
+                            serialize_path(wd),
+                            f"distance of rise {info.pos} at least shift {st.shift}",
+                            f"distance {d}"))
+                    if d in dists:
+                        failures.append(_fail(
+                            serialize_path(wd), f"distinct distances at rise {info.pos}",
+                            f"repeat {d}"))
+                    dists.add(d)
+    return checked, failures
+
+
+def per_path_transformation(cap: int, rule: str) -> tuple[int, list[dict]]:
+    """(checked, failures) of the transformation suite: per path, the
+    flattening, then a second, untraced insertion run for the word."""
+    checked = 0
+    failures: list[dict] = []
+    for n in range(cap + 1):
+        for wd in _irreducible_paths(n):
+            checked += 1
+            try:
+                pf = flatten_to_single_slope(wd, rule)
+            except Exception as exc:  # noqa: BLE001
+                failures.append(_fail(serialize_path(wd), "a valid parking function", str(exc)))
+                continue
+            word, _ = bijection._run_insertion(wd.path.steps, wd.weights, rule, want_trace=False)
+            expect = standardize(word)
+            got = parking_to_123_avoiding(pf)
+            if got != expect:
+                failures.append(_fail(serialize_path(wd), perm_text(expect), perm_text(got)))
     return checked, failures

@@ -9,6 +9,7 @@ from dyckperm.paths import (
     DyckPath,
     PathFormatError,
     WeightedDyckPath,
+    _LazyRow,
     _fits,
     _step_rows,
     concat,
@@ -27,7 +28,13 @@ from dyckperm.paths import (
 )
 
 from .conftest import EXAMPLE14_TEXT
-from .oracles import brute_weighted_set, brute_weighting_ok, closed_form, per_word_count
+from .oracles import (
+    brute_weighted_set,
+    brute_weighting_ok,
+    closed_form,
+    lex_weightings,
+    per_word_count,
+)
 
 EX14 = parse_path(EXAMPLE14_TEXT)
 
@@ -308,6 +315,15 @@ class TestEnumerateWeighted:
     def test_weightings_of_fixed_path(self):
         got = list(enumerate_weightings(DyckPath("UUDD")))
         assert len(got) == 4
+
+    def test_tall_path_in_lexicographic_order(self):
+        # the descent starts at height 70, above the tabulated rows, and the
+        # odometer raises its first fall within the first few weightings
+        steps = "U" * 70 + "D" * 70
+        assert isinstance(_step_rows(steps)[70], _LazyRow)
+        got = [x.weights for x in itertools.islice(enumerate_weightings(DyckPath(steps)), 3000)]
+        assert got == list(itertools.islice(lex_weightings(steps), 3000))
+        assert max(w[70] for w in got) > 0
 
 
 class TestCountWeighted:

@@ -1,13 +1,23 @@
+import itertools
 import json
 
 import pytest
 
 import dyckperm.bijection as bijection
 import dyckperm.verify as verify
-from dyckperm.bijection import SPLIT_CEIL, SPLIT_FLOOR, _image_table, to_permutation
-from dyckperm.paths import WeightedDyckPath, parse_path, serialize_path
+from dyckperm.bijection import (
+    SPLIT_CEIL,
+    SPLIT_FLOOR,
+    InternalConsistencyError,
+    _image_table,
+    _map_factor,
+    to_permutation,
+)
+from dyckperm.paths import WeightedDyckPath, _dyck_words, factor_spans, parse_path, serialize_path
+from dyckperm.perms import is_up_down
 from dyckperm.verify import (
     DEFAULT_CAPS,
+    EULER_ZIGZAG,
     REFERENCE_COUNTS,
     SUITES,
     run_all,
@@ -16,7 +26,16 @@ from dyckperm.verify import (
 )
 
 from .conftest import EXAMPLE14_TEXT
-from .oracles import per_path_bijectivity, per_path_statistic
+from .oracles import (
+    brute_dyck_words,
+    per_path_bijectivity,
+    per_path_image_table,
+    per_path_insertion_lemma,
+    per_path_statistic,
+    per_path_transformation,
+    per_permutation_criteria,
+    word_weighting_count,
+)
 
 EX14 = parse_path(EXAMPLE14_TEXT)
 
@@ -114,23 +133,49 @@ class TestAlternativeSplitRule:
 class TestSharedImageTable:
     def test_each_path_mapped_forward_once(self, monkeypatch):
         # bijectivity, roundtrip and statistic read every image from the
-        # per-word table, so one process maps each path once
-        calls = 0
+        # per-word table, and a reducible word's table is composed from its
+        # factors' tables, so one process maps each irreducible path once
+        mapped = []
 
-        def counting(*args, **kw):
-            nonlocal calls
-            calls += 1
-            return to_permutation(*args, **kw)
+        def counting(steps, weights, rule):
+            mapped.append((steps, weights))
+            return _map_factor(steps, weights, rule)
 
         _image_table.cache_clear()
-        monkeypatch.setattr(bijection, "to_permutation", counting)
-        monkeypatch.setattr(verify, "to_permutation", counting)
+        monkeypatch.setattr(bijection, "_map_factor", counting)
         try:
             for suite in ("bijectivity", "roundtrip", "statistic"):
                 assert run_suite(suite, 5).verdict == "pass"
         finally:
             _image_table.cache_clear()
-        assert calls == sum(REFERENCE_COUNTS[:6]) == 6517
+        irreducible = [w for n in range(1, 6) for w in brute_dyck_words(n)
+                       if len(factor_spans(w)) == 1]
+        assert len(mapped) == len(set(mapped))
+        assert len(mapped) == sum(word_weighting_count(w) for w in irreducible) == 5249
+        assert {steps for steps, _ in mapped} == set(irreducible)
+
+    @pytest.mark.parametrize("rule", [SPLIT_CEIL, SPLIT_FLOOR])
+    def test_tables_equal_per_path_reference(self, rule):
+        # items and their order, and under floor the error of a word two of
+        # whose weightings share an image; each table is composed afresh
+        _image_table.cache_clear()
+        raised = 0
+        try:
+            for n in range(6):
+                for steps in _dyck_words(n):
+                    try:
+                        want = list(per_path_image_table(steps, rule).items())
+                    except InternalConsistencyError as exc:
+                        raised += 1
+                        with pytest.raises(InternalConsistencyError) as got:
+                            _image_table(steps, rule)
+                        assert str(got.value) == str(exc)
+                        continue
+                    assert list(_image_table(steps, rule).items()) == want
+        finally:
+            _image_table.cache_clear()
+        # 16 of the 65 words at n <= 5 have no table under floor
+        assert raised == (16 if rule == SPLIT_FLOOR else 0)
 
     @pytest.mark.parametrize("rule", [SPLIT_CEIL, SPLIT_FLOOR])
     def test_records_equal_per_path_reference(self, rule):
@@ -147,18 +192,19 @@ class TestFaultInjection:
         fixture = WeightedDyckPath.from_steps("UUDD")
         other = WeightedDyckPath.from_steps("UUDD", (0, 1, 1, 0))
 
-        def corrupted(x, rule=None, **kw):
-            if x == fixture:
-                return to_permutation(other)
-            return to_permutation(x)
+        def corrupted(steps, weights, rule):
+            if (steps, weights) == (fixture.steps, fixture.weights):
+                return _map_factor(other.steps, other.weights, rule)
+            return _map_factor(steps, weights, rule)
 
-        # the suite reads images from _image_table, which maps with
-        # bijection.to_permutation; the corruption gives two weightings of
-        # UUDD one image, so that word is mapped path by path, with verify's
-        # binding.  No table of the corrupted map may outlive the test.
+        # the suite reads images from _image_table, which maps each
+        # irreducible path with bijection._map_factor; the corruption gives
+        # two weightings of UUDD one image, so that word is mapped path by
+        # path with to_permutation, which maps its factor with the same
+        # corrupted function.  No table of the corrupted map may outlive
+        # the test.
         _image_table.cache_clear()
-        monkeypatch.setattr(bijection, "to_permutation", corrupted)
-        monkeypatch.setattr(verify, "to_permutation", corrupted)
+        monkeypatch.setattr(bijection, "_map_factor", corrupted)
         try:
             report = run_suite("bijectivity", 2)
         finally:
@@ -181,3 +227,76 @@ class TestFaultInjection:
         report = run_suite("roundtrip", 2)
         assert report.verdict == "fail"
         assert any(serialize_path(fixture) == f["input"] for f in report.failures)
+
+
+class TestCriteriaGround:
+    def test_backtracker_is_the_up_down_filter(self):
+        for m in range(5):
+            want = list(filter(is_up_down, itertools.permutations(range(1, 2 * m + 1))))
+            assert list(verify._up_down_perms(m)) == want
+
+    def test_backtracker_counts_are_euler_numbers(self):
+        assert EULER_ZIGZAG == (1, 1, 5, 61, 1385, 50521)
+        for m, ref in enumerate(EULER_ZIGZAG):
+            assert sum(1 for _ in verify._up_down_perms(m)) == ref
+
+    @pytest.mark.parametrize("flips", [
+        # rejected members: the first and last avoider of size 6, one of size 8
+        ((1, 3, 2, 5, 4, 6), (5, 6, 3, 4, 1, 2), (1, 3, 2, 5, 4, 7, 6, 8)),
+        # accepted outsiders: before, between and after the avoiders
+        ((1, 2, 3, 4, 5, 6), (2, 1, 4, 3, 6, 5), (6, 5, 4, 3, 2, 1), (8, 7, 6, 5, 4, 3, 2, 1)),
+        # both kinds, and size 0
+        ((), (1, 2), (2, 1), (1, 3, 2, 5, 4, 6), (6, 5, 4, 3, 2, 1)),
+    ])
+    def test_fault_injection_matches_per_permutation_loop(self, monkeypatch, flips):
+        real = verify._criteria_verdict
+        flipped = set(flips)
+
+        def corrupted(p):
+            return real(p) != (p in flipped)
+
+        monkeypatch.setattr(verify, "_criteria_verdict", corrupted)
+        report = run_suite("criteria", 4)
+        assert len(report.failures) == len(flips)
+        assert (report.checked, list(report.failures)) == per_permutation_criteria(4, corrupted)
+
+    def test_broken_backtracker_is_caught(self, monkeypatch):
+        real = verify._up_down_perms
+
+        def dropping(m):
+            return (p for p in real(m) if p != (1, 3, 2, 4))
+
+        monkeypatch.setattr(verify, "_up_down_perms", dropping)
+        report = run_suite("criteria", 3)
+        assert [f["input"] for f in report.failures] == ["up-down permutations, size=4", "1,3,2,4"]
+
+
+def _perturbed_up_infos(real):
+    """`_up_infos` with one more fall counted left of the first and the
+    last rise of every word: the first rise's shift then exceeds the
+    next one's, and the last rise inserts one letter further left."""
+    def perturbed(steps, rule):
+        infos = real(steps, rule)
+        return tuple(i._replace(shift=i.shift + 1, off=i.off + 1)
+                     if k in (0, len(infos) - 1) else i
+                     for k, i in enumerate(infos))
+    return perturbed
+
+
+class TestInsertionSuitesEqualPerPathReference:
+    @pytest.mark.parametrize("perturb", [False, True])
+    @pytest.mark.parametrize("rule", [SPLIT_CEIL, SPLIT_FLOOR])
+    @pytest.mark.parametrize("suite, reference", [
+        ("insertion_lemma", per_path_insertion_lemma),
+        ("transformation", per_path_transformation),
+    ])
+    def test_records(self, monkeypatch, suite, reference, rule, perturb):
+        if perturb:
+            # the suites and the references read rises through these two
+            # bindings, so both see the same faulty jump rule
+            fake = _perturbed_up_infos(bijection._up_infos)
+            monkeypatch.setattr(bijection, "_up_infos", fake)
+            monkeypatch.setattr(verify, "_up_infos", fake)
+        report = run_suite(suite, 5, rule=rule)
+        assert (report.verdict == "fail") == perturb
+        assert (report.checked, list(report.failures)) == reference(5, rule)
