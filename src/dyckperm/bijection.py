@@ -13,18 +13,18 @@ reversal.  Reducible paths map factor by factor, composing the images with
 the shifted concatenation in reverse factor order, which makes the set of
 bottom letters equal the set of rise positions.
 
-The inverse undoes the insertions one rise at a time.  A rise's insertion
-index is the number of earlier rises standing before it in the target
-bottom word; index 0 means a jump, and any other index gives the weight
-``(length_before - index) - shift`` (plus one on the left half).  The same
-read-off of the top word on the mirrored path gives the fall weights.  A
+The inverse undoes the insertions one rise at a time, from one cached plan
+per word that the forward map reads too.  A rise's insertion index is the
+number of earlier rises before it in the target word (the top word is read
+on the mirrored path); index 0 means a jump, and any other index gives the
+weight ``(length_before - index) - shift`` (plus one on the left half).  A
 jump's weight is its extremal feasible value, which reads one neighbour, so
-the jumps are settled in passes once their neighbours are known; only two
-jumps that read each other, which the floor split produces, are tried over
-their feasible range.  A candidate is accepted when it is a valid weighting
-and every rise read as a non-jump misses its jump bound; the forward run
-then rebuilds both target words, so the inverse rejects non-images and
-detects a second preimage without mapping a candidate forward.
+the jumps are settled along their chains of neighbours; only two jumps that
+read each other, which the floor split produces, are tried over their
+feasible range.  A candidate is accepted when it is valid and every rise
+read as a non-jump misses its jump bound; the forward run then rebuilds
+both target words, so the inverse rejects non-images and detects a second
+preimage without mapping a candidate forward.
 """
 
 from __future__ import annotations
@@ -61,9 +61,7 @@ from .perms import (
     avoids_1234,
     is_up_down,
     perm_text,
-    schutzenberger_word,
     shifted_concat,
-    standardize,
 )
 
 SPLIT_CEIL = "ceil"
@@ -190,6 +188,24 @@ def _up_infos(steps: str, rule: str) -> tuple[_UpInfo, ...]:
     return tuple(infos)
 
 
+# a rise of a plan: its step, the step its bound reads, its off, its bound row
+_PlanRise = tuple[int, int, int, Union[tuple[int, ...], _LazyRow]]
+
+
+@lru_cache(maxsize=4096)
+def _factor_plan(steps: str, rule: str
+                 ) -> tuple[tuple[_PlanRise, ...], tuple[_PlanRise, ...]]:
+    """The rises of `steps`, then those of its mirror, from `_up_infos`.
+    Step p of the mirror is step m + 1 - p of the path, and so is its
+    neighbour; the weights are padded with a 0 at each end, where the first
+    step of either frame reads its one-entry row."""
+    m = len(steps)
+    bottom = tuple((i.pos, i.nb, i.off, i.bounds) for i in _up_infos(steps, rule))
+    top = tuple((m + 1 - i.pos, m + 1 - i.nb, i.off, i.bounds)
+                for i in _up_infos(_reflected_steps(steps), rule))
+    return bottom, top
+
+
 def jump_bound(wd: WeightedDyckPath, u: int, membership: str) -> int:
     """The extremal feasible weight of rise u under the given membership.
 
@@ -233,33 +249,35 @@ class InsertionStep(NamedTuple):
 InsertionTrace = tuple[InsertionStep, ...]
 
 
-def _run_insertion(steps: str, weights: Sequence[int], rule: str,
-                   want_trace: bool) -> tuple[tuple[int, ...], InsertionTrace]:
+def _insert(frame: tuple[_PlanRise, ...], w: Sequence[int],
+            infos: Optional[tuple[_UpInfo, ...]] = None
+            ) -> tuple[tuple[int, ...], InsertionTrace]:
+    """The insertion run of one frame of a `_factor_plan` on the padded
+    weights `w`, and with the frame's `_up_infos` records, its trace."""
     word: list[int] = []
     trace: list[InsertionStep] = []
-    for info in _up_infos(steps, rule):
-        w = weights[info.pos - 1]
-        # for the first step nb is 0, and its one-entry row is read at the
-        # last weight, which C1 sets to 0
-        if w == info.bounds[weights[info.nb - 1]]:
-            word.insert(0, info.pos)
-            jumped, dist = True, None
+    for step, nb, off, bounds in frame:
+        x = w[step]
+        if x == bounds[w[nb]]:
+            word.insert(0, step)
+            dist = None
         else:
-            dist = w + info.off
+            dist = x + off
             if dist < 0 or dist > len(word):
-                raise InsertionOverflowError(
-                    f"insertion overflow at rise {info.pos}: "
-                    f"distance {dist} with word length {len(word)}",
-                    tuple(trace),
-                )
-            word.insert(len(word) - dist, info.pos)
-            jumped = False
-        if want_trace:
-            trace.append(
-                InsertionStep(info.pos, w, info.slope, info.membership,
-                              info.shift, jumped, dist, tuple(word))
-            )
+                raise InsertionOverflowError(f"insertion overflow at rise {step}: distance "
+                                             f"{dist} with word length {len(word)}", tuple(trace))
+            word.insert(len(word) - dist, step)
+        if infos is not None:
+            info = infos[len(trace)]  # one record per rise inserted so far
+            trace.append(InsertionStep(step, x, info.slope, info.membership,
+                                       info.shift, dist is None, dist, tuple(word)))
     return tuple(word), tuple(trace)
+
+
+def _run_insertion(steps: str, weights: Sequence[int], rule: str,
+                   want_trace: bool) -> tuple[tuple[int, ...], InsertionTrace]:
+    return _insert(_factor_plan(steps, rule)[0], (0, *weights, 0),
+                   _up_infos(steps, rule) if want_trace else None)
 
 
 def _require_valid(wd: WeightedDyckPath) -> None:
@@ -283,12 +301,13 @@ def insertion_word(wd: WeightedDyckPath, rule: str = SPLIT_CEIL
 
 
 def _map_factor(steps: str, weights: tuple[int, ...], rule: str) -> tuple[int, ...]:
-    bot, bt = _run_insertion(steps, weights, rule, want_trace=False)
-    raw, tt = _run_insertion(_reflected_steps(steps), weights[::-1], rule,
-                             want_trace=False)
-    top = schutzenberger_word(raw, len(steps))
+    """The image of one irreducible factor; the mirrored frame of its plan
+    builds the top word backwards, in the path's own step numbers."""
+    bottom, top = _factor_plan(steps, rule)
+    w = (0, *weights, 0)
+    bot, raw = _insert(bottom, w)[0], _insert(top, w)[0]
     try:
-        return assemble(bot, top).perm
+        return assemble(bot, raw[::-1]).perm
     except ValueError as exc:
         raise InternalConsistencyError(
             f"assembly failed for {steps};{','.join(map(str, weights))}: {exc}"
@@ -327,12 +346,9 @@ def bottom_traces(wd: WeightedDyckPath, rule: str = SPLIT_CEIL) -> InsertionTrac
     out: list[InsertionStep] = []
     for a, b in factor_spans(steps):
         _, trace = _run_insertion(steps[a:b], weights[a:b], rule, want_trace=True)
-        for st in trace:
-            out.append(
-                InsertionStep(st.position + a, st.weight, st.slope,
-                              st.membership, st.shift, st.jumped, st.distance,
-                              tuple(v + a for v in st.word_after))
-            )
+        out.extend(st._replace(position=st.position + a,
+                               word_after=tuple(v + a for v in st.word_after))
+                   for st in trace)
     return tuple(out)
 
 
@@ -408,51 +424,54 @@ def parking_to_123_avoiding(pf: ParkingFunction) -> tuple[int, ...]:
     return tuple(word)
 
 
-def _read_off(steps: str, target: tuple[int, ...], rule: str
-              ) -> list[tuple[_UpInfo, Optional[int]]]:
-    """Undo the insertion run of `steps` whose final word is `target`: each
-    rise with the weight its insertion index implies, or None for a jump.
-
-    Later insertions never reorder earlier letters, so a rise's index is
-    the number of earlier rises that precede it in the target.  A non-jump
-    never lands at the front (the insertion_lemma suite checks this), so
-    index 0 marks a jump.
-    """
-    rank = {letter: i for i, letter in enumerate(target)}
-    placed: list[int] = []  # target ranks of the rises read so far, sorted
-    out: list[tuple[_UpInfo, Optional[int]]] = []
-    for info in _up_infos(steps, rule):
-        idx = bisect_left(placed, rank[info.pos])
-        dist = len(placed) - idx
-        placed.insert(idx, rank[info.pos])
-        out.append((info, dist - info.off if idx else None))
-    return out
-
-
-# a rise of either frame in the factor's own step numbering: its step, the
-# neighbouring step its jump bound reads, and its _up_infos record
-_Rise = tuple[int, int, _UpInfo]
-
-
-def _settle(w: list[Optional[int]], jumps: list[_Rise]) -> None:
-    """Set each unset jump weight to its bound once the neighbour it reads
-    is set, pass after pass, until a pass sets nothing."""
-    pending = [j for j in jumps if w[j[0]] is None]
-    while pending:
-        ready = [j for j in pending if w[j[1]] is not None]
-        if not ready:
-            return
-        for step, nb, info in ready:
-            w[step] = info.bounds[w[nb]]  # type: ignore[index]
-        pending = [j for j in pending if w[j[0]] is None]
+def _read_off(steps: str, image: tuple[int, ...], rule: str
+              ) -> tuple[list[Optional[int]], list[_PlanRise], list[_PlanRise]]:
+    """Undo both insertion runs of `steps` whose words `image` (standardized
+    to 1..len(steps)) holds: the padded weights w[0..m+1], None at a jump,
+    and the plan records of the jumps and of the non-jumps.  Later
+    insertions never reorder earlier letters, so a rise's index is the
+    number of earlier rises of its frame before it in the target, and a
+    non-jump never lands at the front (the insertion_lemma suite checks
+    this).  A top letter ranks by its place in `image` negated, as the
+    mirrored frame builds the top word backwards."""
+    m = len(steps)
+    rank = [0] * (m + 1)
+    for i, v in enumerate(image):
+        rank[v] = -i if i & 1 else i
+    w: list[Optional[int]] = [0] + [None] * m + [0]
+    jumps: list[_PlanRise] = []
+    nonjumps: list[_PlanRise] = []
+    for frame in _factor_plan(steps, rule):
+        placed: list[int] = []  # ranks of the frame's rises read so far, sorted
+        for rise in frame:
+            r = rank[rise[0]]
+            idx = bisect_left(placed, r)
+            if idx:
+                w[rise[0]] = len(placed) - idx - rise[2]
+                nonjumps.append(rise)
+            else:
+                jumps.append(rise)
+            placed.insert(idx, r)
+    return w, jumps, nonjumps
 
 
-def _certify(steps: str, w: list[int], nonjumps: list[_Rise]
+def _follow_chains(w: list[Optional[int]], jumps: list[_PlanRise]) -> None:
+    """Set each jump whose chain of neighbours reaches a set weight to its
+    bound.  A jump reads the step before or after it, and a chain that turns
+    back has closed, so a sweep from the left and one from the right meet
+    every jump after the neighbour it reads."""
+    order = sorted(jumps)
+    for s, nb, _, bounds in order + order[::-1]:
+        if w[nb] is not None:
+            w[s] = bounds[w[nb]]
+
+
+def _certify(steps: str, w: list[int], nonjumps: list[_PlanRise]
              ) -> Optional[tuple[int, ...]]:
-    """The weights w[1..m] when every rise read as a non-jump misses its
-    jump bound and the weighting is valid, else None."""
-    if any(w[s] == info.bounds[w[nb]] for s, nb, info in nonjumps):
-        return None
+    """w[1..m] if every non-jump misses its jump bound and it is valid."""
+    for s, nb, _, bounds in nonjumps:
+        if w[s] == bounds[w[nb]]:
+            return None
     weights = tuple(w[1:-1])
     return weights if _fits(_step_rows(steps), weights) else None
 
@@ -464,71 +483,57 @@ def _invert_factor(steps: str, image: tuple[int, ...], rule: str
 
     The read-off of the bottom word fixes each non-jumping rise, and that of
     the top word, on the mirrored path, each non-jumping fall.  A jump's
-    weight is its bound, which reads one neighbour.  Two jumps that read
-    each other (a peak or valley cycle, which the floor split produces) are
-    tried at every weight C1 allows the first.
+    weight is its bound, which reads one neighbour; its chain of neighbours
+    runs through jumps to a set weight, or closes in two jumps that read
+    each other (a peak or valley cycle, which the floor split produces).
+    Settling in passes, each setting every jump whose neighbour is set,
+    sets a jump k links from a set weight in pass k and never one whose
+    chain closes; following the chains leaves the same jumps stuck, and
+    sets the rest to the same bounds.  A cycle's lower step is tried at
+    every weight C1 allows it.
 
     A candidate is certified instead of mapped forward.  Let it be valid,
-    and let every rise read as a non-jump (in either frame) have a weight
-    other than its jump bound; every jump has its bound by construction.
-    The forward run of a frame then takes, at each rise, the branch that
-    was read off: a jump inserts at index 0, where the rise stands among
-    the earlier rises in the target, and a non-jump inserts at distance
-    ``weight + shift`` (one less on the left half) from the right end,
-    which is the distance read off, so at the index read off.  Insertions
-    never reorder earlier letters, so the run rebuilds the target word,
-    the bottom word in the path's frame and the mirrored top word in the
-    other, and the candidate maps to `image`.  Conversely a non-jump whose
-    weight equals its bound would jump to index 0, which the read-off
-    ruled out, so the certificate accepts exactly what the forward map
-    would confirm.
+    and let every rise read as a non-jump, in either frame, miss its jump
+    bound; every jump has its bound by construction.  The forward run of a
+    frame then takes, at each rise, the branch read off: a jump inserts at
+    index 0, where the rise stands among the earlier rises in the target,
+    and a non-jump at distance ``weight + shift`` (one less on the left
+    half) from the right end, the distance read off.  Insertions never
+    reorder earlier letters, so the run rebuilds the target word of its
+    frame, and the candidate maps to `image`.  Conversely a non-jump at its
+    bound would jump to index 0, which the read-off ruled out, so the
+    certificate accepts exactly what the forward map would confirm.
 
     Every weight the search reads is C1-feasible, so every `bounds` row is
     indexed in range, and so is every row `_certify`'s validity test reads
     before it stops.  A read-off weight is at most its step's lower height
     h0 (the height before the rise in its frame): the distance read off is
-    below the r earlier rises, and h0 = r - shift, so the weight is at
-    most h0 - 1, plus one on the left half.  It can be negative, on a
-    target no image has; C1 then fails for every candidate, so the search
-    returns [] there.  A jump's weight is an end of a non-empty span inside
-    [0, lower height], and a cycle's trial value lies in that range too.
+    below the r earlier rises, and h0 = r - shift, so the weight is at most
+    h0 - 1, plus one on the left half.  It can be negative, on a target no
+    image has; C1 then fails for every candidate, so the search returns []
+    there.  A jump's weight is an end of a non-empty span inside [0, lower
+    height], and a cycle's trial value lies in that range too.
     """
-    m = len(steps)
-    h = _height_profile(steps)
-    # 1-based; the ends stand in for the neighbour that step 1's and step
-    # m's bounds never read, so those jumps settle in the first pass
-    w: list[Optional[int]] = [0] + [None] * m + [0]
-    jumps: list[_Rise] = []
-    nonjumps: list[_Rise] = []
-    topref = tuple(m + 1 - t for t in reversed(image[1::2]))
-    for frame, target, mirrored in ((steps, image[0::2], False),
-                                    (_reflected_steps(steps), topref, True)):
-        for info, weight in _read_off(frame, target, rule):
-            step, nb = info.pos, info.nb
-            if mirrored:
-                step, nb = m + 1 - step, m + 1 - nb
-            if weight is None:
-                jumps.append((step, nb, info))
-            elif weight < 0:
-                return []
-            else:
-                w[step] = weight
-                nonjumps.append((step, nb, info))
-    _settle(w, jumps)
-    stuck = {step: (nb, info) for step, nb, info in jumps if w[step] is None}
-    if not stuck:
+    w, jumps, nonjumps = _read_off(steps, image, rule)
+    if any(w[rise[0]] < 0 for rise in nonjumps):  # type: ignore[operator]
+        return []
+    _follow_chains(w, jumps)
+    if None not in w:
         weights = _certify(steps, w, nonjumps)  # type: ignore[arg-type]
         return [] if weights is None else [weights]
-    cycles = [s for s, (nb, _) in stuck.items() if s < nb and stuck[nb][0] == s]
+    reads = {s: nb for s, nb, _, _ in jumps if w[s] is None}
+    cycles = [r for r in jumps if r[0] < r[1] and reads.get(r[1]) == r[0]]
+    rest = [r for r in jumps if r[0] in reads and r not in cycles]
+    h = _height_profile(steps)
     found: list[tuple[int, ...]] = []
-    for values in product(*(range(min(h[s - 1], h[s]) + 1) for s in cycles)):
-        for s in stuck:
+    for values in product(*(range(min(h[r[0] - 1], h[r[0]]) + 1) for r in cycles)):
+        for s in reads:
             w[s] = None
-        for s, v in zip(cycles, values):
+        for (s, *_), v in zip(cycles, values):
             w[s] = v
-        _settle(w, jumps)
+        _follow_chains(w, rest)
         # every other jump was set to its bound after the one weight it reads
-        if any(w[s] != stuck[s][1].bounds[w[stuck[s][0]]] for s in cycles):
+        if any(w[s] != bounds[w[nb]] for s, nb, _, bounds in cycles):
             continue
         weights = _certify(steps, w, nonjumps)  # type: ignore[arg-type]
         if weights is not None:
@@ -575,15 +580,12 @@ def from_permutation(p: Sequence[int], rule: str = SPLIT_CEIL) -> WeightedDyckPa
     path, word = _membership_checks(p)
     weights: list[int] = [0] * len(p)
     preimages = 1
-    offset = 0
     for a, b in reversed(factor_spans(word)):
-        length = b - a
-        block = p[offset:offset + length]
-        offset += length
-        if set(block) != set(range(a + 1, b + 1)):
+        block = p[len(p) - b:len(p) - a]
+        if min(block) <= a or max(block) > b:  # p's letters are distinct
             raise NotInImageError(
                 f"not in image: block {perm_text(block)} does not hold {a + 1}..{b}")
-        sols = _invert_factor(word[a:b], standardize(block), rule)
+        sols = _invert_factor(word[a:b], tuple(v - a for v in block) if a else block, rule)
         if not sols:
             raise NotInImageError(
                 f"not in image: no weighting of {word[a:b]} maps to block {perm_text(block)}")

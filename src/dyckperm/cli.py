@@ -8,6 +8,7 @@ early, 2 on a usage error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -33,26 +34,15 @@ def _read_input(arg: str) -> str:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    emitted = 0
     if args.family == "wd":
         stream = paths.enumerate_weighted(args.n)
-        for wd in stream:
-            if args.format == "text":
-                print(paths.serialize_path(wd))
-            else:
-                print(json.dumps(paths.path_record(wd)))
-            emitted += 1
-            if args.limit is not None and emitted >= args.limit:
-                break
+        text, record = paths.serialize_path, paths.path_record
     else:
-        for perm in perms.enumerate_updown_avoiders(args.n):
-            if args.format == "text":
-                print(perms.perm_text(perm))
-            else:
-                print(json.dumps(perms.perm_record(perm)))
-            emitted += 1
-            if args.limit is not None and emitted >= args.limit:
-                break
+        stream = perms.enumerate_updown_avoiders(args.n)
+        text, record = perms.perm_text, perms.perm_record
+    fmt = text if args.format == "text" else lambda item: json.dumps(record(item))
+    for item in itertools.islice(stream, args.limit):
+        print(fmt(item))
     return 0
 
 

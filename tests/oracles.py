@@ -4,12 +4,16 @@ Everything here is written from the definitions, without reusing the
 library's pruned generators or patience-based scans, so that agreement
 tests really compare two routes.  The per-path reference loops at the end
 are the exception: they reuse the forward map and the enumerators, and
-differ from the suites in mapping every path on its own.
+differ from the suites in mapping every path on its own.  So are the
+per-frame forward map and inverse after them, which run the insertions of
+each frame on its own path, the mirror built and read back per call, and
+settle the inverse's jumps in passes.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from math import factorial
 
 import dyckperm.bijection as bijection
@@ -17,14 +21,19 @@ from dyckperm.bijection import (
     LEFT,
     InsertionOverflowError,
     InternalConsistencyError,
+    NotInImageError,
     flatten_to_single_slope,
     parking_to_123_avoiding,
     to_permutation,
 )
 from dyckperm.paths import (
     DyckPath,
+    WeightedDyckPath,
+    _fits,
+    _height_profile,
     _reflected_steps,
     _span,
+    _step_rows,
     enumerate_weighted,
     enumerate_weightings,
     factor_spans,
@@ -32,10 +41,12 @@ from dyckperm.paths import (
     serialize_path,
 )
 from dyckperm.perms import (
+    assemble,
     avoids_1234,
     enumerate_updown_avoiders,
     is_up_down,
     perm_text,
+    schutzenberger_word,
     standardize,
 )
 
@@ -349,3 +360,121 @@ def per_path_transformation(cap: int, rule: str) -> tuple[int, list[dict]]:
             if got != expect:
                 failures.append(_fail(serialize_path(wd), perm_text(expect), perm_text(got)))
     return checked, failures
+
+
+def per_frame_map_factor(steps: str, weights: tuple[int, ...], rule: str) -> tuple[int, ...]:
+    """The image of one irreducible factor built frame by frame: the
+    insertion run of the path gives the bottom word, and that of the
+    mirrored path, read back through the alphabet reversal, the top word."""
+    bot, _ = bijection._run_insertion(steps, weights, rule, want_trace=False)
+    raw, _ = bijection._run_insertion(_reflected_steps(steps), weights[::-1], rule,
+                                      want_trace=False)
+    return assemble(bot, schutzenberger_word(raw, len(steps))).perm
+
+
+def per_frame_read_off(steps: str, target: tuple[int, ...], rule: str):
+    """Each rise of `steps`, as its `_up_infos` record, with the weight its
+    insertion index in `target` implies, or None for a jump."""
+    rank = {letter: i for i, letter in enumerate(target)}
+    placed: list[int] = []
+    out = []
+    for info in bijection._up_infos(steps, rule):
+        idx = bisect_left(placed, rank[info.pos])
+        dist = len(placed) - idx
+        placed.insert(idx, rank[info.pos])
+        out.append((info, dist - info.off if idx else None))
+    return out
+
+
+def pass_settle(w: list, jumps: list) -> None:
+    """Set each unset jump (step, neighbour, record) to its bound once the
+    neighbour it reads is set, pass after pass, until a pass sets nothing."""
+    pending = [j for j in jumps if w[j[0]] is None]
+    while pending:
+        ready = [j for j in pending if w[j[1]] is not None]
+        if not ready:
+            return
+        for step, nb, info in ready:
+            w[step] = info.bounds[w[nb]]
+        pending = [j for j in pending if w[j[0]] is None]
+
+
+def _per_frame_certify(steps: str, w: list, nonjumps: list):
+    if any(w[s] == info.bounds[w[nb]] for s, nb, info in nonjumps):
+        return None
+    weights = tuple(w[1:-1])
+    return weights if _fits(_step_rows(steps), weights) else None
+
+
+def per_frame_invert_factor(steps: str, image: tuple[int, ...], rule: str) -> list:
+    """Every weighting of the irreducible path `steps` whose image is the
+    standardized `image`: the bottom word read off the path, the top word
+    off its mirror, mapped back to the path's steps per rise, the jumps
+    settled in passes and each peak or valley cycle tried over its range."""
+    m = len(steps)
+    h = _height_profile(steps)
+    w: list = [0] + [None] * m + [0]
+    jumps: list = []
+    nonjumps: list = []
+    topref = tuple(m + 1 - t for t in reversed(image[1::2]))
+    for frame, target, mirrored in ((steps, image[0::2], False),
+                                    (_reflected_steps(steps), topref, True)):
+        for info, weight in per_frame_read_off(frame, target, rule):
+            step, nb = info.pos, info.nb
+            if mirrored:
+                step, nb = m + 1 - step, m + 1 - nb
+            if weight is None:
+                jumps.append((step, nb, info))
+            elif weight < 0:
+                return []
+            else:
+                w[step] = weight
+                nonjumps.append((step, nb, info))
+    pass_settle(w, jumps)
+    stuck = {step: (nb, info) for step, nb, info in jumps if w[step] is None}
+    if not stuck:
+        weights = _per_frame_certify(steps, w, nonjumps)
+        return [] if weights is None else [weights]
+    cycles = [s for s, (nb, _) in stuck.items() if s < nb and stuck[nb][0] == s]
+    found = []
+    for values in itertools.product(*(range(min(h[s - 1], h[s]) + 1) for s in cycles)):
+        for s in stuck:
+            w[s] = None
+        for s, v in zip(cycles, values):
+            w[s] = v
+        pass_settle(w, jumps)
+        if any(w[s] != stuck[s][1].bounds[w[stuck[s][0]]] for s in cycles):
+            continue
+        weights = _per_frame_certify(steps, w, nonjumps)
+        if weights is not None:
+            found.append(weights)
+    return found
+
+
+def per_frame_from_permutation(p, rule: str) -> WeightedDyckPath:
+    """`from_permutation` with each factor inverted by
+    `per_frame_invert_factor` from its block standardized."""
+    p = tuple(p)
+    if not p:
+        return WeightedDyckPath(DyckPath(""), ())
+    path, word = bijection._membership_checks(p)
+    weights = [0] * len(p)
+    preimages = 1
+    offset = 0
+    for a, b in reversed(factor_spans(word)):
+        block = p[offset:offset + b - a]
+        offset += b - a
+        if set(block) != set(range(a + 1, b + 1)):
+            raise NotInImageError(
+                f"not in image: block {perm_text(block)} does not hold {a + 1}..{b}")
+        sols = per_frame_invert_factor(word[a:b], standardize(block), rule)
+        if not sols:
+            raise NotInImageError(
+                f"not in image: no weighting of {word[a:b]} maps to block {perm_text(block)}")
+        preimages *= len(sols)
+        weights[a:b] = sols[0]
+    if preimages > 1:
+        raise ValueError(
+            f"ambiguous: {preimages} weighted paths map to this permutation "
+            f"under the {rule} split rule")
+    return WeightedDyckPath(path, tuple(weights))

@@ -13,8 +13,10 @@ from dyckperm.bijection import (
     NotInImageError,
     ParkingFunction,
     _bound_row,
+    _factor_plan,
     _image_table,
     _invert_factor,
+    _map_factor,
     _read_off,
     _up_infos,
     bottom_traces,
@@ -47,10 +49,21 @@ from dyckperm.paths import (
     serialize_path,
     slopes,
 )
-from dyckperm.perms import enumerate_updown_avoiders, schutzenberger, shifted_concat
+from dyckperm.perms import (
+    enumerate_updown_avoiders,
+    is_up_down,
+    schutzenberger,
+    shifted_concat,
+)
 
 from .conftest import EXAMPLE14_IMAGE, EXAMPLE14_TEXT
-from .oracles import brute_heights, brute_pair_ok, word_weighting_count
+from .oracles import (
+    brute_heights,
+    brute_pair_ok,
+    per_frame_from_permutation,
+    per_frame_map_factor,
+    word_weighting_count,
+)
 
 EX14 = parse_path(EXAMPLE14_TEXT)
 
@@ -83,6 +96,11 @@ def random_path(rng, n, irreducible):
         k = rng.randint(1, n - 1)
         steps = "U" + random_dyck_word(rng, k - 1) + "D" + random_dyck_word(rng, n - k)
     return random_weighting(rng, steps)
+
+
+# words taller than 64, where the span and bound rows are read on demand
+TALL_WORDS = ("U" * 70 + "DU" * 3 + "D" * 70,
+              "U" * 90 + "D" * 30 + "U" * 20 + "D" * 80 + "UD")
 
 
 def random_weighting(rng, steps):
@@ -386,8 +404,7 @@ class TestInverseBeyondExhaustive:
     def test_tall_paths_roundtrip(self):
         # heights above 64, where the span and bound rows are read on demand
         rng = random.Random(70)
-        for steps in ("U" * 70 + "DU" * 3 + "D" * 70,
-                      "U" * 90 + "D" * 30 + "U" * 20 + "D" * 80 + "UD"):
+        for steps in TALL_WORDS:
             for _ in range(5):
                 x = random_weighting(rng, steps)
                 assert from_permutation(to_permutation(x).perm) == x
@@ -404,11 +421,14 @@ class TestInverseBeyondExhaustive:
             assert from_permutation(to_permutation(x).perm) == x
         for cache in (_height_profile, _up_infos):
             assert cache.cache_info().currsize <= 4096
-        # the round trips leave _step_rows well below its bound; the 4,862
-        # Dyck words of semilength 9 drive it past
+        # the round trips leave _step_rows and _factor_plan (one key per
+        # path: the inverse reuses the forward map's plan) well below their
+        # bounds; the 4,862 Dyck words of semilength 9 drive them past
         for steps in _dyck_words(9):
             _step_rows(steps)
-        assert _step_rows.cache_info().currsize <= 4096
+            _factor_plan(steps, "ceil")
+        for cache in (_step_rows, _factor_plan):
+            assert cache.cache_info().currsize <= 4096
         # at most 4 * 65 + 1 shapes are tabulated, so no workload fills these
         # two caches; the bound itself is what keeps them from growing
         for cache in (_span_row, _bound_row):
@@ -445,7 +465,7 @@ class TestInvertFactor:
         # passes it on): the bottom word reads rise 4 at weight -1, and the
         # inverse stops there, before any row is read at that weight
         steps, image = "UUDUDD", (1, 3, 2, 5, 4, 6)
-        read = dict((info.pos, w) for info, w in _read_off(steps, image[0::2], "ceil"))
+        read = _read_off(steps, image, "ceil")[0]
         assert read[4] == -1
         assert _invert_factor(steps, image, "ceil") == []
         assert image not in _image_table(steps, "ceil")
@@ -459,10 +479,60 @@ class TestInvertFactor:
                     continue
                 h = _height_profile(steps)
                 rises = [i for i, s in enumerate(steps, start=1) if s == UP]
-                for target, rule in itertools.product(itertools.permutations(rises),
-                                                      ("ceil", SPLIT_FLOOR)):
-                    for info, w in _read_off(steps, target, rule):
-                        assert w is None or w <= min(h[info.pos - 1], h[info.pos])
+                falls = [i for i, s in enumerate(steps, start=1) if s != UP]
+                for bot, top, rule in itertools.product(itertools.permutations(rises),
+                                                        itertools.permutations(falls),
+                                                        ("ceil", SPLIT_FLOOR)):
+                    image = tuple(v for pair in zip(bot, top) for v in pair)
+                    read = _read_off(steps, image, rule)[0]
+                    for pos, w in enumerate(read[1:-1], start=1):
+                        assert w is None or w <= min(h[pos - 1], h[pos])
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and text of the error it raises."""
+    try:
+        return f(*args)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+class TestPlanEqualsPerFrameReference:
+    """The plan-driven forward map and inverse against the per-frame
+    construction they replaced (`oracles.per_frame_map_factor` and
+    `per_frame_from_permutation`)."""
+
+    @pytest.mark.parametrize("rule", ["ceil", SPLIT_FLOOR])
+    def test_map_factor_small(self, rule):
+        mapped = 0
+        for n in range(1, 6):
+            for x in enumerate_weighted(n):
+                if len(factor_spans(x.steps)) == 1:
+                    mapped += 1
+                    assert (_outcome(_map_factor, x.steps, x.weights, rule)
+                            == _outcome(per_frame_map_factor, x.steps, x.weights, rule))
+        assert mapped == 5249
+
+    @pytest.mark.parametrize("rule", ["ceil", SPLIT_FLOOR])
+    def test_map_factor_tall_paths(self, rule):
+        rng = random.Random(71)
+        for steps in TALL_WORDS:
+            for _ in range(5):
+                x = random_weighting(rng, steps)
+                assert (_map_factor(x.steps, x.weights, rule)
+                        == per_frame_map_factor(x.steps, x.weights, rule))
+
+    @pytest.mark.parametrize("rule", ["ceil", SPLIT_FLOOR])
+    def test_inverse_on_every_up_down_permutation(self, rule):
+        # results, and error types and texts, on all 1,453 up-down
+        # permutations of size <= 8, images and non-images alike
+        seen = 0
+        for size in range(9):
+            for p in filter(is_up_down, itertools.permutations(range(1, size + 1))):
+                seen += 1
+                assert (_outcome(from_permutation, p, rule)
+                        == _outcome(per_frame_from_permutation, p, rule))
+        assert seen == 1453
 
 
 class TestBruteInverse:

@@ -80,6 +80,21 @@ class TestEnumerate:
         assert code == 0
         assert len(out.splitlines()) == 5
 
+    @pytest.mark.parametrize("family", ["wd", "perm"])
+    def test_limit_zero_prints_nothing(self, capsys, family):
+        code, out, _ = run(capsys, "enumerate", "--family", family, "--n", "2",
+                           "--limit", "0")
+        assert (code, out) == (0, "")
+
+    @pytest.mark.parametrize("family, size", [("wd", 5), ("perm", 5)])
+    def test_limit_above_the_family_size(self, capsys, family, size):
+        code, out, _ = run(capsys, "enumerate", "--family", family, "--n", "2",
+                           "--limit", "100")
+        full = run(capsys, "enumerate", "--family", family, "--n", "2")[1]
+        assert code == 0
+        assert out == full
+        assert len(out.splitlines()) == size
+
     def test_negative_n_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["enumerate", "--family", "wd", "--n", "-1"])

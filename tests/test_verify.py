@@ -293,10 +293,16 @@ class TestInsertionSuitesEqualPerPathReference:
     def test_records(self, monkeypatch, suite, reference, rule, perturb):
         if perturb:
             # the suites and the references read rises through these two
-            # bindings, so both see the same faulty jump rule
+            # bindings, and the insertion runs through plans built from the
+            # first, so all see the same faulty jump rule; no plan built
+            # from it may outlive the test
             fake = _perturbed_up_infos(bijection._up_infos)
             monkeypatch.setattr(bijection, "_up_infos", fake)
             monkeypatch.setattr(verify, "_up_infos", fake)
-        report = run_suite(suite, 5, rule=rule)
-        assert (report.verdict == "fail") == perturb
-        assert (report.checked, list(report.failures)) == reference(5, rule)
+        bijection._factor_plan.cache_clear()
+        try:
+            report = run_suite(suite, 5, rule=rule)
+            assert (report.verdict == "fail") == perturb
+            assert (report.checked, list(report.failures)) == reference(5, rule)
+        finally:
+            bijection._factor_plan.cache_clear()
