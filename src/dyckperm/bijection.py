@@ -426,14 +426,13 @@ def parking_to_123_avoiding(pf: ParkingFunction) -> tuple[int, ...]:
 
 def _read_off(steps: str, image: tuple[int, ...], rule: str
               ) -> tuple[list[Optional[int]], list[_PlanRise], list[_PlanRise]]:
-    """Undo both insertion runs of `steps` whose words `image` (standardized
-    to 1..len(steps)) holds: the padded weights w[0..m+1], None at a jump,
-    and the plan records of the jumps and of the non-jumps.  Later
-    insertions never reorder earlier letters, so a rise's index is the
-    number of earlier rises of its frame before it in the target, and a
-    non-jump never lands at the front (the insertion_lemma suite checks
-    this).  A top letter ranks by its place in `image` negated, as the
-    mirrored frame builds the top word backwards."""
+    """Undo both insertion runs of `steps` that build `image` (standardized):
+    the padded weights w[0..m+1], None at a jump, and the plan records of
+    the jumps and of the non-jumps.  Later insertions never reorder earlier
+    letters, so a rise's index is the number of earlier rises of its frame
+    before it in the target, and a non-jump never lands at the front (the
+    insertion_lemma suite checks this).  A top letter ranks by its place in
+    `image` negated: the mirrored frame builds the top word backwards."""
     m = len(steps)
     rank = [0] * (m + 1)
     for i, v in enumerate(image):
@@ -457,9 +456,8 @@ def _read_off(steps: str, image: tuple[int, ...], rule: str
 
 def _follow_chains(w: list[Optional[int]], jumps: list[_PlanRise]) -> None:
     """Set each jump whose chain of neighbours reaches a set weight to its
-    bound.  A jump reads the step before or after it, and a chain that turns
-    back has closed, so a sweep from the left and one from the right meet
-    every jump after the neighbour it reads."""
+    bound.  A jump reads an adjacent step and a chain that turns back has
+    closed, so sweeps from the left and the right follow every chain."""
     order = sorted(jumps)
     for s, nb, _, bounds in order + order[::-1]:
         if w[nb] is not None:
