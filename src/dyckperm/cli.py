@@ -187,8 +187,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 1
-    except (ValueError, bijection.InternalConsistencyError,
-            bijection.InsertionOverflowError) as exc:
+    except (ValueError, bijection.InternalConsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

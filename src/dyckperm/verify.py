@@ -16,17 +16,13 @@ from dataclasses import dataclass
 from math import factorial
 from typing import Iterator, Optional
 
+# the kernel is read through its module, so a fault patched into it reaches
+# the suites too
+from . import _insertion
 from .bijection import (
     SPLIT_CEIL,
-    InsertionOverflowError,
     InternalConsistencyError,
-    _bottom_word,
-    _brute_weights,
-    _flatten_run,
-    _image_table,
-    _left_count,
-    _run_insertion,
-    _up_infos,
+    ParkingFunction,
     from_permutation,
     parking_to_123_avoiding,
     to_permutation,
@@ -151,7 +147,7 @@ def _word_images(word: str, rule: str
     two of whose weightings share an image, which happens under the floor
     split, has no table; its paths are mapped one by one instead."""
     try:
-        table = _image_table(word, rule)
+        table = _insertion._image_table(word, rule)
     except InternalConsistencyError:
         for wd in enumerate_weightings(DyckPath(word)):
             yield wd.weights, to_permutation(wd, rule).perm
@@ -177,7 +173,7 @@ def top_word_direct(wd: WeightedDyckPath, rule: str = SPLIT_CEIL) -> tuple[int, 
     h = heights(wd)
     m = len(wd)
     runs = [r for r in _runs(wd.path.steps) if r.kind == DOWN]
-    cut = _left_count(len(runs), rule)
+    cut = _insertion._left_count(len(runs), rule)
     word: list[int] = []
     falls_right = 0  # falls strictly right of the slope
     # the s-th down slope from the right takes the s-th up slope's half
@@ -279,7 +275,7 @@ def _suite_roundtrip(cap: int, rule: str) -> tuple[int, list[dict]]:
     for n in range(cap + 1):
         for word in _dyck_words(n):
             try:
-                table = _image_table(word, rule)
+                table = _insertion._image_table(word, rule)
             except InternalConsistencyError as exc:
                 failures.append(_fail(word, "weightings with distinct images", str(exc)))
                 continue
@@ -294,8 +290,8 @@ def _suite_roundtrip(cap: int, rule: str) -> tuple[int, list[dict]]:
                 if (back.path.steps, back.weights) != (word, weights):
                     text = _path_text(word, weights)
                     failures.append(_fail(text, text, serialize_path(back)))
-                bottom = _bottom_word(sigma)
-                brute = _brute_weights(sigma, bottom, rule)
+                bottom = _insertion._bottom_word(sigma)
+                brute = _insertion._brute_weights(sigma, bottom, rule)
                 if (bottom, brute) != (word, weights):
                     text = _path_text(word, weights)
                     failures.append(_fail(text, text,
@@ -427,13 +423,13 @@ def _suite_insertion_lemma(cap: int, rule: str) -> tuple[int, list[dict]]:
             m = len(word)
             rows = _step_rows(word)
             mirror_rows = _step_rows(_reflected_steps(word))
-            infos = _up_infos(word, rule)
+            infos = _insertion._up_infos(word, rule)
             for wd in enumerate_weightings(DyckPath(word)):
                 checked += 1
                 weights = wd.weights
                 try:
-                    _run_insertion(word, weights, rule, want_trace=False)
-                except InsertionOverflowError as exc:
+                    _insertion._run_insertion(word, weights, rule, want_trace=False)
+                except InternalConsistencyError as exc:
                     failures.append(_fail(serialize_path(wd), "no insertion overflow", str(exc)))
                     continue
                 prev_shift = 0
@@ -482,7 +478,7 @@ def _suite_transformation(cap: int, rule: str) -> tuple[int, list[dict]]:
         for wd in _irreducible(n):
             checked += 1
             try:
-                word, pf = _flatten_run(wd.path.steps, wd.weights, rule)
+                word, pf = _insertion._flatten_run(wd.path.steps, wd.weights, rule)
             except Exception as exc:  # noqa: BLE001
                 failures.append(_fail(serialize_path(wd), "a valid parking function", str(exc)))
                 continue
@@ -510,8 +506,6 @@ def _parking_functions(n: int) -> Iterator[tuple[int, ...]]:
 
 
 def _suite_parking(cap: int, rule: str) -> tuple[int, list[dict]]:
-    from .bijection import ParkingFunction
-
     checked = 0
     failures: list[dict] = []
     for n in range(cap + 1):
@@ -538,8 +532,8 @@ def _suite_topword(cap: int, rule: str) -> tuple[int, list[dict]]:
     for n in range(cap + 1):
         for wd in _irreducible(n):
             checked += 1
-            raw, _ = _run_insertion(_reflected_steps(wd.path.steps),
-                                    wd.weights[::-1], rule, want_trace=False)
+            raw, _ = _insertion._run_insertion(_reflected_steps(wd.path.steps),
+                                               wd.weights[::-1], rule, want_trace=False)
             via_reflection = schutzenberger_word(raw, len(wd))
             direct = top_word_direct(wd, rule)
             if direct != via_reflection:

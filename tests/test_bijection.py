@@ -6,19 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dyckperm._insertion import (
+    _bound_row,
+    _factor_plan,
+    _follow_chains,
+    _image_table,
+    _invert_factor,
+    _read_off,
+    _up_infos,
+)
 from dyckperm.bijection import (
     LEFT,
     RIGHT,
     SPLIT_FLOOR,
     NotInImageError,
     ParkingFunction,
-    _bound_row,
-    _factor_plan,
-    _image_table,
-    _invert_factor,
-    _map_factor,
-    _read_off,
-    _up_infos,
     bottom_traces,
     flatten_to_single_slope,
     from_permutation,
@@ -60,8 +62,7 @@ from .conftest import EXAMPLE14_IMAGE, EXAMPLE14_TEXT
 from .oracles import (
     brute_heights,
     brute_pair_ok,
-    per_frame_from_permutation,
-    per_frame_map_factor,
+    contains_1234_naive,
     word_weighting_count,
 )
 
@@ -369,8 +370,19 @@ class TestInverse:
             from_permutation((2, 1))
 
     def test_rejects_pattern_container(self):
-        with pytest.raises(NotInImageError, match="increasing subsequence"):
-            from_permutation((1, 4, 2, 5, 3, 6))
+        # every up-down permutation of size <= 8 outside the family contains
+        # 1234, the first membership check it fails; both inverses say so
+        rejected = 0
+        for size in range(0, 9, 2):
+            for p in filter(is_up_down, itertools.permutations(range(1, size + 1))):
+                if contains_1234_naive(p):
+                    rejected += 1
+                    for invert in (from_permutation, from_permutation_brute):
+                        with pytest.raises(NotInImageError) as exc:
+                            invert(p)
+                        assert str(exc.value) == ("not in image: contains an "
+                                                  "increasing subsequence of length 4")
+        assert rejected == 1453 - 511  # up-down permutations minus avoiders
 
     def test_rejects_non_permutation(self):
         with pytest.raises(ValueError, match="not a permutation"):
@@ -472,7 +484,10 @@ class TestInvertFactor:
 
     def test_read_off_weights_never_exceed_the_lower_height(self):
         # the bound the docstring of _invert_factor proves, on every pair of
-        # rise and fall orders of the irreducible words of semilength <= 4
+        # rise and fall orders of the irreducible words of semilength <= 4,
+        # and where it proves two jumps can read each other: only under
+        # floor, across the peak atop up slope (k + 1) / 2 of k
+        closed = 0
         for n in range(1, 5):
             for steps in _dyck_words(n):
                 if len(factor_spans(steps)) > 1:
@@ -480,59 +495,22 @@ class TestInvertFactor:
                 h = _height_profile(steps)
                 rises = [i for i, s in enumerate(steps, start=1) if s == UP]
                 falls = [i for i, s in enumerate(steps, start=1) if s != UP]
+                peaks = [i for i in rises if steps[i] != UP]
+                middle = peaks[len(peaks) // 2] if len(peaks) % 2 else None
                 for bot, top, rule in itertools.product(itertools.permutations(rises),
                                                         itertools.permutations(falls),
                                                         ("ceil", SPLIT_FLOOR)):
                     image = tuple(v for pair in zip(bot, top) for v in pair)
-                    read = _read_off(steps, image, rule)[0]
+                    read, jumps, _ = _read_off(steps, image, rule)
                     for pos, w in enumerate(read[1:-1], start=1):
                         assert w is None or w <= min(h[pos - 1], h[pos])
-
-
-def _outcome(f, *args):
-    """f(*args), or the type and text of the error it raises."""
-    try:
-        return f(*args)
-    except (ValueError, RuntimeError) as exc:
-        return type(exc), str(exc)
-
-
-class TestPlanEqualsPerFrameReference:
-    """The plan-driven forward map and inverse against the per-frame
-    construction they replaced (`oracles.per_frame_map_factor` and
-    `per_frame_from_permutation`)."""
-
-    @pytest.mark.parametrize("rule", ["ceil", SPLIT_FLOOR])
-    def test_map_factor_small(self, rule):
-        mapped = 0
-        for n in range(1, 6):
-            for x in enumerate_weighted(n):
-                if len(factor_spans(x.steps)) == 1:
-                    mapped += 1
-                    assert (_outcome(_map_factor, x.steps, x.weights, rule)
-                            == _outcome(per_frame_map_factor, x.steps, x.weights, rule))
-        assert mapped == 5249
-
-    @pytest.mark.parametrize("rule", ["ceil", SPLIT_FLOOR])
-    def test_map_factor_tall_paths(self, rule):
-        rng = random.Random(71)
-        for steps in TALL_WORDS:
-            for _ in range(5):
-                x = random_weighting(rng, steps)
-                assert (_map_factor(x.steps, x.weights, rule)
-                        == per_frame_map_factor(x.steps, x.weights, rule))
-
-    @pytest.mark.parametrize("rule", ["ceil", SPLIT_FLOOR])
-    def test_inverse_on_every_up_down_permutation(self, rule):
-        # results, and error types and texts, on all 1,453 up-down
-        # permutations of size <= 8, images and non-images alike
-        seen = 0
-        for size in range(9):
-            for p in filter(is_up_down, itertools.permutations(range(1, size + 1))):
-                seen += 1
-                assert (_outcome(from_permutation, p, rule)
-                        == _outcome(per_frame_from_permutation, p, rule))
-        assert seen == 1453
+                    _follow_chains(read, jumps)
+                    reads = {s: nb for s, nb, *_ in jumps if read[s] is None}
+                    pairs = [s for s, nb in reads.items() if s < nb and reads.get(nb) == s]
+                    allowed = middle if rule == SPLIT_FLOOR else None
+                    assert pairs == ([allowed] if reads else [])
+                    closed += bool(reads)
+        assert closed
 
 
 class TestBruteInverse:

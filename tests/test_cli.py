@@ -8,7 +8,7 @@ import pytest
 
 import dyckperm
 from dyckperm import bijection
-from dyckperm.bijection import InsertionOverflowError, InternalConsistencyError
+from dyckperm.bijection import InternalConsistencyError
 from dyckperm.cli import main, render_ascii
 from dyckperm.paths import parse_path
 
@@ -143,11 +143,9 @@ class TestMap:
         assert (code, out) == (1, "")
         assert "malformed weight" in err
 
-    @pytest.mark.parametrize("exc", [InternalConsistencyError("boom"),
-                                     InsertionOverflowError("boom", ())])
-    def test_internal_error_is_an_error_line(self, capsys, monkeypatch, exc):
+    def test_internal_error_is_an_error_line(self, capsys, monkeypatch):
         def broken(*args, **kwargs):
-            raise exc
+            raise InternalConsistencyError("boom")
 
         monkeypatch.setattr(bijection, "to_permutation", broken)
         code, out, err = run(capsys, "map", "UD;0,0")
@@ -242,17 +240,21 @@ class TestVerify:
 
     def test_floor_roundtrip_records_shared_image(self, capsys):
         # two weightings of UUUDDD share an image under the floor split, so
-        # the brute-force table of that word cannot be built
+        # the brute-force table of that word cannot be built, nor that of a
+        # word with UUUDDD as a factor: its record names the whole word
         code, out, err = run(capsys, "verify", "--suite", "roundtrip",
-                             "--max-n", "3", "--split-rule", "floor")
+                             "--max-n", "4", "--split-rule", "floor")
         record = json.loads(out)
         assert (code, err) == (1, "")
         assert record["verdict"] == "fail"
         assert record["failures"] == [{
-            "input": "UUUDDD",
+            "input": word,
             "expected": "weightings with distinct images",
-            "actual": "two weightings of UUUDDD share the image (3, 5, 1, 6, 2, 4)",
-        }]
+            "actual": f"two weightings of {word} share the image {image}",
+        } for word, image in (("UUUDDD", (3, 5, 1, 6, 2, 4)),
+                              ("UUUUDDDD", (4, 6, 2, 8, 1, 7, 3, 5)),
+                              ("UUUDDDUD", (7, 8, 3, 5, 1, 6, 2, 4)),
+                              ("UDUUUDDD", (5, 7, 3, 8, 4, 6, 1, 2)))]
         code, out, _ = run(capsys, "verify", "--suite", "roundtrip", "--max-n", "3")
         assert (code, json.loads(out)["checked"]) == (0, 49)
 

@@ -1,19 +1,14 @@
 import itertools
 import json
+from math import factorial
 
 import pytest
 
-import dyckperm.bijection as bijection
+import dyckperm._insertion as _insertion
 import dyckperm.verify as verify
-from dyckperm.bijection import (
-    SPLIT_CEIL,
-    SPLIT_FLOOR,
-    InternalConsistencyError,
-    _image_table,
-    _map_factor,
-    to_permutation,
-)
-from dyckperm.paths import WeightedDyckPath, _dyck_words, factor_spans, parse_path, serialize_path
+from dyckperm._insertion import _factor_plan, _image_table, _map_factor
+from dyckperm.bijection import SPLIT_FLOOR, to_permutation
+from dyckperm.paths import WeightedDyckPath, factor_spans, parse_path, serialize_path
 from dyckperm.perms import is_up_down
 from dyckperm.verify import (
     DEFAULT_CAPS,
@@ -26,16 +21,7 @@ from dyckperm.verify import (
 )
 
 from .conftest import EXAMPLE14_TEXT
-from .oracles import (
-    brute_dyck_words,
-    per_path_bijectivity,
-    per_path_image_table,
-    per_path_insertion_lemma,
-    per_path_statistic,
-    per_path_transformation,
-    per_permutation_criteria,
-    word_weighting_count,
-)
+from .oracles import brute_descents, brute_dyck_words, contains_1234_naive, word_weighting_count
 
 EX14 = parse_path(EXAMPLE14_TEXT)
 
@@ -142,7 +128,7 @@ class TestSharedImageTable:
             return _map_factor(steps, weights, rule)
 
         _image_table.cache_clear()
-        monkeypatch.setattr(bijection, "_map_factor", counting)
+        monkeypatch.setattr(_insertion, "_map_factor", counting)
         try:
             for suite in ("bijectivity", "roundtrip", "statistic"):
                 assert run_suite(suite, 5).verdict == "pass"
@@ -153,38 +139,6 @@ class TestSharedImageTable:
         assert len(mapped) == len(set(mapped))
         assert len(mapped) == sum(word_weighting_count(w) for w in irreducible) == 5249
         assert {steps for steps, _ in mapped} == set(irreducible)
-
-    @pytest.mark.parametrize("rule", [SPLIT_CEIL, SPLIT_FLOOR])
-    def test_tables_equal_per_path_reference(self, rule):
-        # items and their order, and under floor the error of a word two of
-        # whose weightings share an image; each table is composed afresh
-        _image_table.cache_clear()
-        raised = 0
-        try:
-            for n in range(6):
-                for steps in _dyck_words(n):
-                    try:
-                        want = list(per_path_image_table(steps, rule).items())
-                    except InternalConsistencyError as exc:
-                        raised += 1
-                        with pytest.raises(InternalConsistencyError) as got:
-                            _image_table(steps, rule)
-                        assert str(got.value) == str(exc)
-                        continue
-                    assert list(_image_table(steps, rule).items()) == want
-        finally:
-            _image_table.cache_clear()
-        # 16 of the 65 words at n <= 5 have no table under floor
-        assert raised == (16 if rule == SPLIT_FLOOR else 0)
-
-    @pytest.mark.parametrize("rule", [SPLIT_CEIL, SPLIT_FLOOR])
-    def test_records_equal_per_path_reference(self, rule):
-        # under floor some words have two weightings with one image, and
-        # those words are mapped path by path instead of through the table
-        for suite, reference in (("bijectivity", per_path_bijectivity),
-                                 ("statistic", per_path_statistic)):
-            report = run_suite(suite, 4, rule=rule)
-            assert (report.checked, list(report.failures)) == reference(4, rule)
 
 
 class TestFaultInjection:
@@ -198,13 +152,13 @@ class TestFaultInjection:
             return _map_factor(steps, weights, rule)
 
         # the suite reads images from _image_table, which maps each
-        # irreducible path with bijection._map_factor; the corruption gives
+        # irreducible path with _insertion._map_factor; the corruption gives
         # two weightings of UUDD one image, so that word is mapped path by
         # path with to_permutation, which maps its factor with the same
         # corrupted function.  No table of the corrupted map may outlive
         # the test.
         _image_table.cache_clear()
-        monkeypatch.setattr(bijection, "_map_factor", corrupted)
+        monkeypatch.setattr(_insertion, "_map_factor", corrupted)
         try:
             report = run_suite("bijectivity", 2)
         finally:
@@ -248,7 +202,7 @@ class TestCriteriaGround:
         # both kinds, and size 0
         ((), (1, 2), (2, 1), (1, 3, 2, 5, 4, 6), (6, 5, 4, 3, 2, 1)),
     ])
-    def test_fault_injection_matches_per_permutation_loop(self, monkeypatch, flips):
+    def test_fault_injection_fails_exactly_the_flips(self, monkeypatch, flips):
         real = verify._criteria_verdict
         flipped = set(flips)
 
@@ -257,8 +211,15 @@ class TestCriteriaGround:
 
         monkeypatch.setattr(verify, "_criteria_verdict", corrupted)
         report = run_suite("criteria", 4)
-        assert len(report.failures) == len(flips)
-        assert (report.checked, list(report.failures)) == per_permutation_criteria(4, corrupted)
+        # a rejected member expects True and got False, an accepted
+        # outsider the reverse; by size, then lexicographically
+        want = []
+        for p in sorted(flips, key=lambda p: (len(p), p)):
+            member = brute_descents(p) == set(range(2, len(p), 2)) and not contains_1234_naive(p)
+            want.append({"input": ",".join(map(str, p)),
+                         "expected": str(member), "actual": str(not member)})
+        assert report.checked == sum(factorial(2 * m) for m in range(5))
+        assert list(report.failures) == want
 
     def test_broken_backtracker_is_caught(self, monkeypatch):
         real = verify._up_down_perms
@@ -283,26 +244,31 @@ def _perturbed_up_infos(real):
     return perturbed
 
 
-class TestInsertionSuitesEqualPerPathReference:
-    @pytest.mark.parametrize("perturb", [False, True])
-    @pytest.mark.parametrize("rule", [SPLIT_CEIL, SPLIT_FLOOR])
-    @pytest.mark.parametrize("suite, reference", [
-        ("insertion_lemma", per_path_insertion_lemma),
-        ("transformation", per_path_transformation),
-    ])
-    def test_records(self, monkeypatch, suite, reference, rule, perturb):
-        if perturb:
-            # the suites and the references read rises through these two
-            # bindings, and the insertion runs through plans built from the
-            # first, so all see the same faulty jump rule; no plan built
-            # from it may outlive the test
-            fake = _perturbed_up_infos(bijection._up_infos)
-            monkeypatch.setattr(bijection, "_up_infos", fake)
-            monkeypatch.setattr(verify, "_up_infos", fake)
-        bijection._factor_plan.cache_clear()
+class TestInsertionSuitePerturbation:
+    def test_records_on_small_paths(self, monkeypatch):
+        # UUUDDD;0,...,0 has one up slope, on the left half, so each rise
+        # has shift 0 and off -1; perturbed, rises 1 and 3 have shift 1
+        # and off 0.  Rise 2's shift 0 is below rise 1's.  Rise 3 (bound:
+        # rise 2's weight 0; 2 rises before it) may weigh 0..2 next to
+        # weights 0, so its non-jumping weights 1 and 2 land at distances
+        # 1 and 2, and 2 is not below 2.  On UUDD both rises are perturbed,
+        # and rise 2 at weight 1 misses its bound 0, so it flattens to
+        # 1 + shift 1 = 2 at index 1.  The plans read the rises through the
+        # kernel, so no plan built from the fault may outlive the test.
+        monkeypatch.setattr(_insertion, "_up_infos", _perturbed_up_infos(_insertion._up_infos))
+        _factor_plan.cache_clear()
         try:
-            report = run_suite(suite, 5, rule=rule)
-            assert (report.verdict == "fail") == perturb
-            assert (report.checked, list(report.failures)) == reference(5, rule)
+            lemma = run_suite("insertion_lemma", 3)
+            flattening = run_suite("transformation", 2)
         finally:
-            bijection._factor_plan.cache_clear()
+            _factor_plan.cache_clear()
+        path = "UUUDDD;0,0,0,0,0,0"
+        assert [f for f in lemma.failures if f["input"] == path] == [
+            {"input": path, "expected": "non-decreasing shifts", "actual": "rise 2"},
+            {"input": path, "expected": "feasible weight 2 of rise 3 lands in [0,2)",
+             "actual": "distance 2"},
+        ]
+        assert list(flattening.failures) == [
+            {"input": f"UUDD;0,1,{w},0", "expected": "a valid parking function",
+             "actual": f"flattening UUDD;0,1,{w},0 produced a non-parking sequence [0, 2]"}
+            for w in (0, 1)]
