@@ -12,6 +12,7 @@ from dyckperm._insertion import (
     _follow_chains,
     _image_table,
     _invert_factor,
+    _map_factor,
     _read_off,
     _up_infos,
 )
@@ -60,9 +61,12 @@ from dyckperm.perms import (
 
 from .conftest import EXAMPLE14_IMAGE, EXAMPLE14_TEXT
 from .oracles import (
+    brute_descents,
     brute_heights,
     brute_pair_ok,
     contains_1234_naive,
+    lex_weightings,
+    naive_lis,
     word_weighting_count,
 )
 
@@ -511,6 +515,92 @@ class TestInvertFactor:
                     assert pairs == ([allowed] if reads else [])
                     closed += bool(reads)
         assert closed
+
+
+def _up_slopes(steps):
+    return sum(1 for i, s in enumerate(steps) if s == UP and (i == 0 or steps[i - 1] != UP))
+
+
+class TestPlanAgainstSpec:
+    """The plan-driven forward map and inverse against the paper's
+    statements, not against the code they replaced: an image is an up-down
+    permutation whose bottom letters are the path's rises, under ceil the
+    images of one word are distinct avoiders of 1234, the floor split moves
+    only words with an odd number of up slopes, and the inverse finds
+    exactly the weightings of the bottom word that map to p."""
+
+    @pytest.mark.parametrize("rule", ["ceil", SPLIT_FLOOR])
+    def test_map_factor_small(self, rule):
+        mapped = moved = outside = 0
+        for n in range(1, 6):
+            for steps in _dyck_words(n):
+                if len(factor_spans(steps)) > 1:
+                    continue
+                rises = [i for i, s in enumerate(steps, start=1) if s == UP]
+                images = set()
+                for weights in lex_weightings(steps):
+                    mapped += 1
+                    p = _map_factor(steps, weights, rule)
+                    assert sorted(p) == list(range(1, 2 * n + 1))
+                    assert brute_descents(p) == set(range(2, 2 * n, 2))
+                    assert sorted(p[0::2]) == rises
+                    images.add(p)
+                    outside += contains_1234_naive(p)
+                    if p != _map_factor(steps, weights, "ceil"):
+                        assert _up_slopes(steps) % 2
+                        moved += 1
+                if rule == "ceil":
+                    assert len(images) == word_weighting_count(steps)
+        assert mapped == 5249
+        # machine-decided: under floor 2,215 images move, 423 out of the family
+        assert (moved, outside) == ((2215, 423) if rule == SPLIT_FLOOR else (0, 0))
+
+    @pytest.mark.parametrize("rule", ["ceil", SPLIT_FLOOR])
+    def test_map_factor_tall_paths(self, rule):
+        # every factor of these words has an even number of up slopes or a
+        # single weighting, so both rules map them into the family
+        rng = random.Random(71)
+        for steps in TALL_WORDS:
+            rises = [i for i, s in enumerate(steps, start=1) if s == UP]
+            for _ in range(5):
+                x = random_weighting(rng, steps)
+                p = to_permutation(x, rule).perm
+                assert brute_descents(p) == set(range(2, len(p), 2))
+                assert sorted(p[0::2]) == rises
+                assert naive_lis(p) <= 3
+                assert from_permutation(p, rule) == x
+
+    @pytest.mark.parametrize("rule", ["ceil", SPLIT_FLOOR])
+    def test_inverse_on_every_up_down_permutation(self, rule):
+        # all 1,453 up-down permutations of size <= 8, images and
+        # non-images alike; a permutation containing 1234 is rejected
+        # before its bottom word is read (test_rejects_pattern_container)
+        tables: dict = {}
+        seen = images = 0
+        for size in range(0, 9, 2):
+            for p in filter(is_up_down, itertools.permutations(range(1, size + 1))):
+                seen += 1
+                if contains_1234_naive(p):
+                    continue
+                word = "".join(UP if i in p[0::2] else "D" for i in range(1, size + 1))
+                # an avoider's bottom letters always mark a Dyck path
+                assert min(brute_heights(word)) == 0
+                if word not in tables:
+                    tables[word] = defaultdict(list)
+                    for w in lex_weightings(word):
+                        tables[word][to_permutation(wd(word, w), rule).perm].append(w)
+                found = tables[word].get(p, [])
+                if len(found) == 1:
+                    images += 1
+                    assert from_permutation(p, rule) == wd(word, found[0])
+                elif not found:
+                    with pytest.raises(NotInImageError, match="no weighting of"):
+                        from_permutation(p, rule)
+                else:
+                    with pytest.raises(ValueError, match=f"ambiguous: {len(found)} weighted"):
+                        from_permutation(p, rule)
+        assert seen == 1453
+        assert images == (511 if rule == "ceil" else 394)
 
 
 class TestBruteInverse:

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import dyckperm
-from dyckperm import bijection
+from dyckperm import _insertion, bijection
 from dyckperm.bijection import InternalConsistencyError
 from dyckperm.cli import main, render_ascii
 from dyckperm.paths import parse_path
@@ -150,6 +150,21 @@ class TestMap:
         monkeypatch.setattr(bijection, "to_permutation", broken)
         code, out, err = run(capsys, "map", "UD;0,0")
         assert (code, out, err) == (1, "", "error: boom\n")
+
+    def test_insertion_overflow_is_an_error_line(self, capsys, monkeypatch):
+        # plans whose offsets are pushed past every word: rise 1 of
+        # UUDD;0,1,1,0 jumps, so rise 2 is the first to insert, and overflows
+        real = _insertion._factor_plan
+
+        def overflowing(steps, rule):
+            return tuple(tuple((step, nb, off + len(steps) + 1, bounds)
+                               for step, nb, off, bounds in frame)
+                         for frame in real(steps, rule))
+
+        monkeypatch.setattr(_insertion, "_factor_plan", overflowing)
+        code, out, err = run(capsys, "map", "UUDD;0,1,1,0")
+        assert (code, out) == (1, "")
+        assert err == "error: insertion overflow at rise 2: distance 5 with word length 1\n"
 
 
 class TestInvert:

@@ -1,5 +1,6 @@
 import itertools
 import json
+from collections import Counter, defaultdict
 from math import factorial
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 import dyckperm._insertion as _insertion
 import dyckperm.verify as verify
 from dyckperm._insertion import _factor_plan, _image_table, _map_factor
-from dyckperm.bijection import SPLIT_FLOOR, to_permutation
+from dyckperm.bijection import SPLIT_CEIL, SPLIT_FLOOR, InternalConsistencyError, to_permutation
 from dyckperm.paths import WeightedDyckPath, factor_spans, parse_path, serialize_path
 from dyckperm.perms import is_up_down
 from dyckperm.verify import (
@@ -21,7 +22,15 @@ from dyckperm.verify import (
 )
 
 from .conftest import EXAMPLE14_TEXT
-from .oracles import brute_descents, brute_dyck_words, contains_1234_naive, word_weighting_count
+from .oracles import (
+    brute_descents,
+    brute_dyck_words,
+    brute_heights,
+    closed_form,
+    contains_1234_naive,
+    lex_weightings,
+    word_weighting_count,
+)
 
 EX14 = parse_path(EXAMPLE14_TEXT)
 
@@ -140,6 +149,78 @@ class TestSharedImageTable:
         assert len(mapped) == sum(word_weighting_count(w) for w in irreducible) == 5249
         assert {steps for steps, _ in mapped} == set(irreducible)
 
+    @pytest.mark.parametrize("rule", [SPLIT_CEIL, SPLIT_FLOOR])
+    def test_tables_list_every_weighting(self, rule):
+        # items and their order, and under floor the error of a word two of
+        # whose weightings share an image; each table is composed afresh
+        _image_table.cache_clear()
+        raised = 0
+        try:
+            for n in range(6):
+                for steps in brute_dyck_words(n):
+                    items = [(to_permutation(WeightedDyckPath.from_steps(steps, w), rule).perm, w)
+                             for w in lex_weightings(steps)]
+                    images = [p for p, _ in items]
+                    repeats = [p for i, p in enumerate(images) if p in images[:i]]
+                    if repeats:
+                        raised += 1
+                        with pytest.raises(InternalConsistencyError) as got:
+                            _image_table(steps, rule)
+                        assert str(got.value) == (f"two weightings of {steps} "
+                                                  f"share the image {repeats[0]}")
+                    else:
+                        assert list(_image_table(steps, rule).items()) == items
+        finally:
+            _image_table.cache_clear()
+        # 16 of the 65 words at n <= 5 have no table under floor
+        assert raised == (16 if rule == SPLIT_FLOOR else 0)
+
+    @pytest.mark.parametrize("rule", [SPLIT_CEIL, SPLIT_FLOOR])
+    def test_records_follow_from_the_images(self, rule):
+        # at n <= 4, from the image of every weighting and the avoiders
+        # filtered by definition: each repeat of an image is one record
+        # naming an earlier path with that image, each avoider no path hits
+        # is one, and so is each image outside the family; the bottom
+        # letters are the rises whatever the rule
+        statistic = run_suite("statistic", 4, rule=rule)
+        bijectivity = run_suite("bijectivity", 4, rule=rule)
+        paths = sum(closed_form(n) for n in range(5))
+        assert (statistic.checked, statistic.failures) == (paths, ())
+        assert bijectivity.checked == 2 * paths
+        hits: dict = defaultdict(set)
+        want: Counter = Counter()
+        for n in range(5):
+            images = set()
+            for steps in brute_dyck_words(n):
+                for w in lex_weightings(steps):
+                    x = WeightedDyckPath.from_steps(steps, w)
+                    p = to_permutation(x, rule).perm
+                    want[("repeat", p)] += p in images
+                    images.add(p)
+                    hits[p].add(serialize_path(x))
+            avoiders = {p for p in itertools.permutations(range(1, 2 * n + 1))
+                        if brute_descents(p) == set(range(2, 2 * n, 2))
+                        and not contains_1234_naive(p)}
+            want.update(("missed", p) for p in avoiders - images)
+            want.update(("outside", p) for p in images - avoiders)
+        got: Counter = Counter()
+        for f in bijectivity.failures:
+            if f["expected"] == "a fresh image":
+                image, earlier = f["actual"].split(" already hit by ")
+                p = tuple(map(int, image.split(",")))
+                assert f["input"] != earlier and {f["input"], earlier} <= hits[p]
+                got[("repeat", p)] += 1
+            elif f["expected"] == "hit by some weighted path":
+                assert f["actual"] == "missed"
+                got[("missed", tuple(map(int, f["input"].split(","))))] += 1
+            else:
+                assert f["expected"] == "an up-down permutation avoiding 1234"
+                p = tuple(map(int, f["actual"].split(",")))
+                assert f["input"] in hits[p]
+                got[("outside", p)] += 1
+        assert got == +want
+        assert bool(+want) == (rule == SPLIT_FLOOR)
+
 
 class TestFaultInjection:
     def test_bijectivity_catches_a_corrupted_map(self, monkeypatch):
@@ -245,6 +326,16 @@ def _perturbed_up_infos(real):
 
 
 class TestInsertionSuitePerturbation:
+    @pytest.mark.parametrize("rule", [SPLIT_CEIL, SPLIT_FLOOR])
+    @pytest.mark.parametrize("suite", ["insertion_lemma", "transformation"])
+    def test_unperturbed_suites_pass(self, suite, rule):
+        # the control: each suite checks every irreducible weighted path
+        # of semilength <= 5 once, the empty path among them, and passes
+        irreducible = sum(word_weighting_count(w) for n in range(6) for w in brute_dyck_words(n)
+                          if 0 not in brute_heights(w)[1:-1])
+        report = run_suite(suite, 5, rule=rule)
+        assert (report.verdict, report.checked, report.failures) == ("pass", irreducible, ())
+
     def test_records_on_small_paths(self, monkeypatch):
         # UUUDDD;0,...,0 has one up slope, on the left half, so each rise
         # has shift 0 and off -1; perturbed, rises 1 and 3 have shift 1
