@@ -11,8 +11,8 @@ feasible value triggers the jump); a non-jumping position u lands
 half), where shift counts the falls left of u's slope.  The top word is the
 same construction run on the mirrored path, read back through the alphabet
 reversal.  Reducible paths map factor by factor, composing the images with
-the shifted concatenation in reverse factor order, which makes the set of
-bottom letters equal the set of rise positions.
+the shifted concatenation in reverse factor order (`_compose`), which makes
+the set of bottom letters equal the set of rise positions.
 
 The inverse undoes the insertions one rise at a time, from one cached plan
 per word that the forward map reads too.  A rise's insertion index is the
@@ -38,7 +38,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import chain, islice, product
+from operator import gt, lt
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .paths import (
@@ -57,7 +58,6 @@ from .paths import (
     enumerate_weightings,
     factor_spans,
 )
-from .perms import assemble, shifted_concat
 
 SPLIT_CEIL = "ceil"
 SPLIT_FLOOR = "floor"
@@ -196,62 +196,91 @@ class InsertionStep(NamedTuple):
 InsertionTrace = tuple[InsertionStep, ...]
 
 
-def _insert(frame: tuple[_PlanRise, ...], w: Sequence[int],
-            infos: Optional[tuple[_UpInfo, ...]] = None
-            ) -> tuple[tuple[int, ...], InsertionTrace]:
-    """The insertion run of one frame of a `_factor_plan` on the padded
-    weights `w`, and with the frame's `_up_infos` records, its trace.  Every
-    public entry point validates its path first, and the insertion lemma
-    then keeps each distance inside the word, so the range check guards
-    against a bug, not bad input."""
+def _insert(frame: tuple[_PlanRise, ...], w: Sequence[int]) -> list[int]:
+    """The word the insertion run of one frame of a `_factor_plan` builds on
+    the padded weights `w`.  Every public entry point validates its path
+    first, and the insertion lemma then keeps each distance inside the
+    word, so the range check guards against a bug, not bad input."""
     word: list[int] = []
-    trace: list[InsertionStep] = []
     for step, nb, off, bounds in frame:
         x = w[step]
         if x == bounds[w[nb]]:
             word.insert(0, step)
-            dist = None
         else:
             dist = x + off
             if dist < 0 or dist > len(word):
                 raise InternalConsistencyError(f"insertion overflow at rise {step}: distance "
                                                f"{dist} with word length {len(word)}")
             word.insert(len(word) - dist, step)
-        if infos is not None:
-            info = infos[len(trace)]  # one record per rise inserted so far
-            trace.append(InsertionStep(step, x, info.slope, info.membership,
-                                       info.shift, dist is None, dist, tuple(word)))
-    return tuple(word), tuple(trace)
+    return word
 
 
 def _run_insertion(steps: str, weights: Sequence[int], rule: str,
                    want_trace: bool) -> tuple[tuple[int, ...], InsertionTrace]:
-    return _insert(_factor_plan(steps, rule)[0], (0, *weights, 0),
-                   _up_infos(steps, rule) if want_trace else None)
+    """The bottom word of one irreducible factor, and with `want_trace` its
+    trace, read off the finished word: an insertion never moves a letter
+    already placed, so the word after the k-th insertion is the finished
+    word restricted to the first k rises."""
+    frame = _factor_plan(steps, rule)[0]
+    w = (0, *weights, 0)
+    word = tuple(_insert(frame, w))
+    if not want_trace:
+        return word, ()
+    placed_at = {rise[0]: k for k, rise in enumerate(frame)}
+    trace: list[InsertionStep] = []
+    for k, (info, (step, nb, off, bounds)) in enumerate(zip(_up_infos(steps, rule), frame)):
+        x = w[step]
+        jumped = x == bounds[w[nb]]
+        trace.append(InsertionStep(step, x, info.slope, info.membership, info.shift, jumped,
+                                   None if jumped else x + off,
+                                   tuple(v for v in word if placed_at[v] <= k)))
+    return word, tuple(trace)
 
 
 def _map_factor(steps: str, weights: tuple[int, ...], rule: str) -> tuple[int, ...]:
-    """The image of one irreducible factor; the mirrored frame of its plan
-    builds the top word backwards, in the path's own step numbers."""
+    """The image of one irreducible factor: the bottom word interleaved
+    with the top word, which the mirrored frame of the plan builds
+    backwards, in the path's own step numbers.
+
+    The letters partition 1..len(steps) by construction: the bottom frame
+    inserts each rise exactly once, and the mirrored frame each fall.  So
+    the one runtime check is the up-down shape, a guard against a bug."""
     bottom, top = _factor_plan(steps, rule)
     w = (0, *weights, 0)
-    bot, raw = _insert(bottom, w)[0], _insert(top, w)[0]
-    try:
-        return assemble(bot, raw[::-1]).perm
-    except ValueError as exc:
+    bot = _insert(bottom, w)
+    tops = _insert(top, w)[::-1]
+    if len(bot) != len(tops) or not (all(map(lt, bot, tops))
+                                     and all(map(gt, tops, islice(bot, 1, None)))):
         raise InternalConsistencyError(
-            f"assembly failed for {steps};{','.join(map(str, weights))}: {exc}"
-        ) from exc
+            f"assembly failed for {steps};{','.join(map(str, weights))}: "
+            f"permutation is not up-down")
+    perm = [0] * (2 * len(bot))
+    perm[0::2] = bot
+    perm[1::2] = tops
+    return tuple(perm)
+
+
+def _compose(m: int, spans: Sequence[tuple[int, int]],
+             images: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
+    """The image of a word of length m from its factors' images, in factor
+    order: the shifted concatenation, rightmost factor first, written into
+    one list.  Factor [a, b) lands at positions m-b..m-a, its letters
+    raised by a, the length of the factors before it; a single factor is
+    its own image."""
+    if len(images) == 1:
+        return images[0]
+    perm = [0] * m
+    for (a, b), image in zip(spans, images):
+        perm[m - b:m - a] = [v + a for v in image] if a else image
+    return tuple(perm)
 
 
 def _map_path(steps: str, weights: tuple[int, ...], rule: str) -> tuple[int, ...]:
     """The image of a valid weighting of any Dyck word: each irreducible
-    factor mapped with `_map_factor`, the images composed with
-    `shifted_concat`, rightmost factor first."""
-    acc: tuple[int, ...] = ()
-    for a, b in factor_spans(steps):
-        acc = shifted_concat(_map_factor(steps[a:b], weights[a:b], rule), acc)
-    return acc
+    factor mapped with `_map_factor`, the images composed by `_compose`."""
+    spans = factor_spans(steps)
+    return _compose(len(steps), spans,
+                    [_map_factor(steps[a:b], weights[a:b], rule) for a, b in spans])
 
 
 @dataclass(frozen=True)
@@ -279,16 +308,19 @@ class ParkingFunction:
 
 def _flatten_run(steps: str, weights: tuple[int, ...], rule: str
                  ) -> tuple[tuple[int, ...], ParkingFunction]:
-    """The bottom word of one irreducible factor and its flattening, both
-    from one traced insertion run: the rule of `flatten_to_single_slope`,
-    without its input checks."""
-    word, trace = _run_insertion(steps, weights, rule, want_trace=True)
+    """The bottom word of one irreducible factor and its flattening, the
+    rule of `flatten_to_single_slope` without its input checks, both read
+    from the bottom frame of the plan.  A non-jump at weight x inserts
+    x + off letters from the right end, and off = shift - [L], so its value
+    weight + shift + [R] is x + off + 1, its insertion distance plus one.
+    A jump repeats the previous value (0 for the first rise)."""
+    bottom = _factor_plan(steps, rule)[0]
+    w = (0, *weights, 0)
+    word = tuple(_insert(bottom, w))
     vals: list[int] = []
-    for st in trace:
-        if st.jumped:
-            vals.append(vals[-1] if vals else 0)
-        else:
-            vals.append(st.weight + st.shift + (1 if st.membership == RIGHT else 0))
+    for step, nb, off, bounds in bottom:
+        x = w[step]
+        vals.append((vals[-1] if vals else 0) if x == bounds[w[nb]] else x + off + 1)
     try:
         return word, ParkingFunction(tuple(vals))
     except ValueError as exc:
@@ -333,7 +365,7 @@ def _follow_chains(w: list[Optional[int]], jumps: list[_PlanRise]) -> None:
     bound.  A jump reads an adjacent step and a chain that turns back has
     closed, so sweeps from the left and the right follow every chain."""
     order = sorted(jumps)
-    for s, nb, _, bounds in order + order[::-1]:
+    for s, nb, _, bounds in chain(order, reversed(order)):
         if w[nb] is not None:
             w[s] = bounds[w[nb]]
 
@@ -402,8 +434,9 @@ def _invert_factor(steps: str, image: tuple[int, ...], rule: str
     height], and the peak's trial value lies in that range too.
     """
     w, jumps, nonjumps = _read_off(steps, image, rule)
-    if any(w[rise[0]] < 0 for rise in nonjumps):  # type: ignore[operator]
-        return []
+    for rise in nonjumps:
+        if w[rise[0]] < 0:  # type: ignore[operator]
+            return []
     _follow_chains(w, jumps)
     if None not in w:
         weights = _certify(steps, w, nonjumps)  # type: ignore[arg-type]
@@ -458,12 +491,12 @@ def _image_table(steps: str, rule: str) -> dict:
     factors.  So the word's weightings are exactly the concatenations of
     its factors' weightings, and since the factors have fixed lengths, the
     lexicographic product of the factors' tables lists them in
-    `enumerate_weightings` order.  Each image is composed with
-    `shifted_concat`, rightmost factor first, as `_map_path` composes it,
-    and distinct factor images give distinct composed images.  When a
-    factor has two weightings with one image (the floor split does this),
-    the word's paths are mapped one by one with `_map_path` instead, so the
-    error names the word and its first repeated image.
+    `enumerate_weightings` order.  Each image is composed with `_compose`,
+    as `_map_path` composes it, and distinct factor images give distinct
+    composed images.  When a factor has two weightings with one image (the
+    floor split does this), the word's paths are mapped one by one with
+    `_map_path` instead, so the error names the word and its first
+    repeated image.
 
     The table stays an independent oracle for the read-off inverse: every
     irreducible factor is still mapped forward by the insertion runs, and
@@ -485,13 +518,10 @@ def _image_table(steps: str, rule: str) -> dict:
         except InternalConsistencyError:
             pass  # a factor has no table: map the word's paths one by one
         else:
-            composed = {}
-            for items in product(*(t.items() for t in tables)):
-                perm: tuple[int, ...] = ()
-                for image, _ in items:
-                    perm = shifted_concat(image, perm)
-                composed[perm] = sum((w for _, w in items), ())
-            return composed
+            m = len(steps)
+            return {_compose(m, spans, [image for image, _ in items]):
+                    sum((w for _, w in items), ())
+                    for items in product(*(t.items() for t in tables))}
     table: dict[tuple[int, ...], tuple[int, ...]] = {}
     for wd in enumerate_weightings(DyckPath(steps)):
         if len(spans) == 1:

@@ -111,7 +111,7 @@ def to_permutation_irreducible(wd: WeightedDyckPath, rule: str = SPLIT_CEIL
     insertion, the top word via the mirrored path and alphabet reversal."""
     _require_valid(wd)
     _require_irreducible(wd)
-    return AlternatingPermutation(_map_factor(wd.path.steps, wd.weights, rule))
+    return AlternatingPermutation._trusted(_map_factor(wd.path.steps, wd.weights, rule))
 
 
 def to_permutation(wd: WeightedDyckPath, rule: str = SPLIT_CEIL) -> AlternatingPermutation:
@@ -122,7 +122,7 @@ def to_permutation(wd: WeightedDyckPath, rule: str = SPLIT_CEIL) -> AlternatingP
     sorted bottom letters of the image equal the rise positions of the path.
     """
     _require_valid(wd)
-    return AlternatingPermutation(_map_path(wd.path.steps, wd.weights, rule))
+    return AlternatingPermutation._trusted(_map_path(wd.path.steps, wd.weights, rule))
 
 
 def bottom_traces(wd: WeightedDyckPath, rule: str = SPLIT_CEIL) -> InsertionTrace:
@@ -167,7 +167,19 @@ def parking_to_123_avoiding(pf: ParkingFunction) -> tuple[int, ...]:
     return tuple(word)
 
 
-def _membership_checks(p: tuple[int, ...]) -> tuple[DyckPath, str]:
+def _membership_checks(p: tuple[int, ...]) -> tuple[str, list[tuple[int, int]]]:
+    """The checks both inverses run on a non-empty p, in this order: a
+    permutation, up-down, no 1234, bottom letters marking a Dyck word.
+    Returns that word and its factor spans, both from one scan of it.
+
+    No input that passes the up-down check fails the last check, nor the
+    block check of `from_permutation`; both stay as guards.  Each top
+    letter exceeds the bottom letters on either side of it, so below any
+    letter there are at least as many bottom letters as top letters: the
+    word never dips below the ground.  Where it returns to the ground
+    after 2k steps, the letters 1..2k are k bottom and k top letters, and
+    each of those tops has its own bottom and the next one among them, so
+    they fill the last k columns: each block holds its factor's letters."""
     if sorted(p) != list(range(1, len(p) + 1)):
         raise ValueError("input is not a permutation of 1..N")
     if not is_up_down(p):
@@ -176,29 +188,43 @@ def _membership_checks(p: tuple[int, ...]) -> tuple[DyckPath, str]:
         raise NotInImageError(
             "not in image: contains an increasing subsequence of length 4")
     word = _bottom_word(p)
-    try:
-        return DyckPath(word), word
-    except ValueError:
-        raise NotInImageError(
-            "not in image: bottom letters do not mark a Dyck path") from None
+    spans: list[tuple[int, int]] = []
+    h = start = 0
+    for i, s in enumerate(word, start=1):
+        if s == UP:
+            h += 1
+        elif h > 1:
+            h -= 1
+        elif h:  # back on the ground: a factor ends
+            h = 0
+            spans.append((start, i))
+            start = i
+        else:
+            raise NotInImageError(
+                "not in image: bottom letters do not mark a Dyck path")
+    # n rises among 2n steps, so the word ends on the ground
+    return word, spans
 
 
 def from_permutation(p: Sequence[int], rule: str = SPLIT_CEIL) -> WeightedDyckPath:
     """The unique weighted Dyck path whose image is p.
 
     Each irreducible factor is inverted directly from its block of p by
-    reading off its insertion runs.  Raises NotInImageError naming the first
-    failed membership check (shape, avoidance, bottom letters not a Dyck
-    path, a block that no factor maps to), and ValueError naming the count
-    when several paths map to p, which happens under the floor split.
+    reading off its insertion runs.  The checks run in this order, and the
+    first to fail names the error: ValueError when p is not a permutation
+    of 1..N; NotInImageError when p is not up-down, contains 1234, its
+    bottom letters do not mark a Dyck path, a block does not hold its
+    factor's letters, or no weighting of a factor maps to its block; and
+    ValueError naming the count when several paths map to p, which happens
+    under the floor split.
     """
     p = tuple(p)
     if not p:
         return WeightedDyckPath(DyckPath(""), ())
-    path, word = _membership_checks(p)
+    word, spans = _membership_checks(p)
     weights: list[int] = [0] * len(p)
     preimages = 1
-    for a, b in reversed(factor_spans(word)):
+    for a, b in reversed(spans):
         block = p[len(p) - b:len(p) - a]
         if min(block) <= a or max(block) > b:  # p's letters are distinct
             raise NotInImageError(
@@ -213,7 +239,7 @@ def from_permutation(p: Sequence[int], rule: str = SPLIT_CEIL) -> WeightedDyckPa
         raise ValueError(
             f"ambiguous: {preimages} weighted paths map to this permutation "
             f"under the {rule} split rule")
-    return WeightedDyckPath(path, tuple(weights))
+    return WeightedDyckPath._trusted(word, tuple(weights))
 
 
 def from_permutation_brute(p: Sequence[int], cap_n: int = 7,
@@ -225,5 +251,5 @@ def from_permutation_brute(p: Sequence[int], cap_n: int = 7,
         raise ValueError(f"size {len(p)} exceeds the brute-force cap 2*{cap_n}")
     if not p:
         return WeightedDyckPath(DyckPath(""), ())
-    path, word = _membership_checks(p)
-    return WeightedDyckPath(path, _brute_weights(p, word, rule))
+    word, _ = _membership_checks(p)
+    return WeightedDyckPath._trusted(word, _brute_weights(p, word, rule))

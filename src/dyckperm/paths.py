@@ -82,6 +82,18 @@ class WeightedDyckPath:
             )
 
     @classmethod
+    def _trusted(cls, steps: str, weights: tuple[int, ...]) -> "WeightedDyckPath":
+        """The path of `steps` with `weights`, built without the checks of
+        `DyckPath` and of `__post_init__`: for the inverse, whose membership
+        checks have scanned `steps` and which sets one weight per step."""
+        path = object.__new__(DyckPath)
+        object.__setattr__(path, "steps", steps)
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "path", path)
+        object.__setattr__(obj, "weights", weights)
+        return obj
+
+    @classmethod
     def from_steps(cls, steps: str, weights: Optional[Sequence[int]] = None) -> "WeightedDyckPath":
         path = DyckPath(steps)
         if weights is None:
@@ -227,8 +239,11 @@ class SlopeDecomposition:
     valley_weights: Optional[tuple[tuple[int, int], ...]]
 
 
+@lru_cache(maxsize=4096)
 def _runs(steps: str) -> tuple[Slope, ...]:
-    """The maximal runs of equal steps, left to right: the one slope scan."""
+    """The maximal runs of equal steps, left to right: the one slope scan.
+    Cached like the other per-word tables; the result is a tuple of named
+    tuples, so every caller can share it."""
     runs: list[Slope] = []
     i = 0
     while i < len(steps):

@@ -20,6 +20,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import gt, lt
 from typing import Iterable, Iterator, Sequence
 
 Permutation = tuple[int, ...]
@@ -34,13 +35,10 @@ def descent_set(p: Sequence[int]) -> set[int]:
 
 
 def is_up_down(p: Sequence[int]) -> bool:
-    """True for even size with descents exactly at the even positions."""
-    if len(p) % 2:
-        return False
-    for i in range(len(p) - 1):
-        if (p[i] < p[i + 1]) != (i % 2 == 0):
-            return False
-    return True
+    """True for even size with descents exactly at the even positions: each
+    top letter exceeds the bottom letters on either side of it."""
+    bot, top = p[0::2], p[1::2]
+    return not len(p) % 2 and all(map(lt, bot, top)) and all(map(gt, top, bot[1:]))
 
 
 def lis_length(p: Iterable[int]) -> int:
@@ -171,6 +169,14 @@ class AlternatingPermutation:
             raise ValueError("not a permutation of 1..N")
         if not is_up_down(self.perm):
             raise ValueError("permutation is not up-down")
+
+    @classmethod
+    def _trusted(cls, perm: tuple[int, ...]) -> "AlternatingPermutation":
+        """The instance holding `perm`, built without the checks above: for
+        the forward map, whose kernel has already checked its output."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "perm", perm)
+        return obj
 
     @property
     def n(self) -> int:

@@ -231,24 +231,29 @@ def _suite_counts(cap: int, rule: str) -> tuple[int, list[dict]]:
 
 
 def _suite_bijectivity(cap: int, rule: str) -> tuple[int, list[dict]]:
-    """Images come from `_word_images`.  The avoiders are streamed in
-    lexicographic order and each hit leaves `seen`, so the misses come out
-    sorted and what stays in `seen` is the images outside the family."""
+    """Images come from `_word_images`; a word whose forward map raises its
+    guard is one failure, and its later paths are not checked.  The
+    avoiders are streamed in lexicographic order and each hit leaves
+    `seen`, so the misses come out sorted and what stays in `seen` is the
+    images outside the family."""
     checked = 0
     failures: list[dict] = []
     for n in range(cap + 1):
         seen: dict[tuple[int, ...], tuple[str, tuple[int, ...]]] = {}
         for word in _dyck_words(n):
-            for weights, perm in _word_images(word, rule):
-                checked += 1
-                if perm in seen:
-                    failures.append(_fail(
-                        _path_text(word, weights),
-                        "a fresh image",
-                        f"{perm_text(perm)} already hit by {_path_text(*seen[perm])}",
-                    ))
-                else:
-                    seen[perm] = (word, weights)
+            try:
+                for weights, perm in _word_images(word, rule):
+                    checked += 1
+                    if perm in seen:
+                        failures.append(_fail(
+                            _path_text(word, weights),
+                            "a fresh image",
+                            f"{perm_text(perm)} already hit by {_path_text(*seen[perm])}",
+                        ))
+                    else:
+                        seen[perm] = (word, weights)
+            except InternalConsistencyError as exc:
+                failures.append(_fail(word, "an image for every weighting", str(exc)))
         for perm in enumerate_updown_avoiders(n):
             checked += 1
             if seen.pop(perm, None) is None:

@@ -1,18 +1,21 @@
 import itertools
 import random
 from collections import defaultdict
+from operator import gt, lt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyckperm._insertion import (
+    _bottom_word,
     _bound_row,
     _factor_plan,
     _follow_chains,
     _image_table,
     _invert_factor,
     _map_factor,
+    _map_path,
     _read_off,
     _up_infos,
 )
@@ -20,6 +23,7 @@ from dyckperm.bijection import (
     LEFT,
     RIGHT,
     SPLIT_FLOOR,
+    InternalConsistencyError,
     NotInImageError,
     ParkingFunction,
     bottom_traces,
@@ -40,6 +44,7 @@ from dyckperm.paths import (
     WeightedDyckPath,
     _dyck_words,
     _height_profile,
+    _runs,
     _span,
     _span_row,
     _step_rows,
@@ -59,7 +64,7 @@ from dyckperm.perms import (
     shifted_concat,
 )
 
-from .conftest import EXAMPLE14_IMAGE, EXAMPLE14_TEXT
+from .conftest import EXAMPLE14_IMAGE, EXAMPLE14_TEXT, INVERSE_FIRST_FAILURES
 from .oracles import (
     brute_descents,
     brute_heights,
@@ -312,6 +317,42 @@ class TestForwardMap:
     def test_empty(self):
         assert to_permutation(wd("")).perm == ()
 
+    def test_many_factors(self):
+        # UD repeated k times: factor i (0-based) maps to (2i + 1, 2i + 2)
+        # and lands in front of every earlier one
+        k = 5000
+        x = wd("UD" * k)
+        image = to_permutation(x).perm
+        assert image == tuple(v for i in reversed(range(k)) for v in (2 * i + 1, 2 * i + 2))
+        assert from_permutation(image) == x
+
+    @pytest.mark.parametrize("rule", ["ceil", SPLIT_FLOOR])
+    def test_composed_tables_equal_per_path_maps(self, rule):
+        # a reducible word's table, composed from its factors' tables,
+        # lists what mapping its weightings one by one gives; under floor
+        # some words have no table, since two weightings share an image
+        compared = missing = 0
+        for n in range(7):
+            for steps in _dyck_words(n):
+                if len(factor_spans(steps)) < 2:
+                    continue
+                per_path = [(_map_path(steps, x.weights, rule), x.weights)
+                            for x in enumerate_weightings(DyckPath(steps))]
+                try:
+                    table = _image_table(steps, rule)
+                except InternalConsistencyError:
+                    assert len({image for image, _ in per_path}) < len(per_path)
+                    missing += 1
+                    continue
+                assert list(table.items()) == per_path
+                compared += 1
+        # the 131 reducible words with n <= 6
+        assert compared + missing == 131
+        if rule == "ceil":
+            assert missing == 0
+        else:
+            assert compared and missing
+
     def test_irreducible_map_rejects_reducible(self):
         with pytest.raises(ValueError, match="reducible"):
             to_permutation_irreducible(wd("UDUD"))
@@ -333,6 +374,25 @@ class TestSingleSlopeTransformation:
 
     def test_small_no_jump(self):
         assert flatten_to_single_slope(wd("UUDD", (0, 1, 1, 0))).values == (0, 1)
+
+    @pytest.mark.parametrize("rule", ["ceil", SPLIT_FLOOR])
+    def test_values_follow_the_traced_rule(self, rule):
+        # from the trace: a jump repeats the previous value (0 for the
+        # first), a non-jump gives weight + shift, plus one on the right half
+        checked = 0
+        for n in range(6):
+            for x in enumerate_weighted(n):
+                if len(factor_spans(x.steps)) > 1:
+                    continue
+                vals: list[int] = []
+                for st_ in insertion_word(x, rule)[1]:
+                    if st_.jumped:
+                        vals.append(vals[-1] if vals else 0)
+                    else:
+                        vals.append(st_.weight + st_.shift + (1 if st_.membership == RIGHT else 0))
+                assert flatten_to_single_slope(x, rule).values == tuple(vals)
+                checked += 1
+        assert checked == 5250
 
     def test_parking_function_validation(self):
         with pytest.raises(ValueError):
@@ -392,6 +452,34 @@ class TestInverse:
         with pytest.raises(ValueError, match="not a permutation"):
             from_permutation((1, 1))
 
+    @pytest.mark.parametrize("rule", ["ceil", SPLIT_FLOOR])
+    @pytest.mark.parametrize("invert", [from_permutation, from_permutation_brute])
+    def test_first_failed_check_names_the_error(self, invert, rule):
+        # each input also fails the check after the one it is named by
+        repeated, rising, odd, pattern = (p for p, _ in INVERSE_FIRST_FAILURES)
+        assert not is_up_down(repeated)
+        assert contains_1234_naive(rising)
+        # its letters alternate pairwise as an up-down permutation's do
+        assert all(map(lt, odd[0::2], odd[1::2])) and all(map(gt, odd[1::2], odd[2::2]))
+        assert contains_1234_naive(odd)
+        assert _invert_factor(_bottom_word(pattern), pattern, rule) == []
+        for p, text in INVERSE_FIRST_FAILURES:
+            with pytest.raises(ValueError) as exc:
+                invert(p, rule=rule)
+            assert str(exc.value) == text
+            assert isinstance(exc.value, NotInImageError) == text.startswith("not in image")
+
+    def test_up_down_permutations_pass_the_word_and_block_checks(self):
+        # the inverse's Dyck-word and block checks are guards no input
+        # reaches: an up-down permutation's bottom letters mark a Dyck word,
+        # and each block of p holds its factor's letters
+        for size in range(0, 9, 2):
+            for p in filter(is_up_down, itertools.permutations(range(1, size + 1))):
+                word = _bottom_word(p)
+                DyckPath(word)
+                for a, b in factor_spans(word):
+                    assert sorted(p[size - b:size - a]) == list(range(a + 1, b + 1))
+
     def test_exhaustive_roundtrip_small(self, wd_pools):
         for pool in wd_pools.values():
             for x in pool:
@@ -435,7 +523,7 @@ class TestInverseBeyondExhaustive:
         for _ in range(2100):
             x = random_path(rng, 50, True)
             assert from_permutation(to_permutation(x).perm) == x
-        for cache in (_height_profile, _up_infos):
+        for cache in (_height_profile, _up_infos, _runs):
             assert cache.cache_info().currsize <= 4096
         # the round trips leave _step_rows and _factor_plan (one key per
         # path: the inverse reuses the forward map's plan) well below their

@@ -12,7 +12,7 @@ from dyckperm.bijection import InternalConsistencyError
 from dyckperm.cli import main, render_ascii
 from dyckperm.paths import parse_path
 
-from .conftest import EXAMPLE14_TEXT
+from .conftest import EXAMPLE14_TEXT, INVERSE_FIRST_FAILURES
 from .oracles import closed_form
 
 EXAMPLE14_PERM_TEXT = "8,13,6,12,11,14,7,10,2,9,4,5,1,3"
@@ -186,6 +186,11 @@ class TestInvert:
         code, out, err = run(capsys, "invert", "\u0662,\u0661")
         assert (code, out) == (1, "")
         assert "malformed permutation text" in err
+
+    @pytest.mark.parametrize("perm, message", INVERSE_FIRST_FAILURES)
+    def test_first_failed_check_is_the_error_line(self, capsys, perm, message):
+        code, out, err = run(capsys, "invert", ",".join(map(str, perm)))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_ambiguous_floor_preimage(self, capsys):
         code, out, err = run(capsys, "invert", "3,5,1,6,2,4", "--split-rule", "floor")

@@ -9,6 +9,7 @@ import dyckperm._insertion as _insertion
 import dyckperm.verify as verify
 from dyckperm._insertion import _factor_plan, _image_table, _map_factor
 from dyckperm.bijection import SPLIT_CEIL, SPLIT_FLOOR, InternalConsistencyError, to_permutation
+from dyckperm.cli import main
 from dyckperm.paths import WeightedDyckPath, factor_spans, parse_path, serialize_path
 from dyckperm.perms import is_up_down
 from dyckperm.verify import (
@@ -247,6 +248,34 @@ class TestFaultInjection:
         assert report.verdict == "fail"
         blob = json.dumps(report.to_record())
         assert serialize_path(fixture) in blob or serialize_path(other) in blob
+
+    def test_assembly_guard_catches_a_reversed_top_word(self, monkeypatch, capsys):
+        # the top word of UUDUDD comes back reversed; on this weighting the
+        # image is then not up-down, so the map's one runtime check fires.
+        # No table of the corrupted map may outlive the test.
+        text = "UUDUDD;0,0,1,0,0,0"
+        real = _insertion._insert
+        top_frame = _factor_plan("UUDUDD", SPLIT_CEIL)[1]
+
+        def reversing(frame, w):
+            word = real(frame, w)
+            return word[::-1] if frame == top_frame else word
+
+        message = f"assembly failed for {text}: permutation is not up-down"
+        _image_table.cache_clear()
+        monkeypatch.setattr(_insertion, "_insert", reversing)
+        try:
+            with pytest.raises(InternalConsistencyError) as exc:
+                to_permutation(parse_path(text))
+            assert str(exc.value) == message
+            assert main(["map", text]) == 1
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+            report = run_suite("bijectivity", 3)
+        finally:
+            _image_table.cache_clear()
+        assert report.verdict == "fail"
+        assert {"input": "UUDUDD", "expected": "an image for every weighting",
+                "actual": message} in report.failures
 
     def test_roundtrip_catches_a_corrupted_inverse(self, monkeypatch):
         fixture = WeightedDyckPath.from_steps("UUDD")
