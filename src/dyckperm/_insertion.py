@@ -40,20 +40,18 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, islice, product
 from operator import gt, lt
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence
 
 from .paths import (
     DOWN,
     UP,
     DyckPath,
-    _TABULATED_HEIGHT,
-    _LazyRow,
+    SpanRow,
     _fits,
     _height_profile,
     _reflected_steps,
+    _row,
     _runs,
-    _span,
-    _span_row,
     _step_rows,
     enumerate_weightings,
     factor_spans,
@@ -83,17 +81,19 @@ def _left_count(k: int, rule: str) -> int:
 
 
 class _UpInfo(NamedTuple):
-    """One rise of a word under a split rule.  A named tuple: the
-    `_up_infos` cache holds one per rise of every cached path, and a frozen
-    dataclass costs several times as much to construct.
+    """One rise of a word under a split rule.  A named tuple: `_up_infos`
+    builds one per rise, and a frozen dataclass costs several times as
+    much to construct.
 
-    The jump bound is `bounds[weight of step nb]`: `bounds` is the
-    `_bounds` row of the pair the bound reads (see `_jump_args`), shared by
-    every rise of the same shape, so its indices are the C1-feasible
-    weights of step `nb`.  Every caller indexes it with such a weight: the
-    forward map reads only weightings that passed the validity test, and
-    the inverse reads a row only after its early C1 exit (see
-    `_invert_factor`).
+    The jump bound is `row[weight of step nb][end]`: `row` is the
+    `paths._row` span row of the pair the bound reads (see `_jump_args`),
+    the rise's own row in `_step_rows` under 'L' and the mirror's row under
+    'R', shared by every step of the same shape, so its indices are the
+    C1-feasible weights of step `nb`; `end` is 0 under 'L' (the least
+    weight) and 1 under 'R' (the greatest).  Every caller indexes it with
+    such a weight: the forward map reads only weightings that passed the
+    validity test, and the inverse reads a row only after its early C1
+    exit (see `_invert_factor`).
     """
 
     pos: int          # 1-based step index of the rise
@@ -102,14 +102,16 @@ class _UpInfo(NamedTuple):
     membership: str
     off: int          # a non-jump inserts weight + off letters from the right end
     nb: int
-    bounds: Union[tuple[int, ...], _LazyRow]
+    row: SpanRow
+    end: int
 
 
 def _jump_args(steps: str, h: tuple[int, ...], pos: int, membership: str
                ) -> tuple[int, Optional[str], str, int, int, int]:
     """What the jump bound of the rise at `pos` reads: the neighbouring
-    step `nb`, `_span`'s kinds and heights for the pair, and which end of
-    the span is the bound.
+    step `nb`, the kinds and heights of the pair's step shape (the
+    arguments of `paths._row` and `_span`), and which end of the span is
+    the bound.
 
     Under 'L' the pair is (step pos-1, the rise) and the bound is the least
     weight; for the first step `nb` is 0, and with no previous step the
@@ -123,25 +125,6 @@ def _jump_args(steps: str, h: tuple[int, ...], pos: int, membership: str
     return pos + 1, DOWN if steps[pos] == UP else UP, DOWN, h[pos], h[pos - 1], 1
 
 
-@lru_cache(maxsize=512)
-def _bound_row(prev: Optional[str], kind: str, h0: int, h1: int, end: int) -> tuple[int, ...]:
-    """End `end` of each span in `_span_row(prev, kind, h0, h1)`: the jump
-    bound of one pair shape for every C1-feasible neighbour weight.  Called
-    for shapes up to `_TABULATED_HEIGHT` only (see `_bounds`)."""
-    return tuple(span[end] for span in _span_row(prev, kind, h0, h1))
-
-
-def _bounds(prev: Optional[str], kind: str, h0: int, h1: int, end: int
-            ) -> Union[tuple[int, ...], _LazyRow]:
-    """The jump bounds of a pair shape: `_bound_row` up to
-    `_TABULATED_HEIGHT`, and above it a row that computes each bound when
-    read."""
-    if h0 > _TABULATED_HEIGHT:
-        return _LazyRow(lambda w: _span(prev, kind, h0, h1, w)[end])
-    return _bound_row(prev, kind, h0, h1, end)
-
-
-@lru_cache(maxsize=4096)
 def _up_infos(steps: str, rule: str) -> tuple[_UpInfo, ...]:
     h = _height_profile(steps)
     ups = [r for r in _runs(steps) if r.kind == UP]
@@ -155,13 +138,14 @@ def _up_infos(steps: str, rule: str) -> tuple[_UpInfo, ...]:
         membership = LEFT if idx <= cut else RIGHT
         off = shift - (1 if membership == LEFT else 0)
         for p in range(run.start, run.start + run.length):
-            nb, *shape = _jump_args(steps, h, p, membership)
-            infos.append(_UpInfo(p, idx, shift, membership, off, nb, _bounds(*shape)))
+            nb, *shape, end = _jump_args(steps, h, p, membership)
+            infos.append(_UpInfo(p, idx, shift, membership, off, nb, _row(*shape), end))
     return tuple(infos)
 
 
-# a rise of a plan: its step, the step its bound reads, its off, its bound row
-_PlanRise = tuple[int, int, int, Union[tuple[int, ...], _LazyRow]]
+# a rise of a plan: its step, the step its bound reads, its off, the span
+# row its bound reads and the end of the span that is the bound
+_PlanRise = tuple[int, int, int, SpanRow, int]
 
 
 @lru_cache(maxsize=4096)
@@ -170,10 +154,11 @@ def _factor_plan(steps: str, rule: str
     """The rises of `steps`, then those of its mirror, from `_up_infos`.
     Step p of the mirror is step m + 1 - p of the path, and so is its
     neighbour; the weights are padded with a 0 at each end, where the first
-    step of either frame reads its one-entry row."""
+    step of either frame reads its one-entry row.  A rise jumps when its
+    weight is `row[w[nb]][end]`."""
     m = len(steps)
-    bottom = tuple((i.pos, i.nb, i.off, i.bounds) for i in _up_infos(steps, rule))
-    top = tuple((m + 1 - i.pos, m + 1 - i.nb, i.off, i.bounds)
+    bottom = tuple((i.pos, i.nb, i.off, i.row, i.end) for i in _up_infos(steps, rule))
+    top = tuple((m + 1 - i.pos, m + 1 - i.nb, i.off, i.row, i.end)
                 for i in _up_infos(_reflected_steps(steps), rule))
     return bottom, top
 
@@ -202,9 +187,9 @@ def _insert(frame: tuple[_PlanRise, ...], w: Sequence[int]) -> list[int]:
     first, and the insertion lemma then keeps each distance inside the
     word, so the range check guards against a bug, not bad input."""
     word: list[int] = []
-    for step, nb, off, bounds in frame:
+    for step, nb, off, row, end in frame:
         x = w[step]
-        if x == bounds[w[nb]]:
+        if x == row[w[nb]][end]:
             word.insert(0, step)
         else:
             dist = x + off
@@ -228,9 +213,9 @@ def _run_insertion(steps: str, weights: Sequence[int], rule: str,
         return word, ()
     placed_at = {rise[0]: k for k, rise in enumerate(frame)}
     trace: list[InsertionStep] = []
-    for k, (info, (step, nb, off, bounds)) in enumerate(zip(_up_infos(steps, rule), frame)):
+    for k, (info, (step, nb, off, row, end)) in enumerate(zip(_up_infos(steps, rule), frame)):
         x = w[step]
-        jumped = x == bounds[w[nb]]
+        jumped = x == row[w[nb]][end]
         trace.append(InsertionStep(step, x, info.slope, info.membership, info.shift, jumped,
                                    None if jumped else x + off,
                                    tuple(v for v in word if placed_at[v] <= k)))
@@ -318,9 +303,9 @@ def _flatten_run(steps: str, weights: tuple[int, ...], rule: str
     w = (0, *weights, 0)
     word = tuple(_insert(bottom, w))
     vals: list[int] = []
-    for step, nb, off, bounds in bottom:
+    for step, nb, off, row, end in bottom:
         x = w[step]
-        vals.append((vals[-1] if vals else 0) if x == bounds[w[nb]] else x + off + 1)
+        vals.append((vals[-1] if vals else 0) if x == row[w[nb]][end] else x + off + 1)
     try:
         return word, ParkingFunction(tuple(vals))
     except ValueError as exc:
@@ -365,16 +350,16 @@ def _follow_chains(w: list[Optional[int]], jumps: list[_PlanRise]) -> None:
     bound.  A jump reads an adjacent step and a chain that turns back has
     closed, so sweeps from the left and the right follow every chain."""
     order = sorted(jumps)
-    for s, nb, _, bounds in chain(order, reversed(order)):
+    for s, nb, _, row, end in chain(order, reversed(order)):
         if w[nb] is not None:
-            w[s] = bounds[w[nb]]
+            w[s] = row[w[nb]][end]
 
 
 def _certify(steps: str, w: list[int], nonjumps: list[_PlanRise]
              ) -> Optional[tuple[int, ...]]:
     """w[1..m] if every non-jump misses its jump bound and it is valid."""
-    for s, nb, _, bounds in nonjumps:
-        if w[s] == bounds[w[nb]]:
+    for s, nb, _, row, end in nonjumps:
+        if w[s] == row[w[nb]][end]:
             return None
     weights = tuple(w[1:-1])
     return weights if _fits(_step_rows(steps), weights) else None
@@ -423,8 +408,8 @@ def _invert_factor(steps: str, image: tuple[int, ...], rule: str
     bound would jump to index 0, which the read-off ruled out, so the
     certificate accepts exactly what the forward map would confirm.
 
-    Every weight the search reads is C1-feasible, so every `bounds` row is
-    indexed in range, and so is every row `_certify`'s validity test reads
+    Every weight the search reads is C1-feasible, so every span row a
+    bound reads is indexed in range, and so is every row `_certify`'s validity test reads
     before it stops.  A read-off weight is at most its step's lower height
     h0 (the height before the rise in its frame): the distance read off is
     below the r earlier rises, and h0 = r - shift, so the weight is at most
@@ -450,10 +435,10 @@ def _try_floor_peak(steps: str, w: list[Optional[int]], stuck: list[_PlanRise],
     closed chain the floor split allows (see `_invert_factor`): the peak's
     rise is tried at each weight C1 allows it, the other stuck jumps follow
     their chains to it, and the peak's rise must then meet its own bound."""
-    reads = {s: nb for s, nb, _, _ in stuck}
+    reads = {s: nb for s, nb, *_ in stuck}
     (peak,) = [r for r in stuck if r[0] < r[1] and reads.get(r[1]) == r[0]]
     rest = [r for r in stuck if r is not peak]
-    s, nb, _, bounds = peak
+    s, nb, _, row, end = peak
     h = _height_profile(steps)
     found: list[tuple[int, ...]] = []
     for v in range(min(h[s - 1], h[s]) + 1):
@@ -462,7 +447,7 @@ def _try_floor_peak(steps: str, w: list[Optional[int]], stuck: list[_PlanRise],
         w[s] = v
         _follow_chains(w, rest)
         # every other stuck jump was set to its bound after the one weight it reads
-        if v != bounds[w[nb]]:
+        if v != row[w[nb]][end]:
             continue
         weights = _certify(steps, w, nonjumps)  # type: ignore[arg-type]
         if weights is not None:

@@ -33,8 +33,8 @@ from ._insertion import (
     _map_path,
     _run_insertion,
 )
-# bound here too because perfbench/layers.py reads these caches as bijection.*
-from ._insertion import _image_table, _up_infos  # noqa: F401
+# bound here too because perfbench/layers.py reads this cache as bijection.*
+from ._insertion import _image_table  # noqa: F401
 from .paths import (
     UP,
     DyckPath,
@@ -212,11 +212,13 @@ def from_permutation(p: Sequence[int], rule: str = SPLIT_CEIL) -> WeightedDyckPa
     Each irreducible factor is inverted directly from its block of p by
     reading off its insertion runs.  The checks run in this order, and the
     first to fail names the error: ValueError when p is not a permutation
-    of 1..N; NotInImageError when p is not up-down, contains 1234, its
-    bottom letters do not mark a Dyck path, a block does not hold its
-    factor's letters, or no weighting of a factor maps to its block; and
-    ValueError naming the count when several paths map to p, which happens
-    under the floor split.
+    of 1..N; NotInImageError when p is not up-down, contains 1234, or no
+    weighting of a factor maps to its block; and ValueError naming the
+    count when several paths map to p, which happens under the floor split.
+    Two guards run between the 1234 test and the search: the bottom
+    letters mark a Dyck path, and each block holds its factor's letters.
+    Every up-down permutation passes both (see `_membership_checks`), so
+    only a bug can trip them, with a NotInImageError.
     """
     p = tuple(p)
     if not p:

@@ -239,11 +239,9 @@ class SlopeDecomposition:
     valley_weights: Optional[tuple[tuple[int, int], ...]]
 
 
-@lru_cache(maxsize=4096)
 def _runs(steps: str) -> tuple[Slope, ...]:
     """The maximal runs of equal steps, left to right: the one slope scan.
-    Cached like the other per-word tables; the result is a tuple of named
-    tuples, so every caller can share it."""
+    Not cached: the kernel reads it only to build a word's cached plan."""
     runs: list[Slope] = []
     i = 0
     while i < len(steps):

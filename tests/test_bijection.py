@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from dyckperm._insertion import (
     _bottom_word,
-    _bound_row,
     _factor_plan,
     _follow_chains,
     _image_table,
@@ -17,7 +16,6 @@ from dyckperm._insertion import (
     _map_factor,
     _map_path,
     _read_off,
-    _up_infos,
 )
 from dyckperm.bijection import (
     LEFT,
@@ -44,7 +42,6 @@ from dyckperm.paths import (
     WeightedDyckPath,
     _dyck_words,
     _height_profile,
-    _runs,
     _span,
     _span_row,
     _step_rows,
@@ -108,7 +105,7 @@ def random_path(rng, n, irreducible):
     return random_weighting(rng, steps)
 
 
-# words taller than 64, where the span and bound rows are read on demand
+# words taller than 64, where the span rows are read on demand
 TALL_WORDS = ("U" * 70 + "DU" * 3 + "D" * 70,
               "U" * 90 + "D" * 30 + "U" * 20 + "D" * 80 + "UD")
 
@@ -506,15 +503,14 @@ class TestInverseBeyondExhaustive:
             assert from_permutation(to_permutation(x).perm) == x
 
     def test_tall_paths_roundtrip(self):
-        # heights above 64, where the span and bound rows are read on demand
+        # heights above 64, where the span rows are read on demand
         rng = random.Random(70)
         for steps in TALL_WORDS:
             for _ in range(5):
                 x = random_weighting(rng, steps)
                 assert from_permutation(to_permutation(x).perm) == x
         # only shapes up to height 64 are tabulated, so no row is evicted
-        for cache in (_span_row, _bound_row):
-            assert cache.cache_info().currsize <= 4 * 65 + 1
+        assert _span_row.cache_info().currsize <= 4 * 65 + 1
 
     def test_caches_stay_bounded(self):
         # every fresh path adds two keys (itself and its mirror) to each
@@ -523,8 +519,7 @@ class TestInverseBeyondExhaustive:
         for _ in range(2100):
             x = random_path(rng, 50, True)
             assert from_permutation(to_permutation(x).perm) == x
-        for cache in (_height_profile, _up_infos, _runs):
-            assert cache.cache_info().currsize <= 4096
+        assert _height_profile.cache_info().currsize <= 4096
         # the round trips leave _step_rows and _factor_plan (one key per
         # path: the inverse reuses the forward map's plan) well below their
         # bounds; the 4,862 Dyck words of semilength 9 drive them past
@@ -533,10 +528,9 @@ class TestInverseBeyondExhaustive:
             _factor_plan(steps, "ceil")
         for cache in (_step_rows, _factor_plan):
             assert cache.cache_info().currsize <= 4096
-        # at most 4 * 65 + 1 shapes are tabulated, so no workload fills these
-        # two caches; the bound itself is what keeps them from growing
-        for cache in (_span_row, _bound_row):
-            assert cache.cache_info().maxsize == 512
+        # at most 4 * 65 + 1 shapes are tabulated, so no workload fills this
+        # cache; the bound itself is what keeps it from growing
+        assert _span_row.cache_info().maxsize == 512
 
     def test_floor_split_finds_every_preimage(self):
         # the floor split is neither injective nor onto from n = 3 on; the
@@ -657,6 +651,31 @@ class TestPlanAgainstSpec:
                 assert sorted(p[0::2]) == rises
                 assert naive_lis(p) <= 3
                 assert from_permutation(p, rule) == x
+
+    @pytest.mark.parametrize("rule", ["ceil", SPLIT_FLOOR])
+    def test_plan_bounds_are_the_jump_rule(self, rule):
+        # the bound a plan record reads, row[w[nb]][end], is `jump_bound` of
+        # its rise under the membership `split_up_slopes` gives: on the path
+        # in the bottom frame, on the mirror in the mirrored frame
+        rng = random.Random(72)
+        small = [x for n in range(1, 6) for x in enumerate_weighted(n)
+                 if len(factor_spans(x.steps)) == 1]
+        tall = [random_weighting(rng, steps) for steps in TALL_WORDS for _ in range(5)]
+        checked = 0
+        for x in small + tall:
+            m = len(x)
+            w = (0, *x.weights, 0)
+            bottom, top = _factor_plan(x.steps, rule)
+            for frame, y, number in ((bottom, x, lambda s: s), (top, reflect(x), lambda s: m + 1 - s)):
+                d = slopes(y)
+                halves = {u: half for run, half in zip(d.up_slopes, split_up_slopes(d, rule))
+                          for u in range(run.start, run.start + run.length)}
+                assert len(frame) == len(halves)
+                for step, nb, _, row, end in frame:
+                    u = number(step)
+                    assert row[w[nb]][end] == jump_bound(y, u, halves[u]), (serialize_path(x), u)
+                    checked += 1
+        assert checked == 2 * sum(x.n for x in small + tall)
 
     @pytest.mark.parametrize("rule", ["ceil", SPLIT_FLOOR])
     def test_inverse_on_every_up_down_permutation(self, rule):

@@ -157,8 +157,8 @@ class TestMap:
         real = _insertion._factor_plan
 
         def overflowing(steps, rule):
-            return tuple(tuple((step, nb, off + len(steps) + 1, bounds)
-                               for step, nb, off, bounds in frame)
+            return tuple(tuple((step, nb, off + len(steps) + 1, *rest)
+                               for step, nb, off, *rest in frame)
                          for frame in real(steps, rule))
 
         monkeypatch.setattr(_insertion, "_factor_plan", overflowing)

@@ -1,6 +1,6 @@
 """The internal module boundary, read off the source with `ast`: which
-private names each module takes from which other, and which functions
-each test patches."""
+private names each module takes from which other, which functions each
+test patches, and which functions are cached."""
 
 import ast
 from pathlib import Path
@@ -16,6 +16,11 @@ VERIFY_PRIVATE = {
     "paths": {"_dyck_words", "_reflected_steps", "_runs", "_step_rows"},
     "perms": {"_criteria_verdict"},
 }
+
+# every cache in the package: a new one is added here and bounded in
+# tests/test_bijection.py::TestInverseBeyondExhaustive::test_caches_stay_bounded
+CACHED = {"paths._height_profile", "paths._step_rows", "paths._span_row",
+          "_insertion._factor_plan", "_insertion._image_table"}
 
 
 def _package_module(node: ast.ImportFrom):
@@ -85,3 +90,27 @@ def test_no_function_patched_in_two_modules():
                     targets.setdefault(name, set()).add(target)
             for name, where in targets.items():
                 assert len(where) == 1, f"{path.name}::{fn.name} patches {name} in {sorted(where)}"
+
+
+def _is_cache(decorator: ast.expr) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+    return name in ("lru_cache", "cache")
+
+
+def test_cache_inventory_is_pinned():
+    found = set()
+    for path in SRC.glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(fn, ast.FunctionDef) and any(map(_is_cache, fn.decorator_list)):
+                found.add(f"{path.stem}.{fn.name}")
+    assert found == CACHED
+
+
+def test_only_paths_knows_the_tabulation_policy():
+    # which step shapes are tabulated, and how the others are read, is
+    # decided in paths alone; other modules read rows through `_row`
+    for path in SRC.glob("*.py"):
+        if path.stem != "paths":
+            reads = set().union(*private_reads(path).values())
+            assert not reads & {"_TABULATED_HEIGHT", "_LazyRow"}, path.name

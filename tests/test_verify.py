@@ -10,7 +10,14 @@ import dyckperm.verify as verify
 from dyckperm._insertion import _factor_plan, _image_table, _map_factor
 from dyckperm.bijection import SPLIT_CEIL, SPLIT_FLOOR, InternalConsistencyError, to_permutation
 from dyckperm.cli import main
-from dyckperm.paths import WeightedDyckPath, factor_spans, parse_path, serialize_path
+from dyckperm.paths import (
+    WeightedDyckPath,
+    enumerate_weighted,
+    factor_spans,
+    parse_path,
+    reflect,
+    serialize_path,
+)
 from dyckperm.perms import is_up_down
 from dyckperm.verify import (
     DEFAULT_CAPS,
@@ -34,6 +41,26 @@ from .oracles import (
 )
 
 EX14 = parse_path(EXAMPLE14_TEXT)
+
+
+def _reverse_top_word_of_uududd(monkeypatch):
+    """Patch the kernel so that the top word of UUDUDD comes back reversed;
+    the image is then not up-down on the weightings with weight 1 at step 3,
+    and the map's one runtime check fires.  The caller clears the image
+    tables before and after, so that no table of the corrupted map
+    outlives the test."""
+    real = _insertion._insert
+    top_frame = _factor_plan("UUDUDD", SPLIT_CEIL)[1]
+
+    def reversing(frame, w):
+        word = real(frame, w)
+        return word[::-1] if frame == top_frame else word
+
+    monkeypatch.setattr(_insertion, "_insert", reversing)
+
+
+def _assembly_message(wd):
+    return f"assembly failed for {serialize_path(wd)}: permutation is not up-down"
 
 
 class TestTopWordDirect:
@@ -250,20 +277,10 @@ class TestFaultInjection:
         assert serialize_path(fixture) in blob or serialize_path(other) in blob
 
     def test_assembly_guard_catches_a_reversed_top_word(self, monkeypatch, capsys):
-        # the top word of UUDUDD comes back reversed; on this weighting the
-        # image is then not up-down, so the map's one runtime check fires.
-        # No table of the corrupted map may outlive the test.
         text = "UUDUDD;0,0,1,0,0,0"
-        real = _insertion._insert
-        top_frame = _factor_plan("UUDUDD", SPLIT_CEIL)[1]
-
-        def reversing(frame, w):
-            word = real(frame, w)
-            return word[::-1] if frame == top_frame else word
-
-        message = f"assembly failed for {text}: permutation is not up-down"
+        message = _assembly_message(parse_path(text))
         _image_table.cache_clear()
-        monkeypatch.setattr(_insertion, "_insert", reversing)
+        _reverse_top_word_of_uududd(monkeypatch)
         try:
             with pytest.raises(InternalConsistencyError) as exc:
                 to_permutation(parse_path(text))
@@ -276,6 +293,41 @@ class TestFaultInjection:
         assert report.verdict == "fail"
         assert {"input": "UUDUDD", "expected": "an image for every weighting",
                 "actual": message} in report.failures
+
+    def test_every_sweep_suite_records_the_assembly_guard(self, monkeypatch, capsys):
+        # each suite that maps paths forward records the guard's error and
+        # goes on, so the CLI prints one record per suite
+        def raises(x):
+            return x.steps == "UUDUDD" and x.weights[2] == 1
+
+        _image_table.cache_clear()
+        _reverse_top_word_of_uududd(monkeypatch)
+        try:
+            reports = {s: run_suite(s, 3) for s in ("schutzenberger", "product", "statistic")}
+            code = main(["verify", "--max-n", "3"])
+        finally:
+            _image_table.cache_clear()
+        paths = [wd for n in range(4) for wd in enumerate_weighted(n)]
+        bad = [wd for wd in paths if raises(wd)]
+        assert len(bad) == 8
+        first_bad = {wd: next((x for x in (reflect(wd), wd) if raises(x)), None) for wd in paths}
+        assert reports["schutzenberger"].failures == tuple(
+            {"input": serialize_path(wd), "expected": "an image of the path and its mirror",
+             "actual": _assembly_message(x)} for wd, x in first_bad.items() if x is not None)
+        assert reports["product"].failures == tuple(
+            {"input": serialize_path(wd), "expected": "an image", "actual": _assembly_message(wd)}
+            for wd in bad)
+        # the pairs that hold a failed path are left out
+        sizes = Counter(wd.n for wd in paths)
+        pairs = sum(sizes[a] * sizes[b] for a in range(4) for b in range(4 - a))
+        assert reports["product"].checked == pairs - 2 * len(bad)
+        assert reports["statistic"].failures == (
+            {"input": "UUDUDD", "expected": "an image for every weighting",
+             "actual": _assembly_message(bad[0])},)
+        assert {r.verdict for r in reports.values()} == {"fail"}
+        out = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert [json.loads(line)["suite"] for line in out] == list(SUITES)
 
     def test_roundtrip_catches_a_corrupted_inverse(self, monkeypatch):
         fixture = WeightedDyckPath.from_steps("UUDD")
