@@ -293,15 +293,16 @@ def concat(p: WeightedDyckPath, q: WeightedDyckPath) -> WeightedDyckPath:
 
 
 def factor_spans(steps: str) -> list[tuple[int, int]]:
-    """Half-open 0-based spans of the irreducible factors (ground-to-ground arcs)."""
+    """Half-open 0-based spans of the irreducible factors (ground-to-ground
+    arcs) of a Dyck word, read off the ground returns of its cached height
+    profile."""
+    h = _height_profile(steps)
     out: list[tuple[int, int]] = []
-    h = 0
-    start = 0
-    for i, s in enumerate(steps):
-        h += 1 if s == UP else -1
-        if h == 0:
-            out.append((start, i + 1))
-            start = i + 1
+    a = 0
+    while a < len(steps):
+        b = h.index(0, a + 1)
+        out.append((a, b))
+        a = b
     return out
 
 

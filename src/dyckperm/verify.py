@@ -169,10 +169,16 @@ def top_word_direct(wd: WeightedDyckPath, rule: str = SPLIT_CEIL) -> tuple[int, 
     elements go to the right end.  Must equal the reflected-path
     construction used by the forward map.
     """
-    w = wd.weights
-    h = heights(wd)
-    m = len(wd)
-    runs = [r for r in _runs(wd.path.steps) if r.kind == DOWN]
+    downs = [r for r in _runs(wd.path.steps) if r.kind == DOWN]
+    return _top_word_direct(heights(wd), downs, wd.weights, rule)
+
+
+def _top_word_direct(h: tuple[int, ...], runs: list, w: tuple[int, ...],
+                     rule: str) -> tuple[int, ...]:
+    """`top_word_direct` of the weights w on the word with height profile h
+    and down slopes `runs`, which a caller over many weightings of one word
+    reads once."""
+    m = len(h) - 1
     cut = _insertion._left_count(len(runs), rule)
     word: list[int] = []
     falls_right = 0  # falls strictly right of the slope
@@ -556,15 +562,20 @@ def _suite_topword(cap: int, rule: str) -> tuple[int, list[dict]]:
     checked = 0
     failures: list[dict] = []
     for n in range(cap + 1):
-        for wd in _irreducible(n):
-            checked += 1
-            raw, _ = _insertion._run_insertion(_reflected_steps(wd.path.steps),
-                                               wd.weights[::-1], rule, want_trace=False)
-            via_reflection = schutzenberger_word(raw, len(wd))
-            direct = top_word_direct(wd, rule)
-            if direct != via_reflection:
-                failures.append(_fail(serialize_path(wd),
-                                      perm_text(via_reflection), perm_text(direct)))
+        for word in _irreducible_words(n):  # each word's slopes are read once
+            path = DyckPath(word)
+            mirror = _reflected_steps(word)
+            h = heights(path)
+            downs = [r for r in _runs(word) if r.kind == DOWN]
+            for wd in enumerate_weightings(path):
+                checked += 1
+                raw, _ = _insertion._run_insertion(mirror, wd.weights[::-1], rule,
+                                                   want_trace=False)
+                via_reflection = schutzenberger_word(raw, len(wd))
+                direct = _top_word_direct(h, downs, wd.weights, rule)
+                if direct != via_reflection:
+                    failures.append(_fail(serialize_path(wd),
+                                          perm_text(via_reflection), perm_text(direct)))
     return checked, failures
 
 

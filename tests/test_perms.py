@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from dyckperm.perms import (
     AlternatingPermutation,
+    _extend,
     assemble,
     avoids_123_word,
     avoids_1234,
@@ -21,6 +23,7 @@ from dyckperm.perms import (
     shifted_concat,
     standardize,
 )
+from dyckperm.verify import REFERENCE_COUNTS, _up_down_perms
 
 from .oracles import (
     brute_updown_avoiders,
@@ -225,6 +228,34 @@ class TestEnumeration:
     def test_negative(self):
         with pytest.raises(ValueError):
             list(enumerate_updown_avoiders(-1))
+
+    def test_matches_the_plain_up_down_backtracker(self):
+        # _up_down_perms knows nothing of 1234; at n = 5 the suffix tables
+        # complete prefixes of length 2
+        ground = [p for p in _up_down_perms(5) if avoids_1234(p)]
+        assert list(enumerate_updown_avoiders(5)) == ground
+
+    def test_n6_is_pinned(self):
+        # the sha256 of `dyckperm enumerate --family perm --n 6` before the
+        # suffix tables; at n = 6 they complete prefixes of length 4
+        digest = hashlib.sha256()
+        count = 0
+        for p in enumerate_updown_avoiders(6):
+            digest.update(f"{perm_text(p)}\n".encode())
+            count += 1
+        assert count == REFERENCE_COUNTS[6]
+        assert digest.hexdigest() == (
+            "d2c1165e7d48dd32ff36d97192e2cf3b7d9cce015e6fb3d55dde1fc7960b4023")
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_walk_keeps_exactly_the_completable_prefixes(self, n):
+        # the completion test is exact after every letter, tops included
+        family = list(enumerate_updown_avoiders(n))
+        for depth in range(2 * n + 1):
+            cur, free, tails = [], list(range(1, 2 * n + 1)), []
+            walked = [tuple(cur) for _ in _extend(cur, free, tails, depth)]
+            assert walked == sorted({p[:depth] for p in family})
+            assert (cur, free, tails) == ([], list(range(1, 2 * n + 1)), [])
 
 
 class TestCriteria:
