@@ -1,5 +1,5 @@
-"""The insertion kernel behind `dyckperm.bijection`: rise records, per-word
-plans, the insertion runs, the read-off inverse and the oracle's image
+"""The insertion kernel behind `dyckperm.bijection`: the per-word plans of
+rises, the insertion runs, the read-off inverse and the oracle's image
 tables.
 
 For an irreducible path, the bottom word of the image collects the positions
@@ -50,7 +50,6 @@ from .paths import (
     _fits,
     _height_profile,
     _reflected_steps,
-    _row,
     _runs,
     _step_rows,
     enumerate_weightings,
@@ -80,87 +79,54 @@ def _left_count(k: int, rule: str) -> int:
     raise ValueError(f"unknown split rule {rule!r}")
 
 
-class _UpInfo(NamedTuple):
-    """One rise of a word under a split rule.  A named tuple: `_up_infos`
-    builds one per rise, and a frozen dataclass costs several times as
-    much to construct.
-
-    The jump bound is `row[weight of step nb][end]`: `row` is the
-    `paths._row` span row of the pair the bound reads (see `_jump_args`),
-    the rise's own row in `_step_rows` under 'L' and the mirror's row under
-    'R', shared by every step of the same shape, so its indices are the
-    C1-feasible weights of step `nb`; `end` is 0 under 'L' (the least
-    weight) and 1 under 'R' (the greatest).  Every caller indexes it with
-    such a weight: the forward map reads only weightings that passed the
-    validity test, and the inverse reads a row only after its early C1
-    exit (see `_invert_factor`).
-    """
-
-    pos: int          # 1-based step index of the rise
-    slope: int        # 1-based up-slope index
-    shift: int        # falls strictly left of the slope
-    membership: str
-    off: int          # a non-jump inserts weight + off letters from the right end
-    nb: int
-    row: SpanRow
-    end: int
+# a rise of a plan: its step p, the step `nb` its bound reads, its off, the
+# span row its bound reads and the end of the span that is the bound.  The
+# rise jumps when its weight is `row[w[nb]][end]`.  On the left half nb is
+# p - 1, the row is the rise's own row in `_step_rows` and `end` is 0 (the
+# least weight); on the right half nb is p + 1, the row is the mirror's row
+# of the rise, where step p + 1 comes first, and `end` is 1 (the greatest).
+# Either way the row's indices are the C1-feasible weights of step `nb`, and
+# every caller indexes it with such a weight: the forward map reads only
+# weightings that passed the validity test, and the inverse reads a row
+# only after its early C1 exit (see `_invert_factor`).
+_PlanRise = tuple[int, int, int, SpanRow, int]
 
 
-def _jump_args(steps: str, h: tuple[int, ...], pos: int, membership: str
-               ) -> tuple[int, Optional[str], str, int, int, int]:
-    """What the jump bound of the rise at `pos` reads: the neighbouring
-    step `nb`, the kinds and heights of the pair's step shape (the
-    arguments of `paths._row` and `_span`), and which end of the span is
-    the bound.
-
-    Under 'L' the pair is (step pos-1, the rise) and the bound is the least
-    weight; for the first step `nb` is 0, and with no previous step the
-    pair's row has one entry, at index 0.  Under 'R' the pair is (the
-    rise, step pos+1), read on the mirrored path, where step pos+1 comes
-    first, both kinds flip and the heights swap; the bound is the greatest
-    weight.
-    """
-    if membership == LEFT:
-        return pos - 1, steps[pos - 2] if pos > 1 else None, UP, h[pos - 1], h[pos], 0
-    return pos + 1, DOWN if steps[pos] == UP else UP, DOWN, h[pos], h[pos - 1], 1
-
-
-def _up_infos(steps: str, rule: str) -> tuple[_UpInfo, ...]:
-    h = _height_profile(steps)
+def _plan_frame(steps: str, mirror: str, rule: str) -> tuple[_PlanRise, ...]:
+    """The rises of `steps` in insertion order, `mirror` being its
+    reflection.  A rise on a slope with `shift` falls left of it has off
+    shift - 1 on the left half and shift on the right half; on the first
+    step `nb` is 0, and the step's row has one entry, at index 0."""
+    rows, mirror_rows = _step_rows(steps), _step_rows(mirror)
+    m = len(steps)
     ups = [r for r in _runs(steps) if r.kind == UP]
     cut = _left_count(len(ups), rule)
-    infos: list[_UpInfo] = []
+    frame: list[_PlanRise] = []
     rises_before = 0
-    for idx, run in enumerate(ups, start=1):
+    for idx, run in enumerate(ups):
         # falls left of the slope = steps before it minus rises before it
         shift = run.start - 1 - rises_before
         rises_before += run.length
-        membership = LEFT if idx <= cut else RIGHT
-        off = shift - (1 if membership == LEFT else 0)
         for p in range(run.start, run.start + run.length):
-            nb, *shape, end = _jump_args(steps, h, p, membership)
-            infos.append(_UpInfo(p, idx, shift, membership, off, nb, _row(*shape), end))
-    return tuple(infos)
-
-
-# a rise of a plan: its step, the step its bound reads, its off, the span
-# row its bound reads and the end of the span that is the bound
-_PlanRise = tuple[int, int, int, SpanRow, int]
+            if idx < cut:
+                frame.append((p, p - 1, shift - 1, rows[p - 1], 0))
+            else:
+                frame.append((p, p + 1, shift, mirror_rows[m - p], 1))
+    return tuple(frame)
 
 
 @lru_cache(maxsize=4096)
 def _factor_plan(steps: str, rule: str
                  ) -> tuple[tuple[_PlanRise, ...], tuple[_PlanRise, ...]]:
-    """The rises of `steps`, then those of its mirror, from `_up_infos`.
-    Step p of the mirror is step m + 1 - p of the path, and so is its
-    neighbour; the weights are padded with a 0 at each end, where the first
-    step of either frame reads its one-entry row.  A rise jumps when its
-    weight is `row[w[nb]][end]`."""
+    """The rises of `steps`, then those of its mirror, each frame from
+    `_plan_frame`.  Step p of the mirror is step m + 1 - p of the path, and
+    so is its neighbour; the weights are padded with a 0 at each end, where
+    the first step of either frame reads its one-entry row."""
     m = len(steps)
-    bottom = tuple((i.pos, i.nb, i.off, i.row, i.end) for i in _up_infos(steps, rule))
-    top = tuple((m + 1 - i.pos, m + 1 - i.nb, i.off, i.row, i.end)
-                for i in _up_infos(_reflected_steps(steps), rule))
-    return bottom, top
+    mirror = _reflected_steps(steps)
+    top = tuple((m + 1 - s, m + 1 - nb, off, row, end)
+                for s, nb, off, row, end in _plan_frame(mirror, steps, rule))
+    return _plan_frame(steps, mirror, rule), top
 
 
 class InsertionStep(NamedTuple):
@@ -200,24 +166,26 @@ def _insert(frame: tuple[_PlanRise, ...], w: Sequence[int]) -> list[int]:
     return word
 
 
-def _run_insertion(steps: str, weights: Sequence[int], rule: str,
-                   want_trace: bool) -> tuple[tuple[int, ...], InsertionTrace]:
-    """The bottom word of one irreducible factor, and with `want_trace` its
-    trace, read off the finished word: an insertion never moves a letter
-    already placed, so the word after the k-th insertion is the finished
-    word restricted to the first k rises."""
+def _run_insertion(steps: str, weights: Sequence[int], rule: str
+                   ) -> tuple[tuple[int, ...], InsertionTrace]:
+    """The bottom word of one irreducible factor and its trace, both read
+    from the bottom frame of the plan.  A rise starts a slope unless the
+    rise before it is the step before it, and its shift is off + 1 - end.
+    An insertion never moves a letter already placed, so the word after the
+    k-th insertion is the finished word restricted to the first k rises."""
     frame = _factor_plan(steps, rule)[0]
     w = (0, *weights, 0)
     word = tuple(_insert(frame, w))
-    if not want_trace:
-        return word, ()
     placed_at = {rise[0]: k for k, rise in enumerate(frame)}
     trace: list[InsertionStep] = []
-    for k, (info, (step, nb, off, row, end)) in enumerate(zip(_up_infos(steps, rule), frame)):
+    slope = 0
+    for k, (step, nb, off, row, end) in enumerate(frame):
+        if not k or frame[k - 1][0] != step - 1:
+            slope += 1
         x = w[step]
         jumped = x == row[w[nb]][end]
-        trace.append(InsertionStep(step, x, info.slope, info.membership, info.shift, jumped,
-                                   None if jumped else x + off,
+        trace.append(InsertionStep(step, x, slope, RIGHT if end else LEFT, off + 1 - end,
+                                   jumped, None if jumped else x + off,
                                    tuple(v for v in word if placed_at[v] <= k)))
     return word, tuple(trace)
 

@@ -27,7 +27,6 @@ from ._insertion import (
     _brute_weights,
     _flatten_run,
     _invert_factor,
-    _jump_args,
     _left_count,
     _map_factor,
     _map_path,
@@ -36,6 +35,7 @@ from ._insertion import (
 # bound here too because perfbench/layers.py reads this cache as bijection.*
 from ._insertion import _image_table  # noqa: F401
 from .paths import (
+    DOWN,
     UP,
     DyckPath,
     SlopeDecomposition,
@@ -76,8 +76,13 @@ def jump_bound(wd: WeightedDyckPath, u: int, membership: str) -> int:
         raise IndexError(f"step index {u} out of range 1..{len(steps)}")
     if steps[u - 1] != UP:
         raise ValueError(f"step {u} is not a rise")
-    nb, prev, kind, h0, h1, end = _jump_args(steps, _height_profile(steps), u, membership)
-    return _span(prev, kind, h0, h1, wd.weights[nb - 1])[end]
+    h, w = _height_profile(steps), wd.weights
+    if membership == LEFT:  # the least weight after step u-1 (none for u = 1)
+        return _span(steps[u - 2] if u > 1 else None, UP, h[u - 1], h[u],
+                     w[u - 2] if u > 1 else 0)[0]
+    # the greatest weight before step u+1, read on the mirrored path, where
+    # step u+1 comes first, both kinds flip and the heights swap
+    return _span(DOWN if steps[u] == UP else UP, DOWN, h[u], h[u - 1], w[u])[1]
 
 
 def jumps(wd: WeightedDyckPath, u: int, membership: str) -> bool:
@@ -102,7 +107,7 @@ def insertion_word(wd: WeightedDyckPath, rule: str = SPLIT_CEIL
     per-rise trace (jump flag, shift, insertion distance, word snapshot)."""
     _require_valid(wd)
     _require_irreducible(wd)
-    return _run_insertion(wd.path.steps, wd.weights, rule, want_trace=True)
+    return _run_insertion(wd.path.steps, wd.weights, rule)
 
 
 def to_permutation_irreducible(wd: WeightedDyckPath, rule: str = SPLIT_CEIL
@@ -132,7 +137,7 @@ def bottom_traces(wd: WeightedDyckPath, rule: str = SPLIT_CEIL) -> InsertionTrac
     steps, weights = wd.path.steps, wd.weights
     out: list[InsertionStep] = []
     for a, b in factor_spans(steps):
-        _, trace = _run_insertion(steps[a:b], weights[a:b], rule, want_trace=True)
+        _, trace = _run_insertion(steps[a:b], weights[a:b], rule)
         out.extend(st._replace(position=st.position + a,
                                word_after=tuple(v + a for v in st.word_after))
                    for st in trace)
@@ -169,7 +174,7 @@ def parking_to_123_avoiding(pf: ParkingFunction) -> tuple[int, ...]:
 
 def _membership_checks(p: tuple[int, ...]) -> tuple[str, list[tuple[int, int]]]:
     """The checks both inverses run on a non-empty p, in this order: a
-    permutation, up-down, no 1234, bottom letters marking a Dyck word.
+    permutation of ints, up-down, no 1234, bottom letters marking a Dyck word.
     Returns that word and its factor spans, both from one scan of it.
 
     No input that passes the up-down check fails the last check, nor the
@@ -180,7 +185,7 @@ def _membership_checks(p: tuple[int, ...]) -> tuple[str, list[tuple[int, int]]]:
     after 2k steps, the letters 1..2k are k bottom and k top letters, and
     each of those tops has its own bottom and the next one among them, so
     they fill the last k columns: each block holds its factor's letters."""
-    if sorted(p) != list(range(1, len(p) + 1)):
+    if not all(isinstance(v, int) for v in p) or sorted(p) != list(range(1, len(p) + 1)):
         raise ValueError("input is not a permutation of 1..N")
     if not is_up_down(p):
         raise NotInImageError("not in image: not an up-down permutation")

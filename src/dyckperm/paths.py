@@ -152,6 +152,7 @@ def validate_weighted(wd: WeightedDyckPath) -> list[tuple[str, int]]:
 
     The list is exhaustive and sorted by step index, then constraint id.
     Pair constraints (C2..C5) are attributed to the later of the two steps.
+    A weight that is not an int violates C1.
     """
     steps = wd.path.steps
     w = wd.weights
@@ -159,7 +160,7 @@ def validate_weighted(wd: WeightedDyckPath) -> list[tuple[str, int]]:
     out: list[tuple[str, int]] = []
     for u in range(1, len(steps) + 1):
         wu = w[u - 1]
-        if not 0 <= wu <= min(h[u - 1], h[u]):
+        if not isinstance(wu, int) or not 0 <= wu <= min(h[u - 1], h[u]):
             out.append(("C1", u))
         if u == 1:
             continue
@@ -187,9 +188,7 @@ def _fits(rows: Sequence[SpanRow], weights: Sequence[int]) -> bool:
     C1-feasible previous weight, and a weight that passes lies in
     [0, lower height], so the next index is always in range.  The scan
     stops at the first weight outside its span; it accepts exactly the
-    weightings `validate_weighted` accepts.  A non-integer weight that
-    passes its own span cannot index a tabulated row, which raises
-    TypeError.
+    integer weightings `validate_weighted` accepts.
     """
     pw = 0
     for row, x in zip(rows, weights):
@@ -201,12 +200,10 @@ def _fits(rows: Sequence[SpanRow], weights: Sequence[int]) -> bool:
 
 
 def is_valid_weighted(wd: WeightedDyckPath) -> bool:
-    """C1..C5 hold: the rows of `_step_rows` decide, and a weighting they
-    cannot index (a non-integer weight) falls back to `validate_weighted`."""
-    try:
-        return _fits(_step_rows(wd.path.steps), wd.weights)
-    except TypeError:
-        return not validate_weighted(wd)
+    """C1..C5 hold: every weight is an int, as C1 asks, and the rows of
+    `_step_rows` decide the rest."""
+    return (all(isinstance(x, int) for x in wd.weights)
+            and _fits(_step_rows(wd.path.steps), wd.weights))
 
 
 class Slope(NamedTuple):

@@ -40,7 +40,6 @@ from .paths import (
     enumerate_weighted,
     enumerate_weightings,
     count_weighted,
-    factor_spans,
     heights,
     reflect,
     serialize_path,
@@ -128,8 +127,12 @@ def _fail(input_text: str, expected: str, actual: str) -> dict:
 
 
 def _irreducible_words(n: int) -> Iterator[str]:
-    """The Dyck words of semilength n with at most one factor, in order."""
-    return (word for word in _dyck_words(n) if len(factor_spans(word)) <= 1)
+    """The Dyck words of semilength n with at most one factor, in order:
+    the empty word at n = 0, else each word of semilength n - 1 raised
+    between a first rise and a last fall."""
+    if not n:
+        return iter(("",))
+    return ("U" + word + "D" for word in _dyck_words(n - 1))
 
 
 def _irreducible(n: int) -> Iterator[WeightedDyckPath]:
@@ -441,13 +444,13 @@ def _suite_criteria(cap: int, rule: str) -> tuple[int, list[dict]]:
 
 
 def _suite_insertion_lemma(cap: int, rule: str) -> tuple[int, list[dict]]:
-    """Per irreducible word, its rises and span rows are read once.  The
-    feasible weights of a rise given its fixed neighbours are the
-    intersection of two spans: the one its own row gives at the left
-    neighbour's weight (the first step's one-entry row gives C1 alone), and
-    the one the mirrored word's row gives at the right neighbour's weight,
-    where that neighbour comes first, both kinds flip and the heights swap.
-    Both rows include C1."""
+    """Per irreducible word, its plan's bottom frame and its span rows are
+    read once.  The feasible weights of a rise given its fixed neighbours
+    are the intersection of two spans: the one its own row gives at the
+    left neighbour's weight (the first step's one-entry row gives C1 alone),
+    and the one the mirrored word's row gives at the right neighbour's
+    weight, where that neighbour comes first, both kinds flip and the
+    heights swap.  Both rows include C1, and the bound reads one of them."""
     checked = 0
     failures: list[dict] = []
     for n in range(cap + 1):
@@ -455,32 +458,32 @@ def _suite_insertion_lemma(cap: int, rule: str) -> tuple[int, list[dict]]:
             m = len(word)
             rows = _step_rows(word)
             mirror_rows = _step_rows(_reflected_steps(word))
-            infos = _insertion._up_infos(word, rule)
+            frame = _insertion._factor_plan(word, rule)[0]
             for wd in enumerate_weightings(DyckPath(word)):
                 checked += 1
-                weights = wd.weights
+                w = (0, *wd.weights, 0)
                 try:
-                    _insertion._run_insertion(word, weights, rule, want_trace=False)
+                    _insertion._insert(frame, w)
                 except InternalConsistencyError as exc:
                     failures.append(_fail(serialize_path(wd), "no insertion overflow", str(exc)))
                     continue
                 prev_shift = 0
-                for length_before, info in enumerate(infos):
-                    pos = info.pos
-                    if info.shift < prev_shift:
+                for length_before, (pos, nb, off, row, end) in enumerate(frame):
+                    shift = off + 1 - end
+                    if shift < prev_shift:
                         failures.append(_fail(serialize_path(wd), "non-decreasing shifts",
                                               f"rise {pos}"))
-                    prev_shift = info.shift
-                    bound = info.row[weights[info.nb - 1]][info.end]
-                    lo, hi = rows[pos - 1][weights[pos - 2] if pos >= 2 else 0]
+                    prev_shift = shift
+                    bound = row[w[nb]][end]
+                    lo, hi = rows[pos - 1][w[pos - 1]]
                     if pos < m:
-                        a, b = mirror_rows[m - pos][weights[pos]]
+                        a, b = mirror_rows[m - pos][w[pos + 1]]
                         lo, hi = max(lo, a), min(hi, b)
                     dists = set()
                     for alt in range(lo, hi + 1):
                         if alt == bound:
                             continue
-                        d = alt + info.off
+                        d = alt + off
                         # d < length_before: a non-jump never lands at the front,
                         # which the inverse's read-off relies on
                         if d < 0 or d >= length_before:
@@ -488,10 +491,10 @@ def _suite_insertion_lemma(cap: int, rule: str) -> tuple[int, list[dict]]:
                                 serialize_path(wd),
                                 f"feasible weight {alt} of rise {pos} lands in [0,{length_before})",
                                 f"distance {d}"))
-                        if d < info.shift:
+                        if d < shift:
                             failures.append(_fail(
                                 serialize_path(wd),
-                                f"distance of rise {pos} at least shift {info.shift}",
+                                f"distance of rise {pos} at least shift {shift}",
                                 f"distance {d}"))
                         if d in dists:
                             failures.append(_fail(
@@ -567,10 +570,10 @@ def _suite_topword(cap: int, rule: str) -> tuple[int, list[dict]]:
             mirror = _reflected_steps(word)
             h = heights(path)
             downs = [r for r in _runs(word) if r.kind == DOWN]
+            frame = _insertion._factor_plan(mirror, rule)[0]
             for wd in enumerate_weightings(path):
                 checked += 1
-                raw, _ = _insertion._run_insertion(mirror, wd.weights[::-1], rule,
-                                                   want_trace=False)
+                raw = _insertion._insert(frame, (0, *wd.weights[::-1], 0))
                 via_reflection = schutzenberger_word(raw, len(wd))
                 direct = _top_word_direct(h, downs, wd.weights, rule)
                 if direct != via_reflection:

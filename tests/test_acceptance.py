@@ -2,14 +2,11 @@
 
 Every check is integer/combinatorial, so there are no tolerances; a
 criterion either reproduces the reference value exactly or fails.  Each
-test prints one pass/fail line.  The n=7 counts suite, which enumerates
-the 1385670 permutations of size 14, is gated behind DYCKPERM_STRETCH=1.
+test prints one pass/fail line.  The n=7 counts suite enumerates the
+1385670 permutations of size 14.
 """
 
-import os
 import time
-
-import pytest
 
 from dyckperm.bijection import (
     ParkingFunction,
@@ -33,8 +30,6 @@ GROUND_TRUTH_42 = (
     "451623", "452316", "452613", "453612", "461325", "461523", "462315",
     "462513", "463512", "561324", "561423", "562314", "562413", "563412",
 )
-
-STRETCH = bool(os.environ.get("DYCKPERM_STRETCH"))
 
 
 def _report(name, ok, detail=""):
@@ -154,7 +149,6 @@ def test_12_fixed_small_cases():
     _report("12 fixed small cases", ok)
 
 
-@pytest.mark.skipif(not STRETCH, reason="stretch: set DYCKPERM_STRETCH=1")
 def test_stretch_counts_suite_n7():
     report = run_suite("counts", 7)
     _report("stretch counts n=7", report.verdict == "pass",

@@ -257,8 +257,9 @@ class TestInsertionWord:
 
 
 class TestInvalidWeightingMessages:
-    # the reducible paths break C2..C5 in their second factor; the validity
-    # test can index no row at 0.5, so it falls back to validate_weighted
+    # the reducible paths break C2..C5 in their second factor; a weight
+    # that is not an int, 1.0 too, breaks C1 at its own step, so 0.5 is
+    # reported at step 2 before the C1 and C4 breaks of the 2 at step 3
     @pytest.mark.parametrize("steps, weights, reason, parse_reason", [
         ("UUDD", (0, -1, 0, 0), "C1 violated at step 2", "malformed weight list '0,-1,0,0'"),
         ("UUDD", (0, 2, 0, 0), "C1 violated at step 2", "C1 violated at step 2"),
@@ -268,11 +269,12 @@ class TestInvalidWeightingMessages:
         ("UDUUUDDD", (0, 0, 0, 1, 2, 2, 1, 0), "C4 violated at step 6", "C4 violated at step 6"),
         ("UDUUDUDD", (0,) * 8, "C5 violated at step 6", "C5 violated at step 6"),
         ("UUDD", (0, 1.5, 0, 0), "C1 violated at step 2", "malformed weight list '0,1.5,0,0'"),
-        ("UUDD", (0, 0.5, 2, 0), "C1 violated at step 3", "malformed weight list '0,0.5,2,0'"),
+        ("UUDD", (0, 0.5, 2, 0), "C1 violated at step 2", "malformed weight list '0,0.5,2,0'"),
+        ("UUDD", (0, 1.0, 0, 0), "C1 violated at step 2", "malformed weight list '0,1.0,0,0'"),
     ])
     def test_same_text_from_every_entry_point(self, steps, weights, reason, parse_reason):
         x = wd(steps, weights)
-        for entry in (to_permutation, insertion_word):
+        for entry in (to_permutation, insertion_word, flatten_to_single_slope):
             with pytest.raises(ValueError) as info:
                 entry(x)
             assert str(info.value) == f"invalid weighting: {reason}"
@@ -448,6 +450,14 @@ class TestInverse:
     def test_rejects_non_permutation(self):
         with pytest.raises(ValueError, match="not a permutation"):
             from_permutation((1, 1))
+
+    @pytest.mark.parametrize("p", [(1.0, 2.0), (2, 4.0, 1, 3)])
+    @pytest.mark.parametrize("invert", [from_permutation, from_permutation_brute])
+    def test_rejects_letters_that_are_not_ints(self, invert, p):
+        # equal to the ints 1..N, and (2, 4, 1, 3) is an image, but not ints
+        with pytest.raises(ValueError) as exc:
+            invert(p)
+        assert str(exc.value) == "input is not a permutation of 1..N"
 
     @pytest.mark.parametrize("rule", ["ceil", SPLIT_FLOOR])
     @pytest.mark.parametrize("invert", [from_permutation, from_permutation_brute])
@@ -676,6 +686,52 @@ class TestPlanAgainstSpec:
                     assert row[w[nb]][end] == jump_bound(y, u, halves[u]), (serialize_path(x), u)
                     checked += 1
         assert checked == 2 * sum(x.n for x in small + tall)
+
+    @pytest.mark.parametrize("rule", ["ceil", SPLIT_FLOOR])
+    def test_trace_fields_are_the_slopes_of_the_path(self, rule):
+        # the trace reads slope, membership and shift off the plan; here
+        # they come from `slopes`, `split_up_slopes` and the falls left of
+        # the rise's up slope
+        checked = 0
+        for n in range(6):
+            for x in enumerate_weighted(n):
+                if len(factor_spans(x.steps)) > 1:
+                    continue
+                d = slopes(x)
+                spec = {u: (k, half, x.steps[:run.start - 1].count("D"))
+                        for k, (run, half) in enumerate(
+                            zip(d.up_slopes, split_up_slopes(d, rule)), start=1)
+                        for u in range(run.start, run.start + run.length)}
+                _, trace = insertion_word(x, rule)
+                assert [st_.position for st_ in trace] == sorted(spec)
+                for st_ in trace:
+                    assert (st_.slope, st_.membership, st_.shift) == spec[st_.position]
+                    checked += 1
+        assert checked == sum(x.n for n in range(6) for x in enumerate_weighted(n)
+                              if len(factor_spans(x.steps)) == 1)
+
+    @pytest.mark.parametrize("rule", ["ceil", SPLIT_FLOOR])
+    def test_plan_rows_are_the_step_rows(self, rule):
+        # a rise on the left half reads its own row of `_step_rows` at step
+        # p-1; one on the right half reads the mirror's row of the rise at
+        # step p+1.  The mirrored frame is the mirror's bottom frame, renumbered.
+        for n in range(1, 6):
+            for steps in _dyck_words(n):
+                m = len(steps)
+                mirror = reflect(wd(steps)).steps
+                rows, mirror_rows = _step_rows(steps), _step_rows(mirror)
+                d = slopes(DyckPath(steps))
+                halves = {u: half for run, half in zip(d.up_slopes, split_up_slopes(d, rule))
+                          for u in range(run.start, run.start + run.length)}
+                bottom, top = _factor_plan(steps, rule)
+                assert [rise[0] for rise in bottom] == sorted(halves)
+                for p, nb, _, row, end in bottom:
+                    if halves[p] == LEFT:
+                        assert (nb, end) == (p - 1, 0) and row is rows[p - 1]
+                    else:
+                        assert (nb, end) == (p + 1, 1) and row is mirror_rows[m - p]
+                assert [(m + 1 - q, m + 1 - nb, off, row, end)
+                        for q, nb, off, row, end in top] == list(_factor_plan(mirror, rule)[0])
 
     @pytest.mark.parametrize("rule", ["ceil", SPLIT_FLOOR])
     def test_inverse_on_every_up_down_permutation(self, rule):

@@ -11,8 +11,8 @@ TEST_FILES = sorted(Path(__file__).resolve().parent.glob("*.py"))
 # verify.py's private imports: the kernel, read through its module, and
 # five helpers, each from the module that defines it
 VERIFY_PRIVATE = {
-    "_insertion": {"_bottom_word", "_brute_weights", "_flatten_run", "_image_table",
-                   "_left_count", "_run_insertion", "_up_infos"},
+    "_insertion": {"_bottom_word", "_brute_weights", "_factor_plan", "_flatten_run",
+                   "_image_table", "_insert", "_left_count"},
     "paths": {"_dyck_words", "_reflected_steps", "_runs", "_step_rows"},
     "perms": {"_criteria_verdict"},
 }
@@ -109,8 +109,8 @@ def test_cache_inventory_is_pinned():
 
 def test_only_paths_knows_the_tabulation_policy():
     # which step shapes are tabulated, and how the others are read, is
-    # decided in paths alone; other modules read rows through `_row`
+    # decided in paths alone; other modules read rows through `_step_rows`
     for path in SRC.glob("*.py"):
         if path.stem != "paths":
             reads = set().union(*private_reads(path).values())
-            assert not reads & {"_TABULATED_HEIGHT", "_LazyRow"}, path.name
+            assert not reads & {"_TABULATED_HEIGHT", "_LazyRow", "_row"}, path.name

@@ -94,6 +94,13 @@ class TestRunSuite:
         assert report.failures == ()
         assert report.n_range == (0, 2)
 
+    @pytest.mark.parametrize("n", range(9))
+    def test_irreducible_words_are_the_one_factor_words(self, n):
+        # built directly, in the order of every Dyck word filtered to those
+        # that touch the ground only at their ends
+        assert list(verify._irreducible_words(n)) == [
+            w for w in brute_dyck_words(n) if 0 not in brute_heights(w)[1:-1]]
+
     def test_default_caps_used(self):
         report = run_suite("schutzenberger", None)
         assert report.n_range == (0, DEFAULT_CAPS["schutzenberger"])
@@ -394,15 +401,16 @@ class TestCriteriaGround:
         assert [f["input"] for f in report.failures] == ["up-down permutations, size=4", "1,3,2,4"]
 
 
-def _perturbed_up_infos(real):
-    """`_up_infos` with one more fall counted left of the first and the
-    last rise of every word: the first rise's shift then exceeds the
-    next one's, and the last rise inserts one letter further left."""
-    def perturbed(steps, rule):
-        infos = real(steps, rule)
-        return tuple(i._replace(shift=i.shift + 1, off=i.off + 1)
-                     if k in (0, len(infos) - 1) else i
-                     for k, i in enumerate(infos))
+def _perturbed_plan_frame(real):
+    """`_plan_frame` with one more fall counted left of the first and the
+    last rise of every frame: their off, and with it their shift
+    (off + 1 - end), is one higher, so the first rise's shift then exceeds
+    the next one's, and the last rise inserts one letter further left."""
+    def perturbed(steps, mirror, rule):
+        frame = real(steps, mirror, rule)
+        return tuple((s, nb, off + 1, row, end) if k in (0, len(frame) - 1)
+                     else (s, nb, off, row, end)
+                     for k, (s, nb, off, row, end) in enumerate(frame))
     return perturbed
 
 
@@ -425,9 +433,10 @@ class TestInsertionSuitePerturbation:
         # weights 0, so its non-jumping weights 1 and 2 land at distances
         # 1 and 2, and 2 is not below 2.  On UUDD both rises are perturbed,
         # and rise 2 at weight 1 misses its bound 0, so it flattens to
-        # 1 + shift 1 = 2 at index 1.  The plans read the rises through the
+        # 1 + shift 1 = 2 at index 1.  The plans are built through the
         # kernel, so no plan built from the fault may outlive the test.
-        monkeypatch.setattr(_insertion, "_up_infos", _perturbed_up_infos(_insertion._up_infos))
+        monkeypatch.setattr(_insertion, "_plan_frame",
+                            _perturbed_plan_frame(_insertion._plan_frame))
         _factor_plan.cache_clear()
         try:
             lemma = run_suite("insertion_lemma", 3)
