@@ -95,8 +95,9 @@ _PlanRise = tuple[int, int, int, SpanRow, int]
 def _plan_frame(steps: str, mirror: str, rule: str) -> tuple[_PlanRise, ...]:
     """The rises of `steps` in insertion order, `mirror` being its
     reflection.  A rise on a slope with `shift` falls left of it has off
-    shift - 1 on the left half and shift on the right half; on the first
-    step `nb` is 0, and the step's row has one entry, at index 0."""
+    shift - 1 on the left half and shift on the right half.  A rise at step
+    1 on the left half reads step 0, the padding, and its row has one
+    entry, at index 0."""
     rows, mirror_rows = _step_rows(steps), _step_rows(mirror)
     m = len(steps)
     ups = [r for r in _runs(steps) if r.kind == UP]
