@@ -74,8 +74,7 @@ def _cmd_invert(args: argparse.Namespace) -> int:
 
 def _cmd_count(args: argparse.Namespace) -> int:
     mismatch = False
-    for n in range(args.max_n + 1):
-        got = paths.count_weighted(n)
+    for n, got in enumerate(paths.counts_upto(args.max_n)):
         if n < len(verify.REFERENCE_COUNTS):
             ref = verify.REFERENCE_COUNTS[n]
             flag = "" if got == ref else " MISMATCH"

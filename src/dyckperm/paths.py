@@ -151,32 +151,23 @@ def validate_weighted(wd: WeightedDyckPath) -> list[tuple[str, int]]:
     """All (constraint id, step index) violations, or [] when the weighting is valid.
 
     The list is exhaustive and sorted by step index, then constraint id.
-    Pair constraints (C2..C5) are attributed to the later of the two steps.
-    A weight that is not an int violates C1.
+    Pair constraints (`_PAIRS`) are attributed to the later of the two
+    steps.  A weight that is not an int violates C1, and no pair reads it.
     """
     steps = wd.path.steps
-    w = wd.weights
     h = _height_profile(steps)
     out: list[tuple[str, int]] = []
-    for u in range(1, len(steps) + 1):
-        wu = w[u - 1]
-        if not isinstance(wu, int) or not 0 <= wu <= min(h[u - 1], h[u]):
+    pw = None  # the previous weight, when it is an int
+    for u, wu in enumerate(wd.weights, start=1):
+        is_int = isinstance(wu, int)
+        if not is_int or not 0 <= wu <= min(h[u - 1], h[u]):
             out.append(("C1", u))
-        if u == 1:
-            continue
-        prev, cur = steps[u - 2], steps[u - 1]
-        pw = w[u - 2]
-        if prev == UP and cur == UP:
-            if wu < pw:
-                out.append(("C2", u))
-        elif prev == DOWN and cur == DOWN:
-            if wu > pw:
-                out.append(("C3", u))
-        elif prev == UP and cur == DOWN:
-            if pw + wu > h[u - 1]:
-                out.append(("C4", u))
-        elif pw + wu < h[u - 1]:
-            out.append(("C5", u))
+        if is_int and pw is not None:
+            cid, below, residual = _PAIRS[steps[u - 2]][steps[u - 1]]
+            bound = h[u - 1] - pw if residual else pw
+            if wu < bound if below else wu > bound:
+                out.append((cid, u))
+        pw = wu if is_int else None
     return out
 
 
@@ -340,31 +331,38 @@ def _dyck_words(n: int) -> Iterator[str]:
         word[i:] = [DOWN] + [UP] * (ups + 1) + [DOWN] * (downs - 1)
 
 
+# C2..C5 by the kinds of their two steps, earlier first (nested: one-letter
+# keys hash faster than pairs, and `_span` reads this per count state):
+# (id, bounds the later weight from below, the bound is h0 - pw rather than
+# pw), with h0 the height between the steps and pw the earlier weight.
+_PAIRS = {
+    UP: {UP: ("C2", True, False),  # along a rise: pw <= w
+         DOWN: ("C4", False, True)},  # at a peak: w <= h0 - pw
+    DOWN: {DOWN: ("C3", False, False),  # along a fall: w <= pw
+           UP: ("C5", True, True)},  # at a valley: w >= h0 - pw
+}
+
+
 def _span(prev: Optional[str], kind: str, h0: int, h1: int, prev_w: int) -> tuple[int, int]:
     """Feasible weight interval of a step of `kind` from height h0 to h1,
     after a step of kind `prev` and weight `prev_w` (`prev` None for the
-    first step).  The one encoding of C1..C5 as a span: C1 caps the weight
-    by the lower height, and the pair constraint between the two steps
-    bounds it by `prev_w`.
+    first step): C1 caps the weight by the lower height, and the pair
+    constraint of `_PAIRS` between the two steps bounds it by `prev_w`.
 
     Because C2..C5 only couple adjacent steps, the interval is never empty
     when `prev_w` is feasible itself, which makes the left-to-right
     enumeration output-linear.
     """
-    # conditional expressions rather than min/max: this is the inner step
-    # of both the enumeration and the counting pass
+    # conditional expressions rather than min/max: the span rows and the
+    # counting pass call this once per previous weight
     lower = h0 if h0 < h1 else h1
     if prev is None:
         return 0, lower
-    if prev == UP:
-        if kind == UP:  # C2
-            return prev_w, lower
-        cap = h0 - prev_w  # C4: peak at h0
-        return 0, (cap if cap < lower else lower)
-    if kind == UP:  # C5: valley at h0
-        least = h0 - prev_w
-        return (least if least > 0 else 0), lower
-    return 0, (prev_w if prev_w < lower else lower)  # C3
+    _, below, residual = _PAIRS[prev][kind]
+    bound = h0 - prev_w if residual else prev_w
+    if below:
+        return (bound if bound > 0 else 0), lower
+    return 0, (bound if bound < lower else lower)
 
 
 # The tallest shape whose row is tabulated.  A row holds one span per
@@ -467,21 +465,26 @@ def enumerate_weighted(n: int) -> Iterator[WeightedDyckPath]:
         yield from enumerate_weightings(DyckPath(word))
 
 
-def count_weighted(n: int) -> int:
-    """Number of weighted Dyck paths of semilength n (exact integer).
+def counts_upto(n: int) -> list[int]:
+    """Numbers of weighted Dyck paths of semilength 0..n (exact integers),
+    indexed by semilength.
 
-    One transfer-matrix pass over all paths at once, without materializing
-    them.  After each step the state is (kind of the step, height, weight
-    of the step), held as one count list per (kind, height) indexed by
-    weight; only heights from which the ground is still reachable are
-    kept.  Each state adds its count to the whole weight interval that
-    `_span` allows for the next step through a difference list, so the
-    pass takes O(n^3) additions.
+    One transfer-matrix pass over all paths of semilength n at once,
+    without materializing them.  After each step the state is (kind of the
+    step, height, weight of the step), held as one count list per (kind,
+    height) indexed by weight; only heights from which the ground is still
+    reachable within 2n steps are kept.  Each state adds its count to the
+    whole weight interval that `_span` allows for the next step through a
+    difference list, so the pass takes O(n^3) additions.  A path of
+    semilength k <= n is a prefix that ends at (fall, 0) after step 2k, and
+    its height after step i is at most 2k - i <= 2n - i, so the count read
+    there is exact.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     m = 2 * n
     layer: dict[tuple[Optional[str], int], list[int]] = {(None, 0): [1]}
+    out = [1]
     for i in range(1, m + 1):
         diff: dict[tuple[Optional[str], int], list[int]] = {}
         for (prev, h0), counts in layer.items():
@@ -496,7 +499,15 @@ def count_weighted(n: int) -> int:
                     d[lo] += c
                     d[hi + 1] -= c
         layer = {key: list(accumulate(d[:-1])) for key, d in diff.items()}
-    return sum(sum(counts) for counts in layer.values())
+        if i % 2 == 0:
+            out.append(sum(layer.get((DOWN, 0), ())))
+    return out
+
+
+def count_weighted(n: int) -> int:
+    """Number of weighted Dyck paths of semilength n (exact integer): the
+    last entry of `counts_upto(n)`."""
+    return counts_upto(n)[n]
 
 
 def parse_path(text: str) -> WeightedDyckPath:

@@ -39,7 +39,7 @@ from .paths import (
     concat,
     enumerate_weighted,
     enumerate_weightings,
-    count_weighted,
+    counts_upto,
     heights,
     reflect,
     serialize_path,
@@ -224,9 +224,8 @@ def _top_word_direct(h: tuple[int, ...], runs: list, w: tuple[int, ...],
 def _suite_counts(cap: int, rule: str) -> tuple[int, list[dict]]:
     checked = 0
     failures: list[dict] = []
-    for n in range(cap + 1):
+    for n, got in enumerate(counts_upto(cap)):
         ref = REFERENCE_COUNTS[n] if n < len(REFERENCE_COUNTS) else None
-        got = count_weighted(n)
         checked += 1
         if ref is not None and got != ref:
             failures.append(_fail(f"weighted paths, n={n}", str(ref), str(got)))

@@ -282,6 +282,22 @@ class TestInvalidWeightingMessages:
             parse_path(f"{steps};{','.join(map(str, weights))}")
         assert str(info.value) == parse_reason
 
+    # a weight that is not a number breaks C1 at its own step, and no pair
+    # condition compares it with its neighbour, so no entry point ends in a
+    # TypeError; the text grammar cannot produce these weights
+    @pytest.mark.parametrize("steps, weights, step", [
+        ("UUDD", (0, "1", 0, 0), 2),
+        ("UUDD", (0, None, 0, 0), 2),
+        ("UUDD", (0, 0.5, "1", 0), 2),
+        ("UUDD", (0, 0, "0", 0.0), 3),
+    ])
+    def test_non_number_weight_is_c1_at_its_step(self, steps, weights, step):
+        x = wd(steps, weights)
+        for entry in (to_permutation, insertion_word, flatten_to_single_slope):
+            with pytest.raises(ValueError) as info:
+                entry(x)
+            assert str(info.value) == f"invalid weighting: C1 violated at step {step}"
+
 
 class TestForwardMap:
     def test_worked_example(self):

@@ -14,6 +14,7 @@ from dyckperm.paths import (
     _step_rows,
     concat,
     count_weighted,
+    counts_upto,
     enumerate_weighted,
     enumerate_weightings,
     factor_irreducible,
@@ -29,6 +30,9 @@ from dyckperm.paths import (
 
 from .conftest import EXAMPLE14_TEXT
 from .oracles import (
+    brute_dyck_words,
+    brute_heights,
+    brute_pair_ok,
     brute_weighted_set,
     brute_weighting_ok,
     closed_form,
@@ -120,12 +124,23 @@ class TestValidateWeighted:
             WeightedDyckPath(DyckPath("UD"), (0,))
 
     def test_agrees_with_naive_checker(self):
-        for steps in ("UUDD", "UDUD", "UUDUDD", "UUUDDD"):
-            h = heights(DyckPath(steps))
-            caps = [min(h[u - 1], h[u]) for u in range(1, len(steps) + 1)]
-            for weights in itertools.product(*(range(c + 1) for c in caps)):
-                ours = not validate_weighted(wd(steps, weights))
-                assert ours == brute_weighting_ok(steps, weights)
+        # the list itself, not only its emptiness: per step, C1 when the
+        # weight is out of range, then the pair condition with the step
+        # before, named by the kinds of the two steps
+        pair_id = {"UU": "C2", "DD": "C3", "UD": "C4", "DU": "C5"}
+        for n in range(4):
+            for steps in brute_dyck_words(n):
+                h = brute_heights(steps)
+                caps = [min(h[u - 1], h[u]) for u in range(1, len(steps) + 1)]
+                for w in itertools.product(*(range(-1, c + 2) for c in caps)):
+                    naive = []
+                    for u in range(1, len(steps) + 1):
+                        if not 0 <= w[u - 1] <= caps[u - 1]:
+                            naive.append(("C1", u))
+                        if u > 1 and not brute_pair_ok(steps[u - 2], steps[u - 1],
+                                                       w[u - 2], w[u - 1], h[u - 1]):
+                            naive.append((pair_id[steps[u - 2:u]], u))
+                    assert validate_weighted(wd(steps, w)) == naive, (steps, w)
 
     def test_row_test_agrees_with_naive_checker_on_a_box(self):
         # one weight below and one above C1's range at every step, so the
@@ -140,6 +155,15 @@ class TestValidateWeighted:
                 assert _fits(rows, weights) == expect
                 assert is_valid_weighted(x) == expect
                 assert (not validate_weighted(x)) == expect
+
+    @pytest.mark.parametrize("steps, weights, where", [
+        ("UUDD", (0, "1", 0, 0), [2]),
+        ("UUDD", (0, None, 0, 0), [2]),
+        ("UUDD", (0, "1", 0.5, 0), [2, 3]),
+        ("UDUUDD", (0, 0, None, 1, "0", 0), [3, 5]),
+    ])
+    def test_non_number_weights_break_c1_only(self, steps, weights, where):
+        assert validate_weighted(wd(steps, weights)) == [("C1", u) for u in where]
 
     def test_tall_path_keeps_memory_small(self):
         # rows above a fixed height are computed when read: tabulating every
@@ -331,8 +355,10 @@ class TestCountWeighted:
         assert [count_weighted(n) for n in range(6)] == [1, 1, 5, 42, 462, 6006]
 
     def test_closed_form_up_to_100(self):
+        got = counts_upto(100)
+        assert len(got) == 101
         for n in range(101):
-            assert count_weighted(n) == closed_form(n), n
+            assert got[n] == closed_form(n), n
 
     def test_matches_per_word_oracle(self):
         for n in range(9):
@@ -342,9 +368,16 @@ class TestCountWeighted:
         for n in range(5):
             assert count_weighted(n) == sum(1 for _ in enumerate_weighted(n))
 
+    def test_counts_upto_reads_every_smaller_count(self):
+        upto12 = counts_upto(12)
+        for n in range(13):
+            assert count_weighted(n) == counts_upto(n)[n] == upto12[n], n
+
     def test_negative_n(self):
         with pytest.raises(ValueError):
             count_weighted(-2)
+        with pytest.raises(ValueError):
+            counts_upto(-1)
 
 
 class TestParseSerialize:
