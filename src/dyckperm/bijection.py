@@ -68,6 +68,7 @@ def jump_bound(wd: WeightedDyckPath, u: int, membership: str) -> int:
     slope).  'R': the least upper bound (the minimum of the lower height
     and the next weight on the slope, or the peak residual for the last).
     Both are an end of the `_span` that the forward map's jump rule reads.
+    An invalid weighting is a ValueError, raised before any weight is read.
     """
     if membership not in (LEFT, RIGHT):
         raise ValueError(f"membership must be {LEFT!r} or {RIGHT!r}")
@@ -76,6 +77,7 @@ def jump_bound(wd: WeightedDyckPath, u: int, membership: str) -> int:
         raise IndexError(f"step index {u} out of range 1..{len(steps)}")
     if steps[u - 1] != UP:
         raise ValueError(f"step {u} is not a rise")
+    _require_valid(wd)
     h, w = _height_profile(steps), wd.weights
     if membership == LEFT:  # the least weight after step u-1 (none for u = 1)
         return _span(steps[u - 2] if u > 1 else None, UP, h[u - 1], h[u],

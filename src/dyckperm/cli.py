@@ -20,13 +20,10 @@ _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 
 def _nonneg(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be non-negative")
-    return value
+    """ASCII digits only, the grammar of the path and permutation text."""
+    if not perms._NATURAL.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
+    return int(text)
 
 
 def _read_input(arg: str) -> str:

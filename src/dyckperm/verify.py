@@ -5,6 +5,13 @@ exhaustive pass/fail check over all instances up to a size cap, reporting
 counterexamples in the canonical text serializations so that any failure
 can be replayed through the CLI.  Running every suite at the default caps
 is the package's acceptance gate.
+
+Each suite is a per-size step, `(n, rule, failures) -> checked`: it checks
+the instances of size n, appends their failures in the deterministic order
+it enumerates them, and returns how many it checked.  `run_suite` runs the
+step at each n up to the cap, so every suite lists its failures by size;
+`product` lists its pair failures by total size, then by the first
+factor's size.
 """
 
 from __future__ import annotations
@@ -37,9 +44,9 @@ from .paths import (
     _runs,
     _step_rows,
     concat,
+    count_weighted,
     enumerate_weighted,
     enumerate_weightings,
-    counts_upto,
     heights,
     reflect,
     serialize_path,
@@ -55,34 +62,6 @@ from .perms import (
     shifted_concat,
     standardize,
 )
-
-SUITES = (
-    "counts",
-    "bijectivity",
-    "roundtrip",
-    "schutzenberger",
-    "product",
-    "statistic",
-    "criteria",
-    "insertion_lemma",
-    "transformation",
-    "parking",
-    "topword_equivalence",
-)
-
-DEFAULT_CAPS = {
-    "counts": 6,
-    "bijectivity": 6,
-    "roundtrip": 6,
-    "statistic": 6,
-    "schutzenberger": 5,
-    "product": 5,
-    "criteria": 5,  # permutations of size up to 2*5 = 10
-    "parking": 8,
-    "transformation": 6,
-    "insertion_lemma": 6,
-    "topword_equivalence": 5,
-}
 
 # Three-dimensional Catalan numbers (OEIS A005789): the common size of both
 # families, embedded so no lookup is ever needed.
@@ -133,13 +112,6 @@ def _irreducible_words(n: int) -> Iterator[str]:
     if not n:
         return iter(("",))
     return ("U" + word + "D" for word in _dyck_words(n - 1))
-
-
-def _irreducible(n: int) -> Iterator[WeightedDyckPath]:
-    """The irreducible paths of semilength n, in `enumerate_weighted`
-    order: the weightings of each Dyck word with at most one factor."""
-    for word in _irreducible_words(n):
-        yield from enumerate_weightings(DyckPath(word))
 
 
 def _word_images(word: str, rule: str
@@ -221,61 +193,55 @@ def _top_word_direct(h: tuple[int, ...], runs: list, w: tuple[int, ...],
     return tuple(word)
 
 
-def _suite_counts(cap: int, rule: str) -> tuple[int, list[dict]]:
-    checked = 0
-    failures: list[dict] = []
-    for n, got in enumerate(counts_upto(cap)):
-        ref = REFERENCE_COUNTS[n] if n < len(REFERENCE_COUNTS) else None
-        checked += 1
-        if ref is not None and got != ref:
-            failures.append(_fail(f"weighted paths, n={n}", str(ref), str(got)))
-        perm_count = sum(1 for _ in enumerate_updown_avoiders(n))
-        checked += 1
-        if ref is not None and perm_count != ref:
-            failures.append(_fail(f"up-down avoiders, n={n}", str(ref), str(perm_count)))
-        if got != perm_count:
-            failures.append(_fail(f"family sizes, n={n}", str(got), str(perm_count)))
-    return checked, failures
+def _suite_counts(n: int, rule: str, failures: list[dict]) -> int:
+    got = count_weighted(n)
+    ref = REFERENCE_COUNTS[n] if n < len(REFERENCE_COUNTS) else None
+    if ref is not None and got != ref:
+        failures.append(_fail(f"weighted paths, n={n}", str(ref), str(got)))
+    perm_count = sum(1 for _ in enumerate_updown_avoiders(n))
+    if ref is not None and perm_count != ref:
+        failures.append(_fail(f"up-down avoiders, n={n}", str(ref), str(perm_count)))
+    if got != perm_count:
+        failures.append(_fail(f"family sizes, n={n}", str(got), str(perm_count)))
+    return 2
 
 
-def _suite_bijectivity(cap: int, rule: str) -> tuple[int, list[dict]]:
+def _suite_bijectivity(n: int, rule: str, failures: list[dict]) -> int:
     """Images come from `_word_images`; a word whose forward map raises its
     guard is one failure, and its later paths are not checked.  The
     avoiders are streamed in lexicographic order and each hit leaves
     `seen`, so the misses come out sorted and what stays in `seen` is the
     images outside the family."""
     checked = 0
-    failures: list[dict] = []
-    for n in range(cap + 1):
-        seen: dict[tuple[int, ...], tuple[str, tuple[int, ...]]] = {}
-        for word in _dyck_words(n):
-            try:
-                for weights, perm in _word_images(word, rule):
-                    checked += 1
-                    if perm in seen:
-                        failures.append(_fail(
-                            _path_text(word, weights),
-                            "a fresh image",
-                            f"{perm_text(perm)} already hit by {_path_text(*seen[perm])}",
-                        ))
-                    else:
-                        seen[perm] = (word, weights)
-            except InternalConsistencyError as exc:
-                failures.append(_fail(word, "an image for every weighting", str(exc)))
-        for perm in enumerate_updown_avoiders(n):
-            checked += 1
-            if seen.pop(perm, None) is None:
-                failures.append(_fail(perm_text(perm), "hit by some weighted path", "missed"))
-        for perm in sorted(seen):
-            failures.append(_fail(
-                _path_text(*seen[perm]),
-                "an up-down permutation avoiding 1234",
-                perm_text(perm),
-            ))
-    return checked, failures
+    seen: dict[tuple[int, ...], tuple[str, tuple[int, ...]]] = {}
+    for word in _dyck_words(n):
+        try:
+            for weights, perm in _word_images(word, rule):
+                checked += 1
+                if perm in seen:
+                    failures.append(_fail(
+                        _path_text(word, weights),
+                        "a fresh image",
+                        f"{perm_text(perm)} already hit by {_path_text(*seen[perm])}",
+                    ))
+                else:
+                    seen[perm] = (word, weights)
+        except InternalConsistencyError as exc:
+            failures.append(_fail(word, "an image for every weighting", str(exc)))
+    for perm in enumerate_updown_avoiders(n):
+        checked += 1
+        if seen.pop(perm, None) is None:
+            failures.append(_fail(perm_text(perm), "hit by some weighted path", "missed"))
+    for perm in sorted(seen):
+        failures.append(_fail(
+            _path_text(*seen[perm]),
+            "an up-down permutation avoiding 1234",
+            perm_text(perm),
+        ))
+    return checked
 
 
-def _suite_roundtrip(cap: int, rule: str) -> tuple[int, list[dict]]:
+def _suite_roundtrip(n: int, rule: str, failures: list[dict]) -> int:
     """Each path's image comes from `_image_table`, the brute-force
     oracle's table of one Dyck word, so each path is mapped forward once.
     `from_permutation` runs the membership checks on the image; the
@@ -284,101 +250,92 @@ def _suite_roundtrip(cap: int, rule: str) -> tuple[int, list[dict]]:
     weightings share an image is one failure, and its paths are not
     checked.  A path's text is built only for a failure."""
     checked = 0
-    failures: list[dict] = []
-    for n in range(cap + 1):
-        for word in _dyck_words(n):
+    for word in _dyck_words(n):
+        try:
+            table = _insertion._image_table(word, rule)
+        except InternalConsistencyError as exc:
+            failures.append(_fail(word, "weightings with distinct images", str(exc)))
+            continue
+        for sigma, weights in table.items():
+            checked += 1
             try:
-                table = _insertion._image_table(word, rule)
-            except InternalConsistencyError as exc:
-                failures.append(_fail(word, "weightings with distinct images", str(exc)))
+                back = from_permutation(sigma, rule)
+            except Exception as exc:  # noqa: BLE001 - report, don't crash the suite
+                failures.append(_fail(_path_text(word, weights), "inverse succeeds",
+                                      f"{type(exc).__name__}: {exc}"))
                 continue
-            for sigma, weights in table.items():
-                checked += 1
-                try:
-                    back = from_permutation(sigma, rule)
-                except Exception as exc:  # noqa: BLE001 - report, don't crash the suite
-                    failures.append(_fail(_path_text(word, weights), "inverse succeeds",
-                                          f"{type(exc).__name__}: {exc}"))
-                    continue
-                if (back.path.steps, back.weights) != (word, weights):
-                    text = _path_text(word, weights)
-                    failures.append(_fail(text, text, serialize_path(back)))
-                bottom = _insertion._bottom_word(sigma)
-                brute = _insertion._brute_weights(sigma, bottom, rule)
-                if (bottom, brute) != (word, weights):
-                    text = _path_text(word, weights)
-                    failures.append(_fail(text, text,
-                                          f"brute: {_path_text(bottom, brute)}"))
-    return checked, failures
+            if (back.path.steps, back.weights) != (word, weights):
+                text = _path_text(word, weights)
+                failures.append(_fail(text, text, serialize_path(back)))
+            bottom = _insertion._bottom_word(sigma)
+            brute = _insertion._brute_weights(sigma, bottom, rule)
+            if (bottom, brute) != (word, weights):
+                text = _path_text(word, weights)
+                failures.append(_fail(text, text, f"brute: {_path_text(bottom, brute)}"))
+    return checked
 
 
-def _suite_schutzenberger(cap: int, rule: str) -> tuple[int, list[dict]]:
+def _suite_schutzenberger(n: int, rule: str, failures: list[dict]) -> int:
     """A path whose forward map, or its mirror's, raises its guard is one
     failure, and the suite goes on with the next path."""
     checked = 0
-    failures: list[dict] = []
-    for n in range(cap + 1):
-        for wd in enumerate_weighted(n):
-            checked += 1
-            try:
-                lhs = to_permutation(reflect(wd), rule).perm
-                rhs = schutzenberger(to_permutation(wd, rule).perm)
-            except InternalConsistencyError as exc:
-                failures.append(_fail(serialize_path(wd), "an image of the path and its mirror",
-                                      str(exc)))
-                continue
-            if lhs != rhs:
-                failures.append(_fail(serialize_path(wd), perm_text(rhs), perm_text(lhs)))
-    return checked, failures
+    for wd in enumerate_weighted(n):
+        checked += 1
+        try:
+            lhs = to_permutation(reflect(wd), rule).perm
+            rhs = schutzenberger(to_permutation(wd, rule).perm)
+        except InternalConsistencyError as exc:
+            failures.append(_fail(serialize_path(wd), "an image of the path and its mirror",
+                                  str(exc)))
+            continue
+        if lhs != rhs:
+            failures.append(_fail(serialize_path(wd), perm_text(rhs), perm_text(lhs)))
+    return checked
 
 
-def _suite_product(cap: int, rule: str) -> tuple[int, list[dict]]:
-    """A path whose forward map raises its guard is one failure and is left
-    out of the pairs: the map runs factor by factor, so every concatenation
-    that holds the path would raise the same error."""
-    checked = 0
-    failures: list[dict] = []
-    pools: dict[int, list[tuple[WeightedDyckPath, tuple[int, ...]]]] = {}
-    for a in range(cap + 1):
-        pools[a] = []
+def _suite_product(n: int, rule: str, failures: list[dict]) -> int:
+    """The pairs whose sizes add up to n, by the first factor's size, from
+    pools that the step maps at every size up to n.  A path whose forward
+    map raises its guard is one failure, recorded at its own size, and is
+    left out of the pairs: the map runs factor by factor, so every
+    concatenation that holds the path would raise the same error."""
+    pools: list[list[tuple[WeightedDyckPath, tuple[int, ...]]]] = []
+    for a in range(n + 1):
+        pools.append([])
         for wd in enumerate_weighted(a):
             try:
                 pools[a].append((wd, to_permutation(wd, rule).perm))
             except InternalConsistencyError as exc:
-                failures.append(_fail(serialize_path(wd), "an image", str(exc)))
-    for a in range(cap + 1):
-        for b in range(cap + 1 - a):
-            for p, p_img in pools[a]:
-                for q, q_img in pools[b]:
-                    checked += 1
-                    lhs = to_permutation(concat(p, q), rule).perm
-                    rhs = shifted_concat(q_img, p_img)
-                    if lhs != rhs:
-                        failures.append(_fail(
-                            f"{serialize_path(p)} * {serialize_path(q)}",
-                            perm_text(rhs), perm_text(lhs)))
-    return checked, failures
+                if a == n:
+                    failures.append(_fail(serialize_path(wd), "an image", str(exc)))
+    checked = 0
+    for a in range(n + 1):
+        for p, p_img in pools[a]:
+            for q, q_img in pools[n - a]:
+                checked += 1
+                lhs = to_permutation(concat(p, q), rule).perm
+                rhs = shifted_concat(q_img, p_img)
+                if lhs != rhs:
+                    failures.append(_fail(f"{serialize_path(p)} * {serialize_path(q)}",
+                                          perm_text(rhs), perm_text(lhs)))
+    return checked
 
 
-def _suite_statistic(cap: int, rule: str) -> tuple[int, list[dict]]:
+def _suite_statistic(n: int, rule: str, failures: list[dict]) -> int:
     """A word whose forward map raises its guard is one failure, as in
     `_suite_bijectivity`, and its later paths are not checked."""
     checked = 0
-    failures: list[dict] = []
-    for n in range(cap + 1):
-        for word in _dyck_words(n):
-            ups = [i for i, s in enumerate(word, start=1) if s == UP]
-            try:
-                for weights, perm in _word_images(word, rule):
-                    checked += 1
-                    bots = sorted(perm[0::2])
-                    if bots != ups:
-                        failures.append(_fail(_path_text(word, weights), str(ups), str(bots)))
-            except InternalConsistencyError as exc:
-                failures.append(_fail(word, "an image for every weighting", str(exc)))
-    return checked, failures
-
-
+    for word in _dyck_words(n):
+        ups = [i for i, s in enumerate(word, start=1) if s == UP]
+        try:
+            for weights, perm in _word_images(word, rule):
+                checked += 1
+                bots = sorted(perm[0::2])
+                if bots != ups:
+                    failures.append(_fail(_path_text(word, weights), str(ups), str(bots)))
+        except InternalConsistencyError as exc:
+            failures.append(_fail(word, "an image for every weighting", str(exc)))
+    return checked
 def _up_down_perms(m: int) -> Iterator[tuple[int, ...]]:
     """Up-down permutations of size 2m (ascents at odd positions, descents
     at even ones, 1-based), lexicographically: a plain backtracker that
@@ -407,42 +364,38 @@ def _up_down_perms(m: int) -> Iterator[tuple[int, ...]]:
     return extend()
 
 
-def _suite_criteria(cap: int, rule: str) -> tuple[int, list[dict]]:
-    """Every permutation of each even size 2m is checked: `_criteria_verdict`
-    runs on all (2m)! of them, through `filter`, and the ones it accepts
-    come out in lexicographic order, as `itertools.permutations` makes
-    them.  The ground truth, up-down and 1234-avoiding, is a set built once
-    per size: `_up_down_perms` filtered by `avoids_1234`, also in
-    lexicographic order, its size checked against `EULER_ZIGZAG`.  A
-    permutation is a failure exactly when it lies in one of the two
-    sorted streams and not the other, so merging them yields the failures
-    of a loop that compares the verdict with the ground truth on every
-    permutation, in the same order, with the same text: accepted outside
-    the ground set is expected False, rejected inside it expected True."""
-    checked = 0
-    failures: list[dict] = []
-    for m in range(cap + 1):
-        up_down = list(_up_down_perms(m))
-        ref = EULER_ZIGZAG[m] if m < len(EULER_ZIGZAG) else None
-        if ref is not None and len(up_down) != ref:
-            failures.append(_fail(f"up-down permutations, size={2 * m}",
-                                  str(ref), str(len(up_down))))
-        ground = [p for p in up_down if avoids_1234(p)]
-        checked += factorial(2 * m)
-        i = 0
-        for p in filter(_criteria_verdict, itertools.permutations(range(1, 2 * m + 1))):
-            while i < len(ground) and ground[i] < p:
-                failures.append(_fail(perm_text(ground[i]), "True", "False"))
-                i += 1
-            if i < len(ground) and ground[i] == p:
-                i += 1
-            else:
-                failures.append(_fail(perm_text(p), "False", "True"))
-        failures.extend(_fail(perm_text(q), "True", "False") for q in ground[i:])
-    return checked, failures
+def _suite_criteria(m: int, rule: str, failures: list[dict]) -> int:
+    """Every permutation of size 2m is checked: `_criteria_verdict` runs on
+    all (2m)! of them, through `filter`, and the ones it accepts come out
+    in lexicographic order, as `itertools.permutations` makes them.  The
+    ground truth, up-down and 1234-avoiding, is `_up_down_perms` filtered
+    by `avoids_1234`, also in lexicographic order, its size checked
+    against `EULER_ZIGZAG`.  A permutation is a failure exactly when it
+    lies in one of the two sorted streams and not the other, so merging
+    them yields the failures of a loop that compares the verdict with the
+    ground truth on every permutation, in the same order, with the same
+    text: accepted outside the ground set is expected False, rejected
+    inside it expected True."""
+    up_down = list(_up_down_perms(m))
+    ref = EULER_ZIGZAG[m] if m < len(EULER_ZIGZAG) else None
+    if ref is not None and len(up_down) != ref:
+        failures.append(_fail(f"up-down permutations, size={2 * m}",
+                              str(ref), str(len(up_down))))
+    ground = [p for p in up_down if avoids_1234(p)]
+    i = 0
+    for p in filter(_criteria_verdict, itertools.permutations(range(1, 2 * m + 1))):
+        while i < len(ground) and ground[i] < p:
+            failures.append(_fail(perm_text(ground[i]), "True", "False"))
+            i += 1
+        if i < len(ground) and ground[i] == p:
+            i += 1
+        else:
+            failures.append(_fail(perm_text(p), "False", "True"))
+    failures.extend(_fail(perm_text(q), "True", "False") for q in ground[i:])
+    return factorial(2 * m)
 
 
-def _suite_insertion_lemma(cap: int, rule: str) -> tuple[int, list[dict]]:
+def _suite_insertion_lemma(n: int, rule: str, failures: list[dict]) -> int:
     """Per irreducible word, its plan's bottom frame and its span rows are
     read once.  The feasible weights of a rise given its fixed neighbours
     are the intersection of two spans: the one its own row gives at the
@@ -451,68 +404,65 @@ def _suite_insertion_lemma(cap: int, rule: str) -> tuple[int, list[dict]]:
     weight, where that neighbour comes first, both kinds flip and the
     heights swap.  Both rows include C1, and the bound reads one of them."""
     checked = 0
-    failures: list[dict] = []
-    for n in range(cap + 1):
-        for word in _irreducible_words(n):
-            m = len(word)
-            rows = _step_rows(word)
-            mirror_rows = _step_rows(_reflected_steps(word))
-            frame = _insertion._factor_plan(word, rule)[0]
-            for wd in enumerate_weightings(DyckPath(word)):
-                checked += 1
-                w = (0, *wd.weights, 0)
-                try:
-                    _insertion._insert(frame, w)
-                except InternalConsistencyError as exc:
-                    failures.append(_fail(serialize_path(wd), "no insertion overflow", str(exc)))
-                    continue
-                prev_shift = 0
-                for length_before, (pos, nb, off, row, end) in enumerate(frame):
-                    shift = off + 1 - end
-                    if shift < prev_shift:
-                        failures.append(_fail(serialize_path(wd), "non-decreasing shifts",
-                                              f"rise {pos}"))
-                    prev_shift = shift
-                    bound = row[w[nb]][end]
-                    lo, hi = rows[pos - 1][w[pos - 1]]
-                    if pos < m:
-                        a, b = mirror_rows[m - pos][w[pos + 1]]
-                        lo, hi = max(lo, a), min(hi, b)
-                    dists = set()
-                    for alt in range(lo, hi + 1):
-                        if alt == bound:
-                            continue
-                        d = alt + off
-                        # d < length_before: a non-jump never lands at the front,
-                        # which the inverse's read-off relies on
-                        if d < 0 or d >= length_before:
-                            failures.append(_fail(
-                                serialize_path(wd),
-                                f"feasible weight {alt} of rise {pos} lands in [0,{length_before})",
-                                f"distance {d}"))
-                        if d < shift:
-                            failures.append(_fail(
-                                serialize_path(wd),
-                                f"distance of rise {pos} at least shift {shift}",
-                                f"distance {d}"))
-                        if d in dists:
-                            failures.append(_fail(
-                                serialize_path(wd), f"distinct distances at rise {pos}",
-                                f"repeat {d}"))
-                        dists.add(d)
-    return checked, failures
+    for word in _irreducible_words(n):
+        m = len(word)
+        rows = _step_rows(word)
+        mirror_rows = _step_rows(_reflected_steps(word))
+        frame = _insertion._factor_plan(word, rule)[0]
+        for wd in enumerate_weightings(DyckPath(word)):
+            checked += 1
+            w = (0, *wd.weights, 0)
+            try:
+                _insertion._insert(frame, w)
+            except InternalConsistencyError as exc:
+                failures.append(_fail(serialize_path(wd), "no insertion overflow", str(exc)))
+                continue
+            prev_shift = 0
+            for length_before, (pos, nb, off, row, end) in enumerate(frame):
+                shift = off + 1 - end
+                if shift < prev_shift:
+                    failures.append(_fail(serialize_path(wd), "non-decreasing shifts",
+                                          f"rise {pos}"))
+                prev_shift = shift
+                bound = row[w[nb]][end]
+                lo, hi = rows[pos - 1][w[pos - 1]]
+                if pos < m:
+                    a, b = mirror_rows[m - pos][w[pos + 1]]
+                    lo, hi = max(lo, a), min(hi, b)
+                dists = set()
+                for alt in range(lo, hi + 1):
+                    if alt == bound:
+                        continue
+                    d = alt + off
+                    # d < length_before: a non-jump never lands at the front,
+                    # which the inverse's read-off relies on
+                    if d < 0 or d >= length_before:
+                        failures.append(_fail(
+                            serialize_path(wd),
+                            f"feasible weight {alt} of rise {pos} lands in [0,{length_before})",
+                            f"distance {d}"))
+                    if d < shift:
+                        failures.append(_fail(
+                            serialize_path(wd),
+                            f"distance of rise {pos} at least shift {shift}",
+                            f"distance {d}"))
+                    if d in dists:
+                        failures.append(_fail(
+                            serialize_path(wd), f"distinct distances at rise {pos}",
+                            f"repeat {d}"))
+                    dists.add(d)
+    return checked
 
 
-def _suite_transformation(cap: int, rule: str) -> tuple[int, list[dict]]:
+def _suite_transformation(n: int, rule: str, failures: list[dict]) -> int:
     """One traced insertion run per path gives both the bottom word and its
     flattening (`_flatten_run`, the rule `flatten_to_single_slope` uses)."""
     checked = 0
-    failures: list[dict] = []
-    for n in range(cap + 1):
-        for wd in _irreducible(n):
+    for steps in _irreducible_words(n):
+        for wd in enumerate_weightings(DyckPath(steps)):
             checked += 1
             try:
-                word, pf = _insertion._flatten_run(wd.path.steps, wd.weights, rule)
+                word, pf = _insertion._flatten_run(steps, wd.weights, rule)
             except Exception as exc:  # noqa: BLE001
                 failures.append(_fail(serialize_path(wd), "a valid parking function", str(exc)))
                 continue
@@ -520,9 +470,7 @@ def _suite_transformation(cap: int, rule: str) -> tuple[int, list[dict]]:
             got = parking_to_123_avoiding(pf)
             if got != expect:
                 failures.append(_fail(serialize_path(wd), perm_text(expect), perm_text(got)))
-    return checked, failures
-
-
+    return checked
 def _parking_functions(n: int) -> Iterator[tuple[int, ...]]:
     """Weakly increasing (v_0..v_{n-1}) with v_i <= i, lexicographically:
     an odometer that raises the last entry below its cap and resets the
@@ -539,77 +487,82 @@ def _parking_functions(n: int) -> Iterator[tuple[int, ...]]:
         vals[i + 1:] = [vals[i]] * (n - 1 - i)
 
 
-def _suite_parking(cap: int, rule: str) -> tuple[int, list[dict]]:
+def _suite_parking(n: int, rule: str, failures: list[dict]) -> int:
     checked = 0
-    failures: list[dict] = []
-    for n in range(cap + 1):
-        images: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for vals in _parking_functions(n):
+    images: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for vals in _parking_functions(n):
+        checked += 1
+        word = parking_to_123_avoiding(ParkingFunction(vals))
+        if not avoids_123_word(word):
+            failures.append(_fail(str(list(vals)), "image avoids 123", perm_text(word)))
+        if word in images:
+            failures.append(_fail(
+                str(list(vals)), "a fresh image",
+                f"{perm_text(word)} already hit by {list(images[word])}"))
+        images[word] = vals
+    ref = CATALAN[n] if n < len(CATALAN) else None
+    if ref is not None and len(images) != ref:
+        failures.append(_fail(f"image count, n={n}", str(ref), str(len(images))))
+    return checked
+
+
+def _suite_topword(n: int, rule: str, failures: list[dict]) -> int:
+    checked = 0
+    for word in _irreducible_words(n):  # each word's slopes are read once
+        path = DyckPath(word)
+        mirror = _reflected_steps(word)
+        h = heights(path)
+        downs = [r for r in _runs(word) if r.kind == DOWN]
+        frame = _insertion._factor_plan(mirror, rule)[0]
+        for wd in enumerate_weightings(path):
             checked += 1
-            word = parking_to_123_avoiding(ParkingFunction(vals))
-            if not avoids_123_word(word):
-                failures.append(_fail(str(list(vals)), "image avoids 123", perm_text(word)))
-            if word in images:
-                failures.append(_fail(
-                    str(list(vals)), "a fresh image",
-                    f"{perm_text(word)} already hit by {list(images[word])}"))
-            images[word] = vals
-        ref = CATALAN[n] if n < len(CATALAN) else None
-        if ref is not None and len(images) != ref:
-            failures.append(_fail(f"image count, n={n}", str(ref), str(len(images))))
-    return checked, failures
+            raw = _insertion._insert(frame, (0, *wd.weights[::-1], 0))
+            via_reflection = schutzenberger_word(raw, len(wd))
+            direct = _top_word_direct(h, downs, wd.weights, rule)
+            if direct != via_reflection:
+                failures.append(_fail(serialize_path(wd),
+                                      perm_text(via_reflection), perm_text(direct)))
+    return checked
 
 
-def _suite_topword(cap: int, rule: str) -> tuple[int, list[dict]]:
-    checked = 0
-    failures: list[dict] = []
-    for n in range(cap + 1):
-        for word in _irreducible_words(n):  # each word's slopes are read once
-            path = DyckPath(word)
-            mirror = _reflected_steps(word)
-            h = heights(path)
-            downs = [r for r in _runs(word) if r.kind == DOWN]
-            frame = _insertion._factor_plan(mirror, rule)[0]
-            for wd in enumerate_weightings(path):
-                checked += 1
-                raw = _insertion._insert(frame, (0, *wd.weights[::-1], 0))
-                via_reflection = schutzenberger_word(raw, len(wd))
-                direct = _top_word_direct(h, downs, wd.weights, rule)
-                if direct != via_reflection:
-                    failures.append(_fail(serialize_path(wd),
-                                          perm_text(via_reflection), perm_text(direct)))
-    return checked, failures
-
-
-_SUITE_FUNCS = {
-    "counts": _suite_counts,
-    "bijectivity": _suite_bijectivity,
-    "roundtrip": _suite_roundtrip,
-    "schutzenberger": _suite_schutzenberger,
-    "product": _suite_product,
-    "statistic": _suite_statistic,
-    "criteria": _suite_criteria,
-    "insertion_lemma": _suite_insertion_lemma,
-    "transformation": _suite_transformation,
-    "parking": _suite_parking,
-    "topword_equivalence": _suite_topword,
+# Each suite once, in gate order: its default cap and its per-size step.
+_SUITES = {
+    "counts": (6, _suite_counts),
+    "bijectivity": (6, _suite_bijectivity),
+    "roundtrip": (6, _suite_roundtrip),
+    "schutzenberger": (5, _suite_schutzenberger),
+    "product": (5, _suite_product),
+    "statistic": (6, _suite_statistic),
+    "criteria": (5, _suite_criteria),  # permutations of size up to 2*5 = 10
+    "insertion_lemma": (6, _suite_insertion_lemma),
+    "transformation": (6, _suite_transformation),
+    "parking": (8, _suite_parking),
+    "topword_equivalence": (5, _suite_topword),
 }
+SUITES = tuple(_SUITES)
+DEFAULT_CAPS = {suite: cap for suite, (cap, _) in _SUITES.items()}
 
 
 def run_suite(suite: str, max_n: Optional[int] = None,
               rule: str = SPLIT_CEIL) -> VerificationReport:
     """Run one suite exhaustively up to max_n (the suite's default cap when
-    None).  Failures are reported in the deterministic order the instances
-    are enumerated.  A negative max_n is a ValueError: it would check
-    nothing and still pass.  `counts`, `criteria` and `parking` do not read
-    `rule`: their reports are the same under either split rule."""
-    if suite not in _SUITE_FUNCS:
+    None).  This is the one loop over sizes: it runs the suite's per-size
+    step at each n from 0 to the cap, collects the failures in one list
+    and sums what each step checked.  Failures are reported by size, and
+    within a size in the deterministic order the step enumerates its
+    instances; `product` lists its pair failures by total size, then by
+    the first factor's size.  A negative max_n is a ValueError: it would
+    check nothing and still pass.  `counts`, `criteria` and `parking` do
+    not read `rule`: their reports are the same under either split rule."""
+    if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}")
     if max_n is not None and max_n < 0:
         raise ValueError(f"max_n must be non-negative, got {max_n}")
-    cap = DEFAULT_CAPS[suite] if max_n is None else max_n
+    default_cap, step = _SUITES[suite]
+    cap = default_cap if max_n is None else max_n
     start = time.perf_counter()
-    checked, failures = _SUITE_FUNCS[suite](cap, rule)
+    failures: list[dict] = []
+    checked = sum(step(n, rule, failures) for n in range(cap + 1))
     return VerificationReport(suite, (0, cap), checked, tuple(failures),
                               time.perf_counter() - start)
 

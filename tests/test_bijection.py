@@ -179,6 +179,16 @@ class TestJumpRule:
         with pytest.raises(ValueError, match="membership"):
             jump_bound(EX14, 1, "M")
 
+    # the weighting is validated before a neighbour's weight is read: a
+    # string there raised a bare TypeError, and 5 came back as the bound
+    @pytest.mark.parametrize("weights", [(0, "1", 0, 0, 0, 0), (0, 5, 0, 0, 0, 0)])
+    def test_invalid_weighting(self, weights):
+        x = wd("UUUDDD", weights)
+        for entry in (jump_bound, jumps):
+            with pytest.raises(ValueError) as info:
+                entry(x, 3, LEFT)
+            assert str(info.value) == "invalid weighting: C1 violated at step 2"
+
     def test_out_of_range(self):
         with pytest.raises(IndexError):
             jump_bound(EX14, 15, LEFT)

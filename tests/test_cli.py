@@ -100,6 +100,23 @@ class TestEnumerate:
             main(["enumerate", "--family", "wd", "--n", "-1"])
         assert exc.value.code == 2
 
+    # the integer options follow the [0-9]+ grammar of the path and
+    # permutation text, so no sign, underscore, space or non-ASCII digit;
+    # each token reads as at most 3 under int(), so a looser parser fails
+    # these cases quickly instead of starting a large run
+    @pytest.mark.parametrize("token", ["\u0663", "+2", "0_1", " 2", "2 ", ""])
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "--family", "wd", "--n"],
+        ["enumerate", "--family", "wd", "--n", "1", "--limit"],
+        ["count", "--max-n"],
+        ["verify", "--max-n"],
+    ])
+    def test_integer_options_are_ascii_digits(self, capsys, argv, token):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, token])
+        assert exc.value.code == 2
+        assert "not a non-negative integer" in capsys.readouterr().err
+
 
 class TestMap:
     def test_worked_example(self, capsys):

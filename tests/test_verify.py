@@ -2,6 +2,7 @@ import itertools
 import json
 from collections import Counter, defaultdict
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -133,6 +134,34 @@ class TestRunSuite:
                 if not contains_123_triple(p)
             )
             assert found == verify.CATALAN[n]
+
+
+class TestSuiteTable:
+    def test_order_and_default_caps(self):
+        assert SUITES == (
+            "counts", "bijectivity", "roundtrip", "schutzenberger", "product",
+            "statistic", "criteria", "insertion_lemma", "transformation",
+            "parking", "topword_equivalence",
+        )
+        assert DEFAULT_CAPS == {
+            "counts": 6, "bijectivity": 6, "roundtrip": 6, "schutzenberger": 5,
+            "product": 5, "statistic": 6, "criteria": 5, "insertion_lemma": 6,
+            "transformation": 6, "parking": 8, "topword_equivalence": 5,
+        }
+        assert list(DEFAULT_CAPS) == list(SUITES)
+
+    def test_readme_table_matches(self):
+        # the README's "Verification suites" table lists every suite in
+        # order with its default cap; criteria's cap is half the size
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme.split("## Verification suites", 1)[1]
+        lines = itertools.dropwhile(lambda line: not line.startswith("|"),
+                                    section.splitlines())
+        table = list(itertools.takewhile(lambda line: line.startswith("|"), lines))
+        rows = [[cell.strip() for cell in line.strip("|").split("|")] for line in table[2:]]
+        assert [(row[0], row[-1]) for row in rows] == [
+            (s, f"size <= {2 * DEFAULT_CAPS[s]}" if s == "criteria"
+             else f"n <= {DEFAULT_CAPS[s]}") for s in SUITES]
 
 
 class TestRunAll:
