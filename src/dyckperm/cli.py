@@ -30,16 +30,26 @@ def _read_input(arg: str) -> str:
     return sys.stdin.read() if arg == "-" else arg
 
 
+# Lines per write of `enumerate`: a write per line costs more than the join
+# of a chunk, and 256 lines are few enough that the first one comes at once.
+_CHUNK = 256
+
+
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.family == "wd":
-        stream = paths.enumerate_weighted(args.n)
-        text, record = paths.serialize_path, paths.path_record
+        text, stream, record = (paths._weighted_lines, paths.enumerate_weighted,
+                                paths.path_record)
     else:
-        stream = perms.enumerate_updown_avoiders(args.n)
-        text, record = perms.perm_text, perms.perm_record
-    fmt = text if args.format == "text" else lambda item: json.dumps(record(item))
-    for item in itertools.islice(stream, args.limit):
-        print(fmt(item))
+        text, stream, record = (perms._avoider_lines, perms.enumerate_updown_avoiders,
+                                perms.perm_record)
+    if args.format == "text":
+        lines = text(args.n)
+    else:
+        lines = (json.dumps(record(item)) + "\n" for item in stream(args.n))
+    lines = itertools.islice(lines, args.limit)
+    write = sys.stdout.write
+    while chunk := list(itertools.islice(lines, _CHUNK)):
+        write("".join(chunk))
     return 0
 
 

@@ -420,21 +420,20 @@ def _step_rows(steps: str) -> tuple[SpanRow, ...]:
                  for k in range(len(steps)))
 
 
-def enumerate_weightings(path: DyckPath) -> Iterator[WeightedDyckPath]:
-    """All valid weightings of one fixed path, in lexicographic weight order.
+def _odometer(steps: str, w: list[int]) -> Iterator[int]:
+    """Set `w`, a list with one entry per step of `steps`, to each valid
+    weighting of that word in turn, in lexicographic weight order, and
+    yield after each the lowest index it changed (0 for the first).
 
-    An odometer over the weights: `his` holds each step's largest feasible
-    weight given the one before it, and the next weighting raises the last
-    step still below its cap by one and resets every later step to the
-    least weight its span allows, read from the step's row of
-    `_step_rows` at the previous weight.  Every span is non-empty, so each
-    reset succeeds, and every weight set is C1-feasible, so it indexes the
-    next row in range.
+    `his` holds each step's largest feasible weight given the one before
+    it, and the next weighting raises the last step still below its cap by
+    one and resets every later step to the least weight its span allows,
+    read from the step's row of `_step_rows` at the previous weight.  Every
+    span is non-empty, so each reset succeeds, and every weight set is
+    C1-feasible, so it indexes the next row in range.
     """
-    steps = path.steps
     m = len(steps)
     rows = _step_rows(steps)
-    w = [0] * m
     his = [0] * m
 
     def reset(start: int) -> None:
@@ -442,8 +441,9 @@ def enumerate_weightings(path: DyckPath) -> Iterator[WeightedDyckPath]:
             w[k], his[k] = rows[k][w[k - 1] if k else 0]
 
     reset(0)
+    i = 0
     while True:
-        yield WeightedDyckPath(path, tuple(w))
+        yield i
         i = m - 1
         while i >= 0 and w[i] == his[i]:
             i -= 1
@@ -451,6 +451,14 @@ def enumerate_weightings(path: DyckPath) -> Iterator[WeightedDyckPath]:
             return
         w[i] += 1
         reset(i + 1)
+
+
+def enumerate_weightings(path: DyckPath) -> Iterator[WeightedDyckPath]:
+    """All valid weightings of one fixed path, in lexicographic weight
+    order: one per step of `_odometer`."""
+    w = [0] * len(path.steps)
+    for _ in _odometer(path.steps, w):
+        yield WeightedDyckPath(path, tuple(w))
 
 
 def enumerate_weighted(n: int) -> Iterator[WeightedDyckPath]:
@@ -463,6 +471,22 @@ def enumerate_weighted(n: int) -> Iterator[WeightedDyckPath]:
         raise ValueError("n must be non-negative")
     for word in _dyck_words(n):
         yield from enumerate_weightings(DyckPath(word))
+
+
+def _weighted_lines(n: int) -> Iterator[str]:
+    """`serialize_path(wd) + "\\n"` for each `wd` of `enumerate_weighted(n)`,
+    in the same order, built without the paths: one text per weight is
+    kept, and after each step of `_odometer` only the texts from the
+    lowest changed index on are made again."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    for word in _dyck_words(n):
+        head = word + ";"
+        w = [0] * len(word)
+        texts = [""] * len(word)
+        for i in _odometer(word, w):
+            texts[i:] = map(str, w[i:])
+            yield head + ",".join(texts) + "\n"
 
 
 def counts_upto(n: int) -> list[int]:

@@ -221,7 +221,9 @@ def _extend(cur: list[int], free: list[int], tails: list[int],
     is R, the sorted unused letters, and `tails` the prefix's patience
     tails; the three lists hold the state at the yield, and again after the
     generator is exhausted.  Extensions come in lexicographic order, and
-    only those that the completion tests say can be completed."""
+    only those that the completion tests say can be completed; `cur` must
+    pass those tests itself, as the empty prefix and every prefix yielded
+    do (a bottom relies on (c) at the top before it)."""
     N = len(cur) + len(free)
     base = len(cur)
     undo: list[tuple[int, int, int]] = []  # per letter: index in R, tail index, old tail
@@ -235,9 +237,13 @@ def _extend(cur: list[int], free: list[int], tails: list[int],
                 bound, ends = N + 1, 3
                 if after < cur[-1]:
                     after = cur[-1]
+                i = bisect_right(free, after)
             else:  # a bottom: fall below the last letter, end at a 3-chain
                 bound, ends = (cur[-1] if d else N + 1), 2
-            i = bisect_right(free, after)
+                i = bisect_right(free, after)
+                low = (len(free) >> 1) - 1  # above tails[0], (c) fails below this index
+                if d and i < low and free[i] > tails[0]:
+                    i = low
             v = free[i] if i < len(free) else bound
             j = bisect_left(tails, v)
             if v < bound and j < ends:
@@ -249,12 +255,11 @@ def _extend(cur: list[int], free: list[int], tails: list[int],
                     undo.append((i, j, tails[j]))
                     tails[j] = v
                 cur.append(v)
-                ok = len(tails) < 2 or (  # (c)
-                    len(free) - bisect_right(free, tails[1]) <= (len(free) + 1) >> 1)
-                if d & 1:  # (b), which a bottom keeps
-                    ok = ok and (len(tails) < 3 or not free or free[-1] < tails[2])
-                else:  # (a)
-                    ok = ok and free[-1] > v
+                if d & 1:  # (c) and (b); a top leaves at least two tails
+                    ok = (len(free) - bisect_right(free, tails[1]) <= (len(free) + 1) >> 1
+                          and (len(tails) < 3 or not free or free[-1] < tails[2]))
+                else:  # (a); a bottom keeps (b), and (c) by the skip above
+                    ok = free[-1] > v
                 if ok:
                     after = 0
                     continue
@@ -318,11 +323,24 @@ def enumerate_updown_avoiders(n: int) -> Iterator[Permutation]:
     both cases b < v, b < max R, and (b) holds since b keeps tails[2].
 
     So every prefix placed can be completed, the test after each letter is
-    exact, and the walk never enters a branch without an output.  Reaching
-    the first permutation at n = 600 places 360,001 letters, about n^2.
+    exact, and the walk never enters a branch without an output.
     Candidates rise through R, so the first one that would end an
     increasing 4-chain (a 3-chain at a bottom, which the top after it would
     extend) ends the loop: every larger letter does too.
+
+    Bottoms skip the candidates that fail (c).  At a bottom |R| = m is
+    even, and past the first bottom there are at least two tails (the
+    first bottom and top rise).  A candidate below tails[0] replaces it;
+    tails[1] stays, and so do the letters of R above it, at most
+    m/2 = ceil((m-1)/2) by (c) at the top before.  A candidate above tails[0] is
+    below tails[1] (or the loop has ended) and replaces it; as the letter
+    of index k in R it leaves m - 1 - k letters of R above it, at most
+    ceil((m-1)/2) = m/2 iff k >= m/2 - 1.  So the candidates that fail (c)
+    are exactly those above tails[0] at an index of R below m/2 - 1: the
+    walk jumps past them to that index, and makes no test of (c) at a
+    bottom.  Reaching the first permutation at n = 600 places 180,900
+    letters (360,001 when each such candidate was placed and rejected),
+    about n^2/2; 179,101 of them are tops that fail (b).
 
     Suffix tables.  The walk stops at depth 2n - L (L = _SUFFIX, or 0 when
     2n < L) and completes each prefix from a table of its last L letters,
@@ -348,16 +366,32 @@ def enumerate_updown_avoiders(n: int) -> Iterator[Permutation]:
     distinct rank tuple; an output is the prefix followed by those letters
     of R.  The tables live in this call and are freed with it.
 
+    Groups.  The walk is `_avoider_groups`, which yields one group per
+    prefix it looks up: the prefix, its table and R.  This generator
+    flattens each group into prefix + get(R) for each getter of the table,
+    and `_avoider_lines`, the text of `dyckperm enumerate`, writes the
+    prefix once per group and picks each line's last L letters from the
+    texts of R.  At n = 6 the 87,516 outputs come in 845 groups.
+
     Delay.  Between two prefixes at depth 2n - L the walk backtracks at
     most 2n levels and tries at most 2n letters at each, every prefix it
     keeps completes, and a miss costs the copy plus a walk over L letters,
     a constant.  So every permutation, the first one included, comes after
     time polynomial in n.
     """
+    for prefix, table, free in _avoider_groups(n):
+        for get in table:
+            yield prefix + get(free)
+
+
+def _avoider_groups(n: int) -> Iterator[tuple[Permutation, list[itemgetter], list[int]]]:
+    """The walk of `enumerate_updown_avoiders`, one group per prefix it
+    looks up: (the prefix, its suffix table, R).  R is the walk's own list,
+    valid until the next group is asked for."""
     if n < 0:
         raise ValueError("n must be non-negative")
     if n == 0:  # no suffix to look up: an itemgetter needs an index
-        yield ()
+        yield (), [lambda free: ()], []
         return
     N = 2 * n
     depth = max(N - _SUFFIX, 0)
@@ -378,9 +412,19 @@ def enumerate_updown_avoiders(n: int) -> Iterator[Permutation]:
                 if ranks not in getters:
                     getters[ranks] = itemgetter(*ranks)
                 table.append(getters[ranks])
-        prefix = tuple(cur)
+        yield tuple(cur), table, free
+
+
+def _avoider_lines(n: int) -> Iterator[str]:
+    """`perm_text(p) + "\\n"` for each `p` of `enumerate_updown_avoiders(n)`,
+    in the same order, built without the permutations: each group's prefix
+    is written once, and each getter of its table picks its letters' texts
+    from the texts of R.  The prefix is empty when 2n <= `_SUFFIX`."""
+    for prefix, table, free in _avoider_groups(n):
+        head = perm_text(prefix) + "," if prefix else ""
+        texts = list(map(str, free))
         for get in table:
-            yield prefix + get(free)
+            yield head + ",".join(get(texts)) + "\n"
 
 
 @dataclass(frozen=True)

@@ -336,6 +336,8 @@ def _suite_statistic(n: int, rule: str, failures: list[dict]) -> int:
         except InternalConsistencyError as exc:
             failures.append(_fail(word, "an image for every weighting", str(exc)))
     return checked
+
+
 def _up_down_perms(m: int) -> Iterator[tuple[int, ...]]:
     """Up-down permutations of size 2m (ascents at odd positions, descents
     at even ones, 1-based), lexicographically: a plain backtracker that
@@ -471,6 +473,8 @@ def _suite_transformation(n: int, rule: str, failures: list[dict]) -> int:
             if got != expect:
                 failures.append(_fail(serialize_path(wd), perm_text(expect), perm_text(got)))
     return checked
+
+
 def _parking_functions(n: int) -> Iterator[tuple[int, ...]]:
     """Weakly increasing (v_0..v_{n-1}) with v_i <= i, lexicographically:
     an odometer that raises the last entry below its cap and resets the

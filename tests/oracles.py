@@ -153,3 +153,11 @@ def brute_updown_avoiders(n: int) -> set[tuple[int, ...]]:
             continue
         out.add(p)
     return out
+
+
+def first_updown_avoider(n: int) -> tuple[int, ...]:
+    """The lexicographically least up-down 1234-avoider of size 2n, in
+    closed form: 1, n+1, n, 2n, n-1, 2n-1, ..., 2, n+2."""
+    bot = [1] + list(range(n, 1, -1))
+    top = [n + 1] + list(range(2 * n, n + 1, -1))
+    return tuple(v for pair in zip(bot, top) for v in pair)

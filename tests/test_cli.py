@@ -1,6 +1,8 @@
+import hashlib
 import io
 import json
 import os
+import select
 import subprocess
 import sys
 
@@ -13,7 +15,7 @@ from dyckperm.cli import main, render_ascii
 from dyckperm.paths import parse_path
 
 from .conftest import EXAMPLE14_TEXT, INVERSE_FIRST_FAILURES
-from .oracles import closed_form
+from .oracles import closed_form, first_updown_avoider
 
 EXAMPLE14_PERM_TEXT = "8,13,6,12,11,14,7,10,2,9,4,5,1,3"
 
@@ -94,6 +96,51 @@ class TestEnumerate:
         assert code == 0
         assert out == full
         assert len(out.splitlines()) == size
+
+    @pytest.mark.parametrize("k", [0, 255, 256, 257, 300])
+    @pytest.mark.parametrize("fmt", ["text", "records"])
+    @pytest.mark.parametrize("family", ["wd", "perm"])
+    def test_limit_gives_the_first_lines(self, capsys, family, fmt, k):
+        # around the 256-line chunks of the writer; n = 4 has 462 lines
+        argv = ["enumerate", "--family", family, "--n", "4", "--format", fmt]
+        full = run(capsys, *argv)[1].splitlines(keepends=True)
+        code, out, _ = run(capsys, *argv, "--limit", str(k))
+        assert (code, out) == (0, "".join(full[:k]))
+
+    @pytest.mark.parametrize("fmt", ["text", "records"])
+    @pytest.mark.parametrize("family", ["wd", "perm"])
+    def test_writes_hold_at_most_256_lines(self, capsys, monkeypatch, family, fmt):
+        class Recorder:
+            def __init__(self):
+                self.writes = []
+
+            def write(self, text):
+                self.writes.append(text)
+                return len(text)
+
+            def flush(self):
+                pass
+
+        argv = ["enumerate", "--family", family, "--n", "5", "--format", fmt]
+        full = run(capsys, *argv)[1]
+        stdout = Recorder()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(argv) == 0
+        assert "".join(stdout.writes) == full
+        assert max(text.count("\n") for text in stdout.writes) <= 256
+        assert len(stdout.writes) < full.count("\n")
+
+    @pytest.mark.parametrize("family, digest", [
+        # the sha256 of the output when it was printed one line at a time
+        ("wd", "7defb17adcf29a09487dba1070150bed6f12ae4be7f1a23f0b59618abf90dcc6"),
+        # the pin of tests/test_perms.py, made before the suffix tables
+        ("perm", "d2c1165e7d48dd32ff36d97192e2cf3b7d9cce015e6fb3d55dde1fc7960b4023"),
+    ])
+    def test_n6_is_pinned(self, capsys, family, digest):
+        code, out, _ = run(capsys, "enumerate", "--family", family, "--n", "6")
+        assert code == 0
+        assert out.count("\n") == closed_form(6)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_negative_n_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -326,21 +373,39 @@ class TestRender:
 
 
 class TestBrokenPipe:
-    def test_reader_leaving_early_is_quiet(self):
+    @staticmethod
+    def first_line(*argv, timeout=60):
+        """Run `python -m dyckperm` on argv, read one line of its stdout
+        within `timeout` seconds, then close the pipe; (line, exit code,
+        stderr).  A process with no line by then is killed."""
         src = os.path.dirname(os.path.dirname(dyckperm.__file__))
         env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "dyckperm", "enumerate", "--family", "wd", "--n", "5"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-        first = proc.stdout.readline()
+        proc = subprocess.Popen([sys.executable, "-m", "dyckperm", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        if select.select([proc.stdout], [], [], timeout)[0]:
+            line = proc.stdout.readline()
+        else:
+            proc.kill()
+            line = b""
         proc.stdout.close()
         err = proc.stderr.read()
         proc.stderr.close()
-        code = proc.wait(timeout=60)
+        return line, proc.wait(timeout=timeout), err
+
+    def test_reader_leaving_early_is_quiet(self):
+        first, code, err = self.first_line("enumerate", "--family", "wd", "--n", "5")
         assert first == b"UUUUUDDDDD;0,0,0,0,0,0,0,0,0,0\n"
         assert b"Traceback" not in err
         assert err == b""
         assert code == 1
+
+    def test_first_permutation_comes_at_once(self):
+        # the README's `enumerate --family perm --n 200 | head -1` gives the
+        # first one at once, also when the lines are written in chunks
+        first, code, err = self.first_line("enumerate", "--family", "perm", "--n", "200")
+        assert first.decode() == ",".join(map(str, first_updown_avoider(200))) + "\n"
+        assert code == 1
+        assert err == b""
 
 
 class TestDeterminism:

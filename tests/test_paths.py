@@ -12,6 +12,7 @@ from dyckperm.paths import (
     _LazyRow,
     _fits,
     _step_rows,
+    _weighted_lines,
     concat,
     count_weighted,
     counts_upto,
@@ -335,6 +336,15 @@ class TestEnumerateWeighted:
     def test_negative_n(self):
         with pytest.raises(ValueError):
             list(enumerate_weighted(-1))
+        with pytest.raises(ValueError):
+            list(_weighted_lines(-1))
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_lines_are_the_serialized_paths(self, n):
+        # the text of `dyckperm enumerate`, made without the path objects
+        lines = list(_weighted_lines(n))
+        assert lines == [serialize_path(x) + "\n" for x in enumerate_weighted(n)]
+        assert n or lines == [";\n"]
 
     def test_weightings_of_fixed_path(self):
         got = list(enumerate_weightings(DyckPath("UUDD")))

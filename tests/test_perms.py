@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from dyckperm.perms import (
     AlternatingPermutation,
+    _avoider_lines,
     _extend,
     assemble,
     avoids_123_word,
@@ -29,6 +30,7 @@ from .oracles import (
     brute_updown_avoiders,
     contains_1234_naive,
     contains_123_triple,
+    first_updown_avoider,
     naive_lis,
 )
 
@@ -204,18 +206,11 @@ class TestEnumeration:
         for n in range(5):
             assert list(enumerate_updown_avoiders(n)) == sorted(brute_updown_avoiders(n))
 
-    @staticmethod
-    def first_avoider(n):
-        # 1, n+1, n, 2n, n-1, 2n-1, ..., 2, n+2
-        bot = [1] + list(range(n, 1, -1))
-        top = [n + 1] + list(range(2 * n, n + 1, -1))
-        return tuple(v for pair in zip(bot, top) for v in pair)
-
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 600])
     def test_first_is_closed_form(self, n):
         # n = 600 finishes only if the search neither recurses 1200 deep
         # nor wanders through prefixes that cannot be completed
-        assert next(enumerate_updown_avoiders(n)) == self.first_avoider(n)
+        assert next(enumerate_updown_avoiders(n)) == first_updown_avoider(n)
 
     def test_n3_order_and_count(self):
         got = list(enumerate_updown_avoiders(3))
@@ -228,6 +223,8 @@ class TestEnumeration:
     def test_negative(self):
         with pytest.raises(ValueError):
             list(enumerate_updown_avoiders(-1))
+        with pytest.raises(ValueError):
+            list(_avoider_lines(-1))
 
     def test_matches_the_plain_up_down_backtracker(self):
         # _up_down_perms knows nothing of 1234; at n = 5 the suffix tables
@@ -246,6 +243,14 @@ class TestEnumeration:
         assert count == REFERENCE_COUNTS[6]
         assert digest.hexdigest() == (
             "d2c1165e7d48dd32ff36d97192e2cf3b7d9cce015e6fb3d55dde1fc7960b4023")
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_lines_are_the_permutation_texts(self, n):
+        # the text of `dyckperm enumerate`, made without the permutations;
+        # up to n = 4 every prefix is empty, from n = 5 on it is not
+        lines = list(_avoider_lines(n))
+        assert lines == [perm_text(p) + "\n" for p in enumerate_updown_avoiders(n)]
+        assert n or lines == ["\n"]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_walk_keeps_exactly_the_completable_prefixes(self, n):
