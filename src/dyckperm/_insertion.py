@@ -488,12 +488,3 @@ def _image_table(steps: str, rule: str) -> dict:
         table[perm] = wd.weights
     return table
 
-
-def _brute_weights(p: tuple[int, ...], word: str, rule: str) -> tuple[int, ...]:
-    """The oracle's lookup once p has passed the membership checks: the
-    weights of the path `word`, the one p's bottom letters mark, whose
-    image is p."""
-    weights = _image_table(word, rule).get(p)
-    if weights is None:
-        raise NotInImageError("not in image: no weighting of the bottom path matches")
-    return weights

@@ -24,16 +24,14 @@ from ._insertion import (
     NotInImageError,
     ParkingFunction,
     _bottom_word,
-    _brute_weights,
     _flatten_run,
+    _image_table,
     _invert_factor,
     _left_count,
     _map_factor,
     _map_path,
     _run_insertion,
 )
-# bound here too because perfbench/layers.py reads this cache as bijection.*
-from ._insertion import _image_table  # noqa: F401
 from .paths import (
     DOWN,
     UP,
@@ -261,4 +259,7 @@ def from_permutation_brute(p: Sequence[int], cap_n: int = 7,
     if not p:
         return WeightedDyckPath(DyckPath(""), ())
     word, _ = _membership_checks(p)
-    return WeightedDyckPath._trusted(word, _brute_weights(p, word, rule))
+    weights = _image_table(word, rule).get(p)
+    if weights is None:
+        raise NotInImageError("not in image: no weighting of the bottom path matches")
+    return WeightedDyckPath._trusted(word, weights)

@@ -223,7 +223,7 @@ def _extend(cur: list[int], free: list[int], tails: list[int],
     generator is exhausted.  Extensions come in lexicographic order, and
     only those that the completion tests say can be completed; `cur` must
     pass those tests itself, as the empty prefix and every prefix yielded
-    do (a bottom relies on (c) at the top before it)."""
+    do (a letter relies on (b), a bottom on (c), at the letter before it)."""
     N = len(cur) + len(free)
     base = len(cur)
     undo: list[tuple[int, int, int]] = []  # per letter: index in R, tail index, old tail
@@ -238,6 +238,8 @@ def _extend(cur: list[int], free: list[int], tails: list[int],
                 if after < cur[-1]:
                     after = cur[-1]
                 i = bisect_right(free, after)
+                if d > 1 and i < len(free) and free[i] > tails[1]:
+                    i = len(free) - 1  # above tails[1] only max R keeps (b)
             else:  # a bottom: fall below the last letter, end at a 3-chain
                 bound, ends = (cur[-1] if d else N + 1), 2
                 i = bisect_right(free, after)
@@ -255,9 +257,8 @@ def _extend(cur: list[int], free: list[int], tails: list[int],
                     undo.append((i, j, tails[j]))
                     tails[j] = v
                 cur.append(v)
-                if d & 1:  # (c) and (b); a top leaves at least two tails
-                    ok = (len(free) - bisect_right(free, tails[1]) <= (len(free) + 1) >> 1
-                          and (len(tails) < 3 or not free or free[-1] < tails[2]))
+                if d & 1:  # (c); a top leaves at least two tails, and keeps (b)
+                    ok = len(free) - bisect_right(free, tails[1]) <= (len(free) + 1) >> 1
                 else:  # (a); a bottom keeps (b), and (c) by the skip above
                     ok = free[-1] > v
                 if ok:
@@ -338,9 +339,17 @@ def enumerate_updown_avoiders(n: int) -> Iterator[Permutation]:
     ceil((m-1)/2) = m/2 iff k >= m/2 - 1.  So the candidates that fail (c)
     are exactly those above tails[0] at an index of R below m/2 - 1: the
     walk jumps past them to that index, and makes no test of (c) at a
-    bottom.  Reaching the first permutation at n = 600 places 180,900
-    letters (360,001 when each such candidate was placed and rejected),
-    about n^2/2; 179,101 of them are tops that fail (b).
+    bottom.
+
+    Tops skip the candidates that fail (b).  A top v rises above the
+    bottom before it, at least tails[0], so it lands at tail index 1 or 2.
+    At index 2, above tails[1], v becomes tails[2], and only v = max R
+    passes (b): the walk jumps from the first such candidate to max R.  So
+    (b) holds after every letter untested, by induction: vacuously while
+    there are under three tails, after a top at index 2 by the jump, and
+    after any other letter since tails[2] stays and R only shrinks.
+    Reaching the first permutation at n = 600 places 3n - 1 = 1,799
+    letters (counted with a list subclass passed to `_extend` as `cur`).
 
     Suffix tables.  The walk stops at depth 2n - L (L = _SUFFIX, or 0 when
     2n < L) and completes each prefix from a table of its last L letters,

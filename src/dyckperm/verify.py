@@ -28,6 +28,7 @@ from typing import Iterator, Optional
 from . import _insertion
 from .bijection import (
     SPLIT_CEIL,
+    SPLIT_FLOOR,
     InternalConsistencyError,
     ParkingFunction,
     from_permutation,
@@ -243,12 +244,12 @@ def _suite_bijectivity(n: int, rule: str, failures: list[dict]) -> int:
 
 def _suite_roundtrip(n: int, rule: str, failures: list[dict]) -> int:
     """Each path's image comes from `_image_table`, the brute-force
-    oracle's table of one Dyck word, so each path is mapped forward once.
-    `from_permutation` runs the membership checks on the image; the
-    oracle's half then reads the table of the word the image's bottom
-    letters mark, without checking the image again.  A word two of whose
-    weightings share an image is one failure, and its paths are not
-    checked.  A path's text is built only for a failure."""
+    oracle's table of one Dyck word, so each path is mapped forward once,
+    and `from_permutation` must recover the path.  The oracle's inverse
+    is not run: it reads the table of the word the image's bottom letters
+    mark, so on a recovered path it reads the entry the loop is on.  A
+    word two of whose weightings share an image is one failure, and its
+    paths are not checked.  A path's text is built only for a failure."""
     checked = 0
     for word in _dyck_words(n):
         try:
@@ -267,11 +268,6 @@ def _suite_roundtrip(n: int, rule: str, failures: list[dict]) -> int:
             if (back.path.steps, back.weights) != (word, weights):
                 text = _path_text(word, weights)
                 failures.append(_fail(text, text, serialize_path(back)))
-            bottom = _insertion._bottom_word(sigma)
-            brute = _insertion._brute_weights(sigma, bottom, rule)
-            if (bottom, brute) != (word, weights):
-                text = _path_text(word, weights)
-                failures.append(_fail(text, text, f"brute: {_path_text(bottom, brute)}"))
     return checked
 
 
@@ -556,12 +552,14 @@ def run_suite(suite: str, max_n: Optional[int] = None,
     within a size in the deterministic order the step enumerates its
     instances; `product` lists its pair failures by total size, then by
     the first factor's size.  A negative max_n is a ValueError: it would
-    check nothing and still pass.  `counts`, `criteria` and `parking` do
-    not read `rule`: their reports are the same under either split rule."""
+    check nothing and still pass; so is an unknown rule, which `counts`,
+    `criteria` and `parking` never read (their reports do not depend on it)."""
     if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}")
     if max_n is not None and max_n < 0:
         raise ValueError(f"max_n must be non-negative, got {max_n}")
+    if rule not in (SPLIT_CEIL, SPLIT_FLOOR):
+        raise ValueError(f"unknown split rule {rule!r}")
     default_cap, step = _SUITES[suite]
     cap = default_cap if max_n is None else max_n
     start = time.perf_counter()
@@ -574,7 +572,7 @@ def run_suite(suite: str, max_n: Optional[int] = None,
 def run_all(max_n: Optional[int] = None,
             rule: str = SPLIT_CEIL) -> list[VerificationReport]:
     """Run every suite at its default cap, lowered to max_n when given; a
-    negative max_n is a ValueError, raised by the first suite."""
+    negative max_n or an unknown rule is a ValueError from the first suite."""
     out = []
     for suite in SUITES:
         cap = DEFAULT_CAPS[suite] if max_n is None else min(DEFAULT_CAPS[suite], max_n)

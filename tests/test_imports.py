@@ -11,8 +11,8 @@ TEST_FILES = sorted(Path(__file__).resolve().parent.glob("*.py"))
 # verify.py's private imports: the kernel, read through its module, and
 # five helpers, each from the module that defines it
 VERIFY_PRIVATE = {
-    "_insertion": {"_bottom_word", "_brute_weights", "_factor_plan", "_flatten_run",
-                   "_image_table", "_insert", "_left_count"},
+    "_insertion": {"_factor_plan", "_flatten_run", "_image_table", "_insert",
+                   "_left_count"},
     "paths": {"_dyck_words", "_reflected_steps", "_runs", "_step_rows"},
     "perms": {"_criteria_verdict"},
 }

@@ -212,6 +212,22 @@ class TestEnumeration:
         # nor wanders through prefixes that cannot be completed
         assert next(enumerate_updown_avoiders(n)) == first_updown_avoider(n)
 
+    def test_first_at_n600_places_few_letters(self):
+        # tops jump to max R once a candidate lies above tails[1], and
+        # bottoms past the candidates that fail (c): 3n - 1 = 1,799 letters,
+        # where placing each top above tails[1] and testing (b) took 180,900
+        class Counting(list):
+            placed = 0
+
+            def append(self, v):
+                self.placed += 1
+                super().append(v)
+
+        cur = Counting()
+        next(_extend(cur, list(range(1, 1201)), [], 1200))
+        assert tuple(cur) == first_updown_avoider(600)
+        assert cur.placed < 2000
+
     def test_n3_order_and_count(self):
         got = list(enumerate_updown_avoiders(3))
         assert len(got) == 42

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 from collections import Counter, defaultdict
@@ -88,6 +89,16 @@ class TestRunSuite:
             run_all(-1)
 
     @pytest.mark.parametrize("suite", SUITES)
+    def test_unknown_split_rule_rejected(self, suite):
+        # also by the suites that never read the rule, which would pass
+        with pytest.raises(ValueError, match="unknown split rule 'half'"):
+            run_suite(suite, 2, rule="half")
+
+    def test_run_all_rejects_unknown_split_rule(self):
+        with pytest.raises(ValueError, match="unknown split rule 'half'"):
+            run_all(2, rule="half")
+
+    @pytest.mark.parametrize("suite", SUITES)
     def test_every_suite_passes_small(self, suite):
         report = run_suite(suite, 2)
         assert report.verdict == "pass"
@@ -175,6 +186,23 @@ class TestRunAll:
         for r in reports:
             assert r.n_range[1] == min(DEFAULT_CAPS[r.suite], 2)
             assert r.verdict == "pass"
+
+    @pytest.mark.parametrize("argv, code, digest", [
+        (["verify", "--max-n", "4"], 0,
+         "d110d77803ce793283a1715e483d291c4b15fb7d580dad237e874df23f696cc9"),
+        (["verify", "--split-rule", "floor", "--max-n", "4"], 1,
+         "d788dec122ea3b1963996d516b5cfe686b05d40f0b6195822ad2ec1043efc8db"),
+    ])
+    def test_records_are_pinned(self, argv, code, digest, capsys):
+        # the sha256 of the records, each as JSON with `elapsed` removed and
+        # keys sorted, joined by newlines: a change that moves a count or a
+        # failure of any suite fails here
+        assert main(argv) == code
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        for record in records:
+            del record["elapsed"]
+        text = "\n".join(json.dumps(record, sort_keys=True) for record in records)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestAlternativeSplitRule:
