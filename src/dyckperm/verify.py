@@ -66,7 +66,7 @@ from .perms import (
 
 # Three-dimensional Catalan numbers (OEIS A005789): the common size of both
 # families, embedded so no lookup is ever needed.
-REFERENCE_COUNTS = (1, 1, 5, 42, 462, 6006, 87516, 1385670)
+REFERENCE_COUNTS = (1, 1, 5, 42, 462, 6006, 87516, 1385670, 23371634)
 
 # Euler zigzag numbers E_0, E_2, ..., E_10 (OEIS A000364): the up-down
 # permutations of each even size up to the criteria suite's default 10.
@@ -208,9 +208,36 @@ def _suite_counts(n: int, rule: str, failures: list[dict]) -> int:
 
 
 def _suite_bijectivity(n: int, rule: str, failures: list[dict]) -> int:
-    """Images come from `_word_images`; a word whose forward map raises its
-    guard is one failure, and its later paths are not checked.  The
-    avoiders are streamed in lexicographic order and each hit leaves
+    """The pass is proved by a sorted merge that holds one reference per
+    path and copies no image: `images` holds the tuples of the cached
+    image tables themselves.  Sorted in place, they are walked in step
+    with `enumerate_updown_avoiders(n)`.  When the sorted images are
+    strictly increasing and equal that stream item for item, with the
+    same length, the images are distinct (so the map is injective) and
+    are exactly the avoiders (every avoider is hit, and no image lies
+    outside the family).  Then `_bijectivity_failures` would name no
+    failure and count each image and each avoider once, which is the
+    `checked` returned here.  On any other outcome, a repeat, a mismatch,
+    a length difference or a forward map that raises its guard, that pass
+    runs instead: this step can only conclude "pass", and the failure
+    records are the dict pass's own."""
+    try:
+        images = [perm for word in _dyck_words(n) for _, perm in _word_images(word, rule)]
+    except InternalConsistencyError:
+        return _bijectivity_failures(n, rule, failures)
+    images.sort()
+    if (all(a < b for a, b in itertools.pairwise(images))
+            and all(a == b for a, b in itertools.zip_longest(
+                images, enumerate_updown_avoiders(n)))):
+        return 2 * len(images)
+    return _bijectivity_failures(n, rule, failures)
+
+
+def _bijectivity_failures(n: int, rule: str, failures: list[dict]) -> int:
+    """`bijectivity` at size n with a dict of every image, which names each
+    failure.  Images come from `_word_images`; a word whose forward map
+    raises its guard is one failure, and its later paths are not checked.
+    The avoiders are streamed in lexicographic order and each hit leaves
     `seen`, so the misses come out sorted and what stays in `seen` is the
     images outside the family."""
     checked = 0
@@ -367,19 +394,23 @@ def _suite_criteria(m: int, rule: str, failures: list[dict]) -> int:
     all (2m)! of them, through `filter`, and the ones it accepts come out
     in lexicographic order, as `itertools.permutations` makes them.  The
     ground truth, up-down and 1234-avoiding, is `_up_down_perms` filtered
-    by `avoids_1234`, also in lexicographic order, its size checked
-    against `EULER_ZIGZAG`.  A permutation is a failure exactly when it
-    lies in one of the two sorted streams and not the other, so merging
-    them yields the failures of a loop that compares the verdict with the
-    ground truth on every permutation, in the same order, with the same
-    text: accepted outside the ground set is expected False, rejected
-    inside it expected True."""
-    up_down = list(_up_down_perms(m))
+    by `avoids_1234`, also in lexicographic order, its size counted as it
+    is filtered and checked against `EULER_ZIGZAG`.  A permutation is a
+    failure exactly when it lies in one of the two sorted streams and not
+    the other, so merging them yields the failures of a loop that compares
+    the verdict with the ground truth on every permutation, in the same
+    order, with the same text: accepted outside the ground set is expected
+    False, rejected inside it expected True."""
+    up_down = 0
+    ground = []
+    for p in _up_down_perms(m):
+        up_down += 1
+        if avoids_1234(p):
+            ground.append(p)
     ref = EULER_ZIGZAG[m] if m < len(EULER_ZIGZAG) else None
-    if ref is not None and len(up_down) != ref:
+    if ref is not None and up_down != ref:
         failures.append(_fail(f"up-down permutations, size={2 * m}",
-                              str(ref), str(len(up_down))))
-    ground = [p for p in up_down if avoids_1234(p)]
+                              str(ref), str(up_down)))
     i = 0
     for p in filter(_criteria_verdict, itertools.permutations(range(1, 2 * m + 1))):
         while i < len(ground) and ground[i] < p:

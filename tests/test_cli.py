@@ -291,6 +291,13 @@ class TestCount:
         code, out, _ = run(capsys, "count", "--max-n", "7")
         assert (code, out) == (0, COUNT7)
 
+    def test_reference_ends_at_n8(self, capsys):
+        code, out, _ = run(capsys, "count", "--max-n", "9")
+        lines = out.splitlines()
+        assert code == 0
+        assert lines[8] == "8: 23371634 (ref 23371634)"
+        assert lines[9] == f"9: {closed_form(9)}"
+
     def test_past_the_reference_list(self, capsys):
         code, out, _ = run(capsys, "count", "--max-n", "30")
         lines = out.splitlines()
@@ -402,7 +409,8 @@ class TestBrokenPipe:
     def test_first_permutation_comes_at_once(self):
         # the README's `enumerate --family perm --n 200 | head -1` gives the
         # first one at once, also when the lines are written in chunks
-        first, code, err = self.first_line("enumerate", "--family", "perm", "--n", "200")
+        first, code, err = self.first_line("enumerate", "--family", "perm", "--n", "200",
+                                           timeout=3)
         assert first.decode() == ",".join(map(str, first_updown_avoider(200))) + "\n"
         assert code == 1
         assert err == b""

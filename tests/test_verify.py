@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import tracemalloc
 from collections import Counter, defaultdict
 from math import factorial
 from pathlib import Path
@@ -132,7 +133,7 @@ class TestRunSuite:
         assert a == b
 
     def test_reference_counts(self):
-        assert REFERENCE_COUNTS == (1, 1, 5, 42, 462, 6006, 87516, 1385670)
+        assert REFERENCE_COUNTS == (1, 1, 5, 42, 462, 6006, 87516, 1385670, 23371634)
 
     def test_catalan_values_against_brute_filter(self):
         import itertools
@@ -312,6 +313,88 @@ class TestSharedImageTable:
                 got[("outside", p)] += 1
         assert got == +want
         assert bool(+want) == (rule == SPLIT_FLOOR)
+
+
+class TestSortedMerge:
+    @staticmethod
+    def _dict_records(n):
+        failures: list = []
+        checked = sum(verify._bijectivity_failures(k, SPLIT_CEIL, failures)
+                      for k in range(n + 1))
+        return checked, failures
+
+    @pytest.mark.parametrize("fault", ["repeat", "drop", "outside", "reverse"])
+    def test_faults_give_the_dict_pass_records(self, monkeypatch, fault):
+        # a repeated image, a dropped one, one outside the family and one
+        # word's images in reverse order: the merge passes only the last,
+        # and in every case the records are those of the dict pass
+        real = verify._word_images
+
+        def faulty(word, rule):
+            items = list(real(word, rule))
+            if word == "UUDUDD":
+                if fault == "repeat":
+                    items[-1] = (items[-1][0], items[0][1])
+                elif fault == "drop":
+                    items.pop()
+                elif fault == "outside":
+                    items.append((items[0][0], tuple(range(1, len(word) + 1))))
+                else:
+                    items.reverse()
+            return iter(items)
+
+        monkeypatch.setattr(verify, "_word_images", faulty)
+        report = run_suite("bijectivity", 4)
+        checked, failures = self._dict_records(4)
+        assert (report.checked, list(report.failures)) == (checked, failures)
+        assert bool(failures) == (fault != "reverse")
+
+    def test_a_repeat_on_both_sides_is_caught(self, monkeypatch):
+        # one image repeated and, by a fault of the enumerator, its avoider
+        # streamed twice: the sorted images equal the stream, and only the
+        # strict order sends the step to the dict pass
+        real_images = verify._word_images
+        real_avoiders = verify.enumerate_updown_avoiders
+        first = next(real_images("UUDD", SPLIT_CEIL))[1]
+
+        def repeating(word, rule):
+            items = list(real_images(word, rule))
+            return iter(items + items[:1] if word == "UUDD" else items)
+
+        def twice(n):
+            for p in real_avoiders(n):
+                yield p
+                if p == first:
+                    yield p
+
+        monkeypatch.setattr(verify, "_word_images", repeating)
+        monkeypatch.setattr(verify, "enumerate_updown_avoiders", twice)
+        report = run_suite("bijectivity", 2)
+        assert report.verdict == "fail"
+        assert (report.checked, list(report.failures)) == self._dict_records(2)
+
+    def test_merge_decides_a_pass(self, monkeypatch):
+        def unused(n, rule, failures):
+            raise AssertionError("the dict pass ran on a passing size")
+
+        monkeypatch.setattr(verify, "_bijectivity_failures", unused)
+        report = run_suite("bijectivity", 5)
+        assert report.verdict == "pass"
+        assert report.checked == 2 * sum(closed_form(n) for n in range(6))
+
+    def test_merge_copies_no_image(self):
+        # with the 197 image tables of n <= 6 warm, the pass holds one
+        # reference per path and a sort's buffer: about 1 MB, where a dict
+        # of every image took about 12 MB
+        run_suite("bijectivity", 6)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            assert run_suite("bijectivity", 6).verdict == "pass"
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_000_000
 
 
 class TestFaultInjection:
