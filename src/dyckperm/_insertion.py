@@ -20,12 +20,11 @@ number of earlier rises before it in the target word (the top word is read
 on the mirrored path); index 0 means a jump, and any other index gives the
 weight ``(length_before - index) - shift`` (plus one on the left half).  A
 jump's weight is its extremal feasible value, which reads one neighbour, so
-the jumps are settled along their chains of neighbours; only the floor split
-makes two jumps read each other, at one peak, and that pair is tried over
-its feasible range.  A candidate is accepted when it is valid and every rise
-read as a non-jump misses its jump bound; the forward run then rebuilds
-both target words, so the inverse rejects non-images and detects a second
-preimage without mapping a candidate forward.
+the jumps are settled along their chains of neighbours, each of which ends
+in a set weight.  The candidate is accepted when it is valid and every
+rise read as a non-jump misses its jump bound; the forward run then
+rebuilds both target words, so the inverse rejects non-images without
+mapping a candidate forward.
 
 Internal: these functions skip the input checks of the public entry points
 in `dyckperm.bijection`, which validate before calling them.  The
@@ -48,16 +47,13 @@ from .paths import (
     DyckPath,
     SpanRow,
     _fits,
-    _height_profile,
     _reflected_steps,
     _runs,
     _step_rows,
     enumerate_weightings,
     factor_spans,
 )
-
-SPLIT_CEIL = "ceil"
-SPLIT_FLOOR = "floor"
+from .perms import perm_text
 
 LEFT = "L"
 RIGHT = "R"
@@ -71,12 +67,9 @@ class InternalConsistencyError(RuntimeError):
     """A guaranteed structural property failed; indicates a bug, not bad input."""
 
 
-def _left_count(k: int, rule: str) -> int:
-    if rule == SPLIT_CEIL:
-        return (k + 1) // 2
-    if rule == SPLIT_FLOOR:
-        return k // 2
-    raise ValueError(f"unknown split rule {rule!r}")
+def _left_count(k: int) -> int:
+    """The up slopes on the left half, of k: ceil(k/2)."""
+    return (k + 1) // 2
 
 
 # a rise of a plan: its step p, the step `nb` its bound reads, its off, the
@@ -92,7 +85,7 @@ def _left_count(k: int, rule: str) -> int:
 _PlanRise = tuple[int, int, int, SpanRow, int]
 
 
-def _plan_frame(steps: str, mirror: str, rule: str) -> tuple[_PlanRise, ...]:
+def _plan_frame(steps: str, mirror: str) -> tuple[_PlanRise, ...]:
     """The rises of `steps` in insertion order, `mirror` being its
     reflection.  A rise on a slope with `shift` falls left of it has off
     shift - 1 on the left half and shift on the right half.  A rise at step
@@ -101,7 +94,7 @@ def _plan_frame(steps: str, mirror: str, rule: str) -> tuple[_PlanRise, ...]:
     rows, mirror_rows = _step_rows(steps), _step_rows(mirror)
     m = len(steps)
     ups = [r for r in _runs(steps) if r.kind == UP]
-    cut = _left_count(len(ups), rule)
+    cut = _left_count(len(ups))
     frame: list[_PlanRise] = []
     rises_before = 0
     for idx, run in enumerate(ups):
@@ -117,8 +110,7 @@ def _plan_frame(steps: str, mirror: str, rule: str) -> tuple[_PlanRise, ...]:
 
 
 @lru_cache(maxsize=4096)
-def _factor_plan(steps: str, rule: str
-                 ) -> tuple[tuple[_PlanRise, ...], tuple[_PlanRise, ...]]:
+def _factor_plan(steps: str) -> tuple[tuple[_PlanRise, ...], tuple[_PlanRise, ...]]:
     """The rises of `steps`, then those of its mirror, each frame from
     `_plan_frame`.  Step p of the mirror is step m + 1 - p of the path, and
     so is its neighbour; the weights are padded with a 0 at each end, where
@@ -126,8 +118,13 @@ def _factor_plan(steps: str, rule: str
     m = len(steps)
     mirror = _reflected_steps(steps)
     top = tuple((m + 1 - s, m + 1 - nb, off, row, end)
-                for s, nb, off, row, end in _plan_frame(mirror, steps, rule))
-    return _plan_frame(steps, mirror, rule), top
+                for s, nb, off, row, end in _plan_frame(mirror, steps))
+    return _plan_frame(steps, mirror), top
+
+
+def _path_text(steps: str, weights: Sequence[int]) -> str:
+    """The replayable text of a path, as `serialize_path` writes it."""
+    return f"{steps};{','.join(map(str, weights))}"
 
 
 class InsertionStep(NamedTuple):
@@ -167,14 +164,14 @@ def _insert(frame: tuple[_PlanRise, ...], w: Sequence[int]) -> list[int]:
     return word
 
 
-def _run_insertion(steps: str, weights: Sequence[int], rule: str
+def _run_insertion(steps: str, weights: Sequence[int]
                    ) -> tuple[tuple[int, ...], InsertionTrace]:
     """The bottom word of one irreducible factor and its trace, both read
     from the bottom frame of the plan.  A rise starts a slope unless the
     rise before it is the step before it, and its shift is off + 1 - end.
     An insertion never moves a letter already placed, so the word after the
     k-th insertion is the finished word restricted to the first k rises."""
-    frame = _factor_plan(steps, rule)[0]
+    frame = _factor_plan(steps)[0]
     w = (0, *weights, 0)
     word = tuple(_insert(frame, w))
     placed_at = {rise[0]: k for k, rise in enumerate(frame)}
@@ -191,7 +188,7 @@ def _run_insertion(steps: str, weights: Sequence[int], rule: str
     return word, tuple(trace)
 
 
-def _map_factor(steps: str, weights: tuple[int, ...], rule: str) -> tuple[int, ...]:
+def _map_factor(steps: str, weights: tuple[int, ...]) -> tuple[int, ...]:
     """The image of one irreducible factor: the bottom word interleaved
     with the top word, which the mirrored frame of the plan builds
     backwards, in the path's own step numbers.
@@ -199,14 +196,14 @@ def _map_factor(steps: str, weights: tuple[int, ...], rule: str) -> tuple[int, .
     The letters partition 1..len(steps) by construction: the bottom frame
     inserts each rise exactly once, and the mirrored frame each fall.  So
     the one runtime check is the up-down shape, a guard against a bug."""
-    bottom, top = _factor_plan(steps, rule)
+    bottom, top = _factor_plan(steps)
     w = (0, *weights, 0)
     bot = _insert(bottom, w)
     tops = _insert(top, w)[::-1]
     if len(bot) != len(tops) or not (all(map(lt, bot, tops))
                                      and all(map(gt, tops, islice(bot, 1, None)))):
         raise InternalConsistencyError(
-            f"assembly failed for {steps};{','.join(map(str, weights))}: "
+            f"assembly failed for {_path_text(steps, weights)}: "
             f"permutation is not up-down")
     perm = [0] * (2 * len(bot))
     perm[0::2] = bot
@@ -229,12 +226,12 @@ def _compose(m: int, spans: Sequence[tuple[int, int]],
     return tuple(perm)
 
 
-def _map_path(steps: str, weights: tuple[int, ...], rule: str) -> tuple[int, ...]:
+def _map_path(steps: str, weights: tuple[int, ...]) -> tuple[int, ...]:
     """The image of a valid weighting of any Dyck word: each irreducible
     factor mapped with `_map_factor`, the images composed by `_compose`."""
     spans = factor_spans(steps)
     return _compose(len(steps), spans,
-                    [_map_factor(steps[a:b], weights[a:b], rule) for a, b in spans])
+                    [_map_factor(steps[a:b], weights[a:b]) for a, b in spans])
 
 
 @dataclass(frozen=True)
@@ -260,7 +257,7 @@ class ParkingFunction:
         return len(self.values)
 
 
-def _flatten_run(steps: str, weights: tuple[int, ...], rule: str
+def _flatten_run(steps: str, weights: tuple[int, ...]
                  ) -> tuple[tuple[int, ...], ParkingFunction]:
     """The bottom word of one irreducible factor and its flattening, the
     rule of `flatten_to_single_slope` without its input checks, both read
@@ -268,7 +265,7 @@ def _flatten_run(steps: str, weights: tuple[int, ...], rule: str
     x + off letters from the right end, and off = shift - [L], so its value
     weight + shift + [R] is x + off + 1, its insertion distance plus one.
     A jump repeats the previous value (0 for the first rise)."""
-    bottom = _factor_plan(steps, rule)[0]
+    bottom = _factor_plan(steps)[0]
     w = (0, *weights, 0)
     word = tuple(_insert(bottom, w))
     vals: list[int] = []
@@ -279,12 +276,12 @@ def _flatten_run(steps: str, weights: tuple[int, ...], rule: str
         return word, ParkingFunction(tuple(vals))
     except ValueError as exc:
         raise InternalConsistencyError(
-            f"flattening {steps};{','.join(map(str, weights))} "
+            f"flattening {_path_text(steps, weights)} "
             f"produced a non-parking sequence {vals}"
         ) from exc
 
 
-def _read_off(steps: str, image: tuple[int, ...], rule: str
+def _read_off(steps: str, image: tuple[int, ...]
               ) -> tuple[list[Optional[int]], list[_PlanRise], list[_PlanRise]]:
     """Undo both insertion runs of `steps` that build `image` (standardized):
     the padded weights w[0..m+1], None at a jump, and the plan records of
@@ -300,7 +297,7 @@ def _read_off(steps: str, image: tuple[int, ...], rule: str
     w: list[Optional[int]] = [0] + [None] * m + [0]
     jumps: list[_PlanRise] = []
     nonjumps: list[_PlanRise] = []
-    for frame in _factor_plan(steps, rule):
+    for frame in _factor_plan(steps):
         placed: list[int] = []  # ranks of the frame's rises read so far, sorted
         for rise in frame:
             r = rank[rise[0]]
@@ -334,36 +331,28 @@ def _certify(steps: str, w: list[int], nonjumps: list[_PlanRise]
     return weights if _fits(_step_rows(steps), weights) else None
 
 
-def _invert_factor(steps: str, image: tuple[int, ...], rule: str
-                   ) -> list[tuple[int, ...]]:
-    """Every weighting of the irreducible path `steps` whose image is
-    `image` (standardized to 1..len(steps)).
+def _invert_factor(steps: str, image: tuple[int, ...]
+                   ) -> Optional[tuple[int, ...]]:
+    """The weighting of the irreducible path `steps` whose image is `image`
+    (standardized to 1..len(steps)), or None when no weighting maps to it.
 
     The read-off of the bottom word fixes each non-jumping rise, and that of
     the top word, on the mirrored path, each non-jumping fall.  A jump's
     weight is its bound, which reads one neighbour; its chain of neighbours
-    runs through jumps to a set weight, or closes in two adjacent jumps
-    that read each other.  Settling in passes, each setting every jump
-    whose neighbour is set, sets a jump k links from a set weight in pass k
-    and never one whose chain closes; following the chains leaves the same
-    jumps stuck, and sets the rest to the same bounds.
+    runs through jumps to a set weight, unless it closes in two adjacent
+    jumps that read each other.
 
-    A chain closes only under the floor split, at one peak.  In the bottom
-    frame a jump on the left half reads step pos-1, and on the right half
-    step pos+1.  In the mirrored frame a fall reads its right neighbour on
-    the mirror's left half and its left neighbour on its right half.  Two
-    adjacent steps of one slope share their half and read in the same
-    direction, so two jumps read each other only across a peak or a
-    valley.  Let the word have k up slopes, the first `cut` of them on the
-    left half; down slope j is slope k+1-j of the mirror.  Across the peak
-    atop up slope j both read each other when both lie on the right half,
-    cut < j and cut < k+1-j, so 2(cut+1) <= k+1.  Across the valley before
-    up slope j+1 both must lie on the left half, j+1 <= cut and
-    k+1-j <= cut, so k+2 <= 2 cut.  The ceil split's cut (k+1)//2 allows
-    neither.  The floor split's cut k//2 never allows the valley, and
-    allows the peak only when k is odd and j = (k+1)/2.  So at most one
-    pair of jumps reads each other, and only under floor; `_try_floor_peak`
-    tries its lower step, the rise, at every weight C1 allows it.
+    No chain closes.  In the bottom frame a jump on the left half reads
+    step pos-1, and on the right half step pos+1.  In the mirrored frame a
+    fall reads its right neighbour on the mirror's left half and its left
+    neighbour on its right half.  Two adjacent steps of one slope share
+    their half and read in the same direction, so two jumps read each other
+    only across a peak or a valley.  Let the word have k up slopes, the
+    first `cut` of them on the left half; down slope j is slope k+1-j of
+    the mirror.  Across the peak atop up slope j both read each other when
+    both lie on the right half, so 2(cut+1) <= k+1; across the valley
+    before up slope j+1 both must lie on the left half, so k+2 <= 2 cut.
+    The cut (k+1)//2 allows neither, so `_follow_chains` sets every jump.
 
     A candidate is certified instead of mapped forward.  Let it be valid,
     and let every rise read as a non-jump, in either frame, miss its jump
@@ -383,45 +372,16 @@ def _invert_factor(steps: str, image: tuple[int, ...], rule: str
     h0 (the height before the rise in its frame): the distance read off is
     below the r earlier rises, and h0 = r - shift, so the weight is at most
     h0 - 1, plus one on the left half.  It can be negative, on a target no
-    image has; C1 then fails for every candidate, so the search returns []
-    there.  A jump's weight is an end of a non-empty span inside [0, lower
-    height], and the peak's trial value lies in that range too.
+    image has; C1 then fails for every candidate, so the search returns
+    None there.  A jump's weight is an end of a non-empty span inside [0,
+    lower height].
     """
-    w, jumps, nonjumps = _read_off(steps, image, rule)
+    w, jumps, nonjumps = _read_off(steps, image)
     for rise in nonjumps:
         if w[rise[0]] < 0:  # type: ignore[operator]
-            return []
+            return None
     _follow_chains(w, jumps)
-    if None not in w:
-        weights = _certify(steps, w, nonjumps)  # type: ignore[arg-type]
-        return [] if weights is None else [weights]
-    return _try_floor_peak(steps, w, [r for r in jumps if w[r[0]] is None], nonjumps)
-
-
-def _try_floor_peak(steps: str, w: list[Optional[int]], stuck: list[_PlanRise],
-                    nonjumps: list[_PlanRise]) -> list[tuple[int, ...]]:
-    """The candidates of a read-off whose `stuck` jumps end in the one
-    closed chain the floor split allows (see `_invert_factor`): the peak's
-    rise is tried at each weight C1 allows it, the other stuck jumps follow
-    their chains to it, and the peak's rise must then meet its own bound."""
-    reads = {s: nb for s, nb, *_ in stuck}
-    (peak,) = [r for r in stuck if r[0] < r[1] and reads.get(r[1]) == r[0]]
-    rest = [r for r in stuck if r is not peak]
-    s, nb, _, row, end = peak
-    h = _height_profile(steps)
-    found: list[tuple[int, ...]] = []
-    for v in range(min(h[s - 1], h[s]) + 1):
-        for t in reads:
-            w[t] = None
-        w[s] = v
-        _follow_chains(w, rest)
-        # every other stuck jump was set to its bound after the one weight it reads
-        if v != row[w[nb]][end]:
-            continue
-        weights = _certify(steps, w, nonjumps)  # type: ignore[arg-type]
-        if weights is not None:
-            found.append(weights)
-    return found
+    return _certify(steps, w, nonjumps)  # type: ignore[arg-type]
 
 
 def _bottom_word(p: tuple[int, ...]) -> str:
@@ -433,7 +393,7 @@ def _bottom_word(p: tuple[int, ...]) -> str:
 
 
 @lru_cache(maxsize=256)
-def _image_table(steps: str, rule: str) -> dict:
+def _image_table(steps: str) -> dict:
     """perm -> weights over all valid weightings of one fixed path, in
     `enumerate_weightings` order.
 
@@ -447,10 +407,8 @@ def _image_table(steps: str, rule: str) -> dict:
     lexicographic product of the factors' tables lists them in
     `enumerate_weightings` order.  Each image is composed with `_compose`,
     as `_map_path` composes it, and distinct factor images give distinct
-    composed images.  When a factor has two weightings with one image (the
-    floor split does this), the word's paths are mapped one by one with
-    `_map_path` instead, so the error names the word and its first
-    repeated image.
+    composed images.  Two weightings of an irreducible word with one image
+    are a bug in the forward map, and the error names both paths.
 
     The table stays an independent oracle for the read-off inverse: every
     irreducible factor is still mapped forward by the insertion runs, and
@@ -467,24 +425,18 @@ def _image_table(steps: str, rule: str) -> dict:
     process that asks the oracle about many n = 7 words reaches."""
     spans = factor_spans(steps)
     if len(spans) != 1:
-        try:
-            tables = [_image_table(steps[a:b], rule) for a, b in spans]
-        except InternalConsistencyError:
-            pass  # a factor has no table: map the word's paths one by one
-        else:
-            m = len(steps)
-            return {_compose(m, spans, [image for image, _ in items]):
-                    sum((w for _, w in items), ())
-                    for items in product(*(t.items() for t in tables))}
+        m = len(steps)
+        tables = [_image_table(steps[a:b]) for a, b in spans]
+        return {_compose(m, spans, [image for image, _ in items]):
+                sum((w for _, w in items), ())
+                for items in product(*(t.items() for t in tables))}
     table: dict[tuple[int, ...], tuple[int, ...]] = {}
     for wd in enumerate_weightings(DyckPath(steps)):
-        if len(spans) == 1:
-            perm = _map_factor(steps, wd.weights, rule)
-        else:
-            perm = _map_path(steps, wd.weights, rule)
+        perm = _map_factor(steps, wd.weights)
         if perm in table:
             raise InternalConsistencyError(
-                f"two weightings of {steps} share the image {perm}")
+                f"{_path_text(steps, table[perm])} and {_path_text(steps, wd.weights)} "
+                f"share the image {perm_text(perm)}")
         table[perm] = wd.weights
     return table
 

@@ -16,8 +16,6 @@ from typing import Optional, Sequence
 from ._insertion import (
     LEFT,
     RIGHT,
-    SPLIT_CEIL,
-    SPLIT_FLOOR,
     InsertionStep,
     InsertionTrace,
     InternalConsistencyError,
@@ -47,14 +45,11 @@ from .paths import (
 from .perms import AlternatingPermutation, avoids_1234, is_up_down, perm_text
 
 
-def split_up_slopes(decomp: SlopeDecomposition, rule: str = SPLIT_CEIL) -> tuple[str, ...]:
+def split_up_slopes(decomp: SlopeDecomposition) -> tuple[str, ...]:
     """Left/right membership per up slope: an 'L' prefix then an 'R' suffix.
-
-    Under "ceil" (the default) the left half takes ceil(k/2) of the k up
-    slopes; under "floor" it takes floor(k/2).
-    """
+    The left half takes ceil(k/2) of the k up slopes."""
     k = len(decomp.up_slopes)
-    cut = _left_count(k, rule)
+    cut = _left_count(k)
     return tuple(LEFT if i < cut else RIGHT for i in range(k))
 
 
@@ -101,25 +96,23 @@ def _require_irreducible(wd: WeightedDyckPath) -> None:
         raise ValueError("path is reducible (interior return to the ground)")
 
 
-def insertion_word(wd: WeightedDyckPath, rule: str = SPLIT_CEIL
-                   ) -> tuple[tuple[int, ...], InsertionTrace]:
+def insertion_word(wd: WeightedDyckPath) -> tuple[tuple[int, ...], InsertionTrace]:
     """Bottom word of an irreducible weighted Dyck path, with the full
     per-rise trace (jump flag, shift, insertion distance, word snapshot)."""
     _require_valid(wd)
     _require_irreducible(wd)
-    return _run_insertion(wd.path.steps, wd.weights, rule)
+    return _run_insertion(wd.path.steps, wd.weights)
 
 
-def to_permutation_irreducible(wd: WeightedDyckPath, rule: str = SPLIT_CEIL
-                               ) -> AlternatingPermutation:
+def to_permutation_irreducible(wd: WeightedDyckPath) -> AlternatingPermutation:
     """Image of one irreducible weighted Dyck path: the bottom word by
     insertion, the top word via the mirrored path and alphabet reversal."""
     _require_valid(wd)
     _require_irreducible(wd)
-    return AlternatingPermutation._trusted(_map_factor(wd.path.steps, wd.weights, rule))
+    return AlternatingPermutation._trusted(_map_factor(wd.path.steps, wd.weights))
 
 
-def to_permutation(wd: WeightedDyckPath, rule: str = SPLIT_CEIL) -> AlternatingPermutation:
+def to_permutation(wd: WeightedDyckPath) -> AlternatingPermutation:
     """Image of any weighted Dyck path.
 
     Irreducible factors are mapped independently and their images composed
@@ -127,24 +120,24 @@ def to_permutation(wd: WeightedDyckPath, rule: str = SPLIT_CEIL) -> AlternatingP
     sorted bottom letters of the image equal the rise positions of the path.
     """
     _require_valid(wd)
-    return AlternatingPermutation._trusted(_map_path(wd.path.steps, wd.weights, rule))
+    return AlternatingPermutation._trusted(_map_path(wd.path.steps, wd.weights))
 
 
-def bottom_traces(wd: WeightedDyckPath, rule: str = SPLIT_CEIL) -> InsertionTrace:
+def bottom_traces(wd: WeightedDyckPath) -> InsertionTrace:
     """Bottom-word insertion records for all factors, with positions and
     word snapshots shifted to global step indices."""
     _require_valid(wd)
     steps, weights = wd.path.steps, wd.weights
     out: list[InsertionStep] = []
     for a, b in factor_spans(steps):
-        _, trace = _run_insertion(steps[a:b], weights[a:b], rule)
+        _, trace = _run_insertion(steps[a:b], weights[a:b])
         out.extend(st._replace(position=st.position + a,
                                word_after=tuple(v + a for v in st.word_after))
                    for st in trace)
     return tuple(out)
 
 
-def flatten_to_single_slope(wd: WeightedDyckPath, rule: str = SPLIT_CEIL) -> ParkingFunction:
+def flatten_to_single_slope(wd: WeightedDyckPath) -> ParkingFunction:
     """Project the rises of an irreducible weighted path onto one single
     ascent whose insertion run reproduces the standardized bottom word.
 
@@ -154,7 +147,7 @@ def flatten_to_single_slope(wd: WeightedDyckPath, rule: str = SPLIT_CEIL) -> Par
     """
     _require_valid(wd)
     _require_irreducible(wd)
-    return _flatten_run(wd.path.steps, wd.weights, rule)[1]
+    return _flatten_run(wd.path.steps, wd.weights)[1]
 
 
 def parking_to_123_avoiding(pf: ParkingFunction) -> tuple[int, ...]:
@@ -211,46 +204,38 @@ def _membership_checks(p: tuple[int, ...]) -> tuple[str, list[tuple[int, int]]]:
     return word, spans
 
 
-def from_permutation(p: Sequence[int], rule: str = SPLIT_CEIL) -> WeightedDyckPath:
+def from_permutation(p: Sequence[int]) -> WeightedDyckPath:
     """The unique weighted Dyck path whose image is p.
 
     Each irreducible factor is inverted directly from its block of p by
     reading off its insertion runs.  The checks run in this order, and the
     first to fail names the error: ValueError when p is not a permutation
     of 1..N; NotInImageError when p is not up-down, contains 1234, or no
-    weighting of a factor maps to its block; and ValueError naming the
-    count when several paths map to p, which happens under the floor split.
-    Two guards run between the 1234 test and the search: the bottom
-    letters mark a Dyck path, and each block holds its factor's letters.
-    Every up-down permutation passes both (see `_membership_checks`), so
-    only a bug can trip them, with a NotInImageError.
+    weighting of a factor maps to its block.  Two guards run between the
+    1234 test and the search: the bottom letters mark a Dyck path, and
+    each block holds its factor's letters.  Every up-down permutation
+    passes both (see `_membership_checks`), so only a bug can trip them,
+    with a NotInImageError.
     """
     p = tuple(p)
     if not p:
         return WeightedDyckPath(DyckPath(""), ())
     word, spans = _membership_checks(p)
     weights: list[int] = [0] * len(p)
-    preimages = 1
     for a, b in reversed(spans):
         block = p[len(p) - b:len(p) - a]
         if min(block) <= a or max(block) > b:  # p's letters are distinct
             raise NotInImageError(
                 f"not in image: block {perm_text(block)} does not hold {a + 1}..{b}")
-        sols = _invert_factor(word[a:b], tuple(v - a for v in block) if a else block, rule)
-        if not sols:
+        sol = _invert_factor(word[a:b], tuple(v - a for v in block) if a else block)
+        if sol is None:
             raise NotInImageError(
                 f"not in image: no weighting of {word[a:b]} maps to block {perm_text(block)}")
-        preimages *= len(sols)
-        weights[a:b] = sols[0]
-    if preimages > 1:
-        raise ValueError(
-            f"ambiguous: {preimages} weighted paths map to this permutation "
-            f"under the {rule} split rule")
+        weights[a:b] = sol
     return WeightedDyckPath._trusted(word, tuple(weights))
 
 
-def from_permutation_brute(p: Sequence[int], cap_n: int = 7,
-                           rule: str = SPLIT_CEIL) -> WeightedDyckPath:
+def from_permutation_brute(p: Sequence[int], cap_n: int = 7) -> WeightedDyckPath:
     """Oracle inverse: enumerate every valid weighting of the path read off
     the bottom letters, map each forward, and return the unique match."""
     p = tuple(p)
@@ -259,7 +244,7 @@ def from_permutation_brute(p: Sequence[int], cap_n: int = 7,
     if not p:
         return WeightedDyckPath(DyckPath(""), ())
     word, _ = _membership_checks(p)
-    weights = _image_table(word, rule).get(p)
+    weights = _image_table(word).get(p)
     if weights is None:
         raise NotInImageError("not in image: no weighting of the bottom path matches")
     return WeightedDyckPath._trusted(word, weights)

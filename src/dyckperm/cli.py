@@ -55,10 +55,10 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 def _cmd_map(args: argparse.Namespace) -> int:
     wd = paths.parse_path(_read_input(args.input))
-    image = bijection.to_permutation(wd, rule=args.split_rule)
+    image = bijection.to_permutation(wd)
     print(perms.perm_text(image.perm))
     if args.trace:
-        for st in bijection.bottom_traces(wd, rule=args.split_rule):
+        for st in bijection.bottom_traces(wd):
             print(json.dumps({
                 "position": st.position,
                 "weight": st.weight,
@@ -74,7 +74,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
 
 def _cmd_invert(args: argparse.Namespace) -> int:
     perm = perms.parse_perm_text(_read_input(args.input))
-    wd = bijection.from_permutation(perm, rule=args.split_rule)
+    wd = bijection.from_permutation(perm)
     print(paths.serialize_path(wd))
     return 0
 
@@ -94,9 +94,9 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.suite == "all":
-        reports = verify.run_all(args.max_n, rule=args.split_rule)
+        reports = verify.run_all(args.max_n)
     else:
-        reports = [verify.run_suite(args.suite, args.max_n, rule=args.split_rule)]
+        reports = [verify.run_suite(args.suite, args.max_n)]
     ok = True
     for report in reports:
         print(json.dumps(report.to_record()))
@@ -150,12 +150,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="path text '<steps>;<w,...>' or '-' for stdin")
     p.add_argument("--trace", action="store_true",
                    help="also print one record per rise of the bottom-word run")
-    p.add_argument("--split-rule", choices=("ceil", "floor"), default="ceil")
     p.set_defaults(func=_cmd_map)
 
     p = sub.add_parser("invert", help="recover the weighted path of a permutation")
     p.add_argument("input", help="comma-separated one-line permutation or '-'")
-    p.add_argument("--split-rule", choices=("ceil", "floor"), default="ceil")
     p.set_defaults(func=_cmd_invert)
 
     p = sub.add_parser("count", help="count weighted paths against the reference sequence")
@@ -165,7 +163,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run property suites and print their reports")
     p.add_argument("--suite", choices=verify.SUITES + ("all",), default="all")
     p.add_argument("--max-n", type=_nonneg, default=None)
-    p.add_argument("--split-rule", choices=("ceil", "floor"), default="ceil")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("render", help="draw a weighted path as an ASCII staircase")

@@ -6,7 +6,7 @@ counterexamples in the canonical text serializations so that any failure
 can be replayed through the CLI.  Running every suite at the default caps
 is the package's acceptance gate.
 
-Each suite is a per-size step, `(n, rule, failures) -> checked`: it checks
+Each suite is a per-size step, `(n, failures) -> checked`: it checks
 the instances of size n, appends their failures in the deterministic order
 it enumerates them, and returns how many it checked.  `run_suite` runs the
 step at each n up to the cap, so every suite lists its failures by size;
@@ -27,8 +27,6 @@ from typing import Iterator, Optional
 # the suites too
 from . import _insertion
 from .bijection import (
-    SPLIT_CEIL,
-    SPLIT_FLOOR,
     InternalConsistencyError,
     ParkingFunction,
     from_permutation,
@@ -115,20 +113,11 @@ def _irreducible_words(n: int) -> Iterator[str]:
     return ("U" + word + "D" for word in _dyck_words(n - 1))
 
 
-def _word_images(word: str, rule: str
-                 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+def _word_images(word: str) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """(weights, image) for each weighting of one Dyck word, in
     `enumerate_weighted` order, read from `_image_table`, so each path is
-    mapped forward once per process however many suites read it.  A word
-    two of whose weightings share an image, which happens under the floor
-    split, has no table; its paths are mapped one by one instead."""
-    try:
-        table = _insertion._image_table(word, rule)
-    except InternalConsistencyError:
-        for wd in enumerate_weightings(DyckPath(word)):
-            yield wd.weights, to_permutation(wd, rule).perm
-        return
-    for perm, weights in table.items():
+    mapped forward once per process however many suites read it."""
+    for perm, weights in _insertion._image_table(word).items():
         yield weights, perm
 
 
@@ -136,7 +125,7 @@ def _path_text(word: str, weights: tuple[int, ...]) -> str:
     return serialize_path(WeightedDyckPath(DyckPath(word), weights))
 
 
-def top_word_direct(wd: WeightedDyckPath, rule: str = SPLIT_CEIL) -> tuple[int, ...]:
+def top_word_direct(wd: WeightedDyckPath) -> tuple[int, ...]:
     """Top word computed by scanning the falls directly, right to left.
 
     The down slopes are processed from the right with the left/right roles
@@ -146,16 +135,16 @@ def top_word_direct(wd: WeightedDyckPath, rule: str = SPLIT_CEIL) -> tuple[int, 
     construction used by the forward map.
     """
     downs = [r for r in _runs(wd.path.steps) if r.kind == DOWN]
-    return _top_word_direct(heights(wd), downs, wd.weights, rule)
+    return _top_word_direct(heights(wd), downs, wd.weights)
 
 
-def _top_word_direct(h: tuple[int, ...], runs: list, w: tuple[int, ...],
-                     rule: str) -> tuple[int, ...]:
+def _top_word_direct(h: tuple[int, ...], runs: list, w: tuple[int, ...]
+                     ) -> tuple[int, ...]:
     """`top_word_direct` of the weights w on the word with height profile h
     and down slopes `runs`, which a caller over many weightings of one word
     reads once."""
     m = len(h) - 1
-    cut = _insertion._left_count(len(runs), rule)
+    cut = _insertion._left_count(len(runs))
     word: list[int] = []
     falls_right = 0  # falls strictly right of the slope
     # the s-th down slope from the right takes the s-th up slope's half
@@ -194,7 +183,7 @@ def _top_word_direct(h: tuple[int, ...], runs: list, w: tuple[int, ...],
     return tuple(word)
 
 
-def _suite_counts(n: int, rule: str, failures: list[dict]) -> int:
+def _suite_counts(n: int, failures: list[dict]) -> int:
     got = count_weighted(n)
     ref = REFERENCE_COUNTS[n] if n < len(REFERENCE_COUNTS) else None
     if ref is not None and got != ref:
@@ -207,7 +196,7 @@ def _suite_counts(n: int, rule: str, failures: list[dict]) -> int:
     return 2
 
 
-def _suite_bijectivity(n: int, rule: str, failures: list[dict]) -> int:
+def _suite_bijectivity(n: int, failures: list[dict]) -> int:
     """The pass is proved by a sorted merge that holds one reference per
     path and copies no image: `images` holds the tuples of the cached
     image tables themselves.  Sorted in place, they are walked in step
@@ -222,21 +211,22 @@ def _suite_bijectivity(n: int, rule: str, failures: list[dict]) -> int:
     runs instead: this step can only conclude "pass", and the failure
     records are the dict pass's own."""
     try:
-        images = [perm for word in _dyck_words(n) for _, perm in _word_images(word, rule)]
+        images = [perm for word in _dyck_words(n) for _, perm in _word_images(word)]
     except InternalConsistencyError:
-        return _bijectivity_failures(n, rule, failures)
+        return _bijectivity_failures(n, failures)
     images.sort()
     if (all(a < b for a, b in itertools.pairwise(images))
             and all(a == b for a, b in itertools.zip_longest(
                 images, enumerate_updown_avoiders(n)))):
         return 2 * len(images)
-    return _bijectivity_failures(n, rule, failures)
+    return _bijectivity_failures(n, failures)
 
 
-def _bijectivity_failures(n: int, rule: str, failures: list[dict]) -> int:
+def _bijectivity_failures(n: int, failures: list[dict]) -> int:
     """`bijectivity` at size n with a dict of every image, which names each
-    failure.  Images come from `_word_images`; a word whose forward map
-    raises its guard is one failure, and its later paths are not checked.
+    failure.  Images come from `_word_images`; a word whose table raises
+    a guard of the forward map is one failure, and its paths are not
+    checked.
     The avoiders are streamed in lexicographic order and each hit leaves
     `seen`, so the misses come out sorted and what stays in `seen` is the
     images outside the family."""
@@ -244,7 +234,7 @@ def _bijectivity_failures(n: int, rule: str, failures: list[dict]) -> int:
     seen: dict[tuple[int, ...], tuple[str, tuple[int, ...]]] = {}
     for word in _dyck_words(n):
         try:
-            for weights, perm in _word_images(word, rule):
+            for weights, perm in _word_images(word):
                 checked += 1
                 if perm in seen:
                     failures.append(_fail(
@@ -269,25 +259,25 @@ def _bijectivity_failures(n: int, rule: str, failures: list[dict]) -> int:
     return checked
 
 
-def _suite_roundtrip(n: int, rule: str, failures: list[dict]) -> int:
+def _suite_roundtrip(n: int, failures: list[dict]) -> int:
     """Each path's image comes from `_image_table`, the brute-force
     oracle's table of one Dyck word, so each path is mapped forward once,
     and `from_permutation` must recover the path.  The oracle's inverse
     is not run: it reads the table of the word the image's bottom letters
     mark, so on a recovered path it reads the entry the loop is on.  A
-    word two of whose weightings share an image is one failure, and its
-    paths are not checked.  A path's text is built only for a failure."""
+    word whose table raises a guard of the forward map (two weightings
+    with one image, say) is one failure, and its paths are not checked.  A path's text is built only for a failure."""
     checked = 0
     for word in _dyck_words(n):
         try:
-            table = _insertion._image_table(word, rule)
+            table = _insertion._image_table(word)
         except InternalConsistencyError as exc:
             failures.append(_fail(word, "weightings with distinct images", str(exc)))
             continue
         for sigma, weights in table.items():
             checked += 1
             try:
-                back = from_permutation(sigma, rule)
+                back = from_permutation(sigma)
             except Exception as exc:  # noqa: BLE001 - report, don't crash the suite
                 failures.append(_fail(_path_text(word, weights), "inverse succeeds",
                                       f"{type(exc).__name__}: {exc}"))
@@ -298,15 +288,15 @@ def _suite_roundtrip(n: int, rule: str, failures: list[dict]) -> int:
     return checked
 
 
-def _suite_schutzenberger(n: int, rule: str, failures: list[dict]) -> int:
+def _suite_schutzenberger(n: int, failures: list[dict]) -> int:
     """A path whose forward map, or its mirror's, raises its guard is one
     failure, and the suite goes on with the next path."""
     checked = 0
     for wd in enumerate_weighted(n):
         checked += 1
         try:
-            lhs = to_permutation(reflect(wd), rule).perm
-            rhs = schutzenberger(to_permutation(wd, rule).perm)
+            lhs = to_permutation(reflect(wd)).perm
+            rhs = schutzenberger(to_permutation(wd).perm)
         except InternalConsistencyError as exc:
             failures.append(_fail(serialize_path(wd), "an image of the path and its mirror",
                                   str(exc)))
@@ -316,7 +306,7 @@ def _suite_schutzenberger(n: int, rule: str, failures: list[dict]) -> int:
     return checked
 
 
-def _suite_product(n: int, rule: str, failures: list[dict]) -> int:
+def _suite_product(n: int, failures: list[dict]) -> int:
     """The pairs whose sizes add up to n, by the first factor's size, from
     pools that the step maps at every size up to n.  A path whose forward
     map raises its guard is one failure, recorded at its own size, and is
@@ -327,7 +317,7 @@ def _suite_product(n: int, rule: str, failures: list[dict]) -> int:
         pools.append([])
         for wd in enumerate_weighted(a):
             try:
-                pools[a].append((wd, to_permutation(wd, rule).perm))
+                pools[a].append((wd, to_permutation(wd).perm))
             except InternalConsistencyError as exc:
                 if a == n:
                     failures.append(_fail(serialize_path(wd), "an image", str(exc)))
@@ -336,7 +326,7 @@ def _suite_product(n: int, rule: str, failures: list[dict]) -> int:
         for p, p_img in pools[a]:
             for q, q_img in pools[n - a]:
                 checked += 1
-                lhs = to_permutation(concat(p, q), rule).perm
+                lhs = to_permutation(concat(p, q)).perm
                 rhs = shifted_concat(q_img, p_img)
                 if lhs != rhs:
                     failures.append(_fail(f"{serialize_path(p)} * {serialize_path(q)}",
@@ -344,14 +334,14 @@ def _suite_product(n: int, rule: str, failures: list[dict]) -> int:
     return checked
 
 
-def _suite_statistic(n: int, rule: str, failures: list[dict]) -> int:
-    """A word whose forward map raises its guard is one failure, as in
-    `_suite_bijectivity`, and its later paths are not checked."""
+def _suite_statistic(n: int, failures: list[dict]) -> int:
+    """A word whose table raises a guard of the forward map is one
+    failure, as in `_suite_bijectivity`, and its paths are not checked."""
     checked = 0
     for word in _dyck_words(n):
         ups = [i for i, s in enumerate(word, start=1) if s == UP]
         try:
-            for weights, perm in _word_images(word, rule):
+            for weights, perm in _word_images(word):
                 checked += 1
                 bots = sorted(perm[0::2])
                 if bots != ups:
@@ -389,7 +379,7 @@ def _up_down_perms(m: int) -> Iterator[tuple[int, ...]]:
     return extend()
 
 
-def _suite_criteria(m: int, rule: str, failures: list[dict]) -> int:
+def _suite_criteria(m: int, failures: list[dict]) -> int:
     """Every permutation of size 2m is checked: `_criteria_verdict` runs on
     all (2m)! of them, through `filter`, and the ones it accepts come out
     in lexicographic order, as `itertools.permutations` makes them.  The
@@ -424,7 +414,7 @@ def _suite_criteria(m: int, rule: str, failures: list[dict]) -> int:
     return factorial(2 * m)
 
 
-def _suite_insertion_lemma(n: int, rule: str, failures: list[dict]) -> int:
+def _suite_insertion_lemma(n: int, failures: list[dict]) -> int:
     """Per irreducible word, its plan's bottom frame and its span rows are
     read once.  The feasible weights of a rise given its fixed neighbours
     are the intersection of two spans: the one its own row gives at the
@@ -437,7 +427,7 @@ def _suite_insertion_lemma(n: int, rule: str, failures: list[dict]) -> int:
         m = len(word)
         rows = _step_rows(word)
         mirror_rows = _step_rows(_reflected_steps(word))
-        frame = _insertion._factor_plan(word, rule)[0]
+        frame = _insertion._factor_plan(word)[0]
         for wd in enumerate_weightings(DyckPath(word)):
             checked += 1
             w = (0, *wd.weights, 0)
@@ -483,7 +473,7 @@ def _suite_insertion_lemma(n: int, rule: str, failures: list[dict]) -> int:
     return checked
 
 
-def _suite_transformation(n: int, rule: str, failures: list[dict]) -> int:
+def _suite_transformation(n: int, failures: list[dict]) -> int:
     """One traced insertion run per path gives both the bottom word and its
     flattening (`_flatten_run`, the rule `flatten_to_single_slope` uses)."""
     checked = 0
@@ -491,7 +481,7 @@ def _suite_transformation(n: int, rule: str, failures: list[dict]) -> int:
         for wd in enumerate_weightings(DyckPath(steps)):
             checked += 1
             try:
-                word, pf = _insertion._flatten_run(steps, wd.weights, rule)
+                word, pf = _insertion._flatten_run(steps, wd.weights)
             except Exception as exc:  # noqa: BLE001
                 failures.append(_fail(serialize_path(wd), "a valid parking function", str(exc)))
                 continue
@@ -518,7 +508,7 @@ def _parking_functions(n: int) -> Iterator[tuple[int, ...]]:
         vals[i + 1:] = [vals[i]] * (n - 1 - i)
 
 
-def _suite_parking(n: int, rule: str, failures: list[dict]) -> int:
+def _suite_parking(n: int, failures: list[dict]) -> int:
     checked = 0
     images: dict[tuple[int, ...], tuple[int, ...]] = {}
     for vals in _parking_functions(n):
@@ -537,19 +527,19 @@ def _suite_parking(n: int, rule: str, failures: list[dict]) -> int:
     return checked
 
 
-def _suite_topword(n: int, rule: str, failures: list[dict]) -> int:
+def _suite_topword(n: int, failures: list[dict]) -> int:
     checked = 0
     for word in _irreducible_words(n):  # each word's slopes are read once
         path = DyckPath(word)
         mirror = _reflected_steps(word)
         h = heights(path)
         downs = [r for r in _runs(word) if r.kind == DOWN]
-        frame = _insertion._factor_plan(mirror, rule)[0]
+        frame = _insertion._factor_plan(mirror)[0]
         for wd in enumerate_weightings(path):
             checked += 1
             raw = _insertion._insert(frame, (0, *wd.weights[::-1], 0))
             via_reflection = schutzenberger_word(raw, len(wd))
-            direct = _top_word_direct(h, downs, wd.weights, rule)
+            direct = _top_word_direct(h, downs, wd.weights)
             if direct != via_reflection:
                 failures.append(_fail(serialize_path(wd),
                                       perm_text(via_reflection), perm_text(direct)))
@@ -574,8 +564,7 @@ SUITES = tuple(_SUITES)
 DEFAULT_CAPS = {suite: cap for suite, (cap, _) in _SUITES.items()}
 
 
-def run_suite(suite: str, max_n: Optional[int] = None,
-              rule: str = SPLIT_CEIL) -> VerificationReport:
+def run_suite(suite: str, max_n: Optional[int] = None) -> VerificationReport:
     """Run one suite exhaustively up to max_n (the suite's default cap when
     None).  This is the one loop over sizes: it runs the suite's per-size
     step at each n from 0 to the cap, collects the failures in one list
@@ -583,29 +572,25 @@ def run_suite(suite: str, max_n: Optional[int] = None,
     within a size in the deterministic order the step enumerates its
     instances; `product` lists its pair failures by total size, then by
     the first factor's size.  A negative max_n is a ValueError: it would
-    check nothing and still pass; so is an unknown rule, which `counts`,
-    `criteria` and `parking` never read (their reports do not depend on it)."""
+    check nothing and still pass."""
     if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}")
     if max_n is not None and max_n < 0:
         raise ValueError(f"max_n must be non-negative, got {max_n}")
-    if rule not in (SPLIT_CEIL, SPLIT_FLOOR):
-        raise ValueError(f"unknown split rule {rule!r}")
     default_cap, step = _SUITES[suite]
     cap = default_cap if max_n is None else max_n
     start = time.perf_counter()
     failures: list[dict] = []
-    checked = sum(step(n, rule, failures) for n in range(cap + 1))
+    checked = sum(step(n, failures) for n in range(cap + 1))
     return VerificationReport(suite, (0, cap), checked, tuple(failures),
                               time.perf_counter() - start)
 
 
-def run_all(max_n: Optional[int] = None,
-            rule: str = SPLIT_CEIL) -> list[VerificationReport]:
+def run_all(max_n: Optional[int] = None) -> list[VerificationReport]:
     """Run every suite at its default cap, lowered to max_n when given; a
-    negative max_n or an unknown rule is a ValueError from the first suite."""
+    negative max_n is a ValueError from the first suite."""
     out = []
     for suite in SUITES:
         cap = DEFAULT_CAPS[suite] if max_n is None else min(DEFAULT_CAPS[suite], max_n)
-        out.append(run_suite(suite, cap, rule))
+        out.append(run_suite(suite, cap))
     return out

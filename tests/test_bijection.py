@@ -20,8 +20,6 @@ from dyckperm._insertion import (
 from dyckperm.bijection import (
     LEFT,
     RIGHT,
-    SPLIT_FLOOR,
-    InternalConsistencyError,
     NotInImageError,
     ParkingFunction,
     bottom_traces,
@@ -55,7 +53,6 @@ from dyckperm.paths import (
     slopes,
 )
 from dyckperm.perms import (
-    enumerate_updown_avoiders,
     is_up_down,
     schutzenberger,
     shifted_concat,
@@ -140,14 +137,6 @@ class TestSplit:
 
     def test_single_slope(self):
         assert split_up_slopes(slopes(wd("UUDD"))) == (LEFT,)
-
-    def test_floor_rule(self):
-        assert split_up_slopes(slopes(wd("UUDD")), SPLIT_FLOOR) == (RIGHT,)
-        assert split_up_slopes(slopes(EX14), SPLIT_FLOOR) == (LEFT, LEFT, RIGHT, RIGHT)
-
-    def test_unknown_rule(self):
-        with pytest.raises(ValueError, match="split rule"):
-            split_up_slopes(slopes(EX14), "half")
 
 
 class TestJumpRule:
@@ -351,32 +340,20 @@ class TestForwardMap:
         assert image == tuple(v for i in reversed(range(k)) for v in (2 * i + 1, 2 * i + 2))
         assert from_permutation(image) == x
 
-    @pytest.mark.parametrize("rule", ["ceil", SPLIT_FLOOR])
-    def test_composed_tables_equal_per_path_maps(self, rule):
+    def test_composed_tables_equal_per_path_maps(self):
         # a reducible word's table, composed from its factors' tables,
-        # lists what mapping its weightings one by one gives; under floor
-        # some words have no table, since two weightings share an image
-        compared = missing = 0
+        # lists what mapping its weightings one by one gives
+        compared = 0
         for n in range(7):
             for steps in _dyck_words(n):
                 if len(factor_spans(steps)) < 2:
                     continue
-                per_path = [(_map_path(steps, x.weights, rule), x.weights)
+                per_path = [(_map_path(steps, x.weights), x.weights)
                             for x in enumerate_weightings(DyckPath(steps))]
-                try:
-                    table = _image_table(steps, rule)
-                except InternalConsistencyError:
-                    assert len({image for image, _ in per_path}) < len(per_path)
-                    missing += 1
-                    continue
-                assert list(table.items()) == per_path
+                assert list(_image_table(steps).items()) == per_path
                 compared += 1
         # the 131 reducible words with n <= 6
-        assert compared + missing == 131
-        if rule == "ceil":
-            assert missing == 0
-        else:
-            assert compared and missing
+        assert compared == 131
 
     def test_irreducible_map_rejects_reducible(self):
         with pytest.raises(ValueError, match="reducible"):
@@ -400,8 +377,7 @@ class TestSingleSlopeTransformation:
     def test_small_no_jump(self):
         assert flatten_to_single_slope(wd("UUDD", (0, 1, 1, 0))).values == (0, 1)
 
-    @pytest.mark.parametrize("rule", ["ceil", SPLIT_FLOOR])
-    def test_values_follow_the_traced_rule(self, rule):
+    def test_values_follow_the_traced_rule(self):
         # from the trace: a jump repeats the previous value (0 for the
         # first), a non-jump gives weight + shift, plus one on the right half
         checked = 0
@@ -410,12 +386,12 @@ class TestSingleSlopeTransformation:
                 if len(factor_spans(x.steps)) > 1:
                     continue
                 vals: list[int] = []
-                for st_ in insertion_word(x, rule)[1]:
+                for st_ in insertion_word(x)[1]:
                     if st_.jumped:
                         vals.append(vals[-1] if vals else 0)
                     else:
                         vals.append(st_.weight + st_.shift + (1 if st_.membership == RIGHT else 0))
-                assert flatten_to_single_slope(x, rule).values == tuple(vals)
+                assert flatten_to_single_slope(x).values == tuple(vals)
                 checked += 1
         assert checked == 5250
 
@@ -485,9 +461,8 @@ class TestInverse:
             invert(p)
         assert str(exc.value) == "input is not a permutation of 1..N"
 
-    @pytest.mark.parametrize("rule", ["ceil", SPLIT_FLOOR])
     @pytest.mark.parametrize("invert", [from_permutation, from_permutation_brute])
-    def test_first_failed_check_names_the_error(self, invert, rule):
+    def test_first_failed_check_names_the_error(self, invert):
         # each input also fails the check after the one it is named by
         repeated, rising, odd, pattern = (p for p, _ in INVERSE_FIRST_FAILURES)
         assert not is_up_down(repeated)
@@ -495,10 +470,10 @@ class TestInverse:
         # its letters alternate pairwise as an up-down permutation's do
         assert all(map(lt, odd[0::2], odd[1::2])) and all(map(gt, odd[1::2], odd[2::2]))
         assert contains_1234_naive(odd)
-        assert _invert_factor(_bottom_word(pattern), pattern, rule) == []
+        assert _invert_factor(_bottom_word(pattern), pattern) is None
         for p, text in INVERSE_FIRST_FAILURES:
             with pytest.raises(ValueError) as exc:
-                invert(p, rule=rule)
+                invert(p)
             assert str(exc.value) == text
             assert isinstance(exc.value, NotInImageError) == text.startswith("not in image")
 
@@ -561,36 +536,12 @@ class TestInverseBeyondExhaustive:
         # bounds; the 4,862 Dyck words of semilength 9 drive them past
         for steps in _dyck_words(9):
             _step_rows(steps)
-            _factor_plan(steps, "ceil")
+            _factor_plan(steps)
         for cache in (_step_rows, _factor_plan):
             assert cache.cache_info().currsize <= 4096
         # at most 4 * 65 + 1 shapes are tabulated, so no workload fills this
         # cache; the bound itself is what keeps it from growing
         assert _span_row.cache_info().maxsize == 512
-
-    def test_floor_split_finds_every_preimage(self):
-        # the floor split is neither injective nor onto from n = 3 on; the
-        # inverse certifies its candidates without mapping them forward, and
-        # this is the check that every preimage, and no other, is accepted
-        kinds = defaultdict(int)
-        for n in range(6):
-            preimages = defaultdict(list)
-            for x in enumerate_weighted(n):
-                preimages[to_permutation(x, SPLIT_FLOOR).perm].append(x)
-            # exactly the inputs passing the membership checks
-            for p in enumerate_updown_avoiders(n):
-                xs = preimages[p]
-                kinds[min(len(xs), 2)] += 1
-                if not xs:
-                    with pytest.raises(NotInImageError, match="no weighting"):
-                        from_permutation(p, SPLIT_FLOOR)
-                elif len(xs) == 1:
-                    assert from_permutation(p, SPLIT_FLOOR) == xs[0]
-                else:
-                    with pytest.raises(ValueError,
-                                       match=f"ambiguous: {len(xs)} weighted paths .* floor"):
-                        from_permutation(p, SPLIT_FLOOR)
-        assert kinds[0] and kinds[1] and kinds[2]
 
 
 class TestInvertFactor:
@@ -599,17 +550,18 @@ class TestInvertFactor:
         # passes it on): the bottom word reads rise 4 at weight -1, and the
         # inverse stops there, before any row is read at that weight
         steps, image = "UUDUDD", (1, 3, 2, 5, 4, 6)
-        read = _read_off(steps, image, "ceil")[0]
+        read = _read_off(steps, image)[0]
         assert read[4] == -1
-        assert _invert_factor(steps, image, "ceil") == []
-        assert image not in _image_table(steps, "ceil")
+        assert _invert_factor(steps, image) is None
+        assert image not in _image_table(steps)
 
     def test_read_off_weights_never_exceed_the_lower_height(self):
         # the bound the docstring of _invert_factor proves, on every pair of
         # rise and fall orders of the irreducible words of semilength <= 4,
-        # and where it proves two jumps can read each other: only under
-        # floor, across the peak atop up slope (k + 1) / 2 of k
-        closed = 0
+        # and its proof that no two jumps read each other: following the
+        # chains sets every jump.  This is the exhaustive check behind
+        # `_invert_factor` having no branch for a jump left unset.
+        checked = 0
         for n in range(1, 5):
             for steps in _dyck_words(n):
                 if len(factor_spans(steps)) > 1:
@@ -617,39 +569,28 @@ class TestInvertFactor:
                 h = _height_profile(steps)
                 rises = [i for i, s in enumerate(steps, start=1) if s == UP]
                 falls = [i for i, s in enumerate(steps, start=1) if s != UP]
-                peaks = [i for i in rises if steps[i] != UP]
-                middle = peaks[len(peaks) // 2] if len(peaks) % 2 else None
-                for bot, top, rule in itertools.product(itertools.permutations(rises),
-                                                        itertools.permutations(falls),
-                                                        ("ceil", SPLIT_FLOOR)):
+                for bot, top in itertools.product(itertools.permutations(rises),
+                                                  itertools.permutations(falls)):
                     image = tuple(v for pair in zip(bot, top) for v in pair)
-                    read, jumps, _ = _read_off(steps, image, rule)
+                    read, jumps, _ = _read_off(steps, image)
                     for pos, w in enumerate(read[1:-1], start=1):
                         assert w is None or w <= min(h[pos - 1], h[pos])
                     _follow_chains(read, jumps)
-                    reads = {s: nb for s, nb, *_ in jumps if read[s] is None}
-                    pairs = [s for s, nb in reads.items() if s < nb and reads.get(nb) == s]
-                    allowed = middle if rule == SPLIT_FLOOR else None
-                    assert pairs == ([allowed] if reads else [])
-                    closed += bool(reads)
-        assert closed
-
-
-def _up_slopes(steps):
-    return sum(1 for i, s in enumerate(steps) if s == UP and (i == 0 or steps[i - 1] != UP))
+                    assert None not in read, (steps, image)
+                    checked += 1
+        # (n!)^2 pairs of orders for each of the 1, 1, 2, 5 irreducible words
+        assert checked == 1 + 4 + 2 * 36 + 5 * 576
 
 
 class TestPlanAgainstSpec:
     """The plan-driven forward map and inverse against the paper's
     statements, not against the code they replaced: an image is an up-down
-    permutation whose bottom letters are the path's rises, under ceil the
-    images of one word are distinct avoiders of 1234, the floor split moves
-    only words with an odd number of up slopes, and the inverse finds
-    exactly the weightings of the bottom word that map to p."""
+    permutation whose bottom letters are the path's rises, the images of
+    one word are distinct avoiders of 1234, and the inverse finds exactly
+    the weighting of the bottom word that maps to p."""
 
-    @pytest.mark.parametrize("rule", ["ceil", SPLIT_FLOOR])
-    def test_map_factor_small(self, rule):
-        mapped = moved = outside = 0
+    def test_map_factor_small(self):
+        mapped = outside = 0
         for n in range(1, 6):
             for steps in _dyck_words(n):
                 if len(factor_spans(steps)) > 1:
@@ -658,38 +599,29 @@ class TestPlanAgainstSpec:
                 images = set()
                 for weights in lex_weightings(steps):
                     mapped += 1
-                    p = _map_factor(steps, weights, rule)
+                    p = _map_factor(steps, weights)
                     assert sorted(p) == list(range(1, 2 * n + 1))
                     assert brute_descents(p) == set(range(2, 2 * n, 2))
                     assert sorted(p[0::2]) == rises
                     images.add(p)
                     outside += contains_1234_naive(p)
-                    if p != _map_factor(steps, weights, "ceil"):
-                        assert _up_slopes(steps) % 2
-                        moved += 1
-                if rule == "ceil":
-                    assert len(images) == word_weighting_count(steps)
+                assert len(images) == word_weighting_count(steps)
         assert mapped == 5249
-        # machine-decided: under floor 2,215 images move, 423 out of the family
-        assert (moved, outside) == ((2215, 423) if rule == SPLIT_FLOOR else (0, 0))
+        assert outside == 0
 
-    @pytest.mark.parametrize("rule", ["ceil", SPLIT_FLOOR])
-    def test_map_factor_tall_paths(self, rule):
-        # every factor of these words has an even number of up slopes or a
-        # single weighting, so both rules map them into the family
+    def test_map_factor_tall_paths(self):
         rng = random.Random(71)
         for steps in TALL_WORDS:
             rises = [i for i, s in enumerate(steps, start=1) if s == UP]
             for _ in range(5):
                 x = random_weighting(rng, steps)
-                p = to_permutation(x, rule).perm
+                p = to_permutation(x).perm
                 assert brute_descents(p) == set(range(2, len(p), 2))
                 assert sorted(p[0::2]) == rises
                 assert naive_lis(p) <= 3
-                assert from_permutation(p, rule) == x
+                assert from_permutation(p) == x
 
-    @pytest.mark.parametrize("rule", ["ceil", SPLIT_FLOOR])
-    def test_plan_bounds_are_the_jump_rule(self, rule):
+    def test_plan_bounds_are_the_jump_rule(self):
         # the bound a plan record reads, row[w[nb]][end], is `jump_bound` of
         # its rise under the membership `split_up_slopes` gives: on the path
         # in the bottom frame, on the mirror in the mirrored frame
@@ -701,10 +633,10 @@ class TestPlanAgainstSpec:
         for x in small + tall:
             m = len(x)
             w = (0, *x.weights, 0)
-            bottom, top = _factor_plan(x.steps, rule)
+            bottom, top = _factor_plan(x.steps)
             for frame, y, number in ((bottom, x, lambda s: s), (top, reflect(x), lambda s: m + 1 - s)):
                 d = slopes(y)
-                halves = {u: half for run, half in zip(d.up_slopes, split_up_slopes(d, rule))
+                halves = {u: half for run, half in zip(d.up_slopes, split_up_slopes(d))
                           for u in range(run.start, run.start + run.length)}
                 assert len(frame) == len(halves)
                 for step, nb, _, row, end in frame:
@@ -713,8 +645,7 @@ class TestPlanAgainstSpec:
                     checked += 1
         assert checked == 2 * sum(x.n for x in small + tall)
 
-    @pytest.mark.parametrize("rule", ["ceil", SPLIT_FLOOR])
-    def test_trace_fields_are_the_slopes_of_the_path(self, rule):
+    def test_trace_fields_are_the_slopes_of_the_path(self):
         # the trace reads slope, membership and shift off the plan; here
         # they come from `slopes`, `split_up_slopes` and the falls left of
         # the rise's up slope
@@ -726,9 +657,9 @@ class TestPlanAgainstSpec:
                 d = slopes(x)
                 spec = {u: (k, half, x.steps[:run.start - 1].count("D"))
                         for k, (run, half) in enumerate(
-                            zip(d.up_slopes, split_up_slopes(d, rule)), start=1)
+                            zip(d.up_slopes, split_up_slopes(d)), start=1)
                         for u in range(run.start, run.start + run.length)}
-                _, trace = insertion_word(x, rule)
+                _, trace = insertion_word(x)
                 assert [st_.position for st_ in trace] == sorted(spec)
                 for st_ in trace:
                     assert (st_.slope, st_.membership, st_.shift) == spec[st_.position]
@@ -736,8 +667,7 @@ class TestPlanAgainstSpec:
         assert checked == sum(x.n for n in range(6) for x in enumerate_weighted(n)
                               if len(factor_spans(x.steps)) == 1)
 
-    @pytest.mark.parametrize("rule", ["ceil", SPLIT_FLOOR])
-    def test_plan_rows_are_the_step_rows(self, rule):
+    def test_plan_rows_are_the_step_rows(self):
         # a rise on the left half reads its own row of `_step_rows` at step
         # p-1; one on the right half reads the mirror's row of the rise at
         # step p+1.  The mirrored frame is the mirror's bottom frame, renumbered.
@@ -747,9 +677,9 @@ class TestPlanAgainstSpec:
                 mirror = reflect(wd(steps)).steps
                 rows, mirror_rows = _step_rows(steps), _step_rows(mirror)
                 d = slopes(DyckPath(steps))
-                halves = {u: half for run, half in zip(d.up_slopes, split_up_slopes(d, rule))
+                halves = {u: half for run, half in zip(d.up_slopes, split_up_slopes(d))
                           for u in range(run.start, run.start + run.length)}
-                bottom, top = _factor_plan(steps, rule)
+                bottom, top = _factor_plan(steps)
                 assert [rise[0] for rise in bottom] == sorted(halves)
                 for p, nb, _, row, end in bottom:
                     if halves[p] == LEFT:
@@ -757,10 +687,9 @@ class TestPlanAgainstSpec:
                     else:
                         assert (nb, end) == (p + 1, 1) and row is mirror_rows[m - p]
                 assert [(m + 1 - q, m + 1 - nb, off, row, end)
-                        for q, nb, off, row, end in top] == list(_factor_plan(mirror, rule)[0])
+                        for q, nb, off, row, end in top] == list(_factor_plan(mirror)[0])
 
-    @pytest.mark.parametrize("rule", ["ceil", SPLIT_FLOOR])
-    def test_inverse_on_every_up_down_permutation(self, rule):
+    def test_inverse_on_every_up_down_permutation(self):
         # all 1,453 up-down permutations of size <= 8, images and
         # non-images alike; a permutation containing 1234 is rejected
         # before its bottom word is read (test_rejects_pattern_container)
@@ -777,19 +706,17 @@ class TestPlanAgainstSpec:
                 if word not in tables:
                     tables[word] = defaultdict(list)
                     for w in lex_weightings(word):
-                        tables[word][to_permutation(wd(word, w), rule).perm].append(w)
+                        tables[word][to_permutation(wd(word, w)).perm].append(w)
                 found = tables[word].get(p, [])
-                if len(found) == 1:
+                assert len(found) <= 1
+                if found:
                     images += 1
-                    assert from_permutation(p, rule) == wd(word, found[0])
-                elif not found:
-                    with pytest.raises(NotInImageError, match="no weighting of"):
-                        from_permutation(p, rule)
+                    assert from_permutation(p) == wd(word, found[0])
                 else:
-                    with pytest.raises(ValueError, match=f"ambiguous: {len(found)} weighted"):
-                        from_permutation(p, rule)
+                    with pytest.raises(NotInImageError, match="no weighting of"):
+                        from_permutation(p)
         assert seen == 1453
-        assert images == (511 if rule == "ceil" else 394)
+        assert images == 511
 
 
 class TestBruteInverse:

@@ -220,10 +220,10 @@ class TestMap:
         # UUDD;0,1,1,0 jumps, so rise 2 is the first to insert, and overflows
         real = _insertion._factor_plan
 
-        def overflowing(steps, rule):
+        def overflowing(steps):
             return tuple(tuple((step, nb, off + len(steps) + 1, *rest)
                                for step, nb, off, *rest in frame)
-                         for frame in real(steps, rule))
+                         for frame in real(steps))
 
         monkeypatch.setattr(_insertion, "_factor_plan", overflowing)
         code, out, err = run(capsys, "map", "UUDD;0,1,1,0")
@@ -255,12 +255,6 @@ class TestInvert:
     def test_first_failed_check_is_the_error_line(self, capsys, perm, message):
         code, out, err = run(capsys, "invert", ",".join(map(str, perm)))
         assert (code, out, err) == (1, "", f"error: {message}\n")
-
-    def test_ambiguous_floor_preimage(self, capsys):
-        code, out, err = run(capsys, "invert", "3,5,1,6,2,4", "--split-rule", "floor")
-        assert (code, out) == (1, "")
-        assert err.startswith("error: ambiguous: 2 weighted paths")
-        assert "floor split rule" in err
 
     def test_pipe_coherence(self, capsys):
         for text in (EXAMPLE14_TEXT, "UD;0,0", "UDUD;0,0,0,0", "UUDD;0,1,1,0",
@@ -322,30 +316,8 @@ class TestVerify:
         assert len(records) == 11
         assert all(r["verdict"] == "pass" for r in records)
 
-    def test_floor_rule_documented_verdict(self, capsys):
-        code, out, _ = run(capsys, "verify", "--suite", "bijectivity",
-                           "--max-n", "3", "--split-rule", "floor")
-        record = json.loads(out)
-        assert code == 1
-        assert record["verdict"] == "fail"
-
-    def test_floor_roundtrip_records_shared_image(self, capsys):
-        # two weightings of UUUDDD share an image under the floor split, so
-        # the brute-force table of that word cannot be built, nor that of a
-        # word with UUUDDD as a factor: its record names the whole word
-        code, out, err = run(capsys, "verify", "--suite", "roundtrip",
-                             "--max-n", "4", "--split-rule", "floor")
-        record = json.loads(out)
-        assert (code, err) == (1, "")
-        assert record["verdict"] == "fail"
-        assert record["failures"] == [{
-            "input": word,
-            "expected": "weightings with distinct images",
-            "actual": f"two weightings of {word} share the image {image}",
-        } for word, image in (("UUUDDD", (3, 5, 1, 6, 2, 4)),
-                              ("UUUUDDDD", (4, 6, 2, 8, 1, 7, 3, 5)),
-                              ("UUUDDDUD", (7, 8, 3, 5, 1, 6, 2, 4)),
-                              ("UDUUUDDD", (5, 7, 3, 8, 4, 6, 1, 2)))]
+    def test_roundtrip_checks_every_path(self, capsys):
+        # the 1 + 1 + 5 + 42 weighted paths of n <= 3
         code, out, _ = run(capsys, "verify", "--suite", "roundtrip", "--max-n", "3")
         assert (code, json.loads(out)["checked"]) == (0, 49)
 

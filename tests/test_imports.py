@@ -132,3 +132,24 @@ def test_pair_constraints_are_stated_once():
                 where = f"{path.stem}._PAIRS" if id(node) in inside else path.stem
                 found.setdefault(where, set()).add(node.value)
     assert found == {"paths._PAIRS": pair_ids}
+
+
+def test_every_parameter_is_read():
+    # a parameter accepted and then ignored fails here: each parameter of
+    # each `def` in src/ is loaded somewhere in its body.  `self`, `cls`
+    # and `_`-prefixed names are exempt, and so are lambdas, which stand
+    # in for fixed-signature callables
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = fn.args
+            params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                      args.vararg, args.kwarg) if a is not None]
+            loaded = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                      if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            unread += [f"{path.stem}.{fn.name}: {name}" for name in params
+                       if name not in loaded and name not in ("self", "cls")
+                       and not name.startswith("_")]
+    assert unread == []

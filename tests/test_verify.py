@@ -11,7 +11,7 @@ import pytest
 import dyckperm._insertion as _insertion
 import dyckperm.verify as verify
 from dyckperm._insertion import _factor_plan, _image_table, _map_factor
-from dyckperm.bijection import SPLIT_CEIL, SPLIT_FLOOR, InternalConsistencyError, to_permutation
+from dyckperm.bijection import InternalConsistencyError, to_permutation
 from dyckperm.cli import main
 from dyckperm.paths import (
     WeightedDyckPath,
@@ -21,7 +21,7 @@ from dyckperm.paths import (
     reflect,
     serialize_path,
 )
-from dyckperm.perms import is_up_down
+from dyckperm.perms import enumerate_updown_avoiders, is_up_down
 from dyckperm.verify import (
     DEFAULT_CAPS,
     EULER_ZIGZAG,
@@ -53,7 +53,7 @@ def _reverse_top_word_of_uududd(monkeypatch):
     tables before and after, so that no table of the corrupted map
     outlives the test."""
     real = _insertion._insert
-    top_frame = _factor_plan("UUDUDD", SPLIT_CEIL)[1]
+    top_frame = _factor_plan("UUDUDD")[1]
 
     def reversing(frame, w):
         word = real(frame, w)
@@ -88,16 +88,6 @@ class TestRunSuite:
             run_suite("counts", -1)
         with pytest.raises(ValueError, match="non-negative"):
             run_all(-1)
-
-    @pytest.mark.parametrize("suite", SUITES)
-    def test_unknown_split_rule_rejected(self, suite):
-        # also by the suites that never read the rule, which would pass
-        with pytest.raises(ValueError, match="unknown split rule 'half'"):
-            run_suite(suite, 2, rule="half")
-
-    def test_run_all_rejects_unknown_split_rule(self):
-        with pytest.raises(ValueError, match="unknown split rule 'half'"):
-            run_all(2, rule="half")
 
     @pytest.mark.parametrize("suite", SUITES)
     def test_every_suite_passes_small(self, suite):
@@ -188,34 +178,60 @@ class TestRunAll:
             assert r.n_range[1] == min(DEFAULT_CAPS[r.suite], 2)
             assert r.verdict == "pass"
 
-    @pytest.mark.parametrize("argv, code, digest", [
-        (["verify", "--max-n", "4"], 0,
-         "d110d77803ce793283a1715e483d291c4b15fb7d580dad237e874df23f696cc9"),
-        (["verify", "--split-rule", "floor", "--max-n", "4"], 1,
-         "d788dec122ea3b1963996d516b5cfe686b05d40f0b6195822ad2ec1043efc8db"),
-    ])
-    def test_records_are_pinned(self, argv, code, digest, capsys):
+    def test_records_are_pinned(self, capsys):
         # the sha256 of the records, each as JSON with `elapsed` removed and
         # keys sorted, joined by newlines: a change that moves a count or a
         # failure of any suite fails here
-        assert main(argv) == code
+        assert main(["verify", "--max-n", "4"]) == 0
         records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         for record in records:
             del record["elapsed"]
         text = "\n".join(json.dumps(record, sort_keys=True) for record in records)
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "d110d77803ce793283a1715e483d291c4b15fb7d580dad237e874df23f696cc9")
 
 
-class TestAlternativeSplitRule:
-    def test_floor_rule_still_bijective_at_n2(self):
-        assert run_suite("bijectivity", 2, rule=SPLIT_FLOOR).verdict == "pass"
+@pytest.fixture
+def floor_cut(monkeypatch):
+    """The floor split, the alternative convention: floor(k/2) of the k up
+    slopes on the left half, patched into the one function that states the
+    cut.  The plans and image tables are cleared before and after, so none
+    built under it outlives the test."""
+    _factor_plan.cache_clear()
+    _image_table.cache_clear()
+    monkeypatch.setattr(_insertion, "_left_count", lambda k: k // 2)
+    yield
+    _factor_plan.cache_clear()
+    _image_table.cache_clear()
 
-    def test_floor_rule_breaks_at_n3(self):
-        # machine-decided: the floor split is not injective from n=3 on,
-        # which pins the ceil split as the right convention
-        report = run_suite("bijectivity", 3, rule=SPLIT_FLOOR)
-        assert report.verdict == "fail"
-        assert len(report.failures) == 16
+
+class TestFloorSplit:
+    """The pin of the convention: under the floor split the map is still
+    a bijection at n = 2 and is not one at n = 3, which is why the ceil
+    split is the only one the package states (machine-decided)."""
+
+    def test_bijective_at_n2(self, floor_cut):
+        images = sorted(to_permutation(x).perm for x in enumerate_weighted(2))
+        assert images == list(enumerate_updown_avoiders(2))
+        assert run_suite("bijectivity", 2).verdict == "pass"
+
+    def test_breaks_at_n3(self, floor_cut):
+        # 4 repeated images, 4 outside the family and 8 avoiders missed
+        images = [to_permutation(x).perm for x in enumerate_weighted(3)]
+        avoiders = set(enumerate_updown_avoiders(3))
+        assert (len(images), len(set(images))) == (42, 38)
+        assert len(set(images) - avoiders) == 4
+        assert len(avoiders - set(images)) == 8
+        assert run_suite("bijectivity", 3).verdict == "fail"
+
+    def test_two_weightings_of_uuuddd_share_an_image(self, floor_cut):
+        # the oracle's table names both paths, so both replay through `map`
+        first, second = "UUUDDD;0,0,1,2,0,0", "UUUDDD;0,0,2,1,0,0"
+        assert to_permutation(parse_path(first)).perm == (3, 5, 1, 6, 2, 4)
+        assert to_permutation(parse_path(second)).perm == (3, 5, 1, 6, 2, 4)
+        with pytest.raises(InternalConsistencyError) as exc:
+            _image_table("UUUDDD")
+        assert str(exc.value) == f"{first} and {second} share the image 3,5,1,6,2,4"
 
 
 class TestSharedImageTable:
@@ -225,9 +241,9 @@ class TestSharedImageTable:
         # factors' tables, so one process maps each irreducible path once
         mapped = []
 
-        def counting(steps, weights, rule):
+        def counting(steps, weights):
             mapped.append((steps, weights))
-            return _map_factor(steps, weights, rule)
+            return _map_factor(steps, weights)
 
         _image_table.cache_clear()
         monkeypatch.setattr(_insertion, "_map_factor", counting)
@@ -242,41 +258,26 @@ class TestSharedImageTable:
         assert len(mapped) == sum(word_weighting_count(w) for w in irreducible) == 5249
         assert {steps for steps, _ in mapped} == set(irreducible)
 
-    @pytest.mark.parametrize("rule", [SPLIT_CEIL, SPLIT_FLOOR])
-    def test_tables_list_every_weighting(self, rule):
-        # items and their order, and under floor the error of a word two of
-        # whose weightings share an image; each table is composed afresh
+    def test_tables_list_every_weighting(self):
+        # items and their order; each table is composed afresh
         _image_table.cache_clear()
-        raised = 0
         try:
             for n in range(6):
                 for steps in brute_dyck_words(n):
-                    items = [(to_permutation(WeightedDyckPath.from_steps(steps, w), rule).perm, w)
+                    items = [(to_permutation(WeightedDyckPath.from_steps(steps, w)).perm, w)
                              for w in lex_weightings(steps)]
-                    images = [p for p, _ in items]
-                    repeats = [p for i, p in enumerate(images) if p in images[:i]]
-                    if repeats:
-                        raised += 1
-                        with pytest.raises(InternalConsistencyError) as got:
-                            _image_table(steps, rule)
-                        assert str(got.value) == (f"two weightings of {steps} "
-                                                  f"share the image {repeats[0]}")
-                    else:
-                        assert list(_image_table(steps, rule).items()) == items
+                    assert list(_image_table(steps).items()) == items
         finally:
             _image_table.cache_clear()
-        # 16 of the 65 words at n <= 5 have no table under floor
-        assert raised == (16 if rule == SPLIT_FLOOR else 0)
 
-    @pytest.mark.parametrize("rule", [SPLIT_CEIL, SPLIT_FLOOR])
-    def test_records_follow_from_the_images(self, rule):
+    def test_records_follow_from_the_images(self):
         # at n <= 4, from the image of every weighting and the avoiders
         # filtered by definition: each repeat of an image is one record
         # naming an earlier path with that image, each avoider no path hits
         # is one, and so is each image outside the family; the bottom
-        # letters are the rises whatever the rule
-        statistic = run_suite("statistic", 4, rule=rule)
-        bijectivity = run_suite("bijectivity", 4, rule=rule)
+        # letters are the rises
+        statistic = run_suite("statistic", 4)
+        bijectivity = run_suite("bijectivity", 4)
         paths = sum(closed_form(n) for n in range(5))
         assert (statistic.checked, statistic.failures) == (paths, ())
         assert bijectivity.checked == 2 * paths
@@ -287,7 +288,7 @@ class TestSharedImageTable:
             for steps in brute_dyck_words(n):
                 for w in lex_weightings(steps):
                     x = WeightedDyckPath.from_steps(steps, w)
-                    p = to_permutation(x, rule).perm
+                    p = to_permutation(x).perm
                     want[("repeat", p)] += p in images
                     images.add(p)
                     hits[p].add(serialize_path(x))
@@ -312,14 +313,14 @@ class TestSharedImageTable:
                 assert f["input"] in hits[p]
                 got[("outside", p)] += 1
         assert got == +want
-        assert bool(+want) == (rule == SPLIT_FLOOR)
+        assert not +want
 
 
 class TestSortedMerge:
     @staticmethod
     def _dict_records(n):
         failures: list = []
-        checked = sum(verify._bijectivity_failures(k, SPLIT_CEIL, failures)
+        checked = sum(verify._bijectivity_failures(k, failures)
                       for k in range(n + 1))
         return checked, failures
 
@@ -330,8 +331,8 @@ class TestSortedMerge:
         # and in every case the records are those of the dict pass
         real = verify._word_images
 
-        def faulty(word, rule):
-            items = list(real(word, rule))
+        def faulty(word):
+            items = list(real(word))
             if word == "UUDUDD":
                 if fault == "repeat":
                     items[-1] = (items[-1][0], items[0][1])
@@ -355,10 +356,10 @@ class TestSortedMerge:
         # strict order sends the step to the dict pass
         real_images = verify._word_images
         real_avoiders = verify.enumerate_updown_avoiders
-        first = next(real_images("UUDD", SPLIT_CEIL))[1]
+        first = next(real_images("UUDD"))[1]
 
-        def repeating(word, rule):
-            items = list(real_images(word, rule))
+        def repeating(word):
+            items = list(real_images(word))
             return iter(items + items[:1] if word == "UUDD" else items)
 
         def twice(n):
@@ -374,7 +375,7 @@ class TestSortedMerge:
         assert (report.checked, list(report.failures)) == self._dict_records(2)
 
     def test_merge_decides_a_pass(self, monkeypatch):
-        def unused(n, rule, failures):
+        def unused(n, failures):
             raise AssertionError("the dict pass ran on a passing size")
 
         monkeypatch.setattr(verify, "_bijectivity_failures", unused)
@@ -402,17 +403,16 @@ class TestFaultInjection:
         fixture = WeightedDyckPath.from_steps("UUDD")
         other = WeightedDyckPath.from_steps("UUDD", (0, 1, 1, 0))
 
-        def corrupted(steps, weights, rule):
+        def corrupted(steps, weights):
             if (steps, weights) == (fixture.steps, fixture.weights):
-                return _map_factor(other.steps, other.weights, rule)
-            return _map_factor(steps, weights, rule)
+                return _map_factor(other.steps, other.weights)
+            return _map_factor(steps, weights)
 
         # the suite reads images from _image_table, which maps each
         # irreducible path with _insertion._map_factor; the corruption gives
-        # two weightings of UUDD one image, so that word is mapped path by
-        # path with to_permutation, which maps its factor with the same
-        # corrupted function.  No table of the corrupted map may outlive
-        # the test.
+        # two weightings of UUDD one image, and the table's guard names
+        # both paths in the word's record.  No table of the corrupted map
+        # may outlive the test.
         _image_table.cache_clear()
         monkeypatch.setattr(_insertion, "_map_factor", corrupted)
         try:
@@ -481,7 +481,7 @@ class TestFaultInjection:
         target = to_permutation(fixture).perm
         real = verify.from_permutation
 
-        def corrupted(p, rule=None, **kw):
+        def corrupted(p):
             if tuple(p) == target:
                 return WeightedDyckPath.from_steps("UUDD", (0, 1, 1, 0))
             return real(p)
@@ -546,8 +546,8 @@ def _perturbed_plan_frame(real):
     last rise of every frame: their off, and with it their shift
     (off + 1 - end), is one higher, so the first rise's shift then exceeds
     the next one's, and the last rise inserts one letter further left."""
-    def perturbed(steps, mirror, rule):
-        frame = real(steps, mirror, rule)
+    def perturbed(steps, mirror):
+        frame = real(steps, mirror)
         return tuple((s, nb, off + 1, row, end) if k in (0, len(frame) - 1)
                      else (s, nb, off, row, end)
                      for k, (s, nb, off, row, end) in enumerate(frame))
@@ -555,14 +555,13 @@ def _perturbed_plan_frame(real):
 
 
 class TestInsertionSuitePerturbation:
-    @pytest.mark.parametrize("rule", [SPLIT_CEIL, SPLIT_FLOOR])
     @pytest.mark.parametrize("suite", ["insertion_lemma", "transformation"])
-    def test_unperturbed_suites_pass(self, suite, rule):
+    def test_unperturbed_suites_pass(self, suite):
         # the control: each suite checks every irreducible weighted path
         # of semilength <= 5 once, the empty path among them, and passes
         irreducible = sum(word_weighting_count(w) for n in range(6) for w in brute_dyck_words(n)
                           if 0 not in brute_heights(w)[1:-1])
-        report = run_suite(suite, 5, rule=rule)
+        report = run_suite(suite, 5)
         assert (report.verdict, report.checked, report.failures) == ("pass", irreducible, ())
 
     def test_records_on_small_paths(self, monkeypatch):
