@@ -26,6 +26,7 @@ from typing import Iterator, Optional
 # the kernel is read through its module, so a fault patched into it reaches
 # the suites too
 from . import _insertion
+from ._insertion import _path_text
 from .bijection import (
     InternalConsistencyError,
     ParkingFunction,
@@ -119,10 +120,6 @@ def _word_images(word: str) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]
     mapped forward once per process however many suites read it."""
     for perm, weights in _insertion._image_table(word).items():
         yield weights, perm
-
-
-def _path_text(word: str, weights: tuple[int, ...]) -> str:
-    return serialize_path(WeightedDyckPath(DyckPath(word), weights))
 
 
 def top_word_direct(wd: WeightedDyckPath) -> tuple[int, ...]:

@@ -9,10 +9,10 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "dyckperm"
 TEST_FILES = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 # verify.py's private imports: the kernel, read through its module, and
-# five helpers, each from the module that defines it
+# six helpers, each from the module that defines it
 VERIFY_PRIVATE = {
     "_insertion": {"_factor_plan", "_flatten_run", "_image_table", "_insert",
-                   "_left_count"},
+                   "_left_count", "_path_text"},
     "paths": {"_dyck_words", "_reflected_steps", "_runs", "_step_rows"},
     "perms": {"_criteria_verdict"},
 }
