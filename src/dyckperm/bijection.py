@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from . import _insertion
 from ._insertion import (
     LEFT,
     RIGHT,
@@ -25,7 +26,6 @@ from ._insertion import (
     _flatten_run,
     _image_table,
     _invert_factor,
-    _left_count,
     _map_factor,
     _map_path,
     _run_insertion,
@@ -49,7 +49,7 @@ def split_up_slopes(decomp: SlopeDecomposition) -> tuple[str, ...]:
     """Left/right membership per up slope: an 'L' prefix then an 'R' suffix.
     The left half takes ceil(k/2) of the k up slopes."""
     k = len(decomp.up_slopes)
-    cut = _left_count(k)
+    cut = _insertion._left_count(k)  # through the module: one patch reaches it
     return tuple(LEFT if i < cut else RIGHT for i in range(k))
 
 

@@ -138,6 +138,14 @@ class TestSplit:
     def test_single_slope(self):
         assert split_up_slopes(slopes(wd("UUDD"))) == (LEFT,)
 
+    def test_left_half_is_the_ceiling(self):
+        # ceil(k/2) of k up slopes, for every k a word of semilength <= 7 has
+        for n in range(8):
+            for steps in _dyck_words(n):
+                decomp = slopes(wd(steps))
+                k = len(decomp.up_slopes)
+                assert split_up_slopes(decomp) == (LEFT,) * (k - k // 2) + (RIGHT,) * (k // 2)
+
 
 class TestJumpRule:
     def test_bound_first_of_left_slope(self):

@@ -202,6 +202,12 @@ class TestMap:
         code, out, _ = run(capsys, "map", "-")
         assert (code, out.strip()) == (0, "1,2")
 
+    def test_split_rule_option_is_gone(self):
+        # the ceil split is the only one; an old option is a usage error
+        with pytest.raises(SystemExit) as exc:
+            main(["map", "UD;0,0", "--split-rule", "ceil"])
+        assert exc.value.code == 2
+
     def test_non_ascii_digit_weights(self, capsys):
         code, out, err = run(capsys, "map", "UD;+0,\u0660")
         assert (code, out) == (1, "")
@@ -245,6 +251,11 @@ class TestInvert:
         code, out, err = run(capsys, "invert", "2,1")
         assert code == 1
         assert "not in image" in err and "up-down" in err
+
+    def test_split_rule_option_is_gone(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["invert", "1,2", "--split-rule", "ceil"])
+        assert exc.value.code == 2
 
     def test_non_ascii_digits(self, capsys):
         code, out, err = run(capsys, "invert", "\u0662,\u0661")
@@ -320,6 +331,11 @@ class TestVerify:
         # the 1 + 1 + 5 + 42 weighted paths of n <= 3
         code, out, _ = run(capsys, "verify", "--suite", "roundtrip", "--max-n", "3")
         assert (code, json.loads(out)["checked"]) == (0, 49)
+
+    def test_split_rule_option_is_gone(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--max-n", "1", "--split-rule", "ceil"])
+        assert exc.value.code == 2
 
     def test_unknown_suite_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -92,6 +92,19 @@ def test_no_function_patched_in_two_modules():
                 assert len(where) == 1, f"{path.name}::{fn.name} patches {name} in {sorted(where)}"
 
 
+def test_the_cut_is_read_through_its_module():
+    # `_insertion._left_count` states the cut once, and no module binds it
+    # by name, so that one patch of it reaches every caller
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text(), str(path))
+        defined = [fn for fn in tree.body
+                   if isinstance(fn, ast.FunctionDef) and fn.name == "_left_count"]
+        assert len(defined) == (path.stem == "_insertion"), path.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                assert "_left_count" not in {a.name for a in node.names}, path.name
+
+
 def _is_cache(decorator: ast.expr) -> bool:
     target = decorator.func if isinstance(decorator, ast.Call) else decorator
     name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)

@@ -3,7 +3,7 @@ import itertools
 import json
 import tracemalloc
 from collections import Counter, defaultdict
-from math import factorial
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
@@ -11,7 +11,13 @@ import pytest
 import dyckperm._insertion as _insertion
 import dyckperm.verify as verify
 from dyckperm._insertion import _factor_plan, _image_table, _map_factor
-from dyckperm.bijection import InternalConsistencyError, to_permutation
+from dyckperm.bijection import (
+    LEFT,
+    RIGHT,
+    InternalConsistencyError,
+    split_up_slopes,
+    to_permutation,
+)
 from dyckperm.cli import main
 from dyckperm.paths import (
     WeightedDyckPath,
@@ -20,6 +26,7 @@ from dyckperm.paths import (
     parse_path,
     reflect,
     serialize_path,
+    slopes,
 )
 from dyckperm.perms import enumerate_updown_avoiders, is_up_down
 from dyckperm.verify import (
@@ -44,6 +51,31 @@ from .oracles import (
 )
 
 EX14 = parse_path(EXAMPLE14_TEXT)
+
+
+def _irreducible_count(n):
+    """Weighted paths of semilength n that touch the ground only at their
+    ends, the empty path at n = 0, from the brute-force oracles."""
+    return sum(word_weighting_count(w) for w in brute_dyck_words(n)
+               if 0 not in brute_heights(w)[1:-1])
+
+
+# what each suite's step checks at size n: its whole family there, counted
+# without the package (REFERENCE_COUNTS is the paper's list)
+FAMILY_SIZE = {
+    "counts": lambda n: 2,  # the two family sizes
+    "bijectivity": lambda n: 2 * REFERENCE_COUNTS[n],  # each image and each avoider
+    "roundtrip": lambda n: REFERENCE_COUNTS[n],
+    "schutzenberger": lambda n: REFERENCE_COUNTS[n],
+    "product": lambda n: sum(REFERENCE_COUNTS[a] * REFERENCE_COUNTS[n - a]
+                             for a in range(n + 1)),
+    "statistic": lambda n: REFERENCE_COUNTS[n],
+    "criteria": lambda m: factorial(2 * m),  # every permutation of size 2m
+    "insertion_lemma": _irreducible_count,
+    "transformation": _irreducible_count,
+    "parking": lambda n: comb(2 * n, n) // (n + 1),
+    "topword_equivalence": _irreducible_count,
+}
 
 
 def _reverse_top_word_of_uududd(monkeypatch):
@@ -96,6 +128,15 @@ class TestRunSuite:
         assert report.checked > 0
         assert report.failures == ()
         assert report.n_range == (0, 2)
+
+    @pytest.mark.parametrize("n", range(4))
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_step_checks_the_whole_family(self, suite, n):
+        # a step is `(n, failures) -> checked`: called alone at one size, it
+        # checks its whole family there and records nothing
+        failures = []
+        assert verify._SUITES[suite][1](n, failures) == FAMILY_SIZE[suite](n)
+        assert failures == []
 
     @pytest.mark.parametrize("n", range(9))
     def test_irreducible_words_are_the_one_factor_words(self, n):
@@ -232,6 +273,36 @@ class TestFloorSplit:
         with pytest.raises(InternalConsistencyError) as exc:
             _image_table("UUUDDD")
         assert str(exc.value) == f"{first} and {second} share the image 3,5,1,6,2,4"
+
+    # `_insertion._left_count` is the one statement of the cut: each caller
+    # below follows the patch, where a second statement of it would not
+
+    def test_split_follows_the_cut(self, floor_cut):
+        # floor(k/2) of k up slopes on the left: 2 of 4, 1 of 3, none of 1
+        assert split_up_slopes(slopes(EX14)) == (LEFT, LEFT, RIGHT, RIGHT)
+        assert split_up_slopes(slopes(WeightedDyckPath.from_steps("UUUDDUUUDDUUDDDD"))) == (
+            LEFT, RIGHT, RIGHT)
+        assert split_up_slopes(slopes(WeightedDyckPath.from_steps("UUDD"))) == (RIGHT,)
+
+    def test_plan_follows_the_cut(self, floor_cut):
+        # a rise reads the least end of its span (end 0) exactly when it
+        # lies on one of the first floor(k/2) of the word's k up slopes
+        for n in range(1, 6):
+            for steps in brute_dyck_words(n):
+                ups = slopes(WeightedDyckPath.from_steps(steps)).up_slopes
+                left = {u for run in ups[:len(ups) // 2]
+                        for u in range(run.start, run.start + run.length)}
+                bottom, _ = _factor_plan(steps)
+                assert {p for p, _, _, _, end in bottom if end == 0} == left, steps
+
+    def test_direct_top_word_follows_the_cut(self, floor_cut):
+        # UUDD's one up slope is on the right half, so its top word is the
+        # reverse of the ceil split's (4, 3); the direct reading agrees with
+        # the mirror's insertion on every irreducible path of n <= 4
+        assert top_word_direct(WeightedDyckPath.from_steps("UUDD")) == (3, 4)
+        report = run_suite("topword_equivalence", 4)
+        assert (report.verdict, report.checked) == (
+            "pass", sum(_irreducible_count(n) for n in range(5)))
 
 
 class TestSharedImageTable:
