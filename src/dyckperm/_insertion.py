@@ -393,9 +393,15 @@ def _bottom_word(p: tuple[int, ...]) -> str:
 
 
 @lru_cache(maxsize=256)
-def _image_table(steps: str) -> dict:
+def _image_table(steps: str) -> dict[bytes, bytes]:
     """perm -> weights over all valid weightings of one fixed path, in
     `enumerate_weightings` order.
+
+    Both are stored as bytes, one byte per letter or weight: a bytes of
+    12 letters takes 45 B where a tuple takes 136 B, caches its hash, and
+    sorts by memcmp.  Letters reach 2n and weights n, so each fits a byte
+    up to n = 127, far beyond any table that can be built (n = 8 alone
+    has 23.4 million paths).
 
     An irreducible word's weightings are mapped one by one with
     `_map_factor`.  A reducible word's table is built from its factors'
@@ -419,24 +425,25 @@ def _image_table(steps: str) -> dict:
     the bijectivity, roundtrip and statistic suites each scan those words
     in order, and an LRU cache smaller than one scan misses on every
     lookup, so each path would be mapped forward once per suite instead of
-    once per process.  At most 94,033 entries are held at n <= 6; in the
-    worst case, 256 tables of the n = 7 words with the most weightings,
-    about 1.35M entries (871k with 64 tables), which only a long-lived
-    process that asks the oracle about many n = 7 words reaches."""
+    once per process.  At most 94,033 entries, about 12 MB, are held at
+    n <= 6; in the worst case, 256 tables of the n = 7 words with the most
+    weightings, about 1.35M entries and 185 MB (871k and 119 MB with 64
+    tables), which only a long-lived process that asks the oracle about
+    many n = 7 words reaches."""
     spans = factor_spans(steps)
     if len(spans) != 1:
         m = len(steps)
         tables = [_image_table(steps[a:b]) for a, b in spans]
-        return {_compose(m, spans, [image for image, _ in items]):
-                sum((w for _, w in items), ())
+        return {bytes(_compose(m, spans, [image for image, _ in items])):
+                b"".join(w for _, w in items)
                 for items in product(*(t.items() for t in tables))}
-    table: dict[tuple[int, ...], tuple[int, ...]] = {}
+    table: dict[bytes, bytes] = {}
     for wd in enumerate_weightings(DyckPath(steps)):
-        perm = _map_factor(steps, wd.weights)
+        perm = bytes(_map_factor(steps, wd.weights))
         if perm in table:
             raise InternalConsistencyError(
                 f"{_path_text(steps, table[perm])} and {_path_text(steps, wd.weights)} "
                 f"share the image {perm_text(perm)}")
-        table[perm] = wd.weights
+        table[perm] = bytes(wd.weights)
     return table
 

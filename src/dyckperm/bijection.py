@@ -237,14 +237,16 @@ def from_permutation(p: Sequence[int]) -> WeightedDyckPath:
 
 def from_permutation_brute(p: Sequence[int], cap_n: int = 7) -> WeightedDyckPath:
     """Oracle inverse: enumerate every valid weighting of the path read off
-    the bottom letters, map each forward, and return the unique match."""
+    the bottom letters, map each forward, and return the unique match: the
+    entry of `_image_table` at p, which is looked up as bytes once the
+    membership checks have passed."""
     p = tuple(p)
     if len(p) > 2 * cap_n:
         raise ValueError(f"size {len(p)} exceeds the brute-force cap 2*{cap_n}")
     if not p:
         return WeightedDyckPath(DyckPath(""), ())
     word, _ = _membership_checks(p)
-    weights = _image_table(word).get(p)
+    weights = _image_table(word).get(bytes(p))
     if weights is None:
         raise NotInImageError("not in image: no weighting of the bottom path matches")
-    return WeightedDyckPath._trusted(word, weights)
+    return WeightedDyckPath._trusted(word, tuple(weights))

@@ -114,10 +114,12 @@ def _irreducible_words(n: int) -> Iterator[str]:
     return ("U" + word + "D" for word in _dyck_words(n - 1))
 
 
-def _word_images(word: str) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+def _word_images(word: str) -> Iterator[tuple[bytes, bytes]]:
     """(weights, image) for each weighting of one Dyck word, in
     `enumerate_weighted` order, read from `_image_table`, so each path is
-    mapped forward once per process however many suites read it."""
+    mapped forward once per process however many suites read it.  Both
+    are the bytes the table stores, which `perm_text` and `_path_text`
+    write as they write tuples of ints."""
     for perm, weights in _insertion._image_table(word).items():
         yield weights, perm
 
@@ -195,18 +197,19 @@ def _suite_counts(n: int, failures: list[dict]) -> int:
 
 def _suite_bijectivity(n: int, failures: list[dict]) -> int:
     """The pass is proved by a sorted merge that holds one reference per
-    path and copies no image: `images` holds the tuples of the cached
+    path and copies no image: `images` holds the bytes keys of the cached
     image tables themselves.  Sorted in place, they are walked in step
-    with `enumerate_updown_avoiders(n)`.  When the sorted images are
-    strictly increasing and equal that stream item for item, with the
-    same length, the images are distinct (so the map is injective) and
-    are exactly the avoiders (every avoider is hit, and no image lies
-    outside the family).  Then `_bijectivity_failures` would name no
-    failure and count each image and each avoider once, which is the
-    `checked` returned here.  On any other outcome, a repeat, a mismatch,
-    a length difference or a forward map that raises its guard, that pass
-    runs instead: this step can only conclude "pass", and the failure
-    records are the dict pass's own."""
+    with `enumerate_updown_avoiders(n)`, each avoider as bytes: bytes of
+    one length order as the tuples of their ints do.  When the sorted
+    images are strictly increasing and equal that stream item for item,
+    with the same length, the images are distinct (so the map is
+    injective) and are exactly the avoiders (every avoider is hit, and no
+    image lies outside the family).  Then `_bijectivity_failures` would
+    name no failure and count each image and each avoider once, which is
+    the `checked` returned here.  On any other outcome, a repeat, a
+    mismatch, a length difference or a forward map that raises its guard,
+    that pass runs instead: this step can only conclude "pass", and the
+    failure records are the dict pass's own."""
     try:
         images = [perm for word in _dyck_words(n) for _, perm in _word_images(word)]
     except InternalConsistencyError:
@@ -214,7 +217,7 @@ def _suite_bijectivity(n: int, failures: list[dict]) -> int:
     images.sort()
     if (all(a < b for a, b in itertools.pairwise(images))
             and all(a == b for a, b in itertools.zip_longest(
-                images, enumerate_updown_avoiders(n)))):
+                images, map(bytes, enumerate_updown_avoiders(n))))):
         return 2 * len(images)
     return _bijectivity_failures(n, failures)
 
@@ -228,7 +231,7 @@ def _bijectivity_failures(n: int, failures: list[dict]) -> int:
     `seen`, so the misses come out sorted and what stays in `seen` is the
     images outside the family."""
     checked = 0
-    seen: dict[tuple[int, ...], tuple[str, tuple[int, ...]]] = {}
+    seen: dict[bytes, tuple[str, bytes]] = {}
     for word in _dyck_words(n):
         try:
             for weights, perm in _word_images(word):
@@ -245,7 +248,7 @@ def _bijectivity_failures(n: int, failures: list[dict]) -> int:
             failures.append(_fail(word, "an image for every weighting", str(exc)))
     for perm in enumerate_updown_avoiders(n):
         checked += 1
-        if seen.pop(perm, None) is None:
+        if seen.pop(bytes(perm), None) is None:
             failures.append(_fail(perm_text(perm), "hit by some weighted path", "missed"))
     for perm in sorted(seen):
         failures.append(_fail(
@@ -279,7 +282,7 @@ def _suite_roundtrip(n: int, failures: list[dict]) -> int:
                 failures.append(_fail(_path_text(word, weights), "inverse succeeds",
                                       f"{type(exc).__name__}: {exc}"))
                 continue
-            if (back.path.steps, back.weights) != (word, weights):
+            if (back.path.steps, back.weights) != (word, tuple(weights)):
                 text = _path_text(word, weights)
                 failures.append(_fail(text, text, serialize_path(back)))
     return checked

@@ -350,7 +350,8 @@ class TestForwardMap:
 
     def test_composed_tables_equal_per_path_maps(self):
         # a reducible word's table, composed from its factors' tables,
-        # lists what mapping its weightings one by one gives
+        # lists what mapping its weightings one by one gives, decoded from
+        # the bytes it stores
         compared = 0
         for n in range(7):
             for steps in _dyck_words(n):
@@ -358,7 +359,8 @@ class TestForwardMap:
                     continue
                 per_path = [(_map_path(steps, x.weights), x.weights)
                             for x in enumerate_weightings(DyckPath(steps))]
-                assert list(_image_table(steps).items()) == per_path
+                assert [(tuple(perm), tuple(weights)) for perm, weights
+                        in _image_table(steps).items()] == per_path
                 compared += 1
         # the 131 reducible words with n <= 6
         assert compared == 131
