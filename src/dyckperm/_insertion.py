@@ -401,7 +401,9 @@ def _image_table(steps: str) -> dict[bytes, bytes]:
     12 letters takes 45 B where a tuple takes 136 B, caches its hash, and
     sorts by memcmp.  Letters reach 2n and weights n, so each fits a byte
     up to n = 127, far beyond any table that can be built (n = 8 alone
-    has 23.4 million paths).
+    has 23.4 million paths).  So callers look a permutation up as
+    `bytes(p)`, and compare a weighting in bytes: a tuple equals no key or
+    value.
 
     An irreducible word's weightings are mapped one by one with
     `_map_factor`.  A reducible word's table is built from its factors'

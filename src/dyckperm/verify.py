@@ -282,7 +282,7 @@ def _suite_roundtrip(n: int, failures: list[dict]) -> int:
                 failures.append(_fail(_path_text(word, weights), "inverse succeeds",
                                       f"{type(exc).__name__}: {exc}"))
                 continue
-            if (back.path.steps, back.weights) != (word, tuple(weights)):
+            if (back.path.steps, bytes(back.weights)) != (word, weights):
                 text = _path_text(word, weights)
                 failures.append(_fail(text, text, serialize_path(back)))
     return checked

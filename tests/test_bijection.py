@@ -563,7 +563,10 @@ class TestInvertFactor:
         read = _read_off(steps, image)[0]
         assert read[4] == -1
         assert _invert_factor(steps, image) is None
-        assert image not in _image_table(steps)
+        # the table is keyed by bytes, and a tuple equals no bytes key
+        table = _image_table(steps)
+        assert table and all(type(key) is bytes for key in table)
+        assert bytes(image) not in table
 
     def test_read_off_weights_never_exceed_the_lower_height(self):
         # the bound the docstring of _invert_factor proves, on every pair of
