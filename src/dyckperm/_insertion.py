@@ -34,12 +34,13 @@ patch into it reaches the suites and every kernel function that calls it.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, islice, product
 from operator import gt, lt
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .paths import (
     DOWN,
@@ -392,31 +393,75 @@ def _bottom_word(p: tuple[int, ...]) -> str:
     return "".join(word)
 
 
-@lru_cache(maxsize=256)
-def _image_table(steps: str) -> dict[bytes, bytes]:
-    """perm -> weights over all valid weightings of one fixed path, in
-    `enumerate_weightings` order.
+class ImageTable:
+    """One word's image table: entry k, the k-th weighting in
+    `enumerate_weightings` order, has its image and its weighting at
+    [k*m, (k+1)*m) of `images` and `weights`, m being the word's length;
+    `order` lists the entries by image."""
 
-    Both are stored as bytes, one byte per letter or weight: a bytes of
-    12 letters takes 45 B where a tuple takes 136 B, caches its hash, and
-    sorts by memcmp.  Letters reach 2n and weights n, so each fits a byte
-    up to n = 127, far beyond any table that can be built (n = 8 alone
-    has 23.4 million paths).  So callers look a permutation up as
-    `bytes(p)`, and compare a weighting in bytes: a tuple equals no key or
-    value.
+    __slots__ = ("m", "images", "weights", "order")
+
+    def __init__(self, m: int, images: bytes, weights: bytes, order: Sequence[int]) -> None:
+        self.m, self.images, self.weights, self.order = m, images, weights, array("I", order)
+
+    def __len__(self) -> int:
+        return len(self.order)
+
+    def _image(self, k: int) -> bytes:
+        return self.images[k * self.m:(k + 1) * self.m]
+
+    def items(self) -> Iterator[tuple[bytes, bytes]]:
+        """(image, weights) of each entry, in `enumerate_weightings` order."""
+        m, images, weights = self.m, self.images, self.weights
+        return ((images[k * m:k * m + m], weights[k * m:k * m + m]) for k in range(len(self)))
+
+    def sorted_images(self) -> Iterator[bytes]:
+        """The images in increasing order."""
+        return map(self._image, self.order)
+
+    def get(self, perm: object) -> Optional[bytes]:
+        """The weighting whose image is `perm`, by bisecting `order`; None
+        when no entry has it, or when `perm` is not bytes of length m."""
+        if not isinstance(perm, bytes) or len(perm) != self.m:
+            return None
+        k = bisect_left(self.order, perm, key=self._image)
+        if k == len(self) or self._image(self.order[k]) != perm:
+            return None
+        k = self.order[k] * self.m
+        return self.weights[k:k + self.m]
+
+    def __contains__(self, perm: object) -> bool:
+        return self.get(perm) is not None
+
+
+@lru_cache(maxsize=256)
+def _image_table(steps: str) -> ImageTable:
+    """Every valid weighting of one fixed path with its image, in
+    `enumerate_weightings` order, as a flat `ImageTable`: the images in
+    one bytes and the weightings in another, one byte per letter or
+    weight, and the entry numbers sorted by image in a uint32 array.
+    Letters reach 2n and weights n, so each fits a byte up to n = 127, far
+    beyond any table that can be built (n = 8 alone has 23.4 million
+    paths).  An entry takes 2m + 4 bytes, 28 B at n = 6, where a dict of
+    bytes took about 130 B.  So callers look a permutation up as
+    `bytes(p)` and compare a weighting in bytes; no other key is found.
 
     An irreducible word's weightings are mapped one by one with
-    `_map_factor`.  A reducible word's table is built from its factors'
-    tables.  At an interior ground return both steps have lower height 0,
-    so C1 pins their weights to 0, and the valley constraint between them
-    (a sum of at least 0) always holds; no other constraint spans two
-    factors.  So the word's weightings are exactly the concatenations of
-    its factors' weightings, and since the factors have fixed lengths, the
-    lexicographic product of the factors' tables lists them in
-    `enumerate_weightings` order.  Each image is composed with `_compose`,
-    as `_map_path` composes it, and distinct factor images give distinct
-    composed images.  Two weightings of an irreducible word with one image
-    are a bug in the forward map, and the error names both paths.
+    `_map_factor` into a dict, whose guard names both paths of any two
+    weightings with one image, a bug in the forward map; the dict is then
+    packed, and its keys sorted.  A reducible word's table is built from
+    its factors' tables.  At an interior ground return both steps have
+    lower height 0, so C1 pins their weights to 0, and the valley
+    constraint between them (a sum of at least 0) always holds; no other
+    constraint spans two factors.  So the word's weightings are exactly the
+    concatenations of its factors' weightings, and since the factors have
+    fixed lengths, the lexicographic product of the factors' tables lists
+    them in `enumerate_weightings` order.  Each image is composed with
+    `_compose`, as `_map_path` composes it, and distinct factor images give
+    distinct composed images.  `_compose` writes the last factor first,
+    each factor's letters raised by a constant, so the composed images sort
+    as the product of the factors' sorted orders, the last factor
+    outermost, and need no sort.
 
     The table stays an independent oracle for the read-off inverse: every
     irreducible factor is still mapped forward by the insertion runs, and
@@ -427,18 +472,24 @@ def _image_table(steps: str) -> dict[bytes, bytes]:
     the bijectivity, roundtrip and statistic suites each scan those words
     in order, and an LRU cache smaller than one scan misses on every
     lookup, so each path would be mapped forward once per suite instead of
-    once per process.  At most 94,033 entries, about 12 MB, are held at
-    n <= 6; in the worst case, 256 tables of the n = 7 words with the most
-    weightings, about 1.35M entries and 185 MB (871k and 119 MB with 64
-    tables), which only a long-lived process that asks the oracle about
+    once per process.  The 94,033 entries at n <= 6 hold about 2.7 MB
+    (12 MB as dicts of bytes); in the worst case, 256 tables of the n = 7
+    words with the most weightings, 1.35M entries and 43 MB (185 MB as
+    dicts), which only a long-lived process that asks the oracle about
     many n = 7 words reaches."""
+    m = len(steps)
     spans = factor_spans(steps)
     if len(spans) != 1:
-        m = len(steps)
         tables = [_image_table(steps[a:b]) for a, b in spans]
-        return {bytes(_compose(m, spans, [image for image, _ in items])):
-                b"".join(w for _, w in items)
-                for items in product(*(t.items() for t in tables))}
+        images, weights = bytearray(), bytearray()
+        for items in product(*(t.items() for t in tables)):
+            images.extend(_compose(m, spans, [image for image, _ in items]))
+            weights += b"".join(w for _, w in items)
+        order, stride = [0], 1
+        for t in reversed(tables):
+            order = [k + j * stride for k in order for j in t.order]
+            stride *= len(t)
+        return ImageTable(m, bytes(images), bytes(weights), order)
     table: dict[bytes, bytes] = {}
     for wd in enumerate_weightings(DyckPath(steps)):
         perm = bytes(_map_factor(steps, wd.weights))
@@ -447,5 +498,6 @@ def _image_table(steps: str) -> dict[bytes, bytes]:
                 f"{_path_text(steps, table[perm])} and {_path_text(steps, wd.weights)} "
                 f"share the image {perm_text(perm)}")
         table[perm] = bytes(wd.weights)
-    return table
-
+    keys = list(table)
+    return ImageTable(m, b"".join(keys), b"".join(table.values()),
+                      sorted(range(len(keys)), key=keys.__getitem__))

@@ -238,8 +238,8 @@ def from_permutation(p: Sequence[int]) -> WeightedDyckPath:
 def from_permutation_brute(p: Sequence[int], cap_n: int = 7) -> WeightedDyckPath:
     """Oracle inverse: enumerate every valid weighting of the path read off
     the bottom letters, map each forward, and return the unique match: the
-    entry of `_image_table` at p, which is looked up as bytes once the
-    membership checks have passed."""
+    entry of `_image_table` whose image is p, found as bytes by bisecting
+    the table's sorted index once the membership checks have passed."""
     p = tuple(p)
     if len(p) > 2 * cap_n:
         raise ValueError(f"size {len(p)} exceeds the brute-force cap 2*{cap_n}")

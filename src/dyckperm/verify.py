@@ -16,6 +16,7 @@ factor's size.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import time
 from bisect import bisect_left
@@ -116,12 +117,19 @@ def _irreducible_words(n: int) -> Iterator[str]:
 
 def _word_images(word: str) -> Iterator[tuple[bytes, bytes]]:
     """(weights, image) for each weighting of one Dyck word, in
-    `enumerate_weighted` order, read from `_image_table`, so each path is
-    mapped forward once per process however many suites read it.  Both
-    are the bytes the table stores, which `perm_text` and `_path_text`
-    write as they write tuples of ints."""
+    `enumerate_weighted` order, sliced from the flat blobs of its
+    `_image_table`, so each path is mapped forward once per process however
+    many suites read it.  Both are bytes, which `perm_text` and
+    `_path_text` write as they write tuples of ints."""
     for perm, weights in _insertion._image_table(word).items():
         yield weights, perm
+
+
+def _sorted_images(word: str) -> Iterator[bytes]:
+    """The images of one Dyck word's weightings in increasing order, read
+    through the sorted index of its `_image_table`, which is built (and
+    raises any guard of the forward map) when this is called."""
+    return _insertion._image_table(word).sorted_images()
 
 
 def top_word_direct(wd: WeightedDyckPath) -> tuple[int, ...]:
@@ -196,30 +204,31 @@ def _suite_counts(n: int, failures: list[dict]) -> int:
 
 
 def _suite_bijectivity(n: int, failures: list[dict]) -> int:
-    """The pass is proved by a sorted merge that holds one reference per
-    path and copies no image: `images` holds the bytes keys of the cached
-    image tables themselves.  Sorted in place, they are walked in step
-    with `enumerate_updown_avoiders(n)`, each avoider as bytes: bytes of
-    one length order as the tuples of their ints do.  When the sorted
-    images are strictly increasing and equal that stream item for item,
-    with the same length, the images are distinct (so the map is
-    injective) and are exactly the avoiders (every avoider is hit, and no
-    image lies outside the family).  Then `_bijectivity_failures` would
-    name no failure and count each image and each avoider once, which is
-    the `checked` returned here.  On any other outcome, a repeat, a
+    """The pass is proved by a streaming merge that copies no table:
+    `heapq.merge` interleaves each word's sorted run from `_sorted_images`,
+    and the merged stream is walked in step with
+    `enumerate_updown_avoiders(n)`, each avoider as bytes: bytes of one
+    length order as the tuples of their ints do.  When the merged images
+    are strictly increasing and equal that stream item for item, with the
+    same length, the images are distinct (so the map is injective) and are
+    exactly the avoiders (every avoider is hit, and no image lies outside
+    the family).  Then `_bijectivity_failures` would name no failure and
+    count each image and each avoider once, which is the `checked`
+    returned here.  On any other outcome, a repeat, a run out of order, a
     mismatch, a length difference or a forward map that raises its guard,
     that pass runs instead: this step can only conclude "pass", and the
     failure records are the dict pass's own."""
     try:
-        images = [perm for word in _dyck_words(n) for _, perm in _word_images(word)]
+        runs = [_sorted_images(word) for word in _dyck_words(n)]
     except InternalConsistencyError:
         return _bijectivity_failures(n, failures)
-    images.sort()
-    if (all(a < b for a, b in itertools.pairwise(images))
-            and all(a == b for a, b in itertools.zip_longest(
-                images, map(bytes, enumerate_updown_avoiders(n))))):
-        return 2 * len(images)
-    return _bijectivity_failures(n, failures)
+    checked, prev = 0, None
+    for image, avoider in itertools.zip_longest(
+            heapq.merge(*runs), map(bytes, enumerate_updown_avoiders(n))):
+        if image != avoider or (prev is not None and prev >= image):
+            return _bijectivity_failures(n, failures)
+        checked, prev = checked + 2, image
+    return checked
 
 
 def _bijectivity_failures(n: int, failures: list[dict]) -> int:
@@ -266,7 +275,8 @@ def _suite_roundtrip(n: int, failures: list[dict]) -> int:
     is not run: it reads the table of the word the image's bottom letters
     mark, so on a recovered path it reads the entry the loop is on.  A
     word whose table raises a guard of the forward map (two weightings
-    with one image, say) is one failure, and its paths are not checked.  A path's text is built only for a failure."""
+    with one image, say) is one failure, and its paths are not checked.
+    A path's text is built only for a failure."""
     checked = 0
     for word in _dyck_words(n):
         try:

@@ -343,12 +343,12 @@ class TestSharedImageTable:
         finally:
             _image_table.cache_clear()
 
-    def test_tables_hold_bytes(self):
-        # the encoding and what it saves: every key and value at n <= 5 is
-        # bytes, and the 65 tables hold about 0.82 MB, where tuples of ints
-        # held about 1.46 MB.  The other caches are warmed first, so only
-        # the tables are measured
-        words = [w for n in range(6) for w in brute_dyck_words(n)]
+    @staticmethod
+    def _held_by_tables(max_n):
+        """The tables of every word of semilength <= max_n, built afresh,
+        and the bytes they hold under tracemalloc.  The other caches are
+        warmed first, so only the tables are measured."""
+        words = [w for n in range(max_n + 1) for w in brute_dyck_words(n)]
         for steps in words:
             _image_table(steps)
         _image_table.cache_clear()
@@ -359,9 +359,55 @@ class TestSharedImageTable:
         finally:
             tracemalloc.stop()
             _image_table.cache_clear()
+        return tables, held
+
+    def test_tables_hold_bytes(self):
+        # the encoding and what it saves: every image and weighting at
+        # n <= 5 is bytes, and the 65 flat tables hold about 0.18 MB, where
+        # a dict of bytes per word held about 0.82 MB and tuples of ints
+        # about 1.46 MB
+        tables, held = self._held_by_tables(5)
         assert all(type(perm) is bytes and type(weights) is bytes
                    for table in tables for perm, weights in table.items())
-        assert held < 1_200_000
+        assert held < 300_000
+
+    def test_tables_up_to_n6_hold_under_4mb(self):
+        # the 197 tables of n <= 6, every table the gate reads, hold about
+        # 2.7 MB, where a dict of bytes per word held about 12 MB
+        tables, held = self._held_by_tables(6)
+        assert len(tables) == 197
+        assert sum(map(len, tables)) == sum(closed_form(n) for n in range(7))
+        assert held < 4_000_000
+
+    def test_lookup_and_sorted_run(self):
+        # for every word of 1 <= n <= 5: each image looks up its weighting;
+        # non-images (the decreasing permutation and the first and last
+        # avoider another word hits), keys one letter too long or too short
+        # and an image as a tuple are not in the table; the sorted run is
+        # strictly increasing and holds the images that `items` lists
+        for n in range(1, 6):
+            avoiders = list(map(bytes, enumerate_updown_avoiders(n)))
+            for steps in brute_dyck_words(n):
+                table = _image_table(steps)
+                items = list(table.items())
+                for perm, weights in items:
+                    assert table.get(perm) == weights and perm in table
+                run = list(table.sorted_images())
+                assert all(a < b for a, b in itertools.pairwise(run))
+                assert run == sorted(perm for perm, _ in items)
+                images = set(run)
+                misses = [p for p in avoiders if p not in images]
+                perm = items[0][0]
+                for key in (bytes(range(2 * n, 0, -1)), *misses[:1], *misses[-1:],
+                            perm + b"\x01", perm[:-1], tuple(perm)):
+                    assert table.get(key) is None and key not in table, (steps, key)
+
+    def test_the_empty_word_has_one_entry(self):
+        table = _image_table("")
+        assert len(table) == 1
+        assert list(table.items()) == [(b"", b"")]
+        assert list(table.sorted_images()) == [b""]
+        assert table.get(b"") == b"" and b"" in table
 
     def test_records_follow_from_the_images(self):
         # at n <= 4, from the image of every weighting and the avoiders
@@ -417,46 +463,68 @@ class TestSortedMerge:
                       for k in range(n + 1))
         return checked, failures
 
+    @staticmethod
+    def _inject(monkeypatch, word, fault, reverse_run=False):
+        """Patch `fault` on the list of (weights, image) of `word` into both
+        seams the step reads: the images in enumeration order, which the
+        dict pass reads, and the sorted run, which the merge reads and
+        which holds the same images, sorted (and reversed if asked)."""
+        real_images, real_run = verify._word_images, verify._sorted_images
+
+        def faulty(steps):
+            items = list(real_images(steps))
+            return iter(fault(items) if steps == word else items)
+
+        def faulty_run(steps):
+            if steps != word:
+                return real_run(steps)
+            run = sorted(perm for _, perm in faulty(steps))
+            return iter(run[::-1] if reverse_run else run)
+
+        monkeypatch.setattr(verify, "_word_images", faulty)
+        monkeypatch.setattr(verify, "_sorted_images", faulty_run)
+
     @pytest.mark.parametrize("fault", ["repeat", "drop", "outside", "reverse"])
     def test_faults_give_the_dict_pass_records(self, monkeypatch, fault):
         # a repeated image, a dropped one, one outside the family and one
-        # word's images in reverse order: the merge passes only the last,
-        # and in every case the records are those of the dict pass
-        real = verify._word_images
+        # word's images in reverse order.  Each sends size 3, the size of
+        # UUDUDD, and no other to the dict pass: a reversed run puts the
+        # merged stream out of order, though the dict pass then finds no
+        # failure.  In every case the records are those of the dict pass
+        def fault_items(items):
+            if fault == "repeat":
+                items[-1] = (items[-1][0], items[0][1])
+            elif fault == "drop":
+                items.pop()
+            elif fault == "outside":
+                items.append((items[0][0], bytes(range(1, 7))))
+            else:
+                items.reverse()
+            return items
 
-        def faulty(word):
-            items = list(real(word))
-            if word == "UUDUDD":
-                if fault == "repeat":
-                    items[-1] = (items[-1][0], items[0][1])
-                elif fault == "drop":
-                    items.pop()
-                elif fault == "outside":
-                    items.append((items[0][0], bytes(range(1, len(word) + 1))))
-                else:
-                    items.reverse()
-            return iter(items)
+        self._inject(monkeypatch, "UUDUDD", fault_items, reverse_run=fault == "reverse")
+        dict_pass, sizes = verify._bijectivity_failures, []
 
-        monkeypatch.setattr(verify, "_word_images", faulty)
+        def spied(n, failures):
+            sizes.append(n)
+            return dict_pass(n, failures)
+
+        monkeypatch.setattr(verify, "_bijectivity_failures", spied)
         report = run_suite("bijectivity", 4)
+        assert sizes == [3]
         checked, failures = self._dict_records(4)
         assert (report.checked, list(report.failures)) == (checked, failures)
         assert bool(failures) == (fault != "reverse")
 
     def test_a_repeat_on_both_sides_is_caught(self, monkeypatch):
         # one image repeated and, by a fault of the enumerator, its avoider
-        # streamed twice: the sorted images equal the stream, and only the
-        # strict order sends the step to the dict pass.  The merge stops at
-        # the repeat before it streams an avoider, so the one extra item
-        # is the dict pass's
-        real_images = verify._word_images
+        # streamed twice: the merged images equal the stream, and only the
+        # strict order sends the step to the dict pass.  The merge reads
+        # the repeat in the same step as the stream's, so the merge and
+        # then the dict pass each stream the extra avoider once
         real_avoiders = verify.enumerate_updown_avoiders
-        first = tuple(next(real_images("UUDD"))[1])
+        first = tuple(next(verify._word_images("UUDD"))[1])
         repeats = []
-
-        def repeating(word):
-            items = list(real_images(word))
-            return iter(items + items[:1] if word == "UUDD" else items)
 
         def twice(n):
             for p in real_avoiders(n):
@@ -465,10 +533,10 @@ class TestSortedMerge:
                     repeats.append(p)
                     yield p
 
-        monkeypatch.setattr(verify, "_word_images", repeating)
+        self._inject(monkeypatch, "UUDD", lambda items: items + items[:1])
         monkeypatch.setattr(verify, "enumerate_updown_avoiders", twice)
         report = run_suite("bijectivity", 2)
-        assert repeats == [first]
+        assert repeats == [first, first]
         assert report.verdict == "fail"
         assert (report.checked, list(report.failures)) == self._dict_records(2)
 
@@ -483,8 +551,9 @@ class TestSortedMerge:
 
     def test_merge_copies_no_image(self):
         # with the 197 image tables of n <= 6 warm, the pass holds one
-        # reference per path and a sort's buffer: about 1 MB, where a dict
-        # of every image took about 12 MB
+        # iterator per word and the merge's heap, about 0.2 MB, where a
+        # sorted list of references to every image took about 1 MB and a
+        # dict of every image about 12 MB
         run_suite("bijectivity", 6)
         tracemalloc.start()
         try:
@@ -493,7 +562,7 @@ class TestSortedMerge:
             peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
-        assert peak < 3_000_000
+        assert peak < 1_000_000
 
 
 class TestFaultInjection:
