@@ -316,31 +316,54 @@ def _suite_schutzenberger(n: int, failures: list[dict]) -> int:
     return checked
 
 
+def _mapped(a: int, guard: list[dict]) -> Iterator[tuple]:
+    """(path, image) of each weighted path of size a, in enumeration order,
+    read from `_image_table`, or path by path from `to_permutation` for a
+    word whose table raises; a path that raises is recorded in `guard`."""
+    for word in _dyck_words(a):
+        weightings = enumerate_weightings(DyckPath(word))
+        try:
+            table = _insertion._image_table(word)
+        except InternalConsistencyError:
+            for wd in weightings:
+                try:
+                    yield wd, to_permutation(wd).perm
+                except InternalConsistencyError as exc:
+                    guard.append(_fail(serialize_path(wd), "an image", str(exc)))
+            continue
+        yield from zip(weightings, (image for image, _ in table.items()))
+
+
 def _suite_product(n: int, failures: list[dict]) -> int:
-    """The pairs whose sizes add up to n, by the first factor's size, from
-    pools that the step maps at every size up to n.  A path whose forward
-    map raises its guard is one failure, recorded at its own size, and is
-    left out of the pairs: the map runs factor by factor, so every
-    concatenation that holds the path would raise the same error."""
-    pools: list[list[tuple[WeightedDyckPath, tuple[int, ...]]]] = []
-    for a in range(n + 1):
-        pools.append([])
-        for wd in enumerate_weighted(a):
-            try:
-                pools[a].append((wd, to_permutation(wd).perm))
-            except InternalConsistencyError as exc:
-                if a == n:
-                    failures.append(_fail(serialize_path(wd), "an image", str(exc)))
-    checked = 0
-    for a in range(n + 1):
-        for p, p_img in pools[a]:
-            for q, q_img in pools[n - a]:
-                checked += 1
-                lhs = to_permutation(concat(p, q)).perm
-                rhs = shifted_concat(q_img, p_img)
-                if lhs != rhs:
-                    failures.append(_fail(f"{serialize_path(p)} * {serialize_path(q)}",
-                                          perm_text(rhs), perm_text(lhs)))
+    """The pairs whose sizes add up to n, by the first factor's size, with
+    images from `_mapped`.  Sizes up to n // 2 are held, the longer factor
+    is streamed, and one stream of size n serves both splits with an empty
+    factor, the last one's failures held until its turn.  A path whose map
+    raises is one failure, recorded at its own size before the pairs, and
+    left out of them, as every concatenation holding it would raise.  Each
+    concatenation is mapped with `to_permutation`, the independent check of
+    the composition that `_image_table` borrows."""
+    def check(p, p_img, q, q_img, out: list[dict]) -> int:
+        lhs = to_permutation(concat(p, q)).perm
+        rhs = shifted_concat(q_img, p_img)
+        if lhs != rhs:
+            out.append(_fail(f"{serialize_path(p)} * {serialize_path(q)}",
+                             perm_text(rhs), perm_text(lhs)))
+        return 1
+
+    short = [list(_mapped(k, [])) for k in range(n // 2 + 1)]
+    (empty, empty_img), = short[0]
+    first, last, checked = [], [], 0
+    for q, q_img in _mapped(n, failures):
+        checked += check(empty, empty_img, q, q_img, first)
+        if n:
+            checked += check(q, q_img, empty, empty_img, last)
+    failures += first
+    for a, b in zip(range(1, n), range(n - 1, 0, -1)):
+        for p, p_img in short[a] if a <= b else _mapped(a, []):
+            for q, q_img in short[b] if b <= a else _mapped(b, []):
+                checked += check(p, p_img, q, q_img, failures)
+    failures += last
     return checked
 
 
@@ -394,33 +417,29 @@ def _suite_criteria(m: int, failures: list[dict]) -> int:
     all (2m)! of them, through `filter`, and the ones it accepts come out
     in lexicographic order, as `itertools.permutations` makes them.  The
     ground truth, up-down and 1234-avoiding, is `_up_down_perms` filtered
-    by `avoids_1234`, also in lexicographic order, its size counted as it
-    is filtered and checked against `EULER_ZIGZAG`.  A permutation is a
+    by `avoids_1234`, streamed in lexicographic order too; its up-down
+    permutations are counted as they pass, and a count other than
+    `EULER_ZIGZAG`'s is the step's first record.  A permutation is a
     failure exactly when it lies in one of the two sorted streams and not
-    the other, so merging them yields the failures of a loop that compares
-    the verdict with the ground truth on every permutation, in the same
-    order, with the same text: accepted outside the ground set is expected
-    False, rejected inside it expected True."""
-    up_down = 0
-    ground = []
-    for p in _up_down_perms(m):
-        up_down += 1
-        if avoids_1234(p):
-            ground.append(p)
+    the other, so merging them, each tagged with its stream, yields the
+    failures of a loop that compares the verdict with the ground truth on
+    every permutation, in the same order, with the same text: accepted
+    outside the ground set is expected False, rejected inside it True."""
+    start, tally = len(failures), itertools.count()
+    # zip draws one number per up-down permutation, so next(tally) counts them
+    ground = (p for p, _ in zip(_up_down_perms(m), tally) if avoids_1234(p))
+    accepted = filter(_criteria_verdict, itertools.permutations(range(1, 2 * m + 1)))
+    merged = heapq.merge(zip(accepted, itertools.repeat(False)),
+                         zip(ground, itertools.repeat(True)))
+    for p, tagged in itertools.groupby(merged, key=lambda item: item[0]):
+        tags = {in_ground for _, in_ground in tagged}
+        if len(tags) == 1:
+            failures.append(_fail(perm_text(p), str(True in tags), str(False in tags)))
+    up_down = next(tally)
     ref = EULER_ZIGZAG[m] if m < len(EULER_ZIGZAG) else None
     if ref is not None and up_down != ref:
-        failures.append(_fail(f"up-down permutations, size={2 * m}",
-                              str(ref), str(up_down)))
-    i = 0
-    for p in filter(_criteria_verdict, itertools.permutations(range(1, 2 * m + 1))):
-        while i < len(ground) and ground[i] < p:
-            failures.append(_fail(perm_text(ground[i]), "True", "False"))
-            i += 1
-        if i < len(ground) and ground[i] == p:
-            i += 1
-        else:
-            failures.append(_fail(perm_text(p), "False", "True"))
-    failures.extend(_fail(perm_text(q), "True", "False") for q in ground[i:])
+        failures.insert(start, _fail(f"up-down permutations, size={2 * m}",
+                                     str(ref), str(up_down)))
     return factorial(2 * m)
 
 

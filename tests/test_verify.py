@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import json
@@ -21,6 +22,7 @@ from dyckperm.bijection import (
 from dyckperm.cli import main
 from dyckperm.paths import (
     WeightedDyckPath,
+    concat,
     enumerate_weighted,
     factor_spans,
     parse_path,
@@ -96,6 +98,20 @@ def _reverse_top_word_of_uududd(monkeypatch):
 
 def _assembly_message(wd):
     return f"assembly failed for {serialize_path(wd)}: permutation is not up-down"
+
+
+def _traced_peak(run):
+    """The tracemalloc peak of run() above what was held when it began.  A
+    full collection first empties the free lists, so that the objects run()
+    keeps are allocated, and traced, rather than reused."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
 
 
 class TestTopWordDirect:
@@ -659,7 +675,49 @@ class TestFaultInjection:
         assert any(serialize_path(fixture) == f["input"] for f in report.failures)
 
 
+class TestProductStreams:
+    def test_pair_failures_keep_their_order(self, monkeypatch):
+        # every 11th pair of size 4 is corrupted, on both sides of the
+        # split (a <= 4 - a, where the first factor is held, and a > 4 - a,
+        # where it is streamed) and in both splits with an empty factor,
+        # which share one stream; the records are those of a nested loop
+        # over the pairs, by the first factor's size, then p, then q
+        n, real = 4, verify.shifted_concat
+        pairs = [(p, q) for a in range(n + 1)
+                 for p in enumerate_weighted(a) for q in enumerate_weighted(n - a)]
+        image = {wd: to_permutation(wd).perm for k in range(n + 1)
+                 for wd in enumerate_weighted(k)}
+        chosen = pairs[::11]
+        assert {p.n for p, _ in chosen} == set(range(n + 1))
+        corrupt = {(image[q], image[p]) for p, q in chosen}
+
+        def corrupted(left, right):
+            joined = real(left, right)
+            return joined[::-1] if (tuple(left), tuple(right)) in corrupt else joined
+
+        monkeypatch.setattr(verify, "shifted_concat", corrupted)
+        failures: list = []
+        assert verify._suite_product(n, failures) == len(pairs) == 1033
+        assert failures == [
+            {"input": f"{serialize_path(p)} * {serialize_path(q)}",
+             "expected": ",".join(map(str, real(image[q], image[p])[::-1])),
+             "actual": ",".join(map(str, to_permutation(concat(p, q)).perm))}
+            for p, q in chosen]
+
+    def test_step_holds_no_pools(self):
+        # with the image tables warm, the step holds the paths of sizes
+        # <= n // 2 and streams the rest: about 0.18 MB at cap 5, where
+        # pools of every size up to n held about 2.7 MB
+        run_suite("product", 5)
+        assert _traced_peak(lambda: run_suite("product", 5)) < 500_000
+
+
 class TestCriteriaGround:
+    def test_ground_is_not_held(self):
+        # the ground truth is streamed: about 8 kB at size 8, where the
+        # list of its 462 avoiders held about 56 kB
+        assert _traced_peak(lambda: verify._suite_criteria(4, [])) < 20_000
+
     def test_backtracker_is_the_up_down_filter(self):
         for m in range(5):
             want = list(filter(is_up_down, itertools.permutations(range(1, 2 * m + 1))))
