@@ -48,6 +48,7 @@ from .paths import (
     DyckPath,
     SpanRow,
     _fits,
+    _path_text,
     _reflected_steps,
     _runs,
     _step_rows,
@@ -121,11 +122,6 @@ def _factor_plan(steps: str) -> tuple[tuple[_PlanRise, ...], tuple[_PlanRise, ..
     top = tuple((m + 1 - s, m + 1 - nb, off, row, end)
                 for s, nb, off, row, end in _plan_frame(mirror, steps))
     return _plan_frame(steps, mirror), top
-
-
-def _path_text(steps: str, weights: Sequence[int]) -> str:
-    """The replayable text of a path, as `serialize_path` writes it."""
-    return f"{steps};{','.join(map(str, weights))}"
 
 
 class InsertionStep(NamedTuple):

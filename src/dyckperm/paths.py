@@ -569,9 +569,15 @@ def parse_path(text: str) -> WeightedDyckPath:
     return wd
 
 
+def _path_text(steps: str, weights: Sequence[int]) -> str:
+    """The replayable text of the path with these steps and weights, which
+    a caller holding no `WeightedDyckPath` writes without building one."""
+    return f"{steps};{','.join(map(str, weights))}"
+
+
 def serialize_path(wd: WeightedDyckPath) -> str:
     """Canonical text form; parse_path(serialize_path(wd)) == wd."""
-    return f"{wd.path.steps};{','.join(map(str, wd.weights))}"
+    return _path_text(wd.path.steps, wd.weights)
 
 
 def path_record(wd: WeightedDyckPath) -> dict:

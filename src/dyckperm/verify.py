@@ -27,7 +27,6 @@ from typing import Iterator, Optional
 # the kernel is read through its module, so a fault patched into it reaches
 # the suites too
 from . import _insertion
-from ._insertion import _path_text
 from .bijection import (
     InternalConsistencyError,
     ParkingFunction,
@@ -41,6 +40,7 @@ from .paths import (
     DyckPath,
     WeightedDyckPath,
     _dyck_words,
+    _path_text,
     _reflected_steps,
     _runs,
     _step_rows,
@@ -115,21 +115,19 @@ def _irreducible_words(n: int) -> Iterator[str]:
     return ("U" + word + "D" for word in _dyck_words(n - 1))
 
 
-def _word_images(word: str) -> Iterator[tuple[bytes, bytes]]:
-    """(weights, image) for each weighting of one Dyck word, in
-    `enumerate_weighted` order, sliced from the flat blobs of its
-    `_image_table`, so each path is mapped forward once per process however
-    many suites read it.  Both are bytes, which `perm_text` and
-    `_path_text` write as they write tuples of ints."""
-    for perm, weights in _insertion._image_table(word).items():
-        yield weights, perm
-
-
-def _sorted_images(word: str) -> Iterator[bytes]:
-    """The images of one Dyck word's weightings in increasing order, read
-    through the sorted index of its `_image_table`, which is built (and
-    raises any guard of the forward map) when this is called."""
-    return _insertion._image_table(word).sorted_images()
+def _table(word: str, failures: list[dict]) -> Optional[_insertion.ImageTable]:
+    """The `_image_table` of one Dyck word, which every suite that reads
+    images goes through, so each path is mapped forward once per process
+    however many suites read it.  Its images and weightings are bytes,
+    which `perm_text` and `_path_text` write as they write tuples of ints.
+    A table whose build raises a guard of the forward map (two weightings
+    with one image, say) is None and one failure of the word, whose paths
+    are then not checked."""
+    try:
+        return _insertion._image_table(word)
+    except InternalConsistencyError as exc:
+        failures.append(_fail(word, "an image for every weighting", str(exc)))
+        return None
 
 
 def top_word_direct(wd: WeightedDyckPath) -> tuple[int, ...]:
@@ -205,8 +203,8 @@ def _suite_counts(n: int, failures: list[dict]) -> int:
 
 def _suite_bijectivity(n: int, failures: list[dict]) -> int:
     """The pass is proved by a streaming merge that copies no table:
-    `heapq.merge` interleaves each word's sorted run from `_sorted_images`,
-    and the merged stream is walked in step with
+    `heapq.merge` interleaves the sorted runs of the words' tables, and
+    the merged stream is walked in step with
     `enumerate_updown_avoiders(n)`, each avoider as bytes: bytes of one
     length order as the tuples of their ints do.  When the merged images
     are strictly increasing and equal that stream item for item, with the
@@ -215,16 +213,17 @@ def _suite_bijectivity(n: int, failures: list[dict]) -> int:
     the family).  Then `_bijectivity_failures` would name no failure and
     count each image and each avoider once, which is the `checked`
     returned here.  On any other outcome, a repeat, a run out of order, a
-    mismatch, a length difference or a forward map that raises its guard,
-    that pass runs instead: this step can only conclude "pass", and the
-    failure records are the dict pass's own."""
-    try:
-        runs = [_sorted_images(word) for word in _dyck_words(n)]
-    except InternalConsistencyError:
+    mismatch, a length difference or a table that raises (its record goes
+    to a scratch list), that pass runs instead: this step can only conclude
+    "pass", and the failure records are the dict pass's own."""
+    scratch: list[dict] = []
+    tables = [_table(word, scratch) for word in _dyck_words(n)]
+    if scratch:
         return _bijectivity_failures(n, failures)
     checked, prev = 0, None
     for image, avoider in itertools.zip_longest(
-            heapq.merge(*runs), map(bytes, enumerate_updown_avoiders(n))):
+            heapq.merge(*(t.sorted_images() for t in tables)),
+            map(bytes, enumerate_updown_avoiders(n))):
         if image != avoider or (prev is not None and prev >= image):
             return _bijectivity_failures(n, failures)
         checked, prev = checked + 2, image
@@ -233,28 +232,25 @@ def _suite_bijectivity(n: int, failures: list[dict]) -> int:
 
 def _bijectivity_failures(n: int, failures: list[dict]) -> int:
     """`bijectivity` at size n with a dict of every image, which names each
-    failure.  Images come from `_word_images`; a word whose table raises
-    a guard of the forward map is one failure, and its paths are not
-    checked.
+    failure.  Images come from `_table`, which records a word whose table
+    raises.
     The avoiders are streamed in lexicographic order and each hit leaves
     `seen`, so the misses come out sorted and what stays in `seen` is the
     images outside the family."""
     checked = 0
     seen: dict[bytes, tuple[str, bytes]] = {}
     for word in _dyck_words(n):
-        try:
-            for weights, perm in _word_images(word):
-                checked += 1
-                if perm in seen:
-                    failures.append(_fail(
-                        _path_text(word, weights),
-                        "a fresh image",
-                        f"{perm_text(perm)} already hit by {_path_text(*seen[perm])}",
-                    ))
-                else:
-                    seen[perm] = (word, weights)
-        except InternalConsistencyError as exc:
-            failures.append(_fail(word, "an image for every weighting", str(exc)))
+        table = _table(word, failures)
+        for perm, weights in table.items() if table else ():
+            checked += 1
+            if perm in seen:
+                failures.append(_fail(
+                    _path_text(word, weights),
+                    "a fresh image",
+                    f"{perm_text(perm)} already hit by {_path_text(*seen[perm])}",
+                ))
+            else:
+                seen[perm] = (word, weights)
     for perm in enumerate_updown_avoiders(n):
         checked += 1
         if seen.pop(bytes(perm), None) is None:
@@ -269,22 +265,17 @@ def _bijectivity_failures(n: int, failures: list[dict]) -> int:
 
 
 def _suite_roundtrip(n: int, failures: list[dict]) -> int:
-    """Each path's image comes from `_image_table`, the brute-force
-    oracle's table of one Dyck word, so each path is mapped forward once,
-    and `from_permutation` must recover the path.  The oracle's inverse
-    is not run: it reads the table of the word the image's bottom letters
-    mark, so on a recovered path it reads the entry the loop is on.  A
-    word whose table raises a guard of the forward map (two weightings
-    with one image, say) is one failure, and its paths are not checked.
-    A path's text is built only for a failure."""
+    """Each path's image comes from `_table`, the brute-force oracle's
+    table of one Dyck word, so each path is mapped forward once, and
+    `from_permutation` must recover the path.  The oracle's inverse is not
+    run: it reads the table of the word the image's bottom letters mark,
+    so on a recovered path it reads the entry the loop is on.  A word
+    whose table raises is recorded by `_table`.  A path's text is built
+    only for a failure."""
     checked = 0
     for word in _dyck_words(n):
-        try:
-            table = _insertion._image_table(word)
-        except InternalConsistencyError as exc:
-            failures.append(_fail(word, "weightings with distinct images", str(exc)))
-            continue
-        for sigma, weights in table.items():
+        table = _table(word, failures)
+        for sigma, weights in table.items() if table else ():
             checked += 1
             try:
                 back = from_permutation(sigma)
@@ -318,31 +309,24 @@ def _suite_schutzenberger(n: int, failures: list[dict]) -> int:
 
 def _mapped(a: int, guard: list[dict]) -> Iterator[tuple]:
     """(path, image) of each weighted path of size a, in enumeration order,
-    read from `_image_table`, or path by path from `to_permutation` for a
-    word whose table raises; a path that raises is recorded in `guard`."""
+    read from `_table`; a word whose table raises is recorded in `guard`
+    and yields nothing."""
     for word in _dyck_words(a):
-        weightings = enumerate_weightings(DyckPath(word))
-        try:
-            table = _insertion._image_table(word)
-        except InternalConsistencyError:
-            for wd in weightings:
-                try:
-                    yield wd, to_permutation(wd).perm
-                except InternalConsistencyError as exc:
-                    guard.append(_fail(serialize_path(wd), "an image", str(exc)))
-            continue
-        yield from zip(weightings, (image for image, _ in table.items()))
+        table = _table(word, guard)
+        if table:
+            yield from zip(enumerate_weightings(DyckPath(word)),
+                           (image for image, _ in table.items()))
 
 
 def _suite_product(n: int, failures: list[dict]) -> int:
     """The pairs whose sizes add up to n, by the first factor's size, with
     images from `_mapped`.  Sizes up to n // 2 are held, the longer factor
     is streamed, and one stream of size n serves both splits with an empty
-    factor, the last one's failures held until its turn.  A path whose map
-    raises is one failure, recorded at its own size before the pairs, and
-    left out of them, as every concatenation holding it would raise.  Each
-    concatenation is mapped with `to_permutation`, the independent check of
-    the composition that `_image_table` borrows."""
+    factor, the last one's failures held until its turn.  A word whose
+    table raises is one failure, recorded at its own size before the
+    pairs, and its paths are left out of them, as `statistic` leaves them
+    unchecked.  Each concatenation is mapped with `to_permutation`, the
+    independent check of the composition that `_image_table` borrows."""
     def check(p, p_img, q, q_img, out: list[dict]) -> int:
         lhs = to_permutation(concat(p, q)).perm
         rhs = shifted_concat(q_img, p_img)
@@ -368,19 +352,17 @@ def _suite_product(n: int, failures: list[dict]) -> int:
 
 
 def _suite_statistic(n: int, failures: list[dict]) -> int:
-    """A word whose table raises a guard of the forward map is one
-    failure, as in `_suite_bijectivity`, and its paths are not checked."""
+    """Images come from `_table`, which records a word whose table
+    raises."""
     checked = 0
     for word in _dyck_words(n):
         ups = [i for i, s in enumerate(word, start=1) if s == UP]
-        try:
-            for weights, perm in _word_images(word):
-                checked += 1
-                bots = sorted(perm[0::2])
-                if bots != ups:
-                    failures.append(_fail(_path_text(word, weights), str(ups), str(bots)))
-        except InternalConsistencyError as exc:
-            failures.append(_fail(word, "an image for every weighting", str(exc)))
+        table = _table(word, failures)
+        for perm, weights in table.items() if table else ():
+            checked += 1
+            bots = sorted(perm[0::2])
+            if bots != ups:
+                failures.append(_fail(_path_text(word, weights), str(ups), str(bots)))
     return checked
 
 

@@ -481,24 +481,29 @@ class TestSortedMerge:
 
     @staticmethod
     def _inject(monkeypatch, word, fault, reverse_run=False):
-        """Patch `fault` on the list of (weights, image) of `word` into both
-        seams the step reads: the images in enumeration order, which the
-        dict pass reads, and the sorted run, which the merge reads and
-        which holds the same images, sorted (and reversed if asked)."""
-        real_images, real_run = verify._word_images, verify._sorted_images
+        """Patch `fault` on the list of (image, weights) of `word` into the
+        one seam both passes read, `verify._table`, as a stand-in table:
+        its `items()` gives the faulty list, which the dict pass reads, and
+        its `sorted_images()` the same images sorted (and reversed if
+        asked), the run the merge reads."""
+        real = verify._table
 
-        def faulty(steps):
-            items = list(real_images(steps))
-            return iter(fault(items) if steps == word else items)
+        class Faulty:
+            def __init__(self, table):
+                self.faulty = fault(list(table.items()))
 
-        def faulty_run(steps):
-            if steps != word:
-                return real_run(steps)
-            run = sorted(perm for _, perm in faulty(steps))
-            return iter(run[::-1] if reverse_run else run)
+            def items(self):
+                return iter(self.faulty)
 
-        monkeypatch.setattr(verify, "_word_images", faulty)
-        monkeypatch.setattr(verify, "_sorted_images", faulty_run)
+            def sorted_images(self):
+                run = sorted(perm for perm, _ in self.faulty)
+                return iter(run[::-1] if reverse_run else run)
+
+        def table(steps, failures):
+            found = real(steps, failures)
+            return Faulty(found) if steps == word else found
+
+        monkeypatch.setattr(verify, "_table", table)
 
     @pytest.mark.parametrize("fault", ["repeat", "drop", "outside", "reverse"])
     def test_faults_give_the_dict_pass_records(self, monkeypatch, fault):
@@ -509,11 +514,11 @@ class TestSortedMerge:
         # failure.  In every case the records are those of the dict pass
         def fault_items(items):
             if fault == "repeat":
-                items[-1] = (items[-1][0], items[0][1])
+                items[-1] = (items[0][0], items[-1][1])
             elif fault == "drop":
                 items.pop()
             elif fault == "outside":
-                items.append((items[0][0], bytes(range(1, 7))))
+                items.append((bytes(range(1, 7)), items[0][1]))
             else:
                 items.reverse()
             return items
@@ -539,7 +544,7 @@ class TestSortedMerge:
         # the repeat in the same step as the stream's, so the merge and
         # then the dict pass each stream the extra avoider once
         real_avoiders = verify.enumerate_updown_avoiders
-        first = tuple(next(verify._word_images("UUDD"))[1])
+        first = tuple(next(_image_table("UUDD").items())[0])
         repeats = []
 
         def twice(n):
@@ -630,10 +635,11 @@ class TestFaultInjection:
         def raises(x):
             return x.steps == "UUDUDD" and x.weights[2] == 1
 
+        table_readers = ("bijectivity", "roundtrip", "product", "statistic")
         _image_table.cache_clear()
         _reverse_top_word_of_uududd(monkeypatch)
         try:
-            reports = {s: run_suite(s, 3) for s in ("schutzenberger", "product", "statistic")}
+            reports = {s: run_suite(s, 3) for s in ("schutzenberger", *table_readers)}
             code = main(["verify", "--max-n", "3"])
         finally:
             _image_table.cache_clear()
@@ -644,16 +650,25 @@ class TestFaultInjection:
         assert reports["schutzenberger"].failures == tuple(
             {"input": serialize_path(wd), "expected": "an image of the path and its mirror",
              "actual": _assembly_message(x)} for wd, x in first_bad.items() if x is not None)
-        assert reports["product"].failures == tuple(
-            {"input": serialize_path(wd), "expected": "an image", "actual": _assembly_message(wd)}
-            for wd in bad)
-        # the pairs that hold a failed path are left out
+        # the suites that read the oracle's tables record the word once, the
+        # same record from each, and check none of its 12 paths; bijectivity
+        # also names each avoider that those paths would hit as missed
+        record = {"input": "UUDUDD", "expected": "an image for every weighting",
+                  "actual": _assembly_message(bad[0])}
+        word_paths = sum(wd.steps == "UUDUDD" for wd in paths)
+        assert word_paths == 12
+        for s in table_readers:
+            kept = [f for f in reports[s].failures if f["expected"] != "hit by some weighted path"]
+            assert kept == [record], s
+        assert len(reports["bijectivity"].failures) == 1 + word_paths
+        assert reports["bijectivity"].checked == 2 * len(paths) - word_paths
+        assert reports["roundtrip"].checked == len(paths) - word_paths
+        assert reports["statistic"].checked == len(paths) - word_paths
+        # the pairs that hold a path of the word are left out: at size 3,
+        # each path paired with the empty path on either side
         sizes = Counter(wd.n for wd in paths)
         pairs = sum(sizes[a] * sizes[b] for a in range(4) for b in range(4 - a))
-        assert reports["product"].checked == pairs - 2 * len(bad)
-        assert reports["statistic"].failures == (
-            {"input": "UUDUDD", "expected": "an image for every weighting",
-             "actual": _assembly_message(bad[0])},)
+        assert reports["product"].checked == pairs - 2 * word_paths
         assert {r.verdict for r in reports.values()} == {"fail"}
         out = capsys.readouterr().out.splitlines()
         assert code == 1
