@@ -66,7 +66,7 @@ from .verify import (
     VerificationReport,
     run_all,
     run_suite,
-    top_word_direct,
 )
+from ._references import top_word_direct
 
 __version__ = "0.1.0"

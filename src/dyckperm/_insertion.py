@@ -14,17 +14,18 @@ reversal.  Reducible paths map factor by factor, composing the images with
 the shifted concatenation in reverse factor order (`_compose`), which makes
 the set of bottom letters equal the set of rise positions.
 
-The inverse undoes the insertions one rise at a time, from one cached plan
-per word that the forward map reads too.  A rise's insertion index is the
-number of earlier rises before it in the target word (the top word is read
-on the mirrored path); index 0 means a jump, and any other index gives the
-weight ``(length_before - index) - shift`` (plus one on the left half).  A
-jump's weight is its extremal feasible value, which reads one neighbour, so
-the jumps are settled along their chains of neighbours, each of which ends
-in a set weight.  The candidate is accepted when it is valid and every
-rise read as a non-jump misses its jump bound; the forward run then
-rebuilds both target words, so the inverse rejects non-images without
-mapping a candidate forward.
+The inverse undoes both insertion runs in one walk over the target, from
+one cached plan per word that the forward map reads too.  A rise's
+distance from the right end is the number of earlier rises of its frame
+that stand after it in the word its frame builds (the top word is built
+backwards, on the mirrored path); a distance equal to the number of
+earlier rises means a jump, and any other gives the weight ``distance -
+shift`` (plus one on the left half).  A jump's weight is its extremal
+feasible value, which reads one neighbour, so the jumps are settled in an
+order fixed per word, each from a weight already set.  The candidate is
+accepted when it is valid and every rise read as a non-jump misses its
+jump bound; the forward run then rebuilds both target words, so the
+inverse rejects non-images without mapping a candidate forward.
 
 Internal: these functions skip the input checks of the public entry points
 in `dyckperm.bijection`, which validate before calling them.  The
@@ -38,7 +39,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, islice, product
+from itertools import islice, product
 from operator import gt, lt
 from typing import Iterator, NamedTuple, Optional, Sequence
 
@@ -112,16 +113,29 @@ def _plan_frame(steps: str, mirror: str) -> tuple[_PlanRise, ...]:
 
 
 @lru_cache(maxsize=4096)
-def _factor_plan(steps: str) -> tuple[tuple[_PlanRise, ...], tuple[_PlanRise, ...]]:
+def _factor_plan(steps: str) -> tuple[tuple[_PlanRise, ...], tuple[_PlanRise, ...],
+                                      tuple[tuple[int, _PlanRise], ...], tuple[_PlanRise, ...]]:
     """The rises of `steps`, then those of its mirror, each frame from
-    `_plan_frame`.  Step p of the mirror is step m + 1 - p of the path, and
-    so is its neighbour; the weights are padded with a 0 at each end, where
-    the first step of either frame reads its one-entry row."""
+    `_plan_frame`; each step's record with the records before it in its
+    frame as a bit mask, the k-th record's mask being 2**k - 1; and the
+    records in the order the inverse settles its jumps: those that read
+    step pos+1 by decreasing step, then those that read pos-1 by
+    increasing step.  Step p of the mirror is step m + 1 - p of the path,
+    and so is its neighbour; the weights are padded with a 0 at each end,
+    where the first step of either frame reads its one-entry row."""
     m = len(steps)
     mirror = _reflected_steps(steps)
+    bottom = _plan_frame(steps, mirror)
     top = tuple((m + 1 - s, m + 1 - nb, off, row, end)
                 for s, nb, off, row, end in _plan_frame(mirror, steps))
-    return _plan_frame(steps, mirror), top
+    by_step: list = [None] * (m + 1)
+    for frame in (bottom, top):
+        for k, rise in enumerate(frame):
+            by_step[rise[0]] = ((1 << k) - 1, rise)
+    both = bottom + top
+    settle = (*sorted((r for r in both if r[1] > r[0]), reverse=True),
+              *sorted(r for r in both if r[1] < r[0]))
+    return bottom, top, tuple(by_step), settle
 
 
 class InsertionStep(NamedTuple):
@@ -193,7 +207,7 @@ def _map_factor(steps: str, weights: tuple[int, ...]) -> tuple[int, ...]:
     The letters partition 1..len(steps) by construction: the bottom frame
     inserts each rise exactly once, and the mirrored frame each fall.  So
     the one runtime check is the up-down shape, a guard against a bug."""
-    bottom, top = _factor_plan(steps)
+    bottom, top, _, _ = _factor_plan(steps)
     w = (0, *weights, 0)
     bot = _insert(bottom, w)
     tops = _insert(top, w)[::-1]
@@ -278,78 +292,43 @@ def _flatten_run(steps: str, weights: tuple[int, ...]
         ) from exc
 
 
-def _read_off(steps: str, image: tuple[int, ...]
-              ) -> tuple[list[Optional[int]], list[_PlanRise], list[_PlanRise]]:
-    """Undo both insertion runs of `steps` that build `image` (standardized):
-    the padded weights w[0..m+1], None at a jump, and the plan records of
-    the jumps and of the non-jumps.  Later insertions never reorder earlier
-    letters, so a rise's index is the number of earlier rises of its frame
-    before it in the target, and a non-jump never lands at the front (the
-    insertion_lemma suite checks this).  A top letter ranks by its place in
-    `image` negated: the mirrored frame builds the top word backwards."""
-    m = len(steps)
-    rank = [0] * (m + 1)
-    for i, v in enumerate(image):
-        rank[v] = -i if i & 1 else i
-    w: list[Optional[int]] = [0] + [None] * m + [0]
-    jumps: list[_PlanRise] = []
-    nonjumps: list[_PlanRise] = []
-    for frame in _factor_plan(steps):
-        placed: list[int] = []  # ranks of the frame's rises read so far, sorted
-        for rise in frame:
-            r = rank[rise[0]]
-            idx = bisect_left(placed, r)
-            if idx:
-                w[rise[0]] = len(placed) - idx - rise[2]
-                nonjumps.append(rise)
-            else:
-                jumps.append(rise)
-            placed.insert(idx, r)
-    return w, jumps, nonjumps
-
-
-def _follow_chains(w: list[Optional[int]], jumps: list[_PlanRise]) -> None:
-    """Set each jump whose chain of neighbours reaches a set weight to its
-    bound.  A jump reads an adjacent step and a chain that turns back has
-    closed, so sweeps from the left and the right follow every chain."""
-    order = sorted(jumps)
-    for s, nb, _, row, end in chain(order, reversed(order)):
-        if w[nb] is not None:
-            w[s] = row[w[nb]][end]
-
-
-def _certify(steps: str, w: list[int], nonjumps: list[_PlanRise]
-             ) -> Optional[tuple[int, ...]]:
-    """w[1..m] if every non-jump misses its jump bound and it is valid."""
-    for s, nb, _, row, end in nonjumps:
-        if w[s] == row[w[nb]][end]:
-            return None
-    weights = tuple(w[1:-1])
-    return weights if _fits(_step_rows(steps), weights) else None
-
-
-def _invert_factor(steps: str, image: tuple[int, ...]
-                   ) -> Optional[tuple[int, ...]]:
+def _invert_factor(steps: str, image: Sequence[int]) -> Optional[tuple[int, ...]]:
     """The weighting of the irreducible path `steps` whose image is `image`
-    (standardized to 1..len(steps)), or None when no weighting maps to it.
+    (standardized to 1..len(steps), its bottom letters the rises of
+    `steps`), or None when no weighting maps to it.
 
-    The read-off of the bottom word fixes each non-jumping rise, and that of
-    the top word, on the mirrored path, each non-jumping fall.  A jump's
-    weight is its bound, which reads one neighbour; its chain of neighbours
-    runs through jumps to a set weight, unless it closes in two adjacent
-    jumps that read each other.
+    The read-off undoes both insertion runs in one walk.  An insertion
+    never moves a letter already placed, so a rise's distance from the
+    right end is the number of earlier rises of its frame that stand right
+    of it in the bottom word; the mirrored frame builds the top word
+    backwards, so for a fall it is the earlier falls left of it in the top
+    word.  So the bottom letters are walked right to left and the top
+    letters left to right, each frame's records walked so far in a bit
+    mask: of the k records before a letter's own in its frame, those
+    already walked stand on the far side of it, and their number c is its
+    distance.  When c = k, the letter was inserted in front of all of
+    them, a jump; otherwise its weight is c - off (the insertion_lemma
+    suite checks that a non-jump never lands at the front).  A negative
+    weight has no preimage: C1 fails for every candidate, so the walk
+    stops there, before any row is read at it.
 
-    No chain closes.  In the bottom frame a jump on the left half reads
-    step pos-1, and on the right half step pos+1.  In the mirrored frame a
-    fall reads its right neighbour on the mirror's left half and its left
-    neighbour on its right half.  Two adjacent steps of one slope share
-    their half and read in the same direction, so two jumps read each other
-    only across a peak or a valley.  Let the word have k up slopes, the
-    first `cut` of them on the left half; down slope j is slope k+1-j of
-    the mirror.  Across the peak atop up slope j both read each other when
-    both lie on the right half, so 2(cut+1) <= k+1; across the valley
-    before up slope j+1 both must lie on the left half, so k+2 <= 2 cut.
-    The cut (k+1)//2 allows neither, so `_follow_chains` sets every jump.
+    A jump's weight is its bound, which reads one neighbour, and no two
+    jumps read each other.  In the bottom frame a jump on the left half
+    reads step pos-1, and on the right half step pos+1.  In the mirrored
+    frame a fall reads its right neighbour on the mirror's left half and
+    its left neighbour on its right half.  Two adjacent steps of one slope
+    share their half and read in the same direction, so two steps read
+    each other only across a peak or a valley.  Let the word have k up
+    slopes, the first `cut` of them on the left half; down slope j is slope
+    k+1-j of the mirror.  Across the peak atop up slope j both read each
+    other when both lie on the right half, so 2(cut+1) <= k+1; across the
+    valley before up slope j+1 both must lie on the left half, so k+2 <= 2
+    cut.  The cut (k+1)//2 allows neither.  So a jump that reads its right
+    neighbour reads a set weight or a jump that reads further right, and
+    one that reads its left neighbour a set weight or a jump that reads
+    further left: in the plan's settle order, the first by decreasing
+    step and the second by increasing step, each jump is set from a weight
+    already set.
 
     A candidate is certified instead of mapped forward.  Let it be valid,
     and let every rise read as a non-jump, in either frame, miss its jump
@@ -364,21 +343,36 @@ def _invert_factor(steps: str, image: tuple[int, ...]
     certificate accepts exactly what the forward map would confirm.
 
     Every weight the search reads is C1-feasible, so every span row a
-    bound reads is indexed in range, and so is every row `_certify`'s validity test reads
-    before it stops.  A read-off weight is at most its step's lower height
-    h0 (the height before the rise in its frame): the distance read off is
-    below the r earlier rises, and h0 = r - shift, so the weight is at most
-    h0 - 1, plus one on the left half.  It can be negative, on a target no
-    image has; C1 then fails for every candidate, so the search returns
-    None there.  A jump's weight is an end of a non-empty span inside [0,
-    lower height].
+    bound reads is indexed in range, and so is every row the validity test
+    reads before it stops.  A read-off weight is at most its step's lower
+    height h0 (the height before the rise in its frame): the distance read
+    off is below the r earlier rises, and h0 = r - shift, so the weight is
+    at most h0 - 1, plus one on the left half.  A jump's weight is an end
+    of a non-empty span inside [0, lower height].
     """
-    w, jumps, nonjumps = _read_off(steps, image)
-    for rise in nonjumps:
-        if w[rise[0]] < 0:  # type: ignore[operator]
+    _, _, by_step, settle = _factor_plan(steps)
+    w: list = [0] + [None] * len(steps) + [0]
+    nonjumps: list[_PlanRise] = []
+    for letters in (image[-2::-2], image[1::2]):
+        walked = 0  # the frame's records walked so far, as a bit mask
+        for v in letters:
+            earlier, rise = by_step[v]
+            beyond = walked & earlier
+            walked |= earlier + 1
+            if beyond != earlier:
+                x = beyond.bit_count() - rise[2]
+                if x < 0:
+                    return None
+                w[v] = x
+                nonjumps.append(rise)
+    for s, nb, _, row, end in settle:
+        if w[s] is None:
+            w[s] = row[w[nb]][end]
+    for s, nb, _, row, end in nonjumps:
+        if w[s] == row[w[nb]][end]:
             return None
-    _follow_chains(w, jumps)
-    return _certify(steps, w, nonjumps)  # type: ignore[arg-type]
+    weights = tuple(w[1:-1])
+    return weights if _fits(_step_rows(steps), weights) else None
 
 
 def _bottom_word(p: tuple[int, ...]) -> str:

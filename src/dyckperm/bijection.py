@@ -11,6 +11,7 @@ input and call it.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Optional, Sequence
 
 from . import _insertion
@@ -168,7 +169,8 @@ def parking_to_123_avoiding(pf: ParkingFunction) -> tuple[int, ...]:
 def _membership_checks(p: tuple[int, ...]) -> tuple[str, list[tuple[int, int]]]:
     """The checks both inverses run on a non-empty p, in this order: a
     permutation of ints, up-down, no 1234, bottom letters marking a Dyck word.
-    Returns that word and its factor spans, both from one scan of it.
+    Returns that word and its factor spans, both read off its cached height
+    profile.
 
     No input that passes the up-down check fails the last check, nor the
     block check of `from_permutation`; both stay as guards.  Each top
@@ -178,7 +180,7 @@ def _membership_checks(p: tuple[int, ...]) -> tuple[str, list[tuple[int, int]]]:
     after 2k steps, the letters 1..2k are k bottom and k top letters, and
     each of those tops has its own bottom and the next one among them, so
     they fill the last k columns: each block holds its factor's letters."""
-    if not all(isinstance(v, int) for v in p) or sorted(p) != list(range(1, len(p) + 1)):
+    if not all(map(isinstance, p, repeat(int))) or sorted(p) != list(range(1, len(p) + 1)):
         raise ValueError("input is not a permutation of 1..N")
     if not is_up_down(p):
         raise NotInImageError("not in image: not an up-down permutation")
@@ -186,22 +188,10 @@ def _membership_checks(p: tuple[int, ...]) -> tuple[str, list[tuple[int, int]]]:
         raise NotInImageError(
             "not in image: contains an increasing subsequence of length 4")
     word = _bottom_word(p)
-    spans: list[tuple[int, int]] = []
-    h = start = 0
-    for i, s in enumerate(word, start=1):
-        if s == UP:
-            h += 1
-        elif h > 1:
-            h -= 1
-        elif h:  # back on the ground: a factor ends
-            h = 0
-            spans.append((start, i))
-            start = i
-        else:
-            raise NotInImageError(
-                "not in image: bottom letters do not mark a Dyck path")
+    if min(_height_profile(word)) < 0:
+        raise NotInImageError("not in image: bottom letters do not mark a Dyck path")
     # n rises among 2n steps, so the word ends on the ground
-    return word, spans
+    return word, factor_spans(word)
 
 
 def from_permutation(p: Sequence[int]) -> WeightedDyckPath:
@@ -221,18 +211,19 @@ def from_permutation(p: Sequence[int]) -> WeightedDyckPath:
     if not p:
         return WeightedDyckPath(DyckPath(""), ())
     word, spans = _membership_checks(p)
-    weights: list[int] = [0] * len(p)
-    for a, b in reversed(spans):
-        block = p[len(p) - b:len(p) - a]
+    m = len(p)
+    weights: tuple[int, ...] = ()
+    for a, b in reversed(spans):  # the last factor first: its block leads p
+        block = p[m - b:m - a]
         if min(block) <= a or max(block) > b:  # p's letters are distinct
             raise NotInImageError(
                 f"not in image: block {perm_text(block)} does not hold {a + 1}..{b}")
-        sol = _invert_factor(word[a:b], tuple(v - a for v in block) if a else block)
+        sol = _invert_factor(word[a:b], [v - a for v in block] if a else block)
         if sol is None:
             raise NotInImageError(
                 f"not in image: no weighting of {word[a:b]} maps to block {perm_text(block)}")
-        weights[a:b] = sol
-    return WeightedDyckPath._trusted(word, tuple(weights))
+        weights = sol + weights
+    return WeightedDyckPath._trusted(word, weights)
 
 
 def from_permutation_brute(p: Sequence[int], cap_n: int = 7) -> WeightedDyckPath:

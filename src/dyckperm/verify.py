@@ -19,7 +19,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
-from bisect import bisect_left
 from dataclasses import dataclass
 from math import factorial
 from typing import Iterator, Optional
@@ -27,6 +26,7 @@ from typing import Iterator, Optional
 # the kernel is read through its module, so a fault patched into it reaches
 # the suites too
 from . import _insertion
+from ._references import _parking_functions, _top_word_direct, _up_down_perms
 from .bijection import (
     InternalConsistencyError,
     ParkingFunction,
@@ -38,18 +38,16 @@ from .paths import (
     DOWN,
     UP,
     DyckPath,
-    WeightedDyckPath,
     _dyck_words,
+    _odometer,
     _path_text,
     _reflected_steps,
     _runs,
     _step_rows,
     concat,
     count_weighted,
-    enumerate_weighted,
     enumerate_weightings,
     heights,
-    reflect,
     serialize_path,
 )
 from .perms import (
@@ -128,64 +126,6 @@ def _table(word: str, failures: list[dict]) -> Optional[_insertion.ImageTable]:
     except InternalConsistencyError as exc:
         failures.append(_fail(word, "an image for every weighting", str(exc)))
         return None
-
-
-def top_word_direct(wd: WeightedDyckPath) -> tuple[int, ...]:
-    """Top word computed by scanning the falls directly, right to left.
-
-    The down slopes are processed from the right with the left/right roles
-    swapped (the rightmost half of the down slopes uses the minimality
-    rule), insertion distances are measured from the left, and jumping
-    elements go to the right end.  Must equal the reflected-path
-    construction used by the forward map.
-    """
-    downs = [r for r in _runs(wd.path.steps) if r.kind == DOWN]
-    return _top_word_direct(heights(wd), downs, wd.weights)
-
-
-def _top_word_direct(h: tuple[int, ...], runs: list, w: tuple[int, ...]
-                     ) -> tuple[int, ...]:
-    """`top_word_direct` of the weights w on the word with height profile h
-    and down slopes `runs`, which a caller over many weightings of one word
-    reads once."""
-    m = len(h) - 1
-    cut = _insertion._left_count(len(runs))
-    word: list[int] = []
-    falls_right = 0  # falls strictly right of the slope
-    # the s-th down slope from the right takes the s-th up slope's half
-    for s, run in enumerate(reversed(runs)):
-        length = run.length
-        end = run.start + length - 1
-        shift = (m - end) - falls_right  # rises strictly right of the slope
-        falls_right += length
-        minimal = s < cut
-        for off in range(length):
-            pos = end - off  # bottom-up within the slope
-            wu = w[pos - 1]
-            lower = h[pos]
-            if minimal:
-                if off > 0:
-                    bound = w[pos]  # fall just below on the same slope
-                elif pos == m:
-                    bound = 0
-                else:
-                    # valley after the slope: rise weight e caps the minimum
-                    bound = h[pos] - w[pos]
-                jumped = wu == bound
-                dist = wu + shift - 1
-            else:
-                if off < length - 1:
-                    bound = min(lower, w[pos - 2])  # fall just above
-                else:
-                    # peak atop the slope: rise weight e caps the maximum
-                    bound = min(lower, h[pos - 1] - w[pos - 2])
-                jumped = wu == bound
-                dist = wu + shift
-            if jumped:
-                word.append(pos)
-            else:
-                word.insert(dist, pos)
-    return tuple(word)
 
 
 def _suite_counts(n: int, failures: list[dict]) -> int:
@@ -290,20 +230,26 @@ def _suite_roundtrip(n: int, failures: list[dict]) -> int:
 
 
 def _suite_schutzenberger(n: int, failures: list[dict]) -> int:
-    """A path whose forward map, or its mirror's, raises its guard is one
-    failure, and the suite goes on with the next path."""
+    """Both images come from `_table`: a path's own from its word's table,
+    and its mirror's from the reflected word's table, at the reversed
+    weights, which are the mirror's.  Each table maps its own word
+    forward, and neither is built from the other, so the check stays
+    independent of the rule it checks.  A word whose table raises is
+    recorded once, at its own turn, and neither its paths nor their
+    mirrors are checked."""
     checked = 0
-    for wd in enumerate_weighted(n):
-        checked += 1
-        try:
-            lhs = to_permutation(reflect(wd)).perm
-            rhs = schutzenberger(to_permutation(wd).perm)
-        except InternalConsistencyError as exc:
-            failures.append(_fail(serialize_path(wd), "an image of the path and its mirror",
-                                  str(exc)))
+    for word in _dyck_words(n):
+        table = _table(word, failures)
+        mirror = _table(_reflected_steps(word), [])
+        if not (table and mirror):
             continue
-        if lhs != rhs:
-            failures.append(_fail(serialize_path(wd), perm_text(rhs), perm_text(lhs)))
+        mirrored = {weights: image for image, weights in mirror.items()}
+        for image, weights in table.items():
+            checked += 1
+            lhs = mirrored.get(weights[::-1], b"")
+            rhs = bytes(schutzenberger(image))
+            if lhs != rhs:
+                failures.append(_fail(_path_text(word, weights), perm_text(rhs), perm_text(lhs)))
     return checked
 
 
@@ -366,34 +312,6 @@ def _suite_statistic(n: int, failures: list[dict]) -> int:
     return checked
 
 
-def _up_down_perms(m: int) -> Iterator[tuple[int, ...]]:
-    """Up-down permutations of size 2m (ascents at odd positions, descents
-    at even ones, 1-based), lexicographically: a plain backtracker that
-    tries, in increasing order, the unused letters above the last one at
-    an odd position and those below it at an even one.  It knows nothing
-    of the pattern 1234."""
-    size = 2 * m
-    prefix: list[int] = []
-    unused = list(range(1, size + 1))
-
-    def extend() -> Iterator[tuple[int, ...]]:
-        if len(prefix) == size:
-            yield tuple(prefix)
-            return
-        if not prefix:
-            candidates = range(len(unused))
-        elif len(prefix) % 2:
-            candidates = range(bisect_left(unused, prefix[-1]), len(unused))
-        else:
-            candidates = range(bisect_left(unused, prefix[-1]))
-        for i in candidates:
-            prefix.append(unused.pop(i))
-            yield from extend()
-            unused.insert(i, prefix.pop())
-
-    return extend()
-
-
 def _suite_criteria(m: int, failures: list[dict]) -> int:
     """Every permutation of size 2m is checked: `_criteria_verdict` runs on
     all (2m)! of them, through `filter`, and the ones it accepts come out
@@ -432,55 +350,70 @@ def _suite_insertion_lemma(n: int, failures: list[dict]) -> int:
     left neighbour's weight (the first step's one-entry row gives C1 alone),
     and the one the mirrored word's row gives at the right neighbour's
     weight, where that neighbour comes first, both kinds flip and the
-    heights swap.  Both rows include C1, and the bound reads one of them."""
+    heights swap.  Both rows include C1, and the bound reads one of them.
+
+    So what the checks at rise k read is fixed by the word and k (both
+    rows, the bound's row and end, off, the shift and the shift of rise
+    k - 1) or is one of the weights w[pos-1] and w[pos+1].  Their records
+    are built once per key (k, w[pos-1], w[pos+1]) and written for every
+    path with that key, in the order one check per path writes them, so
+    one check per key covers every path.  Each path's insertion run still
+    runs, for its overflow guard."""
     checked = 0
     for word in _irreducible_words(n):
         m = len(word)
         rows = _step_rows(word)
         mirror_rows = _step_rows(_reflected_steps(word))
         frame = _insertion._factor_plan(word)[0]
-        for wd in enumerate_weightings(DyckPath(word)):
+        shifts = [0, *(off + 1 - end for _, _, off, _, end in frame)]
+
+        def records(k: int, left: int, right: int) -> list[tuple[str, str]]:
+            pos, nb, off, row, end = frame[k]
+            shift = shifts[k + 1]
+            out = []
+            if shift < shifts[k]:
+                out.append(("non-decreasing shifts", f"rise {pos}"))
+            bound = row[left if nb < pos else right][end]
+            lo, hi = rows[pos - 1][left]
+            if pos < m:
+                a, b = mirror_rows[m - pos][right]
+                lo, hi = max(lo, a), min(hi, b)
+            dists = set()
+            for alt in range(lo, hi + 1):
+                if alt == bound:
+                    continue
+                d = alt + off
+                # d < k: a non-jump never lands at the front, which the
+                # inverse's read-off relies on
+                if d < 0 or d >= k:
+                    out.append((f"feasible weight {alt} of rise {pos} lands in [0,{k})",
+                                f"distance {d}"))
+                if d < shift:
+                    out.append((f"distance of rise {pos} at least shift {shift}",
+                                f"distance {d}"))
+                if d in dists:
+                    out.append((f"distinct distances at rise {pos}", f"repeat {d}"))
+                dists.add(d)
+            return out
+
+        memo: dict[tuple[int, int, int], list[tuple[str, str]]] = {}
+        weights = [0] * m
+        for _ in _odometer(word, weights):
             checked += 1
-            w = (0, *wd.weights, 0)
+            w = (0, *weights, 0)
             try:
                 _insertion._insert(frame, w)
             except InternalConsistencyError as exc:
-                failures.append(_fail(serialize_path(wd), "no insertion overflow", str(exc)))
+                failures.append(_fail(_path_text(word, weights), "no insertion overflow",
+                                      str(exc)))
                 continue
-            prev_shift = 0
-            for length_before, (pos, nb, off, row, end) in enumerate(frame):
-                shift = off + 1 - end
-                if shift < prev_shift:
-                    failures.append(_fail(serialize_path(wd), "non-decreasing shifts",
-                                          f"rise {pos}"))
-                prev_shift = shift
-                bound = row[w[nb]][end]
-                lo, hi = rows[pos - 1][w[pos - 1]]
-                if pos < m:
-                    a, b = mirror_rows[m - pos][w[pos + 1]]
-                    lo, hi = max(lo, a), min(hi, b)
-                dists = set()
-                for alt in range(lo, hi + 1):
-                    if alt == bound:
-                        continue
-                    d = alt + off
-                    # d < length_before: a non-jump never lands at the front,
-                    # which the inverse's read-off relies on
-                    if d < 0 or d >= length_before:
-                        failures.append(_fail(
-                            serialize_path(wd),
-                            f"feasible weight {alt} of rise {pos} lands in [0,{length_before})",
-                            f"distance {d}"))
-                    if d < shift:
-                        failures.append(_fail(
-                            serialize_path(wd),
-                            f"distance of rise {pos} at least shift {shift}",
-                            f"distance {d}"))
-                    if d in dists:
-                        failures.append(_fail(
-                            serialize_path(wd), f"distinct distances at rise {pos}",
-                            f"repeat {d}"))
-                    dists.add(d)
+            for k, rise in enumerate(frame):
+                key = (k, w[rise[0] - 1], w[rise[0] + 1])
+                found = memo.get(key)
+                if found is None:
+                    found = memo[key] = records(*key)
+                for record in found:
+                    failures.append(_fail(_path_text(word, weights), *record))
     return checked
 
 
@@ -501,22 +434,6 @@ def _suite_transformation(n: int, failures: list[dict]) -> int:
             if got != expect:
                 failures.append(_fail(serialize_path(wd), perm_text(expect), perm_text(got)))
     return checked
-
-
-def _parking_functions(n: int) -> Iterator[tuple[int, ...]]:
-    """Weakly increasing (v_0..v_{n-1}) with v_i <= i, lexicographically:
-    an odometer that raises the last entry below its cap and resets the
-    later ones to it."""
-    vals = [0] * n
-    while True:
-        yield tuple(vals)
-        i = n - 1
-        while i >= 0 and vals[i] == i:
-            i -= 1
-        if i < 0:
-            return
-        vals[i] += 1
-        vals[i + 1:] = [vals[i]] * (n - 1 - i)
 
 
 def _suite_parking(n: int, failures: list[dict]) -> int:

@@ -1,22 +1,21 @@
 import hashlib
 import itertools
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 from operator import gt, lt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dyckperm._insertion as _insertion
 from dyckperm._insertion import (
     _bottom_word,
     _factor_plan,
-    _follow_chains,
     _image_table,
     _invert_factor,
     _map_factor,
     _map_path,
-    _read_off,
 )
 from dyckperm.bijection import (
     LEFT,
@@ -571,45 +570,119 @@ class TestInverseBeyondExhaustive:
         assert _span_row.cache_info().maxsize == 512
 
 
+def _order_pairs(max_n):
+    """(steps, image) for each irreducible word of semilength <= max_n and
+    each pair of orders of its rises and of its falls, the image
+    interleaving them: every target whose bottom letters mark the word."""
+    for n in range(1, max_n + 1):
+        for steps in _dyck_words(n):
+            if len(factor_spans(steps)) > 1:
+                continue
+            rises = [i for i, s in enumerate(steps, start=1) if s == UP]
+            falls = [i for i, s in enumerate(steps, start=1) if s != UP]
+            for bot, top in itertools.product(itertools.permutations(rises),
+                                              itertools.permutations(falls)):
+                yield steps, tuple(v for pair in zip(bot, top) for v in pair)
+
+
+def _read_off_by_count(steps, image):
+    """The read-off weight of each step, None at a jump, counted as the
+    `_invert_factor` docstring states it: the distance of the k-th record
+    of a frame is the number of the frame's first k letters that stand
+    after it in the word its frame inserts into (the bottom word, or the
+    top word reversed); a distance of k is a jump, any other gives
+    distance - off."""
+    bottom, top = _factor_plan(steps)[:2]
+    read = {}
+    for frame, word in ((bottom, image[0::2]), (top, image[1::2][::-1])):
+        for k, (s, _, off, _, _) in enumerate(frame):
+            earlier = {rise[0] for rise in frame[:k]}
+            dist = sum(v in earlier for v in word[word.index(s) + 1:])
+            read[s] = None if dist == k else dist - off
+    return read
+
+
 class TestInvertFactor:
-    def test_negative_read_off_has_no_preimage(self):
+    def test_negative_read_off_has_no_preimage(self, monkeypatch):
         # a target no image has (it contains 1234, so from_permutation never
         # passes it on): the bottom word reads rise 4 at weight -1, and the
-        # inverse stops there, before any row is read at that weight
+        # inverse stops there, before any row is read at that weight: here
+        # every row of the plan raises when read
         steps, image = "UUDUDD", (1, 3, 2, 5, 4, 6)
-        read = _read_off(steps, image)[0]
-        assert read[4] == -1
-        assert _invert_factor(steps, image) is None
+        assert _read_off_by_count(steps, image)[4] == -1
         # the table holds bytes images, and a tuple is never in it
         table = _image_table(steps)
         assert table and all(type(perm) is bytes for perm, _ in table.items())
         assert bytes(image) not in table and image not in table
 
+        class Unread:
+            def __getitem__(self, i):
+                raise AssertionError(f"a row was read at {i}")
+
+        def hide(rise):
+            s, nb, off, _, end = rise
+            return s, nb, off, Unread(), end
+
+        bottom, top, by_step, settle = _factor_plan(steps)
+        hidden = (tuple(map(hide, bottom)), tuple(map(hide, top)),
+                  tuple(entry and (entry[0], hide(entry[1])) for entry in by_step),
+                  tuple(map(hide, settle)))
+        monkeypatch.setattr(_insertion, "_factor_plan", lambda word: hidden)
+        assert _invert_factor(steps, image) is None
+
     def test_read_off_weights_never_exceed_the_lower_height(self):
         # the bound the docstring of _invert_factor proves, on every pair of
         # rise and fall orders of the irreducible words of semilength <= 4,
-        # and its proof that no two jumps read each other: following the
-        # chains sets every jump.  This is the exhaustive check behind
-        # `_invert_factor` having no branch for a jump left unset.
+        # and its proof that no two jumps read each other: the chain of
+        # neighbours from every jump ends in a set weight.  This is the
+        # exhaustive check behind `_invert_factor` setting the jumps in one
+        # sweep each way, with no branch for a jump left unset.
         checked = 0
-        for n in range(1, 5):
-            for steps in _dyck_words(n):
-                if len(factor_spans(steps)) > 1:
-                    continue
-                h = _height_profile(steps)
-                rises = [i for i, s in enumerate(steps, start=1) if s == UP]
-                falls = [i for i, s in enumerate(steps, start=1) if s != UP]
-                for bot, top in itertools.product(itertools.permutations(rises),
-                                                  itertools.permutations(falls)):
-                    image = tuple(v for pair in zip(bot, top) for v in pair)
-                    read, jumps, _ = _read_off(steps, image)
-                    for pos, w in enumerate(read[1:-1], start=1):
-                        assert w is None or w <= min(h[pos - 1], h[pos])
-                    _follow_chains(read, jumps)
-                    assert None not in read, (steps, image)
-                    checked += 1
+        for steps, image in _order_pairs(4):
+            h = _height_profile(steps)
+            read = _read_off_by_count(steps, image)
+            for pos, w in read.items():
+                assert w is None or w <= min(h[pos - 1], h[pos])
+            reads = {s: nb for frame in _factor_plan(steps)[:2] for s, nb, *_ in frame}
+            for s in read:
+                chain = [s]
+                while read.get(chain[-1], 0) is None:
+                    chain.append(reads[chain[-1]])
+                    assert chain[-1] not in chain[:-1], (steps, image, chain)
+            checked += 1
         # (n!)^2 pairs of orders for each of the 1, 1, 2, 5 irreducible words
         assert checked == 1 + 4 + 2 * 36 + 5 * 576
+
+    def test_inverse_agrees_with_the_table_on_every_target(self, monkeypatch):
+        # every target whose bottom letters mark an irreducible word of
+        # semilength <= 4, images and non-images: the inverse finds the
+        # table's weighting or, exactly when the table has none, returns
+        # None.  The non-images reach each None exit: a negative read-off
+        # weight, a non-jump at its bound (the validity test is not
+        # reached), and a weighting that is not valid
+        valid = []
+        real = _insertion._fits
+
+        def fits(rows, weights):
+            valid.append(real(rows, weights))
+            return valid[-1]
+
+        monkeypatch.setattr(_insertion, "_fits", fits)
+        exits = Counter()
+        for steps, image in _order_pairs(4):
+            want = _image_table(steps).get(bytes(image))
+            tested = len(valid)
+            assert _invert_factor(steps, image) == (want and tuple(want)), (steps, image)
+            if want:
+                exits["image"] += 1
+            elif any(w is not None and w < 0 for w in _read_off_by_count(steps, image).values()):
+                exits["negative"] += 1
+            elif len(valid) == tested:
+                exits["at its bound"] += 1
+            else:
+                exits["not valid"] += 1
+        assert valid.count(True) == exits["image"]
+        assert exits == {"image": 405, "negative": 1568, "at its bound": 686, "not valid": 298}
 
 
 class TestPlanAgainstSpec:
@@ -663,7 +736,7 @@ class TestPlanAgainstSpec:
         for x in small + tall:
             m = len(x)
             w = (0, *x.weights, 0)
-            bottom, top = _factor_plan(x.steps)
+            bottom, top = _factor_plan(x.steps)[:2]
             for frame, y, number in ((bottom, x, lambda s: s), (top, reflect(x), lambda s: m + 1 - s)):
                 d = slopes(y)
                 halves = {u: half for run, half in zip(d.up_slopes, split_up_slopes(d))
@@ -709,7 +782,7 @@ class TestPlanAgainstSpec:
                 d = slopes(DyckPath(steps))
                 halves = {u: half for run, half in zip(d.up_slopes, split_up_slopes(d))
                           for u in range(run.start, run.start + run.length)}
-                bottom, top = _factor_plan(steps)
+                bottom, top = _factor_plan(steps)[:2]
                 assert [rise[0] for rise in bottom] == sorted(halves)
                 for p, nb, _, row, end in bottom:
                     if halves[p] == LEFT:

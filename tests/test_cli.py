@@ -227,9 +227,9 @@ class TestMap:
         real = _insertion._factor_plan
 
         def overflowing(steps):
-            return tuple(tuple((step, nb, off + len(steps) + 1, *rest)
-                               for step, nb, off, *rest in frame)
-                         for frame in real(steps))
+            bottom, top, *rest = real(steps)
+            return (*(tuple((step, nb, off + len(steps) + 1, *rest)
+                            for step, nb, off, *rest in frame) for frame in (bottom, top)), *rest)
 
         monkeypatch.setattr(_insertion, "_factor_plan", overflowing)
         code, out, err = run(capsys, "map", "UUDD;0,1,1,0")

@@ -9,12 +9,14 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "dyckperm"
 TEST_FILES = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
-# verify.py's private imports: the kernel, read through its module, and
-# six helpers, each from the module that defines it
+# verify.py's private imports: the kernel, read through its module, the
+# suites' own references, and six helpers, each from the module that
+# defines it
 VERIFY_PRIVATE = {
-    "_insertion": {"_factor_plan", "_flatten_run", "_image_table", "_insert",
-                   "_left_count"},
-    "paths": {"_dyck_words", "_path_text", "_reflected_steps", "_runs", "_step_rows"},
+    "_insertion": {"_factor_plan", "_flatten_run", "_image_table", "_insert"},
+    "_references": {"_parking_functions", "_top_word_direct", "_up_down_perms"},
+    "paths": {"_dyck_words", "_odometer", "_path_text", "_reflected_steps", "_runs",
+              "_step_rows"},
     "perms": {"_criteria_verdict"},
 }
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dyckperm._references import _up_down_perms
 from dyckperm.perms import (
     AlternatingPermutation,
     _avoider_lines,
@@ -24,7 +25,7 @@ from dyckperm.perms import (
     shifted_concat,
     standardize,
 )
-from dyckperm.verify import REFERENCE_COUNTS, _up_down_perms
+from dyckperm.verify import REFERENCE_COUNTS
 
 from .oracles import (
     brute_updown_avoiders,

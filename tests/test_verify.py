@@ -12,6 +12,7 @@ import pytest
 import dyckperm._insertion as _insertion
 import dyckperm.verify as verify
 from dyckperm._insertion import _factor_plan, _image_table, _map_factor
+from dyckperm._references import top_word_direct
 from dyckperm.bijection import (
     LEFT,
     RIGHT,
@@ -21,16 +22,18 @@ from dyckperm.bijection import (
 )
 from dyckperm.cli import main
 from dyckperm.paths import (
+    DyckPath,
     WeightedDyckPath,
     concat,
     enumerate_weighted,
+    enumerate_weightings,
     factor_spans,
     parse_path,
     reflect,
     serialize_path,
     slopes,
 )
-from dyckperm.perms import enumerate_updown_avoiders, is_up_down
+from dyckperm.perms import enumerate_updown_avoiders, is_up_down, perm_text, schutzenberger
 from dyckperm.verify import (
     DEFAULT_CAPS,
     EULER_ZIGZAG,
@@ -38,7 +41,6 @@ from dyckperm.verify import (
     SUITES,
     run_all,
     run_suite,
-    top_word_direct,
 )
 
 from .conftest import EXAMPLE14_TEXT
@@ -308,7 +310,7 @@ class TestFloorSplit:
                 ups = slopes(WeightedDyckPath.from_steps(steps)).up_slopes
                 left = {u for run in ups[:len(ups) // 2]
                         for u in range(run.start, run.start + run.length)}
-                bottom, _ = _factor_plan(steps)
+                bottom = _factor_plan(steps)[0]
                 assert {p for p, _, _, _, end in bottom if end == 0} == left, steps
 
     def test_direct_top_word_follows_the_cut(self, floor_cut):
@@ -635,24 +637,23 @@ class TestFaultInjection:
         def raises(x):
             return x.steps == "UUDUDD" and x.weights[2] == 1
 
-        table_readers = ("bijectivity", "roundtrip", "product", "statistic")
+        table_readers = ("bijectivity", "roundtrip", "schutzenberger", "product", "statistic")
         _image_table.cache_clear()
         _reverse_top_word_of_uududd(monkeypatch)
         try:
-            reports = {s: run_suite(s, 3) for s in ("schutzenberger", *table_readers)}
+            reports = {s: run_suite(s, 3) for s in table_readers}
             code = main(["verify", "--max-n", "3"])
         finally:
             _image_table.cache_clear()
         paths = [wd for n in range(4) for wd in enumerate_weighted(n)]
         bad = [wd for wd in paths if raises(wd)]
         assert len(bad) == 8
-        first_bad = {wd: next((x for x in (reflect(wd), wd) if raises(x)), None) for wd in paths}
-        assert reports["schutzenberger"].failures == tuple(
-            {"input": serialize_path(wd), "expected": "an image of the path and its mirror",
-             "actual": _assembly_message(x)} for wd, x in first_bad.items() if x is not None)
         # the suites that read the oracle's tables record the word once, the
         # same record from each, and check none of its 12 paths; bijectivity
-        # also names each avoider that those paths would hit as missed
+        # also names each avoider that those paths would hit as missed.
+        # UUDUDD is its own mirror, so schutzenberger reads no other table
+        # of it
+        assert reflect(bad[0]).steps == "UUDUDD"
         record = {"input": "UUDUDD", "expected": "an image for every weighting",
                   "actual": _assembly_message(bad[0])}
         word_paths = sum(wd.steps == "UUDUDD" for wd in paths)
@@ -663,6 +664,7 @@ class TestFaultInjection:
         assert len(reports["bijectivity"].failures) == 1 + word_paths
         assert reports["bijectivity"].checked == 2 * len(paths) - word_paths
         assert reports["roundtrip"].checked == len(paths) - word_paths
+        assert reports["schutzenberger"].checked == len(paths) - word_paths
         assert reports["statistic"].checked == len(paths) - word_paths
         # the pairs that hold a path of the word are left out: at size 3,
         # each path paired with the empty path on either side
@@ -688,6 +690,42 @@ class TestFaultInjection:
         report = run_suite("roundtrip", 2)
         assert report.verdict == "fail"
         assert any(serialize_path(fixture) == f["input"] for f in report.failures)
+
+
+class TestSchutzenbergerTables:
+    def test_a_wrong_image_names_each_path_that_reads_it(self, monkeypatch):
+        # a stand-in table of UUDDUD, whose mirror is UDUUDD, gives one
+        # entry the image of another.  The suite reads that image as the
+        # entry's own image, and as the mirror image of the UDUUDD path at
+        # the reversed weights; each of the two is named, with the record
+        # of a check that maps the path and its mirror one by one
+        word, entry = "UUDDUD", 1
+        real = verify._table
+        items = list(real(word, []).items())
+        wrong, weights = items[entry + 1][0], items[entry][1]
+        faulty = WeightedDyckPath.from_steps(word, weights)
+
+        class Faulty:
+            def items(self):
+                return iter(items[:entry] + [(wrong, weights)] + items[entry + 1:])
+
+        def table(steps, failures):
+            return Faulty() if steps == word else real(steps, failures)
+
+        monkeypatch.setattr(verify, "_table", table)
+        report = run_suite("schutzenberger", 3)
+        want = []
+        for wd in enumerate_weighted(3):
+            own = tuple(wrong) if wd == faulty else to_permutation(wd).perm
+            mirror = tuple(wrong) if reflect(wd) == faulty else to_permutation(reflect(wd)).perm
+            if mirror != schutzenberger(own):
+                want.append({"input": serialize_path(wd),
+                             "expected": perm_text(schutzenberger(own)),
+                             "actual": perm_text(mirror)})
+        assert [f["input"] for f in want] == [serialize_path(faulty),
+                                              serialize_path(reflect(faulty))]
+        assert list(report.failures) == want
+        assert report.checked == sum(REFERENCE_COUNTS[:4])
 
 
 class TestProductStreams:
@@ -832,3 +870,50 @@ class TestInsertionSuitePerturbation:
             {"input": f"UUDD;0,1,{w},0", "expected": "a valid parking function",
              "actual": f"flattening UUDD;0,1,{w},0 produced a non-parking sequence [0, 2]"}
             for w in (0, 1)]
+
+    def test_records_at_cap_4_are_pinned(self, monkeypatch):
+        # every record of the perturbed plans at cap 4, 400 of shifts and
+        # 238 of landings, in order: their length and the sha256 of their
+        # JSON text are those of the suite that ran each path's checks one
+        # by one
+        monkeypatch.setattr(_insertion, "_plan_frame",
+                            _perturbed_plan_frame(_insertion._plan_frame))
+        _factor_plan.cache_clear()
+        try:
+            lemma = run_suite("insertion_lemma", 4)
+        finally:
+            _factor_plan.cache_clear()
+        assert (lemma.checked, len(lemma.failures)) == (406, 638)
+        assert hashlib.sha256(json.dumps(lemma.failures).encode()).hexdigest() == (
+            "dfb87f77829eb63ce7b45ae4d9d67471aeba2660b7c1b31191535740a47d599e")
+
+    def test_an_overflow_is_recorded_on_its_own_path(self, monkeypatch):
+        # the first path of n <= 4 whose every lemma key (k, w[pos-1],
+        # w[pos+1]) was met on an earlier path of its word: its insertion
+        # run raises, and it is the one path recorded, though the records of
+        # all its keys are already built
+        chosen = None
+        for n in range(1, 5):
+            for word in verify._irreducible_words(n):
+                frame, seen = _factor_plan(word)[0], set()
+                for wd in enumerate_weightings(DyckPath(word)):
+                    w = (0, *wd.weights, 0)
+                    keys = {(k, w[pos - 1], w[pos + 1]) for k, (pos, *_) in enumerate(frame)}
+                    if chosen is None and keys <= seen:
+                        chosen = (wd, w)
+                    seen |= keys
+        wd, w = chosen
+        assert serialize_path(wd) == "UUDD;0,1,1,0"
+        real = _insertion._insert
+
+        def raising(frame, weights):
+            if weights == w:
+                raise InternalConsistencyError("insertion overflow")
+            return real(frame, weights)
+
+        monkeypatch.setattr(_insertion, "_insert", raising)
+        report = run_suite("insertion_lemma", 4)
+        assert report.failures == ({"input": serialize_path(wd),
+                                    "expected": "no insertion overflow",
+                                    "actual": "insertion overflow"},)
+        assert report.checked == sum(_irreducible_count(n) for n in range(5))
