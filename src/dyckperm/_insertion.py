@@ -39,21 +39,20 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice, product
+from itertools import islice, pairwise, product
 from operator import gt, lt
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .paths import (
     DOWN,
     UP,
-    DyckPath,
     SpanRow,
     _fits,
+    _odometer,
     _path_text,
     _reflected_steps,
     _runs,
     _step_rows,
-    enumerate_weightings,
     factor_spans,
 )
 from .perms import perm_text
@@ -420,9 +419,6 @@ class ImageTable:
         k = self.order[k] * self.m
         return self.weights[k:k + self.m]
 
-    def __contains__(self, perm: object) -> bool:
-        return self.get(perm) is not None
-
 
 @lru_cache(maxsize=256)
 def _image_table(steps: str) -> ImageTable:
@@ -436,22 +432,23 @@ def _image_table(steps: str) -> ImageTable:
     bytes took about 130 B.  So callers look a permutation up as
     `bytes(p)` and compare a weighting in bytes; no other key is found.
 
-    An irreducible word's weightings are mapped one by one with
-    `_map_factor` into a dict, whose guard names both paths of any two
-    weightings with one image, a bug in the forward map; the dict is then
-    packed, and its keys sorted.  A reducible word's table is built from
-    its factors' tables.  At an interior ground return both steps have
-    lower height 0, so C1 pins their weights to 0, and the valley
-    constraint between them (a sum of at least 0) always holds; no other
-    constraint spans two factors.  So the word's weightings are exactly the
-    concatenations of its factors' weightings, and since the factors have
-    fixed lengths, the lexicographic product of the factors' tables lists
-    them in `enumerate_weightings` order.  Each image is composed with
-    `_compose`, as `_map_path` composes it, and distinct factor images give
-    distinct composed images.  `_compose` writes the last factor first,
-    each factor's letters raised by a constant, so the composed images sort
-    as the product of the factors' sorted orders, the last factor
-    outermost, and need no sort.
+    Both kinds of word list one entry per weighting, in
+    `enumerate_weightings` order: its image as bytes in one list, its
+    weights appended to one bytearray.  An irreducible word's weightings
+    come from `paths._odometer`, each mapped with `_map_factor`.  A
+    reducible word's table is built from its factors' tables.  At an
+    interior ground return both steps have lower height 0, so C1 pins
+    their weights to 0, and the valley constraint between them (a sum of
+    at least 0) always holds; no other constraint spans two factors.  So
+    the word's weightings are exactly the concatenations of its factors'
+    weightings, and since the factors have fixed lengths, the
+    lexicographic product of the factors' tables lists them in
+    `enumerate_weightings` order.  Each image is composed with
+    `_compose`, as `_map_path` composes it.  Every table then takes the
+    same tail: one stable sort of its entry numbers by image, and one scan
+    of neighbours in that order, whose guard names both paths of any two
+    entries with one image, the lower entry first: a bug in the forward
+    map or in the composition.
 
     The table stays an independent oracle for the read-off inverse: every
     irreducible factor is still mapped forward by the insertion runs, and
@@ -469,25 +466,22 @@ def _image_table(steps: str) -> ImageTable:
     many n = 7 words reaches."""
     m = len(steps)
     spans = factor_spans(steps)
-    if len(spans) != 1:
-        tables = [_image_table(steps[a:b]) for a, b in spans]
-        images, weights = bytearray(), bytearray()
-        for items in product(*(t.items() for t in tables)):
-            images.extend(_compose(m, spans, [image for image, _ in items]))
+    images: list[bytes] = []
+    weights = bytearray()
+    if len(spans) == 1:
+        w = [0] * m
+        for _ in _odometer(steps, w):
+            images.append(bytes(_map_factor(steps, tuple(w))))
+            weights += bytes(w)
+    else:
+        for items in product(*(_image_table(steps[a:b]).items() for a, b in spans)):
+            images.append(bytes(_compose(m, spans, [image for image, _ in items])))
             weights += b"".join(w for _, w in items)
-        order, stride = [0], 1
-        for t in reversed(tables):
-            order = [k + j * stride for k in order for j in t.order]
-            stride *= len(t)
-        return ImageTable(m, bytes(images), bytes(weights), order)
-    table: dict[bytes, bytes] = {}
-    for wd in enumerate_weightings(DyckPath(steps)):
-        perm = bytes(_map_factor(steps, wd.weights))
-        if perm in table:
+    order = sorted(range(len(images)), key=images.__getitem__)
+    for j, k in pairwise(order):
+        if images[j] == images[k]:
             raise InternalConsistencyError(
-                f"{_path_text(steps, table[perm])} and {_path_text(steps, wd.weights)} "
-                f"share the image {perm_text(perm)}")
-        table[perm] = bytes(wd.weights)
-    keys = list(table)
-    return ImageTable(m, b"".join(keys), b"".join(table.values()),
-                      sorted(range(len(keys)), key=keys.__getitem__))
+                f"{_path_text(steps, weights[j * m:j * m + m])} and "
+                f"{_path_text(steps, weights[k * m:k * m + m])} share the image "
+                f"{perm_text(images[j])}")
+    return ImageTable(m, b"".join(images), bytes(weights), order)

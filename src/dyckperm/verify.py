@@ -38,6 +38,7 @@ from .paths import (
     DOWN,
     UP,
     DyckPath,
+    WeightedDyckPath,
     _dyck_words,
     _odometer,
     _path_text,
@@ -46,7 +47,6 @@ from .paths import (
     _step_rows,
     concat,
     count_weighted,
-    enumerate_weightings,
     heights,
     serialize_path,
 )
@@ -255,13 +255,13 @@ def _suite_schutzenberger(n: int, failures: list[dict]) -> int:
 
 def _mapped(a: int, guard: list[dict]) -> Iterator[tuple]:
     """(path, image) of each weighted path of size a, in enumeration order,
-    read from `_table`; a word whose table raises is recorded in `guard`
-    and yields nothing."""
+    both read from `_table`; a word whose table raises is recorded in
+    `guard` and yields nothing."""
     for word in _dyck_words(a):
         table = _table(word, guard)
-        if table:
-            yield from zip(enumerate_weightings(DyckPath(word)),
-                           (image for image, _ in table.items()))
+        path = DyckPath(word)
+        for image, weights in table.items() if table else ():
+            yield WeightedDyckPath(path, tuple(weights)), image
 
 
 def _suite_product(n: int, failures: list[dict]) -> int:
@@ -422,17 +422,18 @@ def _suite_transformation(n: int, failures: list[dict]) -> int:
     flattening (`_flatten_run`, the rule `flatten_to_single_slope` uses)."""
     checked = 0
     for steps in _irreducible_words(n):
-        for wd in enumerate_weightings(DyckPath(steps)):
+        w = [0] * len(steps)
+        for _ in _odometer(steps, w):
             checked += 1
             try:
-                word, pf = _insertion._flatten_run(steps, wd.weights)
+                word, pf = _insertion._flatten_run(steps, w)
             except Exception as exc:  # noqa: BLE001
-                failures.append(_fail(serialize_path(wd), "a valid parking function", str(exc)))
+                failures.append(_fail(_path_text(steps, w), "a valid parking function", str(exc)))
                 continue
             expect = standardize(word)
             got = parking_to_123_avoiding(pf)
             if got != expect:
-                failures.append(_fail(serialize_path(wd), perm_text(expect), perm_text(got)))
+                failures.append(_fail(_path_text(steps, w), perm_text(expect), perm_text(got)))
     return checked
 
 
@@ -458,18 +459,17 @@ def _suite_parking(n: int, failures: list[dict]) -> int:
 def _suite_topword(n: int, failures: list[dict]) -> int:
     checked = 0
     for word in _irreducible_words(n):  # each word's slopes are read once
-        path = DyckPath(word)
-        mirror = _reflected_steps(word)
-        h = heights(path)
+        h = heights(DyckPath(word))
         downs = [r for r in _runs(word) if r.kind == DOWN]
-        frame = _insertion._factor_plan(mirror)[0]
-        for wd in enumerate_weightings(path):
+        frame = _insertion._factor_plan(_reflected_steps(word))[0]
+        weights = [0] * len(word)
+        for _ in _odometer(word, weights):
             checked += 1
-            raw = _insertion._insert(frame, (0, *wd.weights[::-1], 0))
-            via_reflection = schutzenberger_word(raw, len(wd))
-            direct = _top_word_direct(h, downs, wd.weights)
+            raw = _insertion._insert(frame, (0, *weights[::-1], 0))
+            via_reflection = schutzenberger_word(raw, len(word))
+            direct = _top_word_direct(h, downs, weights)
             if direct != via_reflection:
-                failures.append(_fail(serialize_path(wd),
+                failures.append(_fail(_path_text(word, weights),
                                       perm_text(via_reflection), perm_text(direct)))
     return checked
 

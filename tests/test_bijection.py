@@ -613,7 +613,7 @@ class TestInvertFactor:
         # the table holds bytes images, and a tuple is never in it
         table = _image_table(steps)
         assert table and all(type(perm) is bytes for perm, _ in table.items())
-        assert bytes(image) not in table and image not in table
+        assert table.get(bytes(image)) is None and table.get(image) is None
 
         class Unread:
             def __getitem__(self, i):

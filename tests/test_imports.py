@@ -95,6 +95,17 @@ def test_no_function_patched_in_two_modules():
                 assert len(where) == 1, f"{path.name}::{fn.name} patches {name} in {sorted(where)}"
 
 
+def test_tables_walk_the_odometer():
+    # the oracle's tables and the suites walk each word's weightings with
+    # `paths._odometer` on one list, building no path per weighting; the
+    # public `enumerate_weightings` stays for callers of the API
+    for name in ("_insertion.py", "verify.py"):
+        tree = ast.parse((SRC / name).read_text(), name)
+        named = {getattr(node, "id", None) or getattr(node, "attr", None)
+                 or getattr(node, "name", None) for node in ast.walk(tree)}
+        assert "enumerate_weightings" not in named, name
+
+
 def test_the_cut_is_read_through_its_module():
     # `_insertion._left_count` states the cut once, and no module binds it
     # by name, so that one patch of it reaches every caller

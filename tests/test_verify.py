@@ -401,7 +401,7 @@ class TestSharedImageTable:
         # for every word of 1 <= n <= 5: each image looks up its weighting;
         # non-images (the decreasing permutation and the first and last
         # avoider another word hits), keys one letter too long or too short
-        # and an image as a tuple are not in the table; the sorted run is
+        # and an image as a tuple find no entry; the sorted run is
         # strictly increasing and holds the images that `items` lists
         for n in range(1, 6):
             avoiders = list(map(bytes, enumerate_updown_avoiders(n)))
@@ -409,7 +409,7 @@ class TestSharedImageTable:
                 table = _image_table(steps)
                 items = list(table.items())
                 for perm, weights in items:
-                    assert table.get(perm) == weights and perm in table
+                    assert table.get(perm) == weights
                 run = list(table.sorted_images())
                 assert all(a < b for a, b in itertools.pairwise(run))
                 assert run == sorted(perm for perm, _ in items)
@@ -418,14 +418,35 @@ class TestSharedImageTable:
                 perm = items[0][0]
                 for key in (bytes(range(2 * n, 0, -1)), *misses[:1], *misses[-1:],
                             perm + b"\x01", perm[:-1], tuple(perm)):
-                    assert table.get(key) is None and key not in table, (steps, key)
+                    assert table.get(key) is None, (steps, key)
 
     def test_the_empty_word_has_one_entry(self):
         table = _image_table("")
         assert len(table) == 1
         assert list(table.items()) == [(b"", b"")]
         assert list(table.sorted_images()) == [b""]
-        assert table.get(b"") == b"" and b"" in table
+        assert table.get(b"") == b""
+
+    def test_a_reducible_collision_names_both_paths(self, monkeypatch):
+        # a reducible word's table passes the same neighbour scan: with
+        # `_compose` patched to give entry 3 of UUDDUD the image of entry 1,
+        # the sort brings the two together and the guard names both paths,
+        # the lower entry first
+        compose = _insertion._compose
+
+        def colliding(m, spans, images):
+            image = compose(m, spans, images)
+            return (5, 6, 2, 3, 1, 4) if image == (5, 6, 1, 3, 2, 4) else image
+
+        _image_table.cache_clear()
+        monkeypatch.setattr(_insertion, "_compose", colliding)
+        try:
+            with pytest.raises(InternalConsistencyError) as exc:
+                _image_table("UUDDUD")
+        finally:
+            _image_table.cache_clear()
+        assert str(exc.value) == ("UUDDUD;0,0,1,0,0,0 and UUDDUD;0,1,1,0,0,0 "
+                                  "share the image 5,6,2,3,1,4")
 
     def test_records_follow_from_the_images(self):
         # at n <= 4, from the image of every weighting and the avoiders
