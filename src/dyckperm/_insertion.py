@@ -35,9 +35,9 @@ patch into it reaches the suites and every kernel function that calls it.
 
 from __future__ import annotations
 
+import re
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, pairwise, product
 from operator import gt, lt
@@ -51,14 +51,15 @@ from .paths import (
     _odometer,
     _path_text,
     _reflected_steps,
-    _runs,
     _step_rows,
     factor_spans,
 )
-from .perms import perm_text
+from .perms import _Value, perm_text
 
 LEFT = "L"
 RIGHT = "R"
+
+_RUN = re.compile(f"{UP}+|{DOWN}+")
 
 
 class NotInImageError(ValueError):
@@ -87,27 +88,28 @@ def _left_count(k: int) -> int:
 _PlanRise = tuple[int, int, int, SpanRow, int]
 
 
-def _plan_frame(steps: str, mirror: str) -> tuple[_PlanRise, ...]:
-    """The rises of `steps` in insertion order, `mirror` being its
-    reflection.  A rise on a slope with `shift` falls left of it has off
-    shift - 1 on the left half and shift on the right half.  A rise at step
-    1 on the left half reads step 0, the padding, and its row has one
+def _plan_frame(ups: Sequence[tuple[int, int]],
+                rows: tuple[Sequence[SpanRow], Sequence[SpanRow]]) -> tuple[_PlanRise, ...]:
+    """The rises of a word in insertion order, from the (start, length) of
+    each of its up runs, left to right, and the span rows of the word and
+    of its reflection.  A rise on a slope with `shift` falls left of it has
+    off shift - 1 on the left half and shift on the right half.  A rise at
+    step 1 on the left half reads step 0, the padding, and its row has one
     entry, at index 0."""
-    rows, mirror_rows = _step_rows(steps), _step_rows(mirror)
-    m = len(steps)
-    ups = [r for r in _runs(steps) if r.kind == UP]
+    own, mirror = rows
+    m = len(own)
     cut = _left_count(len(ups))
     frame: list[_PlanRise] = []
     rises_before = 0
-    for idx, run in enumerate(ups):
+    for idx, (start, length) in enumerate(ups):
         # falls left of the slope = steps before it minus rises before it
-        shift = run.start - 1 - rises_before
-        rises_before += run.length
-        for p in range(run.start, run.start + run.length):
+        shift = start - 1 - rises_before
+        rises_before += length
+        for p in range(start, start + length):
             if idx < cut:
-                frame.append((p, p - 1, shift - 1, rows[p - 1], 0))
+                frame.append((p, p - 1, shift - 1, own[p - 1], 0))
             else:
-                frame.append((p, p + 1, shift, mirror_rows[m - p], 1))
+                frame.append((p, p + 1, shift, mirror[m - p], 1))
     return tuple(frame)
 
 
@@ -121,12 +123,23 @@ def _factor_plan(steps: str) -> tuple[tuple[_PlanRise, ...], tuple[_PlanRise, ..
     step pos+1 by decreasing step, then those that read pos-1 by
     increasing step.  Step p of the mirror is step m + 1 - p of the path,
     and so is its neighbour; the weights are padded with a 0 at each end,
-    where the first step of either frame reads its one-entry row."""
+    where the first step of either frame reads its one-entry row.
+
+    One scan of `steps` finds both frames' runs: its up runs, and its down
+    runs, which right to left are the mirror's up runs."""
     m = len(steps)
-    mirror = _reflected_steps(steps)
-    bottom = _plan_frame(steps, mirror)
+    rows = _step_rows(steps), _step_rows(_reflected_steps(steps))
+    ups: list[tuple[int, int]] = []
+    mirror_ups: list[tuple[int, int]] = []
+    for run in _RUN.finditer(steps):
+        a, b = run.span()
+        if steps[a] == UP:
+            ups.append((a + 1, b - a))
+        else:
+            mirror_ups.append((m + 1 - b, b - a))
+    bottom = _plan_frame(ups, rows)
     top = tuple((m + 1 - s, m + 1 - nb, off, row, end)
-                for s, nb, off, row, end in _plan_frame(mirror, steps))
+                for s, nb, off, row, end in _plan_frame(mirror_ups[::-1], rows[::-1]))
     by_step: list = [None] * (m + 1)
     for frame in (bottom, top):
         for k, rise in enumerate(frame):
@@ -138,9 +151,7 @@ def _factor_plan(steps: str) -> tuple[tuple[_PlanRise, ...], tuple[_PlanRise, ..
 
 
 class InsertionStep(NamedTuple):
-    """One record of the insertion run for a single rise.  A named tuple:
-    traced runs build one per rise, where a frozen dataclass costs several
-    times as much to construct."""
+    """One record of the insertion run for a single rise."""
 
     position: int
     weight: int
@@ -244,17 +255,16 @@ def _map_path(steps: str, weights: tuple[int, ...]) -> tuple[int, ...]:
                     [_map_factor(steps[a:b], weights[a:b]) for a, b in spans])
 
 
-@dataclass(frozen=True)
-class ParkingFunction:
+class ParkingFunction(_Value):
     """A weakly increasing sequence of non-negative integers with
     values[i] <= i (0-based)."""
 
-    values: tuple[int, ...]
+    __slots__ = ("values",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(self.values))
+    def __init__(self, values: Sequence[int]) -> None:
+        values = tuple(values)
         prev = 0
-        for i, v in enumerate(self.values):
+        for i, v in enumerate(values):
             if not isinstance(v, int) or v < 0:
                 raise ValueError(f"value {v!r} at index {i} is not a non-negative integer")
             if v > i:
@@ -262,6 +272,7 @@ class ParkingFunction:
             if v < prev:
                 raise ValueError(f"values decrease at index {i}")
             prev = v
+        object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
         return len(self.values)

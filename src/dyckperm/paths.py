@@ -17,12 +17,11 @@ function, so concurrent readers are safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
-from .perms import parse_int_list
+from .perms import _Value, parse_int_list
 
 UP = "U"
 DOWN = "D"
@@ -34,15 +33,14 @@ class PathFormatError(ValueError):
     """A textual path failed to parse or violates the weight constraints."""
 
 
-@dataclass(frozen=True)
-class DyckPath:
+class DyckPath(_Value):
     """A Dyck path as a step word over {U, D}; shape validated at construction."""
 
-    steps: str = ""
+    __slots__ = ("steps",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, steps: str = "") -> None:
         height = 0
-        for i, s in enumerate(self.steps, start=1):
+        for i, s in enumerate(steps, start=1):
             if s == UP:
                 height += 1
             elif s == DOWN:
@@ -53,6 +51,7 @@ class DyckPath:
                 raise ValueError(f"path dips below ground at step {i}")
         if height != 0:
             raise ValueError("path does not return to ground level")
+        object.__setattr__(self, "steps", steps)
 
     @property
     def n(self) -> int:
@@ -62,8 +61,7 @@ class DyckPath:
         return len(self.steps)
 
 
-@dataclass(frozen=True)
-class WeightedDyckPath:
+class WeightedDyckPath(_Value):
     """A Dyck path with one integer weight per step.
 
     Only the length agreement is enforced here; the weight constraints
@@ -71,20 +69,19 @@ class WeightedDyckPath:
     weightings can be represented, inspected and reported.
     """
 
-    path: DyckPath
-    weights: tuple[int, ...] = ()
+    __slots__ = ("path", "weights")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", tuple(self.weights))
-        if len(self.weights) != len(self.path):
-            raise ValueError(
-                f"{len(self.path)} steps but {len(self.weights)} weights"
-            )
+    def __init__(self, path: DyckPath, weights: Sequence[int] = ()) -> None:
+        weights = tuple(weights)
+        if len(weights) != len(path):
+            raise ValueError(f"{len(path)} steps but {len(weights)} weights")
+        object.__setattr__(self, "path", path)
+        object.__setattr__(self, "weights", weights)
 
     @classmethod
     def _trusted(cls, steps: str, weights: tuple[int, ...]) -> "WeightedDyckPath":
         """The path of `steps` with `weights`, built without the checks of
-        `DyckPath` and of `__post_init__`: for the inverse, whose membership
+        `DyckPath` and of `__init__`: for the inverse, whose membership
         checks have scanned `steps` and which sets one weight per step."""
         path = object.__new__(DyckPath)
         object.__setattr__(path, "steps", steps)
@@ -198,17 +195,14 @@ def is_valid_weighted(wd: WeightedDyckPath) -> bool:
 
 
 class Slope(NamedTuple):
-    """A maximal run of equal steps.  A named tuple: `_runs` builds one per
-    run on the forward map's cold path, where a frozen dataclass costs
-    several times as much to construct."""
+    """A maximal run of equal steps."""
 
     kind: str
     start: int  # 1-based index of the first step of the run
     length: int
 
 
-@dataclass(frozen=True)
-class SlopeDecomposition:
+class SlopeDecomposition(_Value):
     """Alternating rise/fall runs with boundary heights and weights.
 
     Runs alternate U, D, U, D, ..., starting with a rise and ending with a
@@ -219,12 +213,19 @@ class SlopeDecomposition:
     peak pairs are (rise-in, fall-out), valley pairs (fall-in, rise-out).
     """
 
-    up_slopes: tuple[Slope, ...]
-    down_slopes: tuple[Slope, ...]
-    peak_heights: tuple[int, ...]
-    valley_heights: tuple[int, ...]
-    peak_weights: Optional[tuple[tuple[int, int], ...]]
-    valley_weights: Optional[tuple[tuple[int, int], ...]]
+    __slots__ = ("up_slopes", "down_slopes", "peak_heights", "valley_heights",
+                 "peak_weights", "valley_weights")
+
+    def __init__(self, up_slopes: tuple[Slope, ...], down_slopes: tuple[Slope, ...],
+                 peak_heights: tuple[int, ...], valley_heights: tuple[int, ...],
+                 peak_weights: Optional[tuple[tuple[int, int], ...]],
+                 valley_weights: Optional[tuple[tuple[int, int], ...]]) -> None:
+        object.__setattr__(self, "up_slopes", up_slopes)
+        object.__setattr__(self, "down_slopes", down_slopes)
+        object.__setattr__(self, "peak_heights", peak_heights)
+        object.__setattr__(self, "valley_heights", valley_heights)
+        object.__setattr__(self, "peak_weights", peak_weights)
+        object.__setattr__(self, "valley_weights", valley_weights)
 
 
 def _runs(steps: str) -> tuple[Slope, ...]:

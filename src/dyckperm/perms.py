@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from operator import gt, itemgetter, lt
 from typing import Iterable, Iterator, Sequence
 
@@ -126,18 +125,19 @@ def perm_text(p: Sequence[int]) -> str:
 
 
 _NATURAL = re.compile(r"[0-9]+")
+_NATURAL_LIST = re.compile(r"[0-9]+(?:,[0-9]+)*")
 
 
 def parse_int_list(text: str) -> tuple[int, ...]:
     """Comma-separated tokens of ASCII digits only, the grammar of both
     permutation and weight text.  Raises ValueError on any other token,
     including the signs, underscores, spaces and non-ASCII digits that
-    int() would accept."""
-    tokens = text.split(",")
-    for tok in tokens:
-        if not _NATURAL.fullmatch(tok):
-            raise ValueError(f"malformed number {tok!r}")
-    return tuple(int(tok) for tok in tokens)
+    int() would accept.  One match checks the whole list; the tokens are
+    walked only to name the first bad one."""
+    if _NATURAL_LIST.fullmatch(text):
+        return tuple(map(int, text.split(",")))
+    bad = next(tok for tok in text.split(",") if not _NATURAL.fullmatch(tok))
+    raise ValueError(f"malformed number {bad!r}")
 
 
 def parse_perm_text(text: str) -> Permutation:
@@ -155,8 +155,49 @@ def perm_record(p: Sequence[int]) -> dict:
     return {"perm": list(p)}
 
 
-@dataclass(frozen=True)
-class AlternatingPermutation:
+class _Value:
+    """The base of the package's value types, which behave as frozen
+    dataclasses do.  A subclass names its fields, in order, as its
+    `__slots__`, and its `__init__` checks them and sets them with
+    `object.__setattr__`.  Values are equal when they are of one class and
+    their fields are equal, and hash over their fields; the repr names
+    every field; setting or deleting a field raises AttributeError; and
+    copy, deepcopy and pickle rebuild a value through its class's
+    constructor, checks and all.  Written out rather than taken from
+    `dataclasses`, whose import and class builder cost about a third of
+    the package's import."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ = cls.__slots__
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, _value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._fields()
+
+
+class AlternatingPermutation(_Value):
     """A permutation with the up-down shape, validated at construction.
 
     Bottom letters sit at odd positions, top letters at even positions.
@@ -164,14 +205,15 @@ class AlternatingPermutation:
     it with avoids_1234 where needed.
     """
 
-    perm: tuple[int, ...]
+    __slots__ = ("perm",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "perm", tuple(self.perm))
-        if sorted(self.perm) != list(range(1, len(self.perm) + 1)):
+    def __init__(self, perm: Sequence[int]) -> None:
+        perm = tuple(perm)
+        if sorted(perm) != list(range(1, len(perm) + 1)):
             raise ValueError("not a permutation of 1..N")
-        if not is_up_down(self.perm):
+        if not is_up_down(perm):
             raise ValueError("permutation is not up-down")
+        object.__setattr__(self, "perm", perm)
 
     @classmethod
     def _trusted(cls, perm: tuple[int, ...]) -> "AlternatingPermutation":
@@ -436,8 +478,7 @@ def _avoider_lines(n: int) -> Iterator[str]:
             yield head + ",".join(get(texts)) + "\n"
 
 
-@dataclass(frozen=True)
-class CriteriaBreakdown:
+class CriteriaBreakdown(_Value):
     """Four structural conditions on an even-size permutation.
 
     Their conjunction is equivalent to being an up-down permutation that
@@ -451,10 +492,13 @@ class CriteriaBreakdown:
         top letters greater than k from k's column on only descend.
     """
 
-    c1: bool
-    c2: bool
-    c3: bool
-    c4: bool
+    __slots__ = ("c1", "c2", "c3", "c4")
+
+    def __init__(self, c1: bool, c2: bool, c3: bool, c4: bool) -> None:
+        object.__setattr__(self, "c1", c1)
+        object.__setattr__(self, "c2", c2)
+        object.__setattr__(self, "c3", c3)
+        object.__setattr__(self, "c4", c4)
 
     @property
     def verdict(self) -> bool:

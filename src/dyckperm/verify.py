@@ -19,7 +19,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
-from dataclasses import dataclass
 from math import factorial
 from typing import Iterator, Optional
 
@@ -52,6 +51,7 @@ from .paths import (
 )
 from .perms import (
     _criteria_verdict,
+    _Value,
     avoids_123_word,
     avoids_1234,
     enumerate_updown_avoiders,
@@ -75,15 +75,18 @@ EULER_ZIGZAG = (1, 1, 5, 61, 1385, 50521)
 CATALAN = (1, 1, 2, 5, 14, 42, 132, 429, 1430)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Value):
     """Outcome of one suite: sizes covered, instances checked, failures."""
 
-    suite: str
-    n_range: tuple[int, int]
-    checked: int
-    failures: tuple[dict, ...]
-    elapsed: float
+    __slots__ = ("suite", "n_range", "checked", "failures", "elapsed")
+
+    def __init__(self, suite: str, n_range: tuple[int, int], checked: int,
+                 failures: tuple[dict, ...], elapsed: float) -> None:
+        object.__setattr__(self, "suite", suite)
+        object.__setattr__(self, "n_range", n_range)
+        object.__setattr__(self, "checked", checked)
+        object.__setattr__(self, "failures", failures)
+        object.__setattr__(self, "elapsed", elapsed)
 
     @property
     def verdict(self) -> str:

@@ -40,6 +40,8 @@ from dyckperm.paths import (
     WeightedDyckPath,
     _dyck_words,
     _height_profile,
+    _reflected_steps,
+    _runs,
     _span,
     _span_row,
     _step_rows,
@@ -683,6 +685,39 @@ class TestInvertFactor:
                 exits["not valid"] += 1
         assert valid.count(True) == exits["image"]
         assert exits == {"image": 405, "negative": 1568, "at its bound": 686, "not valid": 298}
+
+
+def _frames_from_runs(steps):
+    """The bottom and top frames of `_factor_plan`, each built from the
+    `paths._runs` of its own word: the mirror's frame from the mirror's
+    runs, renumbered into the path's steps."""
+    def frame_of(word, mirror):
+        rows, mirror_rows = _step_rows(word), _step_rows(mirror)
+        ups = [run for run in _runs(word) if run.kind == UP]
+        cut = _insertion._left_count(len(ups))
+        frame, rises_before = [], 0
+        for idx, run in enumerate(ups):
+            shift = run.start - 1 - rises_before
+            rises_before += run.length
+            for p in range(run.start, run.start + run.length):
+                frame.append((p, p - 1, shift - 1, rows[p - 1], 0) if idx < cut
+                             else (p, p + 1, shift, mirror_rows[len(word) - p], 1))
+        return tuple(frame)
+
+    m, mirror = len(steps), _reflected_steps(steps)
+    return frame_of(steps, mirror), tuple((m + 1 - s, m + 1 - nb, off, row, end)
+                                          for s, nb, off, row, end in frame_of(mirror, steps))
+
+
+class TestPlanFromOneScan:
+    def test_frames_match_the_runs_of_each_word(self):
+        # `_factor_plan` reads both frames' runs off one scan of the path;
+        # the mirror's up runs are the path's down runs, right to left
+        factors = {steps[a:b] for n in range(8) for steps in _dyck_words(n)
+                   for a, b in factor_spans(steps)}
+        assert len(factors) == sum((1, 1, 2, 5, 14, 42, 132))
+        for steps in sorted(factors):
+            assert _factor_plan(steps)[:2] == _frames_from_runs(steps), steps
 
 
 class TestPlanAgainstSpec:

@@ -18,6 +18,7 @@ from dyckperm.perms import (
     is_up_down,
     lis_length,
     membership_criteria,
+    parse_int_list,
     parse_perm_text,
     perm_text,
     schutzenberger,
@@ -328,6 +329,14 @@ class TestTextForms:
         # int() accepts signs, underscores, spaces and non-ASCII digits
         with pytest.raises(ValueError, match="malformed"):
             parse_perm_text(text)
+
+    @pytest.mark.parametrize("text, bad", [
+        ("1,x,y", "x"), ("", ""), ("1,", ""), ("1, 2", " 2"), ("+1,-2", "+1"),
+    ])
+    def test_error_names_the_first_bad_token(self, text, bad):
+        with pytest.raises(ValueError) as exc:
+            parse_int_list(text)
+        assert str(exc.value) == f"malformed number {bad!r}"
 
     @given(perms_up_to_6)
     def test_text_roundtrip(self, p):

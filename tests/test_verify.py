@@ -845,8 +845,8 @@ def _perturbed_plan_frame(real):
     last rise of every frame: their off, and with it their shift
     (off + 1 - end), is one higher, so the first rise's shift then exceeds
     the next one's, and the last rise inserts one letter further left."""
-    def perturbed(steps, mirror):
-        frame = real(steps, mirror)
+    def perturbed(ups, rows):
+        frame = real(ups, rows)
         return tuple((s, nb, off + 1, row, end) if k in (0, len(frame) - 1)
                      else (s, nb, off, row, end)
                      for k, (s, nb, off, row, end) in enumerate(frame))
