@@ -30,6 +30,7 @@ from .perms import (
     assemble,
     avoids_123_word,
     avoids_1234,
+    count_updown_avoiders,
     descent_set,
     enumerate_updown_avoiders,
     is_up_down,

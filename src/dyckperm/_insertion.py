@@ -48,6 +48,7 @@ from .paths import (
     UP,
     SpanRow,
     _fits,
+    _height_profile,
     _odometer,
     _path_text,
     _reflected_steps,
@@ -391,6 +392,16 @@ def _bottom_word(p: tuple[int, ...]) -> str:
     for i in p[0::2]:
         word[i - 1] = UP
     return "".join(word)
+
+
+@lru_cache(maxsize=4096)
+def _word_spans(word: str) -> Optional[tuple[tuple[int, int], ...]]:
+    """The factor spans of a bottom word, or None when it dips below the
+    ground: both checks the inverses make on the word, once per word."""
+    if min(_height_profile(word)) < 0:
+        return None
+    # n rises among 2n steps, so the word ends on the ground
+    return tuple(factor_spans(word))
 
 
 class ImageTable:

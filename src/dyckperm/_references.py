@@ -79,15 +79,22 @@ def _up_down_perms(m: int) -> Iterator[tuple[int, ...]]:
     """Up-down permutations of size 2m (ascents at odd positions, descents
     at even ones, 1-based), lexicographically: a plain backtracker that
     tries, in increasing order, the unused letters above the last one at
-    an odd position and those below it at an even one.  It knows nothing
-    of the pattern 1234."""
+    an odd position and those below it at an even one.  The last two
+    letters are placed at once: the smaller is the bottom when it is below
+    the last top, and the larger follows it.  It knows nothing of the
+    pattern 1234."""
     size = 2 * m
     prefix: list[int] = []
     unused = list(range(1, size + 1))
 
     def extend() -> Iterator[tuple[int, ...]]:
-        if len(prefix) == size:
+        if len(prefix) == size:  # m = 0 only
             yield tuple(prefix)
+            return
+        if len(prefix) == size - 2:  # a bottom, then a top above it
+            low, high = unused
+            if not prefix or low < prefix[-1]:
+                yield (*prefix, low, high)
             return
         if not prefix:
             candidates = range(len(unused))

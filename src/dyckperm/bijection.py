@@ -30,6 +30,7 @@ from ._insertion import (
     _map_factor,
     _map_path,
     _run_insertion,
+    _word_spans,
 )
 from .paths import (
     DOWN,
@@ -166,11 +167,11 @@ def parking_to_123_avoiding(pf: ParkingFunction) -> tuple[int, ...]:
     return tuple(word)
 
 
-def _membership_checks(p: tuple[int, ...]) -> tuple[str, list[tuple[int, int]]]:
+def _membership_checks(p: tuple[int, ...]) -> tuple[str, tuple[tuple[int, int], ...]]:
     """The checks both inverses run on a non-empty p, in this order: a
     permutation of ints, up-down, no 1234, bottom letters marking a Dyck word.
-    Returns that word and its factor spans, both read off its cached height
-    profile.
+    Returns that word and its factor spans, which `_word_spans` reads
+    once per word.
 
     No input that passes the up-down check fails the last check, nor the
     block check of `from_permutation`; both stay as guards.  Each top
@@ -188,10 +189,10 @@ def _membership_checks(p: tuple[int, ...]) -> tuple[str, list[tuple[int, int]]]:
         raise NotInImageError(
             "not in image: contains an increasing subsequence of length 4")
     word = _bottom_word(p)
-    if min(_height_profile(word)) < 0:
+    spans = _word_spans(word)
+    if spans is None:
         raise NotInImageError("not in image: bottom letters do not mark a Dyck path")
-    # n rises among 2n steps, so the word ends on the ground
-    return word, factor_spans(word)
+    return word, spans
 
 
 def from_permutation(p: Sequence[int]) -> WeightedDyckPath:
@@ -202,10 +203,10 @@ def from_permutation(p: Sequence[int]) -> WeightedDyckPath:
     first to fail names the error: ValueError when p is not a permutation
     of 1..N; NotInImageError when p is not up-down, contains 1234, or no
     weighting of a factor maps to its block.  Two guards run between the
-    1234 test and the search: the bottom letters mark a Dyck path, and
-    each block holds its factor's letters.  Every up-down permutation
-    passes both (see `_membership_checks`), so only a bug can trip them,
-    with a NotInImageError.
+    1234 test and the search: the bottom letters mark a Dyck path, and,
+    when p has two blocks or more, each block holds its factor's letters.
+    Every up-down permutation passes both (see `_membership_checks`), so
+    only a bug can trip them, with a NotInImageError.
     """
     p = tuple(p)
     if not p:
@@ -214,10 +215,13 @@ def from_permutation(p: Sequence[int]) -> WeightedDyckPath:
     m = len(p)
     weights: tuple[int, ...] = ()
     for a, b in reversed(spans):  # the last factor first: its block leads p
-        block = p[m - b:m - a]
-        if min(block) <= a or max(block) > b:  # p's letters are distinct
-            raise NotInImageError(
-                f"not in image: block {perm_text(block)} does not hold {a + 1}..{b}")
+        if len(spans) == 1:  # p is the one block, and holds 1..m
+            block = p
+        else:
+            block = p[m - b:m - a]
+            if min(block) <= a or max(block) > b:  # p's letters are distinct
+                raise NotInImageError(
+                    f"not in image: block {perm_text(block)} does not hold {a + 1}..{b}")
         sol = _invert_factor(word[a:b], [v - a for v in block] if a else block)
         if sol is None:
             raise NotInImageError(

@@ -555,8 +555,8 @@ def parse_path(text: str) -> WeightedDyckPath:
     if weight_part:
         try:
             weights = parse_int_list(weight_part)
-        except ValueError:
-            raise PathFormatError(f"malformed weight list {weight_part!r}") from None
+        except ValueError as exc:
+            raise PathFormatError(f"malformed weight list {weight_part!r}: {exc}") from None
     else:
         weights = (0,) * len(path)
     if len(weights) != len(path):

@@ -54,6 +54,7 @@ from .perms import (
     _Value,
     avoids_123_word,
     avoids_1234,
+    count_updown_avoiders,
     enumerate_updown_avoiders,
     perm_text,
     schutzenberger,
@@ -136,7 +137,7 @@ def _suite_counts(n: int, failures: list[dict]) -> int:
     ref = REFERENCE_COUNTS[n] if n < len(REFERENCE_COUNTS) else None
     if ref is not None and got != ref:
         failures.append(_fail(f"weighted paths, n={n}", str(ref), str(got)))
-    perm_count = sum(1 for _ in enumerate_updown_avoiders(n))
+    perm_count = count_updown_avoiders(n)
     if ref is not None and perm_count != ref:
         failures.append(_fail(f"up-down avoiders, n={n}", str(ref), str(perm_count)))
     if got != perm_count:
@@ -422,10 +423,14 @@ def _suite_insertion_lemma(n: int, failures: list[dict]) -> int:
 
 def _suite_transformation(n: int, failures: list[dict]) -> int:
     """One traced insertion run per path gives both the bottom word and its
-    flattening (`_flatten_run`, the rule `flatten_to_single_slope` uses)."""
+    flattening (`_flatten_run`, the rule `flatten_to_single_slope` uses).
+    The two words compared depend on nothing else, so each word computes
+    them once per distinct (bottom word, parking values) key: 3,734 keys
+    for the 76,847 paths of n <= 6."""
     checked = 0
     for steps in _irreducible_words(n):
         w = [0] * len(steps)
+        compared: dict[tuple, tuple] = {}
         for _ in _odometer(steps, w):
             checked += 1
             try:
@@ -433,8 +438,11 @@ def _suite_transformation(n: int, failures: list[dict]) -> int:
             except Exception as exc:  # noqa: BLE001
                 failures.append(_fail(_path_text(steps, w), "a valid parking function", str(exc)))
                 continue
-            expect = standardize(word)
-            got = parking_to_123_avoiding(pf)
+            key = (word, pf.values)
+            pair = compared.get(key)
+            if pair is None:
+                pair = compared[key] = (standardize(word), parking_to_123_avoiding(pf))
+            expect, got = pair
             if got != expect:
                 failures.append(_fail(_path_text(steps, w), perm_text(expect), perm_text(got)))
     return checked

@@ -16,6 +16,7 @@ from dyckperm._insertion import (
     _invert_factor,
     _map_factor,
     _map_path,
+    _word_spans,
 )
 from dyckperm.bijection import (
     LEFT,
@@ -270,16 +271,20 @@ class TestInvalidWeightingMessages:
     # that is not an int, 1.0 too, breaks C1 at its own step, so 0.5 is
     # reported at step 2 before the C1 and C4 breaks of the 2 at step 3
     @pytest.mark.parametrize("steps, weights, reason, parse_reason", [
-        ("UUDD", (0, -1, 0, 0), "C1 violated at step 2", "malformed weight list '0,-1,0,0'"),
+        ("UUDD", (0, -1, 0, 0), "C1 violated at step 2",
+         "malformed weight list '0,-1,0,0': malformed number '-1'"),
         ("UUDD", (0, 2, 0, 0), "C1 violated at step 2", "C1 violated at step 2"),
         ("UUDD", (0, 1, 2, 0), "C1 violated at step 3", "C1 violated at step 3"),
         ("UDUUUDDD", (0, 0, 0, 1, 0, 0, 0, 0), "C2 violated at step 5", "C2 violated at step 5"),
         ("UDUUUDDD", (0, 0, 0, 0, 0, 0, 1, 0), "C3 violated at step 7", "C3 violated at step 7"),
         ("UDUUUDDD", (0, 0, 0, 1, 2, 2, 1, 0), "C4 violated at step 6", "C4 violated at step 6"),
         ("UDUUDUDD", (0,) * 8, "C5 violated at step 6", "C5 violated at step 6"),
-        ("UUDD", (0, 1.5, 0, 0), "C1 violated at step 2", "malformed weight list '0,1.5,0,0'"),
-        ("UUDD", (0, 0.5, 2, 0), "C1 violated at step 2", "malformed weight list '0,0.5,2,0'"),
-        ("UUDD", (0, 1.0, 0, 0), "C1 violated at step 2", "malformed weight list '0,1.0,0,0'"),
+        ("UUDD", (0, 1.5, 0, 0), "C1 violated at step 2",
+         "malformed weight list '0,1.5,0,0': malformed number '1.5'"),
+        ("UUDD", (0, 0.5, 2, 0), "C1 violated at step 2",
+         "malformed weight list '0,0.5,2,0': malformed number '0.5'"),
+        ("UUDD", (0, 1.0, 0, 0), "C1 violated at step 2",
+         "malformed weight list '0,1.0,0,0': malformed number '1.0'"),
     ])
     def test_same_text_from_every_entry_point(self, steps, weights, reason, parse_reason):
         x = wd(steps, weights)
@@ -559,13 +564,15 @@ class TestInverseBeyondExhaustive:
             x = random_path(rng, 50, True)
             assert from_permutation(to_permutation(x).perm) == x
         assert _height_profile.cache_info().currsize <= 4096
-        # the round trips leave _step_rows and _factor_plan (one key per
-        # path: the inverse reuses the forward map's plan) well below their
-        # bounds; the 4,862 Dyck words of semilength 9 drive them past
+        # the round trips leave _step_rows, _factor_plan (one key per
+        # path: the inverse reuses the forward map's plan) and _word_spans
+        # (one key per path, its bottom word) well below their bounds; the
+        # 4,862 Dyck words of semilength 9 drive them past
         for steps in _dyck_words(9):
             _step_rows(steps)
             _factor_plan(steps)
-        for cache in (_step_rows, _factor_plan):
+            _word_spans(steps)
+        for cache in (_step_rows, _factor_plan, _word_spans):
             assert cache.cache_info().currsize <= 4096
         # at most 4 * 65 + 1 shapes are tabulated, so no workload fills this
         # cache; the bound itself is what keeps it from growing

@@ -213,6 +213,11 @@ class TestMap:
         assert (code, out) == (1, "")
         assert "malformed weight" in err
 
+    def test_malformed_weight_names_its_token(self, capsys):
+        code, out, err = run(capsys, "map", "UD;0,x")
+        assert (code, out) == (1, "")
+        assert err == "error: malformed weight list '0,x': malformed number 'x'\n"
+
     def test_internal_error_is_an_error_line(self, capsys, monkeypatch):
         def broken(*args, **kwargs):
             raise InternalConsistencyError("boom")
@@ -261,6 +266,11 @@ class TestInvert:
         code, out, err = run(capsys, "invert", "\u0662,\u0661")
         assert (code, out) == (1, "")
         assert "malformed permutation text" in err
+
+    def test_malformed_letter_names_its_token(self, capsys):
+        code, out, err = run(capsys, "invert", "1,x")
+        assert (code, out) == (1, "")
+        assert err == "error: malformed permutation text '1,x': malformed number 'x'\n"
 
     @pytest.mark.parametrize("perm, message", INVERSE_FIRST_FAILURES)
     def test_first_failed_check_is_the_error_line(self, capsys, perm, message):

@@ -23,7 +23,7 @@ VERIFY_PRIVATE = {
 # every cache in the package: a new one is added here and bounded in
 # tests/test_bijection.py::TestInverseBeyondExhaustive::test_caches_stay_bounded
 CACHED = {"paths._height_profile", "paths._step_rows", "paths._span_row",
-          "_insertion._factor_plan", "_insertion._image_table"}
+          "_insertion._factor_plan", "_insertion._image_table", "_insertion._word_spans"}
 
 
 def _package_module(node: ast.ImportFrom):

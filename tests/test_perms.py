@@ -13,6 +13,7 @@ from dyckperm.perms import (
     assemble,
     avoids_123_word,
     avoids_1234,
+    count_updown_avoiders,
     descent_set,
     enumerate_updown_avoiders,
     is_up_down,
@@ -30,6 +31,7 @@ from dyckperm.verify import REFERENCE_COUNTS
 
 from .oracles import (
     brute_updown_avoiders,
+    closed_form,
     contains_1234_naive,
     contains_123_triple,
     first_updown_avoider,
@@ -279,6 +281,21 @@ class TestEnumeration:
             walked = [tuple(cur) for _ in _extend(cur, free, tails, depth)]
             assert walked == sorted({p[:depth] for p in family})
             assert (cur, free, tails) == ([], list(range(1, 2 * n + 1)), [])
+
+
+class TestCounting:
+    def test_closed_form(self):
+        # 2,861,142,656,400 avoiders at n = 12, none of them listed
+        for n in range(13):
+            assert count_updown_avoiders(n) == closed_form(n)
+
+    def test_matches_the_enumeration(self):
+        for n in range(7):
+            assert count_updown_avoiders(n) == sum(1 for _ in enumerate_updown_avoiders(n))
+
+    def test_negative(self):
+        with pytest.raises(ValueError):
+            count_updown_avoiders(-1)
 
 
 class TestCriteria:

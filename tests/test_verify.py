@@ -17,6 +17,10 @@ from dyckperm.bijection import (
     LEFT,
     RIGHT,
     InternalConsistencyError,
+    ParkingFunction,
+    flatten_to_single_slope,
+    insertion_word,
+    parking_to_123_avoiding,
     split_up_slopes,
     to_permutation,
 )
@@ -33,7 +37,13 @@ from dyckperm.paths import (
     serialize_path,
     slopes,
 )
-from dyckperm.perms import enumerate_updown_avoiders, is_up_down, perm_text, schutzenberger
+from dyckperm.perms import (
+    enumerate_updown_avoiders,
+    is_up_down,
+    perm_text,
+    schutzenberger,
+    standardize,
+)
 from dyckperm.verify import (
     DEFAULT_CAPS,
     EULER_ZIGZAG,
@@ -838,6 +848,56 @@ class TestCriteriaGround:
         monkeypatch.setattr(verify, "_up_down_perms", dropping)
         report = run_suite("criteria", 3)
         assert [f["input"] for f in report.failures] == ["up-down permutations, size=4", "1,3,2,4"]
+
+
+class TestTransformationKeys:
+    def test_a_wrong_image_is_recorded_on_every_path_of_its_key(self, monkeypatch):
+        # the suite computes the two words it compares once per (bottom
+        # word, parking values) key of a Dyck word; a fault in the image of
+        # one parking sequence, met by 9 paths of semilength 3 under 2
+        # keys, is still recorded on each of the 9 paths, in path order
+        target = (0, 1, 1)
+        real = verify.parking_to_123_avoiding
+
+        def corrupted(pf):
+            word = real(pf)
+            return word[::-1] if pf.values == target else word
+
+        monkeypatch.setattr(verify, "parking_to_123_avoiding", corrupted)
+        report = run_suite("transformation", 4)
+        want, keys = [], set()
+        for steps in verify._irreducible_words(3):
+            for x in enumerate_weightings(DyckPath(steps)):
+                if flatten_to_single_slope(x).values == target:
+                    expect = standardize(insertion_word(x)[0])
+                    keys.add((steps, expect))
+                    want.append({"input": serialize_path(x), "expected": perm_text(expect),
+                                 "actual": perm_text(expect[::-1])})
+        assert (len(want), len(keys)) == (9, 2)
+        assert list(report.failures) == want
+        assert report.checked == sum(_irreducible_count(n) for n in range(5))
+
+    def test_the_key_holds_the_bottom_word(self, monkeypatch):
+        # a fault that gives every path of UUUDDD one parking sequence:
+        # each path is still compared with its own bottom word, since the
+        # key holds it, and so its record names its own expected word
+        real = _insertion._flatten_run
+        flat = ParkingFunction((0, 0, 0))
+
+        def flattening(steps, w):
+            word, pf = real(steps, w)
+            return word, flat if steps == "UUUDDD" else pf
+
+        monkeypatch.setattr(_insertion, "_flatten_run", flattening)
+        report = run_suite("transformation", 3)
+        got = perm_text(parking_to_123_avoiding(flat))
+        want = []
+        for x in enumerate_weightings(DyckPath("UUUDDD")):
+            expect = perm_text(standardize(insertion_word(x)[0]))
+            if expect != got:
+                want.append({"input": serialize_path(x), "expected": expect, "actual": got})
+        assert len({f["expected"] for f in want}) > 1
+        assert list(report.failures) == want
 
 
 def _perturbed_plan_frame(real):
