@@ -39,8 +39,9 @@ import re
 from array import array
 from bisect import bisect_left
 from functools import lru_cache
+from io import BytesIO
 from itertools import islice, pairwise, product
-from operator import gt, lt
+from operator import gt, itemgetter, lt
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .paths import (
@@ -186,6 +187,15 @@ def _insert(frame: tuple[_PlanRise, ...], w: Sequence[int]) -> list[int]:
     return word
 
 
+def _frame_key(frame: tuple[_PlanRise, ...], m: int) -> itemgetter:
+    """What the insertion run of one frame reads of a weighting of a word of
+    length m: each rise's own weight and the weight its bound reads (the
+    fields `step` and `nb` of each `_PlanRise`), as an `itemgetter` over
+    the m unpadded weights.  The padding is always 0 and is left out.  Two
+    weightings with one key get one word from `_insert`."""
+    return itemgetter(*sorted({i - 1 for step, nb, *_ in frame for i in (step, nb)} - {-1, m}))
+
+
 def _run_insertion(steps: str, weights: Sequence[int]
                    ) -> tuple[tuple[int, ...], InsertionTrace]:
     """The bottom word of one irreducible factor and its trace, both read
@@ -210,6 +220,12 @@ def _run_insertion(steps: str, weights: Sequence[int]
     return word, tuple(trace)
 
 
+def _not_up_down(steps: str, weights: Sequence[int]) -> InternalConsistencyError:
+    """The error of the forward map's one runtime check, the up-down shape."""
+    return InternalConsistencyError(
+        f"assembly failed for {_path_text(steps, weights)}: permutation is not up-down")
+
+
 def _map_factor(steps: str, weights: tuple[int, ...]) -> tuple[int, ...]:
     """The image of one irreducible factor: the bottom word interleaved
     with the top word, which the mirrored frame of the plan builds
@@ -224,9 +240,7 @@ def _map_factor(steps: str, weights: tuple[int, ...]) -> tuple[int, ...]:
     tops = _insert(top, w)[::-1]
     if len(bot) != len(tops) or not (all(map(lt, bot, tops))
                                      and all(map(gt, tops, islice(bot, 1, None)))):
-        raise InternalConsistencyError(
-            f"assembly failed for {_path_text(steps, weights)}: "
-            f"permutation is not up-down")
+        raise _not_up_down(steps, weights)
     perm = [0] * (2 * len(bot))
     perm[0::2] = bot
     perm[1::2] = tops
@@ -404,16 +418,26 @@ def _word_spans(word: str) -> Optional[tuple[tuple[int, int], ...]]:
     return tuple(factor_spans(word))
 
 
+def _weighting(steps: str, k: int) -> bytes:
+    """The k-th valid weighting of `steps` in `enumerate_weightings` order,
+    one byte per weight, found by walking `paths._odometer` to it."""
+    w = [0] * len(steps)
+    next(islice(_odometer(steps, w), k, None))
+    return bytes(w)
+
+
 class ImageTable:
     """One word's image table: entry k, the k-th weighting in
-    `enumerate_weightings` order, has its image and its weighting at
-    [k*m, (k+1)*m) of `images` and `weights`, m being the word's length;
-    `order` lists the entries by image."""
+    `enumerate_weightings` order, has its image at [k*m, (k+1)*m) of
+    `images`, m being the word's length; `order` lists the entries by
+    image.  The weightings are not stored: `paths._odometer` on `steps`
+    yields them in entry order, and entry k's is rebuilt by walking it k
+    steps.  An entry takes m + 4 bytes, 16 B at n = 6."""
 
-    __slots__ = ("m", "images", "weights", "order")
+    __slots__ = ("steps", "m", "images", "order")
 
-    def __init__(self, m: int, images: bytes, weights: bytes, order: Sequence[int]) -> None:
-        self.m, self.images, self.weights, self.order = m, images, weights, array("I", order)
+    def __init__(self, steps: str, images: bytes, order: Sequence[int]) -> None:
+        self.steps, self.m, self.images, self.order = steps, len(steps), images, array("I", order)
 
     def __len__(self) -> int:
         return len(self.order)
@@ -421,56 +445,70 @@ class ImageTable:
     def _image(self, k: int) -> bytes:
         return self.images[k * self.m:(k + 1) * self.m]
 
+    def __iter__(self) -> Iterator[bytes]:
+        """The images in entry order."""
+        return map(self._image, range(len(self)))
+
     def items(self) -> Iterator[tuple[bytes, bytes]]:
-        """(image, weights) of each entry, in `enumerate_weightings` order."""
-        m, images, weights = self.m, self.images, self.weights
-        return ((images[k * m:k * m + m], weights[k * m:k * m + m]) for k in range(len(self)))
+        """(image, weights) of each entry, in `enumerate_weightings` order:
+        each image paired with the weighting the odometer yields at its
+        position."""
+        w = [0] * self.m
+        return zip(self, (bytes(w) for _ in _odometer(self.steps, w)))
 
     def sorted_images(self) -> Iterator[bytes]:
         """The images in increasing order."""
         return map(self._image, self.order)
 
     def get(self, perm: object) -> Optional[bytes]:
-        """The weighting whose image is `perm`, by bisecting `order`; None
-        when no entry has it, or when `perm` is not bytes of length m."""
+        """The weighting whose image is `perm`, by bisecting `order` and
+        walking the odometer to the entry found; None when no entry has it,
+        or when `perm` is not bytes of length m."""
         if not isinstance(perm, bytes) or len(perm) != self.m:
             return None
         k = bisect_left(self.order, perm, key=self._image)
         if k == len(self) or self._image(self.order[k]) != perm:
             return None
-        k = self.order[k] * self.m
-        return self.weights[k:k + self.m]
+        return _weighting(self.steps, self.order[k])
 
 
 @lru_cache(maxsize=256)
 def _image_table(steps: str) -> ImageTable:
     """Every valid weighting of one fixed path with its image, in
     `enumerate_weightings` order, as a flat `ImageTable`: the images in
-    one bytes and the weightings in another, one byte per letter or
-    weight, and the entry numbers sorted by image in a uint32 array.
-    Letters reach 2n and weights n, so each fits a byte up to n = 127, far
-    beyond any table that can be built (n = 8 alone has 23.4 million
-    paths).  An entry takes 2m + 4 bytes, 28 B at n = 6, where a dict of
-    bytes took about 130 B.  So callers look a permutation up as
+    one bytes, one byte per letter, and the entry numbers sorted by image
+    in a uint32 array.  Letters reach 2n, so each fits a byte up to
+    n = 127, far beyond any table that can be built (n = 8 alone has 23.4
+    million paths).  An entry takes m + 4 bytes, 16 B at n = 6, where a
+    dict of bytes took about 130 B.  So callers look a permutation up as
     `bytes(p)` and compare a weighting in bytes; no other key is found.
 
-    Both kinds of word list one entry per weighting, in
-    `enumerate_weightings` order: its image as bytes in one list, its
-    weights appended to one bytearray.  An irreducible word's weightings
-    come from `paths._odometer`, each mapped with `_map_factor`.  A
-    reducible word's table is built from its factors' tables.  At an
-    interior ground return both steps have lower height 0, so C1 pins
-    their weights to 0, and the valley constraint between them (a sum of
-    at least 0) always holds; no other constraint spans two factors.  So
-    the word's weightings are exactly the concatenations of its factors'
-    weightings, and since the factors have fixed lengths, the
-    lexicographic product of the factors' tables lists them in
-    `enumerate_weightings` order.  Each image is composed with
-    `_compose`, as `_map_path` composes it.  Every table then takes the
-    same tail: one stable sort of its entry numbers by image, and one scan
-    of neighbours in that order, whose guard names both paths of any two
-    entries with one image, the lower entry first: a bug in the forward
-    map or in the composition.
+    Both kinds of word list one image per weighting, in
+    `enumerate_weightings` order, as bytes in one list.  An irreducible
+    word's weightings come from `paths._odometer`, and each image is built
+    from the insertion runs of `_map_factor`'s plan.  A run reads only the
+    weights its frame's `_frame_key` picks, and across a word's weightings
+    those repeat (161,514 distinct keys per frame for the 1,147,653
+    weightings of the irreducible words of n = 7).  So each frame's word
+    is built once per distinct key, into a dict that lives for this build.
+    Each bottom word is kept with its ceiling, the greater of each letter
+    and the next, so that `_map_factor`'s up-down check, with its error
+    text, is one comparison of the top word with the ceiling.  Each image
+    passes it and is then written by slice assignment into one bytearray.
+    A reducible word's table is built
+    from its factors' tables.  At an interior ground return both steps
+    have lower height 0, so C1 pins their weights to 0, and the valley
+    constraint between them (a sum of at least 0) always holds; no other
+    constraint spans two factors.  So the word's weightings are exactly
+    the concatenations of its factors' weightings, and since the factors
+    have fixed lengths, the lexicographic product of the factors' tables
+    lists them in `enumerate_weightings` order, the odometer's order on
+    the whole word, which `ImageTable.items` relies on.  Each image is
+    composed with `_compose`, as `_map_path` composes it.  Every table
+    then takes the same tail: one stable sort of its entry numbers by
+    image, and one scan of neighbours in that order, whose guard names
+    both paths of any two entries with one image, the lower entry first:
+    a bug in the forward map or in the composition.
 
     The table stays an independent oracle for the read-off inverse: every
     irreducible factor is still mapped forward by the insertion runs, and
@@ -481,29 +519,44 @@ def _image_table(steps: str) -> ImageTable:
     the bijectivity, roundtrip and statistic suites each scan those words
     in order, and an LRU cache smaller than one scan misses on every
     lookup, so each path would be mapped forward once per suite instead of
-    once per process.  The 94,033 entries at n <= 6 hold about 2.7 MB
+    once per process.  The 94,033 entries at n <= 6 hold about 1.5 MB
     (12 MB as dicts of bytes); in the worst case, 256 tables of the n = 7
-    words with the most weightings, 1.35M entries and 43 MB (185 MB as
+    words with the most weightings, 1.35M entries and 24 MB (185 MB as
     dicts), which only a long-lived process that asks the oracle about
     many n = 7 words reaches."""
     m = len(steps)
     spans = factor_spans(steps)
     images: list[bytes] = []
-    weights = bytearray()
     if len(spans) == 1:
+        bottom, top, _, _ = _factor_plan(steps)
+        bottom_key, top_key = _frame_key(bottom, m), _frame_key(top, m)
+        lower: dict = {}  # bottom key -> (bottom word, its ceiling)
+        upper: dict = {}  # top key -> top word
+        perm = bytearray(m)
         w = [0] * m
         for _ in _odometer(steps, w):
-            images.append(bytes(_map_factor(steps, tuple(w))))
-            weights += bytes(w)
+            low, tops = lower.get(bottom_key(w)), upper.get(top_key(w))
+            if low is None:
+                bot = _insert(bottom, (0, *w, 0))
+                low = lower[bottom_key(w)] = bytes(bot), bytes(map(max, bot, bot[1:] + bot[-1:]))
+            if tops is None:
+                tops = upper[top_key(w)] = bytes(_insert(top, (0, *w, 0))[::-1])
+            bot, ceiling = low
+            if len(tops) != len(ceiling) or not all(map(gt, tops, ceiling)):
+                raise _not_up_down(steps, w)
+            perm[0::2] = bot
+            perm[1::2] = tops
+            images.append(bytes(perm))
     else:
-        for items in product(*(_image_table(steps[a:b]).items() for a, b in spans)):
-            images.append(bytes(_compose(m, spans, [image for image, _ in items])))
-            weights += b"".join(w for _, w in items)
+        for factors in product(*(_image_table(steps[a:b]) for a, b in spans)):
+            images.append(bytes(_compose(m, spans, factors)))
     order = sorted(range(len(images)), key=images.__getitem__)
     for j, k in pairwise(order):
         if images[j] == images[k]:
             raise InternalConsistencyError(
-                f"{_path_text(steps, weights[j * m:j * m + m])} and "
-                f"{_path_text(steps, weights[k * m:k * m + m])} share the image "
+                f"{_path_text(steps, _weighting(steps, j))} and "
+                f"{_path_text(steps, _weighting(steps, k))} share the image "
                 f"{perm_text(images[j])}")
-    return ImageTable(m, b"".join(images), bytes(weights), order)
+    blob = BytesIO()
+    blob.writelines(images)  # b"".join would hold an 80-byte buffer view per image
+    return ImageTable(steps, blob.getvalue(), order)

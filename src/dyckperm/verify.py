@@ -20,6 +20,7 @@ import heapq
 import itertools
 import time
 from math import factorial
+from operator import itemgetter
 from typing import Iterator, Optional
 
 # the kernel is read through its module, so a fault patched into it reaches
@@ -303,16 +304,17 @@ def _suite_product(n: int, failures: list[dict]) -> int:
 
 def _suite_statistic(n: int, failures: list[dict]) -> int:
     """Images come from `_table`, which records a word whose table
-    raises."""
+    raises.  The check reads only the images, and a failure's weighting
+    is looked up by its image, which no other entry of the table has."""
     checked = 0
     for word in _dyck_words(n):
         ups = [i for i, s in enumerate(word, start=1) if s == UP]
         table = _table(word, failures)
-        for perm, weights in table.items() if table else ():
+        for perm in table or ():
             checked += 1
             bots = sorted(perm[0::2])
             if bots != ups:
-                failures.append(_fail(_path_text(word, weights), str(ups), str(bots)))
+                failures.append(_fail(_path_text(word, table.get(perm)), str(ups), str(bots)))
     return checked
 
 
@@ -422,26 +424,39 @@ def _suite_insertion_lemma(n: int, failures: list[dict]) -> int:
 
 
 def _suite_transformation(n: int, failures: list[dict]) -> int:
-    """One traced insertion run per path gives both the bottom word and its
+    """One traced insertion run gives both a path's bottom word and its
     flattening (`_flatten_run`, the rule `flatten_to_single_slope` uses).
-    The two words compared depend on nothing else, so each word computes
-    them once per distinct (bottom word, parking values) key: 3,734 keys
-    for the 76,847 paths of n <= 6."""
+    The run reads only the weights its frame reads, each rise's own and the
+    neighbour its bound reads, so each word runs it once per distinct key
+    of those weights: 14,480 runs for the 76,847 paths of n <= 6.  A key
+    whose run raises is not kept: each path with it runs again and is
+    recorded with its own text.  The two words compared depend on nothing
+    but the run's result, so they are computed once per distinct (bottom
+    word, parking values) key: 3,734 keys."""
     checked = 0
     for steps in _irreducible_words(n):
         w = [0] * len(steps)
+        reads = sorted({i - 1 for step, nb, *_ in _insertion._factor_plan(steps)[0]
+                        for i in (step, nb)} - {-1, len(steps)})
+        key_of = itemgetter(*reads) if reads else tuple  # the empty word reads nothing
+        runs: dict = {}  # frame key -> the two words compared
         compared: dict[tuple, tuple] = {}
         for _ in _odometer(steps, w):
             checked += 1
-            try:
-                word, pf = _insertion._flatten_run(steps, w)
-            except Exception as exc:  # noqa: BLE001
-                failures.append(_fail(_path_text(steps, w), "a valid parking function", str(exc)))
-                continue
-            key = (word, pf.values)
-            pair = compared.get(key)
+            key = key_of(w)
+            pair = runs.get(key)
             if pair is None:
-                pair = compared[key] = (standardize(word), parking_to_123_avoiding(pf))
+                try:
+                    word, pf = _insertion._flatten_run(steps, w)
+                except Exception as exc:  # noqa: BLE001
+                    failures.append(_fail(_path_text(steps, w), "a valid parking function",
+                                          str(exc)))
+                    continue
+                pair = compared.get((word, pf.values))
+                if pair is None:
+                    pair = compared[word, pf.values] = (standardize(word),
+                                                        parking_to_123_avoiding(pf))
+                runs[key] = pair
             expect, got = pair
             if got != expect:
                 failures.append(_fail(_path_text(steps, w), perm_text(expect), perm_text(got)))

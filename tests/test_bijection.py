@@ -374,16 +374,18 @@ class TestForwardMap:
 
     def test_images_are_pinned(self):
         # every image at n <= 6, with its weighting, in one digest: each
-        # word's text, then its table's weights blob, then its images blob,
-        # the words in `_dyck_words` order.  A change that moves any one
-        # image fails here, even one that every verify suite would pass.
+        # word's text, then its weightings joined in table order, then its
+        # images blob, the words in `_dyck_words` order.  A change that
+        # moves any one image fails here, even one that every verify suite
+        # would pass.
         # The same digest over the words of n = 7 alone begins
         # 6c057fa4c217c4f5 (see CHANGES.md)
         digest = hashlib.sha256()
         for n in range(7):
             for steps in _dyck_words(n):
                 table = _image_table(steps)
-                for blob in (steps.encode(), table.weights, table.images):
+                weights = b"".join(w for _, w in table.items())
+                for blob in (steps.encode(), weights, table.images):
                     digest.update(blob)
         assert digest.hexdigest() == (
             "f9616237ff63f68d246e1af1207009e9114abca2a816cbcbea4a636fff600c11")

@@ -11,7 +11,7 @@ import pytest
 
 import dyckperm._insertion as _insertion
 import dyckperm.verify as verify
-from dyckperm._insertion import _factor_plan, _image_table, _map_factor
+from dyckperm._insertion import _factor_plan, _image_table
 from dyckperm._references import top_word_direct
 from dyckperm.bijection import (
     LEFT,
@@ -336,26 +336,58 @@ class TestFloorSplit:
 class TestSharedImageTable:
     def test_each_path_mapped_forward_once(self, monkeypatch):
         # bijectivity, roundtrip and statistic read every image from the
-        # per-word table, and a reducible word's table is composed from its
-        # factors' tables, so one process maps each irreducible path once
-        mapped = []
+        # per-word table, a reducible word's table is composed from its
+        # factors' tables, and an irreducible word's build inserts each
+        # frame once per distinct weights that frame reads.  So one process
+        # builds each table once, assembling each path's image once, and
+        # inserts each (word, frame, key) once
+        words = [w for n in range(6) for w in brute_dyck_words(n)]
+        irreducible = [w for w in words if len(factor_spans(w)) == 1]
+        frames = {id(frame): (steps, which) for steps in irreducible
+                  for which, frame in enumerate(_factor_plan(steps)[:2])}
+        inserted = []
+        real = _insertion._insert
 
-        def counting(steps, weights):
-            mapped.append((steps, weights))
-            return _map_factor(steps, weights)
+        def reads(frame, w):
+            return tuple(w[i] for s, nb, *_ in frame for i in (s, nb))
+
+        def counting(frame, w):
+            inserted.append((*frames[id(frame)], reads(frame, w)))
+            return real(frame, w)
 
         _image_table.cache_clear()
-        monkeypatch.setattr(_insertion, "_map_factor", counting)
+        monkeypatch.setattr(_insertion, "_insert", counting)
         try:
             for suite in ("bijectivity", "roundtrip", "statistic"):
                 assert run_suite(suite, 5).verdict == "pass"
+            builds = _image_table.cache_info().misses
         finally:
             _image_table.cache_clear()
-        irreducible = [w for n in range(1, 6) for w in brute_dyck_words(n)
-                       if len(factor_spans(w)) == 1]
-        assert len(mapped) == len(set(mapped))
-        assert len(mapped) == sum(word_weighting_count(w) for w in irreducible) == 5249
-        assert {steps for steps, _ in mapped} == set(irreducible)
+        keys = {(steps, which, reads(frame, (0, *x, 0)))
+                for steps in irreducible for which, frame in enumerate(_factor_plan(steps)[:2])
+                for x in lex_weightings(steps)}
+        assert builds == len(words) == 65
+        assert len(inserted) == len(set(inserted))
+        assert set(inserted) == keys
+        assert len(keys) == 2632 < 2 * sum(word_weighting_count(w) for w in irreducible) == 10498
+
+    def test_a_frame_key_holds_every_weight_its_run_reads(self):
+        # the weightings of each irreducible word of n <= 5 grouped by a
+        # frame's `_frame_key`: `_insert` gives one word per group.  A key
+        # that left out a weight the run reads would put weightings with
+        # two different words in one group
+        groups = 0
+        for n in range(1, 6):
+            for steps in brute_dyck_words(n):
+                if len(factor_spans(steps)) > 1:
+                    continue
+                for frame in _factor_plan(steps)[:2]:
+                    key, words = _insertion._frame_key(frame, len(steps)), {}
+                    for x in lex_weightings(steps):
+                        word = _insertion._insert(frame, (0, *x, 0))
+                        assert words.setdefault(key(x), word) == word, (steps, x)
+                    groups += len(words)
+        assert groups == 2632
 
     def test_tables_list_every_weighting(self):
         # items and their order, decoded from the bytes the tables store;
@@ -391,21 +423,23 @@ class TestSharedImageTable:
 
     def test_tables_hold_bytes(self):
         # the encoding and what it saves: every image and weighting at
-        # n <= 5 is bytes, and the 65 flat tables hold about 0.18 MB, where
-        # a dict of bytes per word held about 0.82 MB and tuples of ints
-        # about 1.46 MB
+        # n <= 5 is bytes, and the 65 flat tables, which store no
+        # weighting, hold about 0.13 MB, where they held 0.18 MB with their
+        # weightings, a dict of bytes per word about 0.82 MB and tuples of
+        # ints about 1.46 MB
         tables, held = self._held_by_tables(5)
         assert all(type(perm) is bytes and type(weights) is bytes
                    for table in tables for perm, weights in table.items())
-        assert held < 300_000
+        assert held < 150_000
 
     def test_tables_up_to_n6_hold_under_4mb(self):
         # the 197 tables of n <= 6, every table the gate reads, hold about
-        # 2.7 MB, where a dict of bytes per word held about 12 MB
+        # 1.6 MB, where they held 2.7 MB with their weightings and a dict
+        # of bytes per word about 12 MB
         tables, held = self._held_by_tables(6)
         assert len(tables) == 197
         assert sum(map(len, tables)) == sum(closed_form(n) for n in range(7))
-        assert held < 4_000_000
+        assert held < 2_000_000
 
     def test_lookup_and_sorted_run(self):
         # for every word of 1 <= n <= 5: each image looks up its weighting;
@@ -623,19 +657,21 @@ class TestFaultInjection:
     def test_bijectivity_catches_a_corrupted_map(self, monkeypatch):
         fixture = WeightedDyckPath.from_steps("UUDD")
         other = WeightedDyckPath.from_steps("UUDD", (0, 1, 1, 0))
+        real = _insertion._insert
+        frames = _factor_plan("UUDD")[:2]
 
-        def corrupted(steps, weights):
-            if (steps, weights) == (fixture.steps, fixture.weights):
-                return _map_factor(other.steps, other.weights)
-            return _map_factor(steps, weights)
+        def corrupted(frame, w):
+            if w == (0, *fixture.weights, 0) and frame in frames:
+                return real(frame, (0, *other.weights, 0))
+            return real(frame, w)
 
-        # the suite reads images from _image_table, which maps each
-        # irreducible path with _insertion._map_factor; the corruption gives
-        # two weightings of UUDD one image, and the table's guard names
-        # both paths in the word's record.  No table of the corrupted map
-        # may outlive the test.
+        # the suite reads images from _image_table, which builds each frame
+        # word of an irreducible path with _insertion._insert; the
+        # corruption gives two weightings of UUDD one image, and the table's
+        # guard names both paths in the word's record.  No table of the
+        # corrupted map may outlive the test.
         _image_table.cache_clear()
-        monkeypatch.setattr(_insertion, "_map_factor", corrupted)
+        monkeypatch.setattr(_insertion, "_insert", corrupted)
         try:
             report = run_suite("bijectivity", 2)
         finally:
@@ -643,6 +679,22 @@ class TestFaultInjection:
         assert report.verdict == "fail"
         blob = json.dumps(report.to_record())
         assert serialize_path(fixture) in blob or serialize_path(other) in blob
+
+    def test_statistic_names_each_failing_path(self, monkeypatch):
+        # the suite reads only a table's images and looks a failure's
+        # weighting up by its image: with UUDUDD's table swapped for
+        # UUUDDD's, every entry fails, and each record names the weighting
+        # that `items` pairs with its image, in entry order
+        real = verify._table
+
+        def swapped(word, failures):
+            return real("UUUDDD" if word == "UUDUDD" else word, failures)
+
+        monkeypatch.setattr(verify, "_table", swapped)
+        report = run_suite("statistic", 3)
+        assert list(report.failures) == [
+            {"input": f"UUDUDD;{','.join(map(str, w))}", "expected": "[1, 2, 4]",
+             "actual": str(sorted(perm[0::2]))} for perm, w in _image_table("UUUDDD").items()]
 
     def test_assembly_guard_catches_a_reversed_top_word(self, monkeypatch, capsys):
         text = "UUDUDD;0,0,1,0,0,0"
@@ -898,6 +950,31 @@ class TestTransformationKeys:
                 want.append({"input": serialize_path(x), "expected": expect, "actual": got})
         assert len({f["expected"] for f in want}) > 1
         assert list(report.failures) == want
+
+    def test_flattening_runs_once_per_bottom_frame_key(self, monkeypatch):
+        # the suite runs `_flatten_run` once per distinct weights that the
+        # bottom frame reads, each rise's own and its bound's neighbour:
+        # every irreducible path of n <= 5 shares those weights with
+        # exactly one run, so a key that left one out would miss some path
+        real = _insertion._flatten_run
+        runs = []
+
+        def counting(steps, w):
+            runs.append((steps, tuple(w)))
+            return real(steps, w)
+
+        def reads(steps, weights):
+            w = (0, *weights, 0)
+            return steps, tuple(w[i] for s, nb, *_ in _factor_plan(steps)[0] for i in (s, nb))
+
+        monkeypatch.setattr(_insertion, "_flatten_run", counting)
+        assert run_suite("transformation", 5).verdict == "pass"
+        ran = Counter(reads(*run) for run in runs)
+        paths = {reads(steps, x) for n in range(6) for steps in verify._irreducible_words(n)
+                 for x in lex_weightings(steps)}
+        assert set(ran) == paths
+        assert set(ran.values()) == {1}
+        assert len(runs) == 1317 < sum(_irreducible_count(n) for n in range(6)) == 5250
 
 
 def _perturbed_plan_frame(real):
