@@ -35,14 +35,13 @@ patch into it reaches the suites and every kernel function that calls it.
 
 from __future__ import annotations
 
-import re
 from array import array
 from bisect import bisect_left
 from functools import lru_cache
 from io import BytesIO
 from itertools import islice, pairwise, product
 from operator import gt, itemgetter, lt
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .paths import (
     DOWN,
@@ -53,6 +52,7 @@ from .paths import (
     _odometer,
     _path_text,
     _reflected_steps,
+    _runs,
     _step_rows,
     factor_spans,
 )
@@ -60,8 +60,6 @@ from .perms import _Value, perm_text
 
 LEFT = "L"
 RIGHT = "R"
-
-_RUN = re.compile(f"{UP}+|{DOWN}+")
 
 
 class NotInImageError(ValueError):
@@ -127,21 +125,16 @@ def _factor_plan(steps: str) -> tuple[tuple[_PlanRise, ...], tuple[_PlanRise, ..
     and so is its neighbour; the weights are padded with a 0 at each end,
     where the first step of either frame reads its one-entry row.
 
-    One scan of `steps` finds both frames' runs: its up runs, and its down
-    runs, which right to left are the mirror's up runs."""
+    Both frames' runs are read off `paths._runs(steps)`, the one slope
+    scan: its up runs, and its down runs, which right to left are the
+    mirror's up runs, k falls from step a starting at m + 2 - a - k."""
     m = len(steps)
     rows = _step_rows(steps), _step_rows(_reflected_steps(steps))
-    ups: list[tuple[int, int]] = []
-    mirror_ups: list[tuple[int, int]] = []
-    for run in _RUN.finditer(steps):
-        a, b = run.span()
-        if steps[a] == UP:
-            ups.append((a + 1, b - a))
-        else:
-            mirror_ups.append((m + 1 - b, b - a))
-    bottom = _plan_frame(ups, rows)
+    runs = _runs(steps)
+    bottom = _plan_frame([(a, k) for kind, a, k in runs if kind == UP], rows)
+    mirror_ups = [(m + 2 - a - k, k) for kind, a, k in runs[::-1] if kind == DOWN]
     top = tuple((m + 1 - s, m + 1 - nb, off, row, end)
-                for s, nb, off, row, end in _plan_frame(mirror_ups[::-1], rows[::-1]))
+                for s, nb, off, row, end in _plan_frame(mirror_ups, rows[::-1]))
     by_step: list = [None] * (m + 1)
     for frame in (bottom, top):
         for k, rise in enumerate(frame):
@@ -187,13 +180,15 @@ def _insert(frame: tuple[_PlanRise, ...], w: Sequence[int]) -> list[int]:
     return word
 
 
-def _frame_key(frame: tuple[_PlanRise, ...], m: int) -> itemgetter:
+def _frame_key(frame: tuple[_PlanRise, ...], m: int) -> Callable:
     """What the insertion run of one frame reads of a weighting of a word of
     length m: each rise's own weight and the weight its bound reads (the
     fields `step` and `nb` of each `_PlanRise`), as an `itemgetter` over
-    the m unpadded weights.  The padding is always 0 and is left out.  Two
-    weightings with one key get one word from `_insert`."""
-    return itemgetter(*sorted({i - 1 for step, nb, *_ in frame for i in (step, nb)} - {-1, m}))
+    the m unpadded weights, or `tuple` for the empty word, which reads
+    nothing.  The padding is always 0 and is left out.  Two weightings with
+    one key get one word from `_insert`."""
+    reads = sorted({i - 1 for step, nb, *_ in frame for i in (step, nb)} - {-1, m})
+    return itemgetter(*reads) if reads else tuple
 
 
 def _run_insertion(steps: str, weights: Sequence[int]
@@ -495,20 +490,20 @@ def _image_table(steps: str) -> ImageTable:
     and the next, so that `_map_factor`'s up-down check, with its error
     text, is one comparison of the top word with the ceiling.  Each image
     passes it and is then written by slice assignment into one bytearray.
-    A reducible word's table is built
-    from its factors' tables.  At an interior ground return both steps
-    have lower height 0, so C1 pins their weights to 0, and the valley
-    constraint between them (a sum of at least 0) always holds; no other
-    constraint spans two factors.  So the word's weightings are exactly
-    the concatenations of its factors' weightings, and since the factors
-    have fixed lengths, the lexicographic product of the factors' tables
-    lists them in `enumerate_weightings` order, the odometer's order on
-    the whole word, which `ImageTable.items` relies on.  Each image is
-    composed with `_compose`, as `_map_path` composes it.  Every table
-    then takes the same tail: one stable sort of its entry numbers by
-    image, and one scan of neighbours in that order, whose guard names
-    both paths of any two entries with one image, the lower entry first:
-    a bug in the forward map or in the composition.
+    A reducible word's table is built from its factors' tables.  At an
+    interior ground return both steps have lower height 0, so C1 pins
+    their weights to 0, and the valley constraint between them (a sum of
+    at least 0) always holds; no other constraint spans two factors.  So
+    the word's weightings are exactly the concatenations of its factors'
+    weightings, and since the factors have fixed lengths, the
+    lexicographic product of the factors' tables lists them in
+    `enumerate_weightings` order, the odometer's order on the whole word,
+    which `ImageTable.items` relies on.  Each image is composed with
+    `_compose`, as `_map_path` composes it.  Every table then takes the
+    same tail: one stable sort of its entry numbers by image, and one scan
+    of neighbours in that order, whose guard names both paths of any two
+    entries with one image, the lower entry first: a bug in the forward
+    map or in the composition.
 
     The table stays an independent oracle for the read-off inverse: every
     irreducible factor is still mapped forward by the insertion runs, and

@@ -23,8 +23,8 @@ def top_word_direct(wd: WeightedDyckPath) -> tuple[int, ...]:
     The down slopes are processed from the right with the left/right roles
     swapped (the rightmost half of the down slopes uses the minimality
     rule), insertion distances are measured from the left, and jumping
-    elements go to the right end.  Must equal the reflected-path
-    construction used by the forward map.
+    elements go to the right end.  Must equal the top word the forward
+    map builds, from the top frame of the word's plan.
     """
     downs = [r for r in _runs(wd.path.steps) if r.kind == DOWN]
     return _top_word_direct(heights(wd), downs, wd.weights)

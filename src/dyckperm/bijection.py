@@ -46,6 +46,8 @@ from .paths import (
 )
 from .perms import AlternatingPermutation, avoids_1234, is_up_down, perm_text
 
+_BRUTE_CAP_N = 7  # the largest semilength whose tables `from_permutation_brute` builds
+
 
 def split_up_slopes(decomp: SlopeDecomposition) -> tuple[str, ...]:
     """Left/right membership per up slope: an 'L' prefix then an 'R' suffix.
@@ -230,14 +232,15 @@ def from_permutation(p: Sequence[int]) -> WeightedDyckPath:
     return WeightedDyckPath._trusted(word, weights)
 
 
-def from_permutation_brute(p: Sequence[int], cap_n: int = 7) -> WeightedDyckPath:
+def from_permutation_brute(p: Sequence[int]) -> WeightedDyckPath:
     """Oracle inverse: enumerate every valid weighting of the path read off
     the bottom letters, map each forward, and return the unique match: the
     entry of `_image_table` whose image is p, found as bytes by bisecting
-    the table's sorted index once the membership checks have passed."""
+    the table's sorted index once the membership checks have passed.
+    Sizes above 2 * `_BRUTE_CAP_N` are a ValueError."""
     p = tuple(p)
-    if len(p) > 2 * cap_n:
-        raise ValueError(f"size {len(p)} exceeds the brute-force cap 2*{cap_n}")
+    if len(p) > 2 * _BRUTE_CAP_N:
+        raise ValueError(f"size {len(p)} exceeds the brute-force cap 2*{_BRUTE_CAP_N}")
     if not p:
         return WeightedDyckPath(DyckPath(""), ())
     word, _ = _membership_checks(p)

@@ -17,6 +17,7 @@ function, so concurrent readers are safe.
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 from itertools import accumulate
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
@@ -27,6 +28,7 @@ UP = "U"
 DOWN = "D"
 
 _FLIP = str.maketrans({UP: DOWN, DOWN: UP})
+_RUN = re.compile(f"{UP}+|{DOWN}+")
 
 
 class PathFormatError(ValueError):
@@ -229,17 +231,11 @@ class SlopeDecomposition(_Value):
 
 
 def _runs(steps: str) -> tuple[Slope, ...]:
-    """The maximal runs of equal steps, left to right: the one slope scan.
-    Not cached: the kernel reads it only to build a word's cached plan."""
-    runs: list[Slope] = []
-    i = 0
-    while i < len(steps):
-        j = i
-        while j < len(steps) and steps[j] == steps[i]:
-            j += 1
-        runs.append(Slope(steps[i], i + 1, j - i))
-        i = j
-    return tuple(runs)
+    """The maximal runs of equal steps, left to right: the one slope scan,
+    which `slopes` and the kernel's `_factor_plan` both read.  Not cached:
+    the kernel reads it only to build a word's cached plan."""
+    return tuple(Slope(steps[a], a + 1, b - a)
+                 for a, b in map(re.Match.span, _RUN.finditer(steps)))
 
 
 def slopes(path: PathLike) -> SlopeDecomposition:

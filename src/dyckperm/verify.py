@@ -20,7 +20,6 @@ import heapq
 import itertools
 import time
 from math import factorial
-from operator import itemgetter
 from typing import Iterator, Optional
 
 # the kernel is read through its module, so a fault patched into it reaches
@@ -59,7 +58,6 @@ from .perms import (
     enumerate_updown_avoiders,
     perm_text,
     schutzenberger,
-    schutzenberger_word,
     shifted_concat,
     standardize,
 )
@@ -436,9 +434,7 @@ def _suite_transformation(n: int, failures: list[dict]) -> int:
     checked = 0
     for steps in _irreducible_words(n):
         w = [0] * len(steps)
-        reads = sorted({i - 1 for step, nb, *_ in _insertion._factor_plan(steps)[0]
-                        for i in (step, nb)} - {-1, len(steps)})
-        key_of = itemgetter(*reads) if reads else tuple  # the empty word reads nothing
+        key_of = _insertion._frame_key(_insertion._factor_plan(steps)[0], len(steps))
         runs: dict = {}  # frame key -> the two words compared
         compared: dict[tuple, tuple] = {}
         for _ in _odometer(steps, w):
@@ -483,20 +479,23 @@ def _suite_parking(n: int, failures: list[dict]) -> int:
 
 
 def _suite_topword(n: int, failures: list[dict]) -> int:
+    """The direct right-to-left scan of the falls against the top word the
+    forward map builds: the top frame of the word's plan, the one
+    `_map_factor` reads, run on the path's own weights and read back to
+    front.  Each word's slopes and plan are read once."""
     checked = 0
-    for word in _irreducible_words(n):  # each word's slopes are read once
+    for word in _irreducible_words(n):
         h = heights(DyckPath(word))
         downs = [r for r in _runs(word) if r.kind == DOWN]
-        frame = _insertion._factor_plan(_reflected_steps(word))[0]
+        frame = _insertion._factor_plan(word)[1]
         weights = [0] * len(word)
         for _ in _odometer(word, weights):
             checked += 1
-            raw = _insertion._insert(frame, (0, *weights[::-1], 0))
-            via_reflection = schutzenberger_word(raw, len(word))
+            built = tuple(_insertion._insert(frame, (0, *weights, 0))[::-1])
             direct = _top_word_direct(h, downs, weights)
-            if direct != via_reflection:
+            if direct != built:
                 failures.append(_fail(_path_text(word, weights),
-                                      perm_text(via_reflection), perm_text(direct)))
+                                      perm_text(built), perm_text(direct)))
     return checked
 
 

@@ -880,7 +880,7 @@ class TestBruteInverse:
 
     def test_cap(self):
         with pytest.raises(ValueError, match="cap"):
-            from_permutation_brute(tuple(range(1, 17)), cap_n=7)
+            from_permutation_brute(tuple(range(1, 17)))
 
     def test_table_cache_is_bounded(self):
         # the 64 Dyck words of semilength 1..5, the last 16 of semilength 6

@@ -9,11 +9,12 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "dyckperm"
 TEST_FILES = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
-# verify.py's private imports: the kernel, read through its module, the
-# suites' own references, and six helpers, each from the module that
-# defines it
+# verify.py's private imports: the kernel, read through its module (its
+# `_frame_key` too, so the transformation suite keys its runs by the rule
+# the oracle's tables use), the suites' own references, and six helpers,
+# each from the module that defines it
 VERIFY_PRIVATE = {
-    "_insertion": {"_factor_plan", "_flatten_run", "_image_table", "_insert"},
+    "_insertion": {"_factor_plan", "_flatten_run", "_frame_key", "_image_table", "_insert"},
     "_references": {"_parking_functions", "_top_word_direct", "_up_down_perms"},
     "paths": {"_dyck_words", "_odometer", "_path_text", "_reflected_steps", "_runs",
               "_step_rows"},
@@ -159,6 +160,28 @@ def test_pair_constraints_are_stated_once():
                 where = f"{path.stem}._PAIRS" if id(node) in inside else path.stem
                 found.setdefault(where, set()).add(node.value)
     assert found == {"paths._PAIRS": pair_ids}
+
+
+def test_slopes_are_scanned_once():
+    # `paths._runs` is the one scan of a word into its slopes, which
+    # `slopes` and the kernel's plans both read; a second scan, such as a
+    # regex over the step letters, fails here.  Only paths defines `_runs`,
+    # and no other module hands a pattern naming `UP`, `DOWN` or the
+    # letters themselves to `re`
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.FunctionDef) and node.name == "_runs":
+                found.add(f"{path.stem}._runs")
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and getattr(node.func.value, "id", None) == "re"):
+                parts = list(ast.walk(node))
+                names = {n.id for n in parts if isinstance(n, ast.Name)}
+                text = "".join(n.value for n in parts
+                               if isinstance(n, ast.Constant) and isinstance(n.value, str))
+                if names & {"UP", "DOWN"} or {"U", "D"} & set(text):
+                    found.add(f"{path.stem}: re.{node.func.attr}")
+    assert found == {"paths._runs", "paths: re.compile"}
 
 
 def test_every_parameter_is_read():

@@ -432,7 +432,7 @@ class TestSharedImageTable:
                    for table in tables for perm, weights in table.items())
         assert held < 150_000
 
-    def test_tables_up_to_n6_hold_under_4mb(self):
+    def test_tables_up_to_n6_hold_under_2mb(self):
         # the 197 tables of n <= 6, every table the gate reads, hold about
         # 1.6 MB, where they held 2.7 MB with their weightings and a dict
         # of bytes per word about 12 MB
@@ -679,6 +679,26 @@ class TestFaultInjection:
         assert report.verdict == "fail"
         blob = json.dumps(report.to_record())
         assert serialize_path(fixture) in blob or serialize_path(other) in blob
+
+    def test_topword_reads_the_top_frame_of_the_map(self, monkeypatch):
+        # the suite compares the direct scan with the word of the top frame
+        # of the path's own plan, the frame `_map_factor` reads: a wrong
+        # word from that frame at one weighting of UUDD is recorded on that
+        # path, and on no other
+        real = _insertion._insert
+        top = _factor_plan("UUDD")[1]
+        weights = (0, 1, 1, 0)
+
+        def wrong(frame, w):
+            word = real(frame, w)
+            return word[::-1] if frame is top and w == (0, *weights, 0) else word
+
+        monkeypatch.setattr(_insertion, "_insert", wrong)
+        report = run_suite("topword_equivalence", 2)
+        direct = top_word_direct(WeightedDyckPath.from_steps("UUDD", weights))
+        assert list(report.failures) == [{"input": "UUDD;0,1,1,0",
+                                          "expected": perm_text(direct[::-1]),
+                                          "actual": perm_text(direct)}]
 
     def test_statistic_names_each_failing_path(self, monkeypatch):
         # the suite reads only a table's images and looks a failure's
