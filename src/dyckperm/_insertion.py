@@ -39,7 +39,7 @@ from array import array
 from bisect import bisect_left
 from functools import lru_cache
 from io import BytesIO
-from itertools import islice, pairwise, product
+from itertools import accumulate, islice, pairwise, product
 from operator import gt, itemgetter, lt
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
@@ -415,9 +415,31 @@ def _word_spans(word: str) -> Optional[tuple[tuple[int, int], ...]]:
 
 def _weighting(steps: str, k: int) -> bytes:
     """The k-th valid weighting of `steps` in `enumerate_weightings` order,
-    one byte per weight, found by walking `paths._odometer` to it."""
-    w = [0] * len(steps)
-    next(islice(_odometer(steps, w), k, None))
+    one byte per weight, unranked rather than walked to.
+
+    A right-to-left pass over the rows of `_step_rows` counts `ways[i][x]`,
+    the completions of the steps after step i when its weight is x, each
+    from prefix sums of the counts after step i + 1.  Then each weight in
+    turn, from the least its span allows at the previous weight, skips the
+    completions of the smaller ones until the k-th lies among its own: the
+    odometer's lexicographic order, in O(n^2) additions."""
+    m = len(steps)
+    h = _height_profile(steps)
+    rows = _step_rows(steps)
+    ways = [[1] * (min(h[m - 1], h[m]) + 1)] if m else []
+    for i in range(m - 1, 0, -1):
+        below = [0, *accumulate(ways[-1])]
+        ways.append([below[hi + 1] - below[lo]
+                     for lo, hi in map(rows[i].__getitem__, range(min(h[i - 1], h[i]) + 1))])
+    ways.reverse()
+    w = bytearray(m)
+    x = 0
+    for i, row in enumerate(rows):
+        x = row[x][0]
+        while k >= ways[i][x]:
+            k -= ways[i][x]
+            x += 1
+        w[i] = x
     return bytes(w)
 
 
@@ -426,8 +448,8 @@ class ImageTable:
     `enumerate_weightings` order, has its image at [k*m, (k+1)*m) of
     `images`, m being the word's length; `order` lists the entries by
     image.  The weightings are not stored: `paths._odometer` on `steps`
-    yields them in entry order, and entry k's is rebuilt by walking it k
-    steps.  An entry takes m + 4 bytes, 16 B at n = 6."""
+    yields them in entry order, and entry k's is unranked by `_weighting`.
+    An entry takes m + 4 bytes, 16 B at n = 6."""
 
     __slots__ = ("steps", "m", "images", "order")
 
@@ -457,7 +479,7 @@ class ImageTable:
 
     def get(self, perm: object) -> Optional[bytes]:
         """The weighting whose image is `perm`, by bisecting `order` and
-        walking the odometer to the entry found; None when no entry has it,
+        unranking the entry found; None when no entry has it,
         or when `perm` is not bytes of length m."""
         if not isinstance(perm, bytes) or len(perm) != self.m:
             return None

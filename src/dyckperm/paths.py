@@ -234,8 +234,14 @@ def _runs(steps: str) -> tuple[Slope, ...]:
     """The maximal runs of equal steps, left to right: the one slope scan,
     which `slopes` and the kernel's `_factor_plan` both read.  Not cached:
     the kernel reads it only to build a word's cached plan."""
-    return tuple(Slope(steps[a], a + 1, b - a)
-                 for a, b in map(re.Match.span, _RUN.finditer(steps)))
+    # each run is built by `tuple.__new__`, not by `Slope(...)`, whose
+    # `__new__` is a Python-level call
+    runs = []
+    start = 1
+    for text in _RUN.findall(steps):
+        runs.append(tuple.__new__(Slope, (text[0], start, len(text))))
+        start += len(text)
+    return tuple(runs)
 
 
 def slopes(path: PathLike) -> SlopeDecomposition:
@@ -417,34 +423,38 @@ def _step_rows(steps: str) -> tuple[SpanRow, ...]:
                  for k in range(len(steps)))
 
 
-def _odometer(steps: str, w: list[int]) -> Iterator[int]:
+def _odometer(steps: str, w: list[int], start: int = 0) -> Iterator[int]:
     """Set `w`, a list with one entry per step of `steps`, to each valid
     weighting of that word in turn, in lexicographic weight order, and
-    yield after each the lowest index it changed (0 for the first).
+    yield after each the lowest index it changed (`start` for the first).
+    Only `w[start:]` turns: with `start` > 0 the caller has set the prefix
+    `w[:start]` to a valid one, and the walk lists its completions.
 
     `his` holds each step's largest feasible weight given the one before
     it, and the next weighting raises the last step still below its cap by
     one and resets every later step to the least weight its span allows,
     read from the step's row of `_step_rows` at the previous weight.  Every
     span is non-empty, so each reset succeeds, and every weight set is
-    C1-feasible, so it indexes the next row in range.
+    C1-feasible, so it indexes the next row in range.  The first reset
+    reads the prefix only at `w[start - 1]`: C2..C5 couple adjacent steps
+    alone, so a prefix's completions depend on its last weight alone.
     """
     m = len(steps)
     rows = _step_rows(steps)
     his = [0] * m
 
-    def reset(start: int) -> None:
-        for k in range(start, m):
+    def reset(first: int) -> None:
+        for k in range(first, m):
             w[k], his[k] = rows[k][w[k - 1] if k else 0]
 
-    reset(0)
-    i = 0
+    reset(start)
+    i = start
     while True:
         yield i
         i = m - 1
-        while i >= 0 and w[i] == his[i]:
+        while i >= start and w[i] == his[i]:
             i -= 1
-        if i < 0:
+        if i < start:
             return
         w[i] += 1
         reset(i + 1)
@@ -470,20 +480,47 @@ def enumerate_weighted(n: int) -> Iterator[WeightedDyckPath]:
         yield from enumerate_weightings(DyckPath(word))
 
 
+# The steps at the end of a word whose completions `_weighted_lines`
+# tabulates.  On a 2-vCPU Xeon (Python 3.11, best of 3) the lines of n = 6
+# took 0.045, 0.035, 0.08 and 0.23 s with 4, 6, 8 and 10 tail steps, and
+# those of n = 7 0.69, 0.34, 0.52 and 1.6 s, against 0.17 and 2.8 s with
+# one odometer step per line: a longer tail joins more weights per line.
+# A tail ends on the ground, so its heights, weights and completions are
+# bounded by this constant, and the delay to the first lines does not
+# grow with n.
+_TAIL = 6
+
+
 def _weighted_lines(n: int) -> Iterator[str]:
     """`serialize_path(wd) + "\\n"` for each `wd` of `enumerate_weighted(n)`,
-    in the same order, built without the paths: one text per weight is
-    kept, and after each step of `_odometer` only the texts from the
-    lowest changed index on are made again."""
+    in the same order, built without the paths.
+
+    Each word is cut before its last `_TAIL` steps (at 0 when shorter).
+    The odometer walks the prefixes, keeping one text per weight and
+    remaking after each step only the texts from the lowest changed index
+    on.  C2..C5 couple adjacent steps alone, so the completions of a prefix
+    depend on its last weight alone: for each distinct last weight, the
+    texts of its completions are made once per word, by the odometer from
+    the cut, and each line is a prefix's text plus one of them.
+    """
     if n < 0:
         raise ValueError("n must be non-negative")
     for word in _dyck_words(n):
-        head = word + ";"
-        w = [0] * len(word)
-        texts = [""] * len(word)
-        for i in _odometer(word, w):
+        m = len(word)
+        c = max(m - _TAIL, 0)
+        sep = "," if c else ""
+        w = [0] * c
+        texts = [""] * c
+        tails: dict[int, list[str]] = {}  # last weight -> completions
+        for i in _odometer(word[:c], w):
             texts[i:] = map(str, w[i:])
-            yield head + ",".join(texts) + "\n"
+            last = w[-1] if c else 0
+            tail = tails.get(last)
+            if tail is None:
+                t = w + [0] * (m - c)
+                tail = tails[last] = [sep + ",".join(map(str, t[c:])) + "\n"
+                                      for _ in _odometer(word, t, c)]
+            yield from map(f"{word};{','.join(texts)}".__add__, tail)
 
 
 def counts_upto(n: int) -> list[int]:

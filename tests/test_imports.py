@@ -184,6 +184,30 @@ def test_slopes_are_scanned_once():
     assert found == {"paths._runs", "paths: re.compile"}
 
 
+def test_weights_are_turned_once():
+    # `paths._odometer` is the one walker of a word's weightings: its
+    # callers list completions with its `start`, and no other function
+    # both reads the span rows and raises a list entry by one, as a second
+    # odometer would (`counts_upto` adds counts, not ones; the parking
+    # functions' odometer in `_references` reads no rows)
+    rows = {"_step_rows", "_span_row", "_row", "_span"}
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        functions = [fn for node in tree.body
+                     for fn in (node.body if isinstance(node, ast.ClassDef) else [node])
+                     if isinstance(fn, ast.FunctionDef)]
+        for fn in functions:
+            parts = list(ast.walk(fn))
+            reads = {n.id for n in parts if isinstance(n, ast.Name)} & rows
+            turns = any(isinstance(n, ast.AugAssign) and isinstance(n.op, ast.Add)
+                        and isinstance(n.target, ast.Subscript)
+                        and getattr(n.value, "value", None) == 1 for n in parts)
+            if reads and turns:
+                found.add(f"{path.stem}.{fn.name}")
+    assert found == {"paths._odometer"}
+
+
 def test_every_parameter_is_read():
     # a parameter accepted and then ignored fails here: each parameter of
     # each `def` in src/ is loaded somewhere in its body.  `self`, `cls`

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import tracemalloc
 
@@ -5,12 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dyckperm import paths
 from dyckperm.paths import (
     DyckPath,
     PathFormatError,
     WeightedDyckPath,
     _LazyRow,
+    _dyck_words,
     _fits,
+    _odometer,
     _step_rows,
     _weighted_lines,
     concat,
@@ -345,6 +349,65 @@ class TestEnumerateWeighted:
         lines = list(_weighted_lines(n))
         assert lines == [serialize_path(x) + "\n" for x in enumerate_weighted(n)]
         assert n or lines == [";\n"]
+
+    # sha256 of the lines of `_weighted_lines(n)`, joined, as the one-line
+    # odometer walk wrote them before the lines were built from tail tables
+    LINE_DIGESTS = {
+        0: "d8a957038679125d4840554fc43375697e662283121561afdefc2c3fbecaf729",
+        1: "2168731249caaf2a2fcc6eec0acb8ddb1ffc318a8567cd220dd6af50ca6155e8",
+        2: "442b088d7f7aaa4dc94e336a21638608fc32a7e0005ec1f0ad266340223c6614",
+        3: "79f9a9d6ce22f698af81b2fce543b92a68edbc2ba34efe8581014666dc6189fb",
+        4: "3d113366afe458cf77998146a8982c28c9357cfd6c81eb1595774e340f801e3b",
+        5: "8d37abdc2ad02b035b2e5da88d37ea440d08d00aff423dc26bbb25da21f87f6c",
+        6: "7defb17adcf29a09487dba1070150bed6f12ae4be7f1a23f0b59618abf90dcc6",
+        7: "8b2108477697f0b90f3abc41d3e9e232121ba3356e72900161ea12bfd98d1da5",
+    }
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_lines_are_pinned(self, n):
+        text = "".join(_weighted_lines(n))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.LINE_DIGESTS[n]
+
+    def test_completions_from_every_cut_make_the_walk(self):
+        # for every word of n <= 5 and every cut c, each prefix the odometer
+        # walks on the first c steps, followed by each completion that
+        # `_odometer(..., start=c)` sets, gives the full walk in order, and
+        # the completions' walk changes no index before the cut
+        for n in range(6):
+            for word in _dyck_words(n):
+                m = len(word)
+                w = [0] * m
+                full = [tuple(w) for _ in _odometer(word, w)]
+                for c in range(m + 1):
+                    prefix = [0] * c
+                    joined = []
+                    for _ in _odometer(word[:c], prefix):
+                        t = prefix + [0] * (m - c)
+                        for i in _odometer(word, t, c):
+                            assert i >= c and t[:c] == prefix
+                            joined.append(tuple(t))
+                    assert joined == full, (word, c)
+
+    def test_first_lines_after_a_bounded_walk(self, monkeypatch):
+        # the tails are tabulated for a fixed number of steps, so the first
+        # lines of a long word take as many odometer yields at n = 40 as at
+        # n = 20: polynomial delay, counted rather than timed
+        walk = paths._odometer
+        yields = []
+
+        def counted(*args):
+            for i in walk(*args):
+                yields.append(i)
+                yield i
+
+        monkeypatch.setattr(paths, "_odometer", counted)
+        needed = {}
+        for n in (20, 40):
+            yields.clear()
+            lines = list(itertools.islice(_weighted_lines(n), 3))
+            assert lines[0] == "U" * n + "D" * n + ";" + ",".join("0" * 2 * n) + "\n"
+            needed[n] = len(yields)
+        assert needed[40] == needed[20] <= 2 + paths._TAIL, needed
 
     def test_weightings_of_fixed_path(self):
         got = list(enumerate_weightings(DyckPath("UUDD")))

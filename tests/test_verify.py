@@ -28,6 +28,7 @@ from dyckperm.cli import main
 from dyckperm.paths import (
     DyckPath,
     WeightedDyckPath,
+    _odometer,
     concat,
     enumerate_weighted,
     enumerate_weightings,
@@ -463,6 +464,16 @@ class TestSharedImageTable:
                 for key in (bytes(range(2 * n, 0, -1)), *misses[:1], *misses[-1:],
                             perm + b"\x01", perm[:-1], tuple(perm)):
                     assert table.get(key) is None, (steps, key)
+
+    def test_unranked_weighting_is_the_odometers(self):
+        # `_weighting` unranks entry k from completion counts; for every
+        # word of n <= 5, the empty word included, it gives the weighting
+        # the odometer sets at its k-th step
+        for n in range(6):
+            for steps in brute_dyck_words(n):
+                w = [0] * len(steps)
+                for k, _ in enumerate(_odometer(steps, w)):
+                    assert _insertion._weighting(steps, k) == bytes(w), (steps, k)
 
     def test_the_empty_word_has_one_entry(self):
         table = _image_table("")
