@@ -125,16 +125,20 @@ def _factor_plan(steps: str) -> tuple[tuple[_PlanRise, ...], tuple[_PlanRise, ..
     and so is its neighbour; the weights are padded with a 0 at each end,
     where the first step of either frame reads its one-entry row.
 
-    Both frames' runs are read off `paths._runs(steps)`, the one slope
-    scan: its up runs, and its down runs, which right to left are the
-    mirror's up runs, k falls from step a starting at m + 2 - a - k."""
+    Both frames' runs are read off one loop over `paths._runs(steps)`, the
+    one slope scan: its up runs, and its down runs, which right to left are
+    the mirror's up runs, k falls from step a starting at m + 2 - a - k."""
     m = len(steps)
     rows = _step_rows(steps), _step_rows(_reflected_steps(steps))
-    runs = _runs(steps)
-    bottom = _plan_frame([(a, k) for kind, a, k in runs if kind == UP], rows)
-    mirror_ups = [(m + 2 - a - k, k) for kind, a, k in runs[::-1] if kind == DOWN]
+    ups, mirror_ups = [], []
+    for kind, a, k in _runs(steps):
+        if kind == UP:
+            ups.append((a, k))
+        else:
+            mirror_ups.append((m + 2 - a - k, k))
+    bottom = _plan_frame(ups, rows)
     top = tuple((m + 1 - s, m + 1 - nb, off, row, end)
-                for s, nb, off, row, end in _plan_frame(mirror_ups, rows[::-1]))
+                for s, nb, off, row, end in _plan_frame(mirror_ups[::-1], rows[::-1]))
     by_step: list = [None] * (m + 1)
     for frame in (bottom, top):
         for k, rise in enumerate(frame):

@@ -145,65 +145,68 @@ def _suite_counts(n: int, failures: list[dict]) -> int:
 
 
 def _suite_bijectivity(n: int, failures: list[dict]) -> int:
-    """The pass is proved by a streaming merge that copies no table:
-    `heapq.merge` interleaves the sorted runs of the words' tables, and
-    the merged stream is walked in step with
-    `enumerate_updown_avoiders(n)`, each avoider as bytes: bytes of one
-    length order as the tuples of their ints do.  When the merged images
-    are strictly increasing and equal that stream item for item, with the
-    same length, the images are distinct (so the map is injective) and are
-    exactly the avoiders (every avoider is hit, and no image lies outside
-    the family).  Then `_bijectivity_failures` would name no failure and
-    count each image and each avoider once, which is the `checked`
-    returned here.  On any other outcome, a repeat, a run out of order, a
-    mismatch, a length difference or a table that raises (its record goes
-    to a scratch list), that pass runs instead: this step can only conclude
-    "pass", and the failure records are the dict pass's own."""
-    scratch: list[dict] = []
-    tables = [_table(word, scratch) for word in _dyck_words(n)]
-    if scratch:
-        return _bijectivity_failures(n, failures)
-    checked, prev = 0, None
-    for image, avoider in itertools.zip_longest(
-            heapq.merge(*(t.sorted_images() for t in tables)),
-            map(bytes, enumerate_updown_avoiders(n))):
-        if image != avoider or (prev is not None and prev >= image):
-            return _bijectivity_failures(n, failures)
-        checked, prev = checked + 2, image
-    return checked
+    """One streaming merge decides the size and names its failures, and it
+    copies no table.  `heapq.merge` interleaves the sorted runs of the
+    words' tables, each image tagged with its word's index, so equal images
+    meet lowest word first; the merged stream is walked against
+    `enumerate_updown_avoiders(n)`, each avoider as bytes (bytes of one
+    length order as the tuples of their ints do).  No table holds one image
+    twice (`_image_table`'s neighbour scan raises on that), so the records
+    are: a repeat, an image equal to the one before it, named with the
+    first path that has it; a miss, an avoider below the next new image;
+    and an image outside the family, a new image that the next avoider does
+    not equal.  With no record, the merged images are strictly increasing
+    and equal the avoiders item for item, with the same length: they are
+    distinct (the map is injective) and exactly the avoiders (every avoider
+    is hit, and no image lies outside), which proves the pass.  `checked`
+    counts each image and each avoider once.  A path is named by looking
+    its image up in its own word's table, once per name.
 
+    The records keep the order of a walk over the paths in enumeration
+    order that holds every image, then over the avoiders, so they read in
+    the families' own orders, not the merge's: the words whose tables raise
+    and the repeats, by word and then by weighting, whose bytes sort in
+    odometer order; then the misses, lexicographic as the merge meets them;
+    then the images outside the family, by image."""
+    words = list(_dyck_words(n))
+    raised: list[dict] = []  # `_table` records one failure per table that is None
+    tables = [_table(word, raised) for word in words]
+    # (word index, weighting, record) of the raising words and the repeats
+    found = [(i, b"", raised.pop(0)) for i, t in enumerate(tables) if t is None]
 
-def _bijectivity_failures(n: int, failures: list[dict]) -> int:
-    """`bijectivity` at size n with a dict of every image, which names each
-    failure.  Images come from `_table`, which records a word whose table
-    raises.
-    The avoiders are streamed in lexicographic order and each hit leaves
-    `seen`, so the misses come out sorted and what stays in `seen` is the
-    images outside the family."""
-    checked = 0
-    seen: dict[bytes, tuple[str, bytes]] = {}
-    for word in _dyck_words(n):
-        table = _table(word, failures)
-        for perm, weights in table.items() if table else ():
-            checked += 1
-            if perm in seen:
-                failures.append(_fail(
-                    _path_text(word, weights),
-                    "a fresh image",
-                    f"{perm_text(perm)} already hit by {_path_text(*seen[perm])}",
-                ))
-            else:
-                seen[perm] = (word, weights)
-    for perm in enumerate_updown_avoiders(n):
+    def path(i: int, image: bytes) -> str:
+        return _path_text(words[i], tables[i].get(image))
+
+    runs = [zip(t.sorted_images(), itertools.repeat(i)) for i, t in enumerate(tables) if t]
+    avoiders = map(bytes, enumerate_updown_avoiders(n))
+    avoider = next(avoiders, None)
+    missed, outside = [], []
+    checked, first, first_i = 0, None, 0
+    for image, i in heapq.merge(*runs):
         checked += 1
-        if seen.pop(bytes(perm), None) is None:
-            failures.append(_fail(perm_text(perm), "hit by some weighted path", "missed"))
-    for perm in sorted(seen):
-        failures.append(_fail(
-            _path_text(*seen[perm]),
-            "an up-down permutation avoiding 1234",
-            perm_text(perm),
-        ))
+        if image == first:
+            weights = tables[i].get(image)
+            found.append((i, weights, _fail(
+                _path_text(words[i], weights), "a fresh image",
+                f"{perm_text(image)} already hit by {path(first_i, image)}")))
+            continue
+        first, first_i = image, i
+        while avoider is not None and avoider < image:
+            missed.append(avoider)
+            avoider = next(avoiders, None)
+        if avoider == image:
+            checked += 1
+            avoider = next(avoiders, None)
+        else:
+            outside.append(_fail(path(i, image), "an up-down permutation avoiding 1234",
+                                 perm_text(image)))
+    if avoider is not None:
+        missed.append(avoider)
+        missed += avoiders
+    checked += len(missed)
+    failures.extend(record for _, _, record in sorted(found, key=lambda f: f[:2]))
+    failures.extend(_fail(perm_text(p), "hit by some weighted path", "missed") for p in missed)
+    failures.extend(outside)
     return checked
 
 
@@ -256,12 +259,11 @@ def _suite_schutzenberger(n: int, failures: list[dict]) -> int:
     return checked
 
 
-def _mapped(a: int, guard: list[dict]) -> Iterator[tuple]:
+def _mapped(a: int) -> Iterator[tuple]:
     """(path, image) of each weighted path of size a, in enumeration order,
-    both read from `_table`; a word whose table raises is recorded in
-    `guard` and yields nothing."""
+    both read from `_table`; a word whose table raises yields nothing."""
     for word in _dyck_words(a):
-        table = _table(word, guard)
+        table = _table(word, [])
         path = DyckPath(word)
         for image, weights in table.items() if table else ():
             yield WeightedDyckPath(path, tuple(weights)), image
@@ -269,34 +271,26 @@ def _mapped(a: int, guard: list[dict]) -> Iterator[tuple]:
 
 def _suite_product(n: int, failures: list[dict]) -> int:
     """The pairs whose sizes add up to n, by the first factor's size, with
-    images from `_mapped`.  Sizes up to n // 2 are held, the longer factor
-    is streamed, and one stream of size n serves both splits with an empty
-    factor, the last one's failures held until its turn.  A word whose
+    images from `_mapped`.  At each split the shorter factor, of size at
+    most n // 2, is held and the longer one is streamed.  A word whose
     table raises is one failure, recorded at its own size before the
     pairs, and its paths are left out of them, as `statistic` leaves them
     unchecked.  Each concatenation is mapped with `to_permutation`, the
     independent check of the composition that `_image_table` borrows."""
-    def check(p, p_img, q, q_img, out: list[dict]) -> int:
-        lhs = to_permutation(concat(p, q)).perm
-        rhs = shifted_concat(q_img, p_img)
-        if lhs != rhs:
-            out.append(_fail(f"{serialize_path(p)} * {serialize_path(q)}",
-                             perm_text(rhs), perm_text(lhs)))
-        return 1
-
-    short = [list(_mapped(k, [])) for k in range(n // 2 + 1)]
-    (empty, empty_img), = short[0]
-    first, last, checked = [], [], 0
-    for q, q_img in _mapped(n, failures):
-        checked += check(empty, empty_img, q, q_img, first)
-        if n:
-            checked += check(q, q_img, empty, empty_img, last)
-    failures += first
-    for a, b in zip(range(1, n), range(n - 1, 0, -1)):
-        for p, p_img in short[a] if a <= b else _mapped(a, []):
-            for q, q_img in short[b] if b <= a else _mapped(b, []):
-                checked += check(p, p_img, q, q_img, failures)
-    failures += last
+    for word in _dyck_words(n):
+        _table(word, failures)
+    short = [list(_mapped(k)) for k in range(n // 2 + 1)]
+    checked = 0
+    for a in range(n + 1):
+        b = n - a
+        for p, p_img in short[a] if a <= b else _mapped(a):
+            for q, q_img in short[b] if b <= a else _mapped(b):
+                checked += 1
+                lhs = to_permutation(concat(p, q)).perm
+                rhs = shifted_concat(q_img, p_img)
+                if lhs != rhs:
+                    failures.append(_fail(f"{serialize_path(p)} * {serialize_path(q)}",
+                                          perm_text(rhs), perm_text(lhs)))
     return checked
 
 

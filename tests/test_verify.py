@@ -551,78 +551,76 @@ class TestSharedImageTable:
 
 class TestSortedMerge:
     @staticmethod
-    def _dict_records(n):
-        failures: list = []
-        checked = sum(verify._bijectivity_failures(k, failures)
-                      for k in range(n + 1))
-        return checked, failures
+    def _swap(monkeypatch, tables):
+        """Read each word of `tables` with the real table of the word it
+        maps to, through the one seam the suite reads, `verify._table`."""
+        real = verify._table
+        monkeypatch.setattr(verify, "_table",
+                            lambda word, failures: real(tables.get(word, word), failures))
 
     @staticmethod
-    def _inject(monkeypatch, word, fault, reverse_run=False):
-        """Patch `fault` on the list of (image, weights) of `word` into the
-        one seam both passes read, `verify._table`, as a stand-in table:
-        its `items()` gives the faulty list, which the dict pass reads, and
-        its `sorted_images()` the same images sorted (and reversed if
-        asked), the run the merge reads."""
-        real = verify._table
+    def _digest(failures):
+        return hashlib.sha256(json.dumps(list(failures)).encode()).hexdigest()
 
-        class Faulty:
-            def __init__(self, table):
-                self.faulty = fault(list(table.items()))
+    # each fault's cap, the words that read another word's table, and
+    # (checked, records, sha256 of the records, records of each kind), as
+    # the pass that held a dict of every image wrote them
+    @pytest.mark.parametrize("fault, cap, tables, pinned", [
+        # UUUDDD's 21 images again at UUDUDD, each named with UUUDDD's
+        # path, and UUDUDD's 12 avoiders missed
+        ("repeat", 3, {"UUDUDD": "UUUDDD"},
+         (107, 33, "ebf9f44189457b768e03594c650399a7a4abf9f04a3741f714eee2c98759f98e",
+          {"a fresh image": 21, "hit by some weighted path": 12})),
+        # UUDUDD's table raises, so its 12 paths are dropped and their
+        # avoiders missed
+        ("drop", 3, {},
+         (86, 13, "2a66067f3fdca49c821597267fda83a214d5af32ef8d3f5af6d2fdb828d72b46",
+          {"an image for every weighting": 1, "hit by some weighted path": 12})),
+        # UUUDDD's 21 images, six letters long, outside the family of
+        # size 2, and UUDD's 4 avoiders missed
+        ("outside", 3, {"UUDD": "UUUDDD"},
+         (115, 25, "be4cca4afc7ae72fa2867d79fc4bfa7d961e3f31284b3efa9f75d4bc4b5ccc9f",
+          {"hit by some weighted path": 4, "an up-down permutation avoiding 1234": 21})),
+    ], ids=("repeat", "drop", "outside"))
+    def test_faults_give_the_pinned_records(self, monkeypatch, fault, cap, tables, pinned):
+        _image_table.cache_clear()
+        if fault == "drop":
+            _reverse_top_word_of_uududd(monkeypatch)
+        self._swap(monkeypatch, tables)
+        try:
+            report = run_suite("bijectivity", cap)
+        finally:
+            _image_table.cache_clear()
+        kinds = Counter(f["expected"] for f in report.failures)
+        assert (report.checked, len(report.failures), self._digest(report.failures),
+                kinds) == pinned
 
-            def items(self):
-                return iter(self.faulty)
-
-            def sorted_images(self):
-                run = sorted(perm for perm, _ in self.faulty)
-                return iter(run[::-1] if reverse_run else run)
-
-        def table(steps, failures):
-            found = real(steps, failures)
-            return Faulty(found) if steps == word else found
-
-        monkeypatch.setattr(verify, "_table", table)
-
-    @pytest.mark.parametrize("fault", ["repeat", "drop", "outside", "reverse"])
-    def test_faults_give_the_dict_pass_records(self, monkeypatch, fault):
-        # a repeated image, a dropped one, one outside the family and one
-        # word's images in reverse order.  Each sends size 3, the size of
-        # UUDUDD, and no other to the dict pass: a reversed run puts the
-        # merged stream out of order, though the dict pass then finds no
-        # failure.  In every case the records are those of the dict pass
-        def fault_items(items):
-            if fault == "repeat":
-                items[-1] = (items[0][0], items[-1][1])
-            elif fault == "drop":
-                items.pop()
-            elif fault == "outside":
-                items.append((bytes(range(1, 7)), items[0][1]))
-            else:
-                items.reverse()
-            return items
-
-        self._inject(monkeypatch, "UUDUDD", fault_items, reverse_run=fault == "reverse")
-        dict_pass, sizes = verify._bijectivity_failures, []
-
-        def spied(n, failures):
-            sizes.append(n)
-            return dict_pass(n, failures)
-
-        monkeypatch.setattr(verify, "_bijectivity_failures", spied)
-        report = run_suite("bijectivity", 4)
-        assert sizes == [3]
-        checked, failures = self._dict_records(4)
-        assert (report.checked, list(report.failures)) == (checked, failures)
-        assert bool(failures) == (fault != "reverse")
+    def test_a_raising_word_comes_first_among_the_repeats(self, monkeypatch):
+        # UUDUDD's table raises, and two later words read earlier words'
+        # tables: the raising word's record and the repeats come by word,
+        # then by weighting, though the merge meets the repeats by image;
+        # then the misses of all three words, as the pass that held a dict
+        # of every image wrote them
+        _image_table.cache_clear()
+        _reverse_top_word_of_uududd(monkeypatch)
+        self._swap(monkeypatch, {"UUDDUD": "UUUDDD", "UDUDUD": "UDUUDD"})
+        try:
+            report = run_suite("bijectivity", 3)
+        finally:
+            _image_table.cache_clear()
+        words = [f["input"].split(";")[0] for f in report.failures[:26]]
+        assert words == ["UUDUDD"] + ["UUDDUD"] * 21 + ["UDUDUD"] * 4
+        repeats = [f["input"] for f in report.failures[1:22]]
+        assert repeats == sorted(repeats)
+        assert (report.checked, len(report.failures), self._digest(report.failures)) == (
+            106, 43, "f04e85c7c9191c677e5ce0dea3c94754b7a12a5615766255069d61ad224a350d")
 
     def test_a_repeat_on_both_sides_is_caught(self, monkeypatch):
-        # one image repeated and, by a fault of the enumerator, its avoider
-        # streamed twice: the merged images equal the stream, and only the
-        # strict order sends the step to the dict pass.  The merge reads
-        # the repeat in the same step as the stream's, so the merge and
-        # then the dict pass each stream the extra avoider once
+        # UUDD reads UDUD's table, whose one image is then hit twice, and
+        # by a fault of the enumerator its avoider is streamed twice: the
+        # second copy is missed, with UUDD's own avoiders
         real_avoiders = verify.enumerate_updown_avoiders
-        first = tuple(next(_image_table("UUDD").items())[0])
+        first = tuple(next(iter(_image_table("UDUD"))))
         repeats = []
 
         def twice(n):
@@ -632,21 +630,29 @@ class TestSortedMerge:
                     repeats.append(p)
                     yield p
 
-        self._inject(monkeypatch, "UUDD", lambda items: items + items[:1])
+        self._swap(monkeypatch, {"UUDD": "UDUD"})
         monkeypatch.setattr(verify, "enumerate_updown_avoiders", twice)
         report = run_suite("bijectivity", 2)
-        assert repeats == [first, first]
-        assert report.verdict == "fail"
-        assert (report.checked, list(report.failures)) == self._dict_records(2)
+        assert repeats == [first]
+        missed = ["1,3,2,4", "1,4,2,3", "2,3,1,4", "2,4,1,3", "3,4,1,2"]
+        assert report.checked == 12
+        assert list(report.failures) == [
+            {"input": "UDUD;0,0,0,0", "expected": "a fresh image",
+             "actual": "3,4,1,2 already hit by UUDD;0,0,0,0"},
+            *({"input": p, "expected": "hit by some weighted path", "actual": "missed"}
+              for p in missed)]
 
-    def test_merge_decides_a_pass(self, monkeypatch):
-        def unused(n, failures):
-            raise AssertionError("the dict pass ran on a passing size")
-
-        monkeypatch.setattr(verify, "_bijectivity_failures", unused)
-        report = run_suite("bijectivity", 5)
-        assert report.verdict == "pass"
-        assert report.checked == 2 * sum(closed_form(n) for n in range(6))
+    def test_a_failing_size_holds_no_dict(self, monkeypatch):
+        # with UUDUDDUUUDDD reading UUUDDDUUUDDD's table and the tables of
+        # n <= 6 warm, the step holds its 693 records and the merge, about
+        # 0.55 MB, where a dict of every image took about 15.7 MB
+        self._swap(monkeypatch, {"UUDUDDUUUDDD": "UUUDDDUUUDDD"})
+        run_suite("bijectivity", 6)
+        reports = []
+        assert _traced_peak(lambda: reports.append(run_suite("bijectivity", 6))) < 1_000_000
+        report, = reports
+        assert (report.checked, len(report.failures), self._digest(report.failures)) == (
+            188255, 693, "ed7770cdbd9870e8e47d4ff37daf338e03b20716178963a6372eb8f51f48dcb8")
 
     def test_merge_copies_no_image(self):
         # with the 197 image tables of n <= 6 warm, the pass holds one
