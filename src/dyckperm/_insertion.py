@@ -251,10 +251,8 @@ def _compose(m: int, spans: Sequence[tuple[int, int]],
     """The image of a word of length m from its factors' images, in factor
     order: the shifted concatenation, rightmost factor first, written into
     one list.  Factor [a, b) lands at positions m-b..m-a, its letters
-    raised by a, the length of the factors before it; a single factor is
-    its own image."""
-    if len(images) == 1:
-        return images[0]
+    raised by a, the length of the factors before it, so a single factor
+    lands unchanged at 0..m."""
     perm = [0] * m
     for (a, b), image in zip(spans, images):
         perm[m - b:m - a] = [v + a for v in image] if a else image
@@ -308,7 +306,7 @@ def _flatten_run(steps: str, weights: tuple[int, ...]
         x = w[step]
         vals.append((vals[-1] if vals else 0) if x == row[w[nb]][end] else x + off + 1)
     try:
-        return word, ParkingFunction(tuple(vals))
+        return word, ParkingFunction(vals)
     except ValueError as exc:
         raise InternalConsistencyError(
             f"flattening {_path_text(steps, weights)} "

@@ -35,7 +35,6 @@ from ._insertion import (
 from .paths import (
     DOWN,
     UP,
-    DyckPath,
     SlopeDecomposition,
     WeightedDyckPath,
     _height_profile,
@@ -170,10 +169,10 @@ def parking_to_123_avoiding(pf: ParkingFunction) -> tuple[int, ...]:
 
 
 def _membership_checks(p: tuple[int, ...]) -> tuple[str, tuple[tuple[int, int], ...]]:
-    """The checks both inverses run on a non-empty p, in this order: a
-    permutation of ints, up-down, no 1234, bottom letters marking a Dyck word.
-    Returns that word and its factor spans, which `_word_spans` reads
-    once per word.
+    """The checks both inverses run on p, in this order: a permutation of
+    ints, up-down, no 1234, bottom letters marking a Dyck word.  Returns
+    that word and its factor spans, which `_word_spans` reads once per
+    word; the empty p passes, with the empty word and no span.
 
     No input that passes the up-down check fails the last check, nor the
     block check of `from_permutation`; both stay as guards.  Each top
@@ -211,8 +210,6 @@ def from_permutation(p: Sequence[int]) -> WeightedDyckPath:
     only a bug can trip them, with a NotInImageError.
     """
     p = tuple(p)
-    if not p:
-        return WeightedDyckPath(DyckPath(""), ())
     word, spans = _membership_checks(p)
     m = len(p)
     weights: tuple[int, ...] = ()
@@ -241,8 +238,6 @@ def from_permutation_brute(p: Sequence[int]) -> WeightedDyckPath:
     p = tuple(p)
     if len(p) > 2 * _BRUTE_CAP_N:
         raise ValueError(f"size {len(p)} exceeds the brute-force cap 2*{_BRUTE_CAP_N}")
-    if not p:
-        return WeightedDyckPath(DyckPath(""), ())
     word, _ = _membership_checks(p)
     weights = _image_table(word).get(bytes(p))
     if weights is None:

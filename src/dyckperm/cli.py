@@ -108,8 +108,6 @@ def render_ascii(wd: paths.WeightedDyckPath) -> str:
     """Deterministic staircase drawing: one column per step, the step glyph
     at its upper endpoint's row and its weight digit one row above."""
     steps = wd.steps
-    if not steps:
-        return ""
     h = paths.heights(wd)
     cells: dict[tuple[int, int], str] = {}
     for i, s in enumerate(steps, start=1):

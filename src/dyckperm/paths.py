@@ -300,12 +300,9 @@ def factor_spans(steps: str) -> list[tuple[int, int]]:
 def factor_irreducible(wd: WeightedDyckPath) -> list[WeightedDyckPath]:
     """Split at every interior ground return; concatenating the factors in
     order reproduces the input."""
-    spans = factor_spans(wd.path.steps)
-    if len(spans) <= 1:
-        return [wd] if spans else []
     return [
         WeightedDyckPath(DyckPath(wd.path.steps[a:b]), wd.weights[a:b])
-        for a, b in spans
+        for a, b in factor_spans(wd.path.steps)
     ]
 
 
@@ -575,11 +572,7 @@ def parse_path(text: str) -> WeightedDyckPath:
     Raises PathFormatError on malformed input or any C1..C5 violation
     (reporting the first violated constraint and its step).
     """
-    body = text.strip()
-    if ";" in body:
-        step_part, _, weight_part = body.partition(";")
-    else:
-        step_part, weight_part = body, ""
+    step_part, _, weight_part = text.strip().partition(";")
     try:
         path = DyckPath(step_part.strip())
     except ValueError as exc:

@@ -253,7 +253,7 @@ def assemble(bot: Sequence[int], top: Sequence[int]) -> AlternatingPermutation:
     perm = [0] * n2
     perm[0::2] = bot
     perm[1::2] = top
-    return AlternatingPermutation(tuple(perm))
+    return AlternatingPermutation(perm)
 
 
 def _extend(cur: list[int], free: list[int], tails: list[int],

@@ -6,7 +6,11 @@ test prints one pass/fail line.  The n=7 counts suite enumerates the
 1385670 permutations of size 14.
 """
 
+import hashlib
+import json
 import time
+
+import pytest
 
 from dyckperm.bijection import (
     ParkingFunction,
@@ -17,7 +21,7 @@ from dyckperm.bijection import (
 )
 from dyckperm.paths import WeightedDyckPath, count_weighted, enumerate_weighted, parse_path
 from dyckperm.perms import perm_text, standardize
-from dyckperm.verify import REFERENCE_COUNTS, run_suite
+from dyckperm.verify import REFERENCE_COUNTS, run_all, run_suite
 
 from .conftest import EXAMPLE14_IMAGE, EXAMPLE14_TEXT
 
@@ -30,6 +34,13 @@ GROUND_TRUTH_42 = (
     "451623", "452316", "452613", "453612", "461325", "461523", "462315",
     "462513", "463512", "561324", "561423", "562314", "562413", "563412",
 )
+
+
+@pytest.fixture(scope="module")
+def gate():
+    """Every suite's report at its default cap, from one `run_all()`: tests
+    04-11 read their suites' reports, and the records are pinned."""
+    return {report.suite: report for report in run_all()}
 
 
 def _report(name, ok, detail=""):
@@ -74,39 +85,39 @@ def test_03_worked_example():
     _report("3 worked example", ok, perm_text(sigma.perm))
 
 
-def test_04_bijectivity():
-    report = run_suite("bijectivity", 6)
+def test_04_bijectivity(gate):
+    report = gate["bijectivity"]
     _report("4 bijectivity", report.verdict == "pass" and report.elapsed < 300,
             f"checked={report.checked} elapsed={report.elapsed:.1f}s")
 
 
-def test_05_round_trip():
-    report = run_suite("roundtrip", 6)
+def test_05_round_trip(gate):
+    report = gate["roundtrip"]
     _report("5 round trip", report.verdict == "pass",
             f"checked={report.checked} elapsed={report.elapsed:.1f}s")
 
 
-def test_06_equivariance_and_product():
-    mirror = run_suite("schutzenberger", 5)
-    product = run_suite("product", 5)
+def test_06_equivariance_and_product(gate):
+    mirror = gate["schutzenberger"]
+    product = gate["product"]
     _report("6 equivariance", mirror.verdict == "pass" and product.verdict == "pass",
             f"checked={mirror.checked}+{product.checked}")
 
 
-def test_07_bottom_statistic():
-    report = run_suite("statistic", 6)
+def test_07_bottom_statistic(gate):
+    report = gate["statistic"]
     _report("7 statistic", report.verdict == "pass", f"checked={report.checked}")
 
 
-def test_08_criteria_equivalence():
-    report = run_suite("criteria", 5)
+def test_08_criteria_equivalence(gate):
+    report = gate["criteria"]
     _report("8 criteria equivalence",
             report.verdict == "pass" and report.elapsed < 120,
             f"checked={report.checked} elapsed={report.elapsed:.1f}s")
 
 
-def test_09_transformation():
-    report = run_suite("transformation", 6)
+def test_09_transformation(gate):
+    report = gate["transformation"]
     fixture = parking_to_123_avoiding(ParkingFunction((0, 0, 2, 2, 4, 4, 5)))
     wd = parse_path(EXAMPLE14_TEXT)
     flattened = flatten_to_single_slope(wd)
@@ -120,16 +131,28 @@ def test_09_transformation():
     _report("9 transformation", ok, f"checked={report.checked}")
 
 
-def test_10_insertion_lemma():
-    report = run_suite("insertion_lemma", 6)
+def test_10_insertion_lemma(gate):
+    report = gate["insertion_lemma"]
     _report("10 insertion lemma", report.verdict == "pass",
             f"checked={report.checked}")
 
 
-def test_11_top_word_equivalence():
-    report = run_suite("topword_equivalence", 5)
+def test_11_top_word_equivalence(gate):
+    report = gate["topword_equivalence"]
     _report("11 top-word equivalence", report.verdict == "pass",
             f"checked={report.checked}")
+
+
+def test_gate_records_are_pinned(gate):
+    # the sha256 of every suite's record at its default cap, each as JSON
+    # with `elapsed` removed and keys sorted, joined by newlines, in gate
+    # order: a change that moves a count or a failure of any suite fails here
+    records = [report.to_record() for report in gate.values()]
+    for record in records:
+        del record["elapsed"]
+    text = "\n".join(json.dumps(record, sort_keys=True) for record in records)
+    _report("gate records", hashlib.sha256(text.encode()).hexdigest() == (
+        "8b3ff06d0010f26c28680c835583152f4cf91dd4381f83a0f738f5e9c758fd5f"))
 
 
 def test_12_fixed_small_cases():

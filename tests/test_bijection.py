@@ -346,6 +346,18 @@ class TestForwardMap:
     def test_empty(self):
         assert to_permutation(wd("")).perm == ()
 
+    def test_one_factor_is_its_own_image(self):
+        # a path with one factor composes to a tuple equal to the one
+        # `_map_factor` gives its factor
+        for n in range(1, 5):
+            for steps in _dyck_words(n):
+                if len(factor_spans(steps)) > 1:
+                    continue
+                for x in enumerate_weightings(DyckPath(steps)):
+                    image = to_permutation(x).perm
+                    assert type(image) is tuple
+                    assert image == _map_factor(steps, x.weights)
+
     def test_many_factors(self):
         # UD repeated k times: factor i (0-based) maps to (2i + 1, 2i + 2)
         # and lands in front of every earlier one
@@ -867,6 +879,9 @@ class TestPlanAgainstSpec:
 
 
 class TestBruteInverse:
+    def test_empty(self):
+        assert from_permutation_brute(()) == wd("")
+
     def test_composite(self):
         assert serialize_path(from_permutation_brute((5, 6, 2, 4, 1, 3))) == "UUDDUD;0,0,0,0,0,0"
 

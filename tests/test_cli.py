@@ -363,6 +363,9 @@ class TestRender:
         code, out, _ = run(capsys, "render", "UD;0,0")
         assert (code, out) == (0, "00\n/\\\n")
 
+    def test_empty_path(self, capsys):
+        assert run(capsys, "render", "") == (0, "\n", "")
+
     def test_invalid_input(self, capsys):
         code, out, err = run(capsys, "render", "UDD;0,0,0")
         assert code == 1

@@ -86,6 +86,11 @@ class TestHeights:
     def test_example14(self):
         assert heights(EX14) == (0, 1, 2, 1, 2, 1, 2, 3, 4, 3, 2, 3, 2, 1, 0)
 
+    def test_rejects_a_non_path(self):
+        with pytest.raises(TypeError) as exc:
+            heights(object())
+        assert str(exc.value) == "expected a path, got object"
+
 
 class TestLowerHeight:
     def test_first_step_from_ground(self):

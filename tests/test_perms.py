@@ -182,6 +182,11 @@ class TestAssemble:
     def test_minimal(self):
         assert assemble((1,), (2,)).perm == (1, 2)
 
+    def test_halves_of_two_lengths(self):
+        with pytest.raises(ValueError) as exc:
+            assemble((1,), ())
+        assert str(exc.value) == "1 bottom letters but 0 top letters"
+
     def test_not_a_partition(self):
         with pytest.raises(ValueError, match="partition"):
             assemble((1,), (3,))
@@ -195,6 +200,9 @@ class TestAssemble:
             AlternatingPermutation((2, 1))
         with pytest.raises(ValueError):
             AlternatingPermutation((1, 3))
+
+    def test_alternating_size_is_half_the_length(self):
+        assert AlternatingPermutation((1, 3, 2, 4)).n == 2
 
 
 class TestEnumeration:

@@ -811,6 +811,61 @@ class TestFaultInjection:
         assert report.verdict == "fail"
         assert any(serialize_path(fixture) == f["input"] for f in report.failures)
 
+    def test_roundtrip_records_a_raising_inverse(self, monkeypatch):
+        # an inverse that raises on the image of one path is recorded on
+        # that path with the exception's type and text, and the suite goes
+        # on to the other paths
+        target = to_permutation(WeightedDyckPath.from_steps("UUDD")).perm
+        real = verify.from_permutation
+
+        def raising(p):
+            if tuple(p) == target:
+                raise RuntimeError("inverse fault")
+            return real(p)
+
+        monkeypatch.setattr(verify, "from_permutation", raising)
+        report = run_suite("roundtrip", 2)
+        assert report.checked == sum(REFERENCE_COUNTS[:3])
+        assert list(report.failures) == [{"input": "UUDD;0,0,0,0", "expected": "inverse succeeds",
+                                          "actual": "RuntimeError: inverse fault"}]
+
+    def test_counts_names_a_wrong_count(self, monkeypatch):
+        # one family counted one too many at n = 2: the record of that
+        # family's reference count, then the record of the two sizes,
+        # weighted paths first
+        real_paths, real_perms = verify.count_weighted, verify.count_updown_avoiders
+        monkeypatch.setattr(verify, "count_weighted", lambda n: real_paths(n) + (n == 2))
+        paths_off = run_suite("counts", 3)
+        monkeypatch.setattr(verify, "count_weighted", real_paths)
+        monkeypatch.setattr(verify, "count_updown_avoiders", lambda n: real_perms(n) + (n == 2))
+        perms_off = run_suite("counts", 3)
+        assert list(paths_off.failures) == [
+            {"input": "weighted paths, n=2", "expected": "5", "actual": "6"},
+            {"input": "family sizes, n=2", "expected": "6", "actual": "5"}]
+        assert list(perms_off.failures) == [
+            {"input": "up-down avoiders, n=2", "expected": "5", "actual": "6"},
+            {"input": "family sizes, n=2", "expected": "5", "actual": "6"}]
+
+    def test_parking_names_each_kind_of_fault(self, monkeypatch):
+        # of the five parking functions of length 3, [0, 1, 2] maps to a
+        # word holding 123 and [0, 0, 1] to the image of [0, 0, 0]: one
+        # record each, then the count of distinct images, 4 of 5
+        real = verify.parking_to_123_avoiding
+
+        def corrupted(pf):
+            if pf.values == (0, 1, 2):
+                return (1, 2, 3)
+            return real(ParkingFunction((0, 0, 0)) if pf.values == (0, 0, 1) else pf)
+
+        monkeypatch.setattr(verify, "parking_to_123_avoiding", corrupted)
+        report = run_suite("parking", 3)
+        assert report.checked == sum(verify.CATALAN[:4])
+        assert list(report.failures) == [
+            {"input": "[0, 0, 1]", "expected": "a fresh image",
+             "actual": "3,2,1 already hit by [0, 0, 0]"},
+            {"input": "[0, 1, 2]", "expected": "image avoids 123", "actual": "1,2,3"},
+            {"input": "image count, n=3", "expected": "5", "actual": "4"}]
+
 
 class TestSchutzenbergerTables:
     def test_a_wrong_image_names_each_path_that_reads_it(self, monkeypatch):
@@ -1081,6 +1136,37 @@ class TestInsertionSuitePerturbation:
         assert (lemma.checked, len(lemma.failures)) == (406, 638)
         assert hashlib.sha256(json.dumps(lemma.failures).encode()).hexdigest() == (
             "dfb87f77829eb63ce7b45ae4d9d67471aeba2660b7c1b31191535740a47d599e")
+
+    def test_a_distance_below_the_shift_is_recorded(self, monkeypatch):
+        # the second rise of each left-half frame reads a bound one above
+        # its least weight, so that least weight no longer jumps: on UUDD
+        # rise 2 (shift 0, off -1) then lands at distance -1 wherever
+        # weight 0 is feasible for it, which the lemma's landing and shift
+        # checks record, and the insertion run overflows where rise 2 weighs 0
+        real = _insertion._plan_frame
+
+        def raised(ups, rows):
+            return tuple((s, nb, off, tuple((lo + 1, hi) for lo, hi in row), end)
+                         if k == 1 and end == 0 else (s, nb, off, row, end)
+                         for k, (s, nb, off, row, end) in enumerate(real(ups, rows)))
+
+        _factor_plan.cache_clear()
+        _image_table.cache_clear()
+        monkeypatch.setattr(_insertion, "_plan_frame", raised)
+        try:
+            report = run_suite("insertion_lemma", 2)
+        finally:
+            _factor_plan.cache_clear()
+            _image_table.cache_clear()
+        overflow = "insertion overflow at rise 2: distance -1 with word length 1"
+        assert report.checked == 6
+        assert list(report.failures) == [
+            *({"input": f"UUDD;0,0,{w},0", "expected": "no insertion overflow",
+               "actual": overflow} for w in (0, 1)),
+            *({"input": f"UUDD;0,1,{w},0", "expected": expected, "actual": "distance -1"}
+              for w in (0, 1)
+              for expected in ("feasible weight 0 of rise 2 lands in [0,1)",
+                               "distance of rise 2 at least shift 0"))]
 
     def test_an_overflow_is_recorded_on_its_own_path(self, monkeypatch):
         # the first path of n <= 4 whose every lemma key (k, w[pos-1],
