@@ -117,8 +117,7 @@ def _plan_frame(ups: Sequence[tuple[int, int]],
 def _factor_plan(steps: str) -> tuple[tuple[_PlanRise, ...], tuple[_PlanRise, ...],
                                       tuple[tuple[int, _PlanRise], ...], tuple[_PlanRise, ...]]:
     """The rises of `steps`, then those of its mirror, each frame from
-    `_plan_frame`; each step's record with the records before it in its
-    frame as a bit mask, the k-th record's mask being 2**k - 1; and the
+    `_plan_frame`; each step's record with its index in its frame; and the
     records in the order the inverse settles its jumps: those that read
     step pos+1 by decreasing step, then those that read pos-1 by
     increasing step.  Step p of the mirror is step m + 1 - p of the path,
@@ -142,7 +141,7 @@ def _factor_plan(steps: str) -> tuple[tuple[_PlanRise, ...], tuple[_PlanRise, ..
     by_step: list = [None] * (m + 1)
     for frame in (bottom, top):
         for k, rise in enumerate(frame):
-            by_step[rise[0]] = ((1 << k) - 1, rise)
+            by_step[rise[0]] = (k, rise)
     both = bottom + top
     settle = (*sorted((r for r in both if r[1] > r[0]), reverse=True),
               *sorted(r for r in both if r[1] < r[0]))
@@ -326,10 +325,10 @@ def _invert_factor(steps: str, image: Sequence[int]) -> Optional[tuple[int, ...]
     backwards, so for a fall it is the earlier falls left of it in the top
     word.  So the bottom letters are walked right to left and the top
     letters left to right, each frame's records walked so far in a bit
-    mask: of the k records before a letter's own in its frame, those
-    already walked stand on the far side of it, and their number c is its
-    distance.  When c = k, the letter was inserted in front of all of
-    them, a jump; otherwise its weight is c - off (the insertion_lemma
+    mask, bit k for the k-th: of the k records before a letter's own,
+    those already walked stand on the far side of it, and their number c
+    is its distance.  When c = k, the letter was inserted in front of all
+    of them, a jump; otherwise its weight is c - off (the insertion_lemma
     suite checks that a non-jump never lands at the front).  A negative
     weight has no preimage: C1 fails for every candidate, so the walk
     stops there, before any row is read at it.
@@ -378,11 +377,11 @@ def _invert_factor(steps: str, image: Sequence[int]) -> Optional[tuple[int, ...]
     for letters in (image[-2::-2], image[1::2]):
         walked = 0  # the frame's records walked so far, as a bit mask
         for v in letters:
-            earlier, rise = by_step[v]
-            beyond = walked & earlier
-            walked |= earlier + 1
-            if beyond != earlier:
-                x = beyond.bit_count() - rise[2]
+            k, rise = by_step[v]
+            c = (walked & ((1 << k) - 1)).bit_count()
+            walked |= 1 << k
+            if c != k:
+                x = c - rise[2]
                 if x < 0:
                     return None
                 w[v] = x
@@ -428,7 +427,7 @@ def _weighting(steps: str, k: int) -> bytes:
     m = len(steps)
     h = _height_profile(steps)
     rows = _step_rows(steps)
-    ways = [[1] * (min(h[m - 1], h[m]) + 1)] if m else []
+    ways = [[1] * (min(h[m - 1], h[m]) + 1)]
     for i in range(m - 1, 0, -1):
         below = [0, *accumulate(ways[-1])]
         ways.append([below[hi + 1] - below[lo]

@@ -212,7 +212,7 @@ def from_permutation(p: Sequence[int]) -> WeightedDyckPath:
     p = tuple(p)
     word, spans = _membership_checks(p)
     m = len(p)
-    weights: tuple[int, ...] = ()
+    weights = [0] * m
     for a, b in reversed(spans):  # the last factor first: its block leads p
         if len(spans) == 1:  # p is the one block, and holds 1..m
             block = p
@@ -225,8 +225,8 @@ def from_permutation(p: Sequence[int]) -> WeightedDyckPath:
         if sol is None:
             raise NotInImageError(
                 f"not in image: no weighting of {word[a:b]} maps to block {perm_text(block)}")
-        weights = sol + weights
-    return WeightedDyckPath._trusted(word, weights)
+        weights[a:b] = sol
+    return WeightedDyckPath._trusted(word, tuple(weights))
 
 
 def from_permutation_brute(p: Sequence[int]) -> WeightedDyckPath:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from itertools import accumulate
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .perms import _Value, parse_int_list
 
@@ -373,17 +373,16 @@ def _span(prev: Optional[str], kind: str, h0: int, h1: int, prev_w: int) -> tupl
 _TABULATED_HEIGHT = 64
 
 
-class _LazyRow:
-    """The row of a shape above `_TABULATED_HEIGHT`: entry i is `entry(i)`,
-    computed when it is read, so a tall path keeps O(1) memory per step."""
+class _LazyRow(tuple):
+    """The row of a shape above `_TABULATED_HEIGHT`: the shape itself,
+    (prev, kind, h0, h1), whose entry i is `_span` at previous weight i,
+    computed when it is read, so a tall path keeps one small tuple per
+    step."""
 
-    __slots__ = ("entry",)
+    __slots__ = ()
 
-    def __init__(self, entry: Callable[[int], object]) -> None:
-        self.entry = entry
-
-    def __getitem__(self, i: int):
-        return self.entry(i)
+    def __getitem__(self, i: int) -> tuple[int, int]:
+        return _span(*self, i)
 
 
 SpanRow = Union[tuple[tuple[int, int], ...], _LazyRow]
@@ -405,9 +404,10 @@ def _span_row(prev: Optional[str], kind: str, h0: int, h1: int) -> tuple[tuple[i
 
 def _row(prev: Optional[str], kind: str, h0: int, h1: int) -> SpanRow:
     """The span row of a step shape: `_span_row` up to `_TABULATED_HEIGHT`,
-    and above it a row that computes each span when read."""
+    and above it the shape as a `_LazyRow`, which computes each span when
+    read."""
     if h0 > _TABULATED_HEIGHT:
-        return _LazyRow(lambda pw: _span(prev, kind, h0, h1, pw))
+        return _LazyRow((prev, kind, h0, h1))
     return _span_row(prev, kind, h0, h1)
 
 

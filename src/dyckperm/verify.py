@@ -116,19 +116,19 @@ def _irreducible_words(n: int) -> Iterator[str]:
     return ("U" + word + "D" for word in _dyck_words(n - 1))
 
 
-def _table(word: str, failures: list[dict]) -> Optional[_insertion.ImageTable]:
+def _table(word: str, failures: list[dict]) -> _insertion.ImageTable:
     """The `_image_table` of one Dyck word, which every suite that reads
     images goes through, so each path is mapped forward once per process
     however many suites read it.  Its images and weightings are bytes,
     which `perm_text` and `_path_text` write as they write tuples of ints.
     A table whose build raises a guard of the forward map (two weightings
-    with one image, say) is None and one failure of the word, whose paths
-    are then not checked."""
+    with one image, say) is one failure of the word, recorded here, and
+    an empty table, so the word's paths are not checked."""
     try:
         return _insertion._image_table(word)
     except InternalConsistencyError as exc:
         failures.append(_fail(word, "an image for every weighting", str(exc)))
-        return None
+        return _insertion.ImageTable(word, b"", ())
 
 
 def _suite_counts(n: int, failures: list[dict]) -> int:
@@ -162,51 +162,45 @@ def _suite_bijectivity(n: int, failures: list[dict]) -> int:
     counts each image and each avoider once.  A path is named by looking
     its image up in its own word's table, once per name.
 
-    The records keep the order of a walk over the paths in enumeration
-    order that holds every image, then over the avoiders, so they read in
-    the families' own orders, not the merge's: the words whose tables raise
-    and the repeats, by word and then by weighting, whose bytes sort in
-    odometer order; then the misses, lexicographic as the merge meets them;
-    then the images outside the family, by image."""
+    Each record is written where it is met: `_table` records the words
+    whose tables raise, in word order, as the runs are built; then the
+    merge writes the repeats, misses and images outside the family in
+    image order."""
     words = list(_dyck_words(n))
-    raised: list[dict] = []  # `_table` records one failure per table that is None
-    tables = [_table(word, raised) for word in words]
-    # (word index, weighting, record) of the raising words and the repeats
-    found = [(i, b"", raised.pop(0)) for i, t in enumerate(tables) if t is None]
+    tables = [_table(word, failures) for word in words]
 
     def path(i: int, image: bytes) -> str:
         return _path_text(words[i], tables[i].get(image))
 
-    runs = [zip(t.sorted_images(), itertools.repeat(i)) for i, t in enumerate(tables) if t]
+    def miss(p: bytes) -> dict:
+        return _fail(perm_text(p), "hit by some weighted path", "missed")
+
+    runs = [zip(t.sorted_images(), itertools.repeat(i)) for i, t in enumerate(tables)]
     avoiders = map(bytes, enumerate_updown_avoiders(n))
     avoider = next(avoiders, None)
-    missed, outside = [], []
     checked, first, first_i = 0, None, 0
     for image, i in heapq.merge(*runs):
         checked += 1
         if image == first:
-            weights = tables[i].get(image)
-            found.append((i, weights, _fail(
-                _path_text(words[i], weights), "a fresh image",
-                f"{perm_text(image)} already hit by {path(first_i, image)}")))
+            failures.append(_fail(path(i, image), "a fresh image",
+                                  f"{perm_text(image)} already hit by {path(first_i, image)}"))
             continue
         first, first_i = image, i
         while avoider is not None and avoider < image:
-            missed.append(avoider)
+            checked += 1
+            failures.append(miss(avoider))
             avoider = next(avoiders, None)
         if avoider == image:
             checked += 1
             avoider = next(avoiders, None)
         else:
-            outside.append(_fail(path(i, image), "an up-down permutation avoiding 1234",
-                                 perm_text(image)))
+            failures.append(_fail(path(i, image), "an up-down permutation avoiding 1234",
+                                  perm_text(image)))
     if avoider is not None:
-        missed.append(avoider)
-        missed += avoiders
-    checked += len(missed)
-    failures.extend(record for _, _, record in sorted(found, key=lambda f: f[:2]))
-    failures.extend(_fail(perm_text(p), "hit by some weighted path", "missed") for p in missed)
-    failures.extend(outside)
+        avoiders = itertools.chain((avoider,), avoiders)
+    for p in avoiders:
+        checked += 1
+        failures.append(miss(p))
     return checked
 
 
@@ -216,12 +210,12 @@ def _suite_roundtrip(n: int, failures: list[dict]) -> int:
     `from_permutation` must recover the path.  The oracle's inverse is not
     run: it reads the table of the word the image's bottom letters mark,
     so on a recovered path it reads the entry the loop is on.  A word
-    whose table raises is recorded by `_table`.  A path's text is built
-    only for a failure."""
+    whose table raises is recorded by `_table`, and its empty table
+    checks nothing.  A path's text is built only for a failure."""
     checked = 0
     for word in _dyck_words(n):
         table = _table(word, failures)
-        for sigma, weights in table.items() if table else ():
+        for sigma, weights in table.items():
             checked += 1
             try:
                 back = from_permutation(sigma)
@@ -241,8 +235,8 @@ def _suite_schutzenberger(n: int, failures: list[dict]) -> int:
     weights, which are the mirror's.  Each table maps its own word
     forward, and neither is built from the other, so the check stays
     independent of the rule it checks.  A word whose table raises is
-    recorded once, at its own turn, and neither its paths nor their
-    mirrors are checked."""
+    recorded once, at its own turn; its empty table, or its mirror's, is
+    falsy, so neither its paths nor their mirrors are checked."""
     checked = 0
     for word in _dyck_words(n):
         table = _table(word, failures)
@@ -261,11 +255,11 @@ def _suite_schutzenberger(n: int, failures: list[dict]) -> int:
 
 def _mapped(a: int) -> Iterator[tuple]:
     """(path, image) of each weighted path of size a, in enumeration order,
-    both read from `_table`; a word whose table raises yields nothing."""
+    both read from `_table`, whose table of a raising word is empty."""
     for word in _dyck_words(a):
         table = _table(word, [])
         path = DyckPath(word)
-        for image, weights in table.items() if table else ():
+        for image, weights in table.items():
             yield WeightedDyckPath(path, weights), image
 
 
@@ -302,7 +296,7 @@ def _suite_statistic(n: int, failures: list[dict]) -> int:
     for word in _dyck_words(n):
         ups = [i for i, s in enumerate(word, start=1) if s == UP]
         table = _table(word, failures)
-        for perm in table or ():
+        for perm in table:
             checked += 1
             bots = sorted(perm[0::2])
             if bots != ups:
@@ -317,15 +311,15 @@ def _suite_criteria(m: int, failures: list[dict]) -> int:
     ground truth, up-down and 1234-avoiding, is `_up_down_perms` filtered
     by `avoids_1234`, streamed in lexicographic order too; its up-down
     permutations are counted as they pass, and a count other than
-    `EULER_ZIGZAG`'s is the step's first record.  A permutation is a
-    failure exactly when it lies in one of the two sorted streams and not
-    the other, so merging them yields the failures of a loop that compares
-    the verdict with the ground truth on every permutation, in the same
-    order, with the same text.  Each permutation occurs once in each
-    stream, so one met once is a failure, and its verdict says which
-    stream it came from: accepted outside the ground set is expected
-    False, rejected inside it True."""
-    start, tally = len(failures), itertools.count()
+    `EULER_ZIGZAG`'s is recorded when that stream ends, after the
+    permutations' records.  A permutation is a failure exactly when it
+    lies in one of the two sorted streams and not the other, so merging
+    them yields the failures of a loop that compares the verdict with the
+    ground truth on every permutation, in the same order, with the same
+    text.  Each permutation occurs once in each stream, so one met once
+    is a failure, and its verdict says which stream it came from: accepted
+    outside the ground set is expected False, rejected inside it True."""
+    tally = itertools.count()
     # zip draws one number per up-down permutation, so next(tally) counts them
     ground = (p for p, _ in zip(_up_down_perms(m), tally) if avoids_1234(p))
     accepted = filter(_criteria_verdict, itertools.permutations(range(1, 2 * m + 1)))
@@ -336,8 +330,7 @@ def _suite_criteria(m: int, failures: list[dict]) -> int:
     up_down = next(tally)
     ref = EULER_ZIGZAG[m] if m < len(EULER_ZIGZAG) else None
     if ref is not None and up_down != ref:
-        failures.insert(start, _fail(f"up-down permutations, size={2 * m}",
-                                     str(ref), str(up_down)))
+        failures.append(_fail(f"up-down permutations, size={2 * m}", str(ref), str(up_down)))
     return factorial(2 * m)
 
 

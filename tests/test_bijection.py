@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import random
+import time
+import tracemalloc
 from collections import Counter, defaultdict
 from operator import gt, lt
 
@@ -559,6 +561,34 @@ class TestInverseBeyondExhaustive:
             x = random_path(rng, n, irreducible)
             assert (len(factor_spans(x.steps)) == 1) == irreducible
             assert from_permutation(to_permutation(x).perm) == x
+
+    def test_a_plan_keys_its_records_by_index(self):
+        # each plan record is held with its index in its frame, not with a
+        # mask of the records before it: the plan of an n = 8,000 path
+        # takes about 4.6 MB, where the masks made it about 13.2 MB
+        steps = random_path(random.Random(8000), 8000, True).steps
+        for word in (steps, _reflected_steps(steps)):  # the rows first
+            _step_rows(word)
+        _factor_plan.cache_clear()
+        tracemalloc.start()
+        try:
+            _factor_plan(steps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            _factor_plan.cache_clear()
+        assert peak < 8_000_000
+
+    def test_many_factors_invert_in_linear_time(self):
+        # each factor's weights are written into one list: (UD)^16000 has
+        # 16,000 factors, and prepending each factor's weights to a tuple
+        # copied it once per factor, about 0.9 s where the map takes 0.07 s
+        x = wd("UD" * 16000)
+        p = to_permutation(x).perm
+        start = time.perf_counter()
+        back = from_permutation(p)
+        assert time.perf_counter() - start < 0.3
+        assert back == x
 
     def test_tall_paths_roundtrip(self):
         # heights above 64, where the span rows are read on demand

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import tracemalloc
@@ -426,6 +427,23 @@ class TestEnumerateWeighted:
         got = [x.weights for x in itertools.islice(enumerate_weightings(DyckPath(steps)), 3000)]
         assert got == list(itertools.islice(lex_weightings(steps), 3000))
         assert max(w[70] for w in got) > 0
+
+    @pytest.mark.parametrize("steps", [
+        "U" * 90 + "D" * 30 + "U" * 20 + "D" * 80 + "UD",  # 82 tall rows
+        "U" * 300 + "D" * 300,  # 471 tall rows
+    ], ids=("82-rows", "471-rows"))
+    def test_a_tall_row_is_its_shape(self, steps):
+        # a row above the tabulated height is the step's shape, one tuple,
+        # so a tall word's rows add at most 2 GC-tracked objects per row
+        # read on demand, where a row holding a closure added about 7
+        _step_rows(steps)  # warm the tabulated rows and the height profile
+        _step_rows.cache_clear()
+        gc.collect()
+        before = len(gc.get_objects())
+        rows = _step_rows(steps)
+        added = len(gc.get_objects()) - before
+        tall = sum(isinstance(row, _LazyRow) for row in rows)
+        assert tall and added <= 2 * tall
 
 
 class TestCountWeighted:

@@ -549,6 +549,19 @@ class TestSharedImageTable:
         assert not +want
 
 
+def _sorted_digest(failures):
+    """sha256 of the records sorted by their JSON text: equal for two runs
+    that write the same records in any order."""
+    return hashlib.sha256(json.dumps(sorted(failures, key=json.dumps)).encode()).hexdigest()
+
+
+def _merge_image(record):
+    """The image, as a tuple, that a record of the bijectivity merge is
+    about: a repeat's, a miss's or an outside image's."""
+    text = record["input"] if record["actual"] == "missed" else record["actual"]
+    return tuple(map(int, text.split(" ")[0].split(",")))
+
+
 class TestSortedMerge:
     @staticmethod
     def _swap(monkeypatch, tables):
@@ -563,23 +576,27 @@ class TestSortedMerge:
         return hashlib.sha256(json.dumps(list(failures)).encode()).hexdigest()
 
     # each fault's cap, the words that read another word's table, and
-    # (checked, records, sha256 of the records, records of each kind), as
-    # the pass that held a dict of every image wrote them
+    # (checked, records, sha256 of the records, of the records sorted, and
+    # records of each kind); the sorted digests are those of the records
+    # of the pass that held a dict of every image, written in another order
     @pytest.mark.parametrize("fault, cap, tables, pinned", [
         # UUUDDD's 21 images again at UUDUDD, each named with UUUDDD's
         # path, and UUDUDD's 12 avoiders missed
         ("repeat", 3, {"UUDUDD": "UUUDDD"},
-         (107, 33, "ebf9f44189457b768e03594c650399a7a4abf9f04a3741f714eee2c98759f98e",
+         (107, 33, "34f390dda311c733f911b4ca8f76f7b125078526f8da4df22607ff6dbd074586",
+          "b4b00ffe6c8ebef75ba9023a53515f47c832cc8ac62d725095f49ef0fe7139bb",
           {"a fresh image": 21, "hit by some weighted path": 12})),
         # UUDUDD's table raises, so its 12 paths are dropped and their
         # avoiders missed
         ("drop", 3, {},
          (86, 13, "2a66067f3fdca49c821597267fda83a214d5af32ef8d3f5af6d2fdb828d72b46",
+          "e57cb59c4f7a5a659b16797aeae00dabec900dd291a922bb5227befeeb560c43",
           {"an image for every weighting": 1, "hit by some weighted path": 12})),
         # UUUDDD's 21 images, six letters long, outside the family of
         # size 2, and UUDD's 4 avoiders missed
         ("outside", 3, {"UUDD": "UUUDDD"},
-         (115, 25, "be4cca4afc7ae72fa2867d79fc4bfa7d961e3f31284b3efa9f75d4bc4b5ccc9f",
+         (115, 25, "104b69cefd36718fada208b28ea40fc31290f37d7c38868f4b0d3875847c1b3c",
+          "3f78aa8e8bba071f8d426d8edbee8c997871747eaa0581465927aae0c638f4fb",
           {"hit by some weighted path": 4, "an up-down permutation avoiding 1234": 21})),
     ], ids=("repeat", "drop", "outside"))
     def test_faults_give_the_pinned_records(self, monkeypatch, fault, cap, tables, pinned):
@@ -593,14 +610,13 @@ class TestSortedMerge:
             _image_table.cache_clear()
         kinds = Counter(f["expected"] for f in report.failures)
         assert (report.checked, len(report.failures), self._digest(report.failures),
-                kinds) == pinned
+                _sorted_digest(report.failures), kinds) == pinned
 
     def test_a_raising_word_comes_first_among_the_repeats(self, monkeypatch):
         # UUDUDD's table raises, and two later words read earlier words'
-        # tables: the raising word's record and the repeats come by word,
-        # then by weighting, though the merge meets the repeats by image;
-        # then the misses of all three words, as the pass that held a dict
-        # of every image wrote them
+        # tables: the raising word's record comes first, then the merge's
+        # 25 repeats and 17 misses, by image; the sorted digest is that of
+        # the records of the pass that held a dict of every image
         _image_table.cache_clear()
         _reverse_top_word_of_uududd(monkeypatch)
         self._swap(monkeypatch, {"UUDDUD": "UUUDDD", "UDUDUD": "UDUUDD"})
@@ -608,17 +624,23 @@ class TestSortedMerge:
             report = run_suite("bijectivity", 3)
         finally:
             _image_table.cache_clear()
-        words = [f["input"].split(";")[0] for f in report.failures[:26]]
-        assert words == ["UUDUDD"] + ["UUDDUD"] * 21 + ["UDUDUD"] * 4
-        repeats = [f["input"] for f in report.failures[1:22]]
-        assert repeats == sorted(repeats)
-        assert (report.checked, len(report.failures), self._digest(report.failures)) == (
-            106, 43, "f04e85c7c9191c677e5ce0dea3c94754b7a12a5615766255069d61ad224a350d")
+        raised, *merged = report.failures
+        assert raised["input"] == "UUDUDD"
+        images = [_merge_image(f) for f in merged]
+        assert images == sorted(images)
+        assert Counter(f["expected"] for f in merged) == {
+            "a fresh image": 25, "hit by some weighted path": 17}
+        assert (report.checked, len(report.failures), self._digest(report.failures),
+                _sorted_digest(report.failures)) == (
+            106, 43, "b601d265f83baecdf814fcc1b04de11f768326ec2f38d8d1adf5c956f4de2267",
+            "314a90346ad39c66ee267f33e2df0562ad24305161afa004f7ba837ab0273598")
 
     def test_a_repeat_on_both_sides_is_caught(self, monkeypatch):
         # UUDD reads UDUD's table, whose one image is then hit twice, and
         # by a fault of the enumerator its avoider is streamed twice: the
-        # second copy is missed, with UUDD's own avoiders
+        # second copy is missed, with UUDD's own avoiders, and the records
+        # come by image; the sorted digest is that of the records of the
+        # pass that held a dict of every image
         real_avoiders = verify.enumerate_updown_avoiders
         first = tuple(next(iter(_image_table("UDUD"))))
         repeats = []
@@ -634,25 +656,31 @@ class TestSortedMerge:
         monkeypatch.setattr(verify, "enumerate_updown_avoiders", twice)
         report = run_suite("bijectivity", 2)
         assert repeats == [first]
-        missed = ["1,3,2,4", "1,4,2,3", "2,3,1,4", "2,4,1,3", "3,4,1,2"]
+        missed = [{"input": p, "expected": "hit by some weighted path", "actual": "missed"}
+                  for p in ("1,3,2,4", "1,4,2,3", "2,3,1,4", "2,4,1,3", "3,4,1,2")]
         assert report.checked == 12
         assert list(report.failures) == [
+            *missed[:4],
             {"input": "UDUD;0,0,0,0", "expected": "a fresh image",
              "actual": "3,4,1,2 already hit by UUDD;0,0,0,0"},
-            *({"input": p, "expected": "hit by some weighted path", "actual": "missed"}
-              for p in missed)]
+            missed[4]]
+        assert _sorted_digest(report.failures) == (
+            "ef441e9ea780014fcf7bd680dae3e5824b10b6b1255267ec88e48be5543ae6a6")
 
     def test_a_failing_size_holds_no_dict(self, monkeypatch):
         # with UUDUDDUUUDDD reading UUUDDDUUUDDD's table and the tables of
         # n <= 6 warm, the step holds its 693 records and the merge, about
-        # 0.55 MB, where a dict of every image took about 15.7 MB
+        # 0.55 MB, where a dict of every image took about 15.7 MB; the
+        # sorted digest is that of the records of the pass with the dict
         self._swap(monkeypatch, {"UUDUDDUUUDDD": "UUUDDDUUUDDD"})
         run_suite("bijectivity", 6)
         reports = []
         assert _traced_peak(lambda: reports.append(run_suite("bijectivity", 6))) < 1_000_000
         report, = reports
-        assert (report.checked, len(report.failures), self._digest(report.failures)) == (
-            188255, 693, "ed7770cdbd9870e8e47d4ff37daf338e03b20716178963a6372eb8f51f48dcb8")
+        assert (report.checked, len(report.failures), self._digest(report.failures),
+                _sorted_digest(report.failures)) == (
+            188255, 693, "cc2b8955e14baf640f0e2a3e3fa4114239cb8e918f364f94c5e23f881e5efb3d",
+            "fba3898d2023708d84a1c0b0bc15d8784141a557f55307df80f1c1ca20e960c3")
 
     def test_merge_copies_no_image(self):
         # with the 197 image tables of n <= 6 warm, the pass holds one
@@ -991,7 +1019,13 @@ class TestCriteriaGround:
 
         monkeypatch.setattr(verify, "_up_down_perms", dropping)
         report = run_suite("criteria", 3)
-        assert [f["input"] for f in report.failures] == ["up-down permutations, size=4", "1,3,2,4"]
+        # the count record is written when the ground stream ends, after
+        # the permutation's; the sorted digest is that of the records
+        # written with the count record first
+        assert report.checked == sum(factorial(2 * m) for m in range(4))
+        assert [f["input"] for f in report.failures] == ["1,3,2,4", "up-down permutations, size=4"]
+        assert _sorted_digest(report.failures) == (
+            "211c10b51ca5ce2383b8d0d5f28cad1db26ba02dd25ca0f1ad93860297149761")
 
 
 class TestTransformationKeys:
