@@ -367,17 +367,17 @@ def _span(prev: Optional[str], kind: str, h0: int, h1: int, prev_w: int) -> tupl
 
 # The tallest shape whose row is tabulated.  A row holds one span per
 # feasible previous weight, so tabulating every shape of a path of height H
-# takes O(H^2) memory (about 27 MB at H = 600).  Up to this height there are
-# at most 4 * 65 + 1 shapes, so the row caches never evict a row, and no
-# cached word holds a copy of one.
+# takes O(H^2) memory (about 27 MB at H = 600); above this height a row is
+# its shape, read on demand.  A path of height H has at most 4H + 1 shapes,
+# so `_row` holds every shape of a path up to about height 1,000, and a
+# taller one evicts rows and builds them again.
 _TABULATED_HEIGHT = 64
 
 
 class _LazyRow(tuple):
     """The row of a shape above `_TABULATED_HEIGHT`: the shape itself,
     (prev, kind, h0, h1), whose entry i is `_span` at previous weight i,
-    computed when it is read, so a tall path keeps one small tuple per
-    step."""
+    computed when it is read."""
 
     __slots__ = ()
 
@@ -388,33 +388,27 @@ class _LazyRow(tuple):
 SpanRow = Union[tuple[tuple[int, int], ...], _LazyRow]
 
 
-@lru_cache(maxsize=512)
-def _span_row(prev: Optional[str], kind: str, h0: int, h1: int) -> tuple[tuple[int, int], ...]:
-    """`_span` of one step shape for every C1-feasible weight of the
-    previous step, indexed by that weight: 0..h0-1 after a rise (which
-    ends at h0), 0..h0 after a fall, and the single index 0 for the first
-    step.  A span depends only on the shape and the previous weight, so
-    every path shares the rows.  Called for shapes up to
-    `_TABULATED_HEIGHT` only (see `_row`)."""
+@lru_cache(maxsize=4096)
+def _row(prev: Optional[str], kind: str, h0: int, h1: int) -> SpanRow:
+    """The span row of a step shape: `_span` for every C1-feasible weight
+    of the previous step, indexed by that weight (0..h0-1 after a rise,
+    which ends at h0, 0..h0 after a fall, and the single index 0 for the
+    first step).  Up to `_TABULATED_HEIGHT` the spans are tabulated, and
+    above it the row is the shape as a `_LazyRow`.  A span depends only
+    on the shape and the previous weight, so every step of a shape, in
+    every path, shares one row."""
+    if h0 > _TABULATED_HEIGHT:
+        return _LazyRow((prev, kind, h0, h1))
     if prev is None:
         return (_span(None, kind, h0, h1, 0),)
     feasible = h0 if prev == UP else h0 + 1
     return tuple(_span(prev, kind, h0, h1, pw) for pw in range(feasible))
 
 
-def _row(prev: Optional[str], kind: str, h0: int, h1: int) -> SpanRow:
-    """The span row of a step shape: `_span_row` up to `_TABULATED_HEIGHT`,
-    and above it the shape as a `_LazyRow`, which computes each span when
-    read."""
-    if h0 > _TABULATED_HEIGHT:
-        return _LazyRow((prev, kind, h0, h1))
-    return _span_row(prev, kind, h0, h1)
-
-
 @lru_cache(maxsize=4096)
 def _step_rows(steps: str) -> tuple[SpanRow, ...]:
-    """The span row of each step of a word, shared with every word that has
-    a step of the same shape."""
+    """The span row of each step of a word, from `_row`: one object per
+    shape, shared with every step of the same shape."""
     h = _height_profile(steps)
     return tuple(_row(steps[k - 1] if k else None, steps[k], h[k], h[k + 1])
                  for k in range(len(steps)))

@@ -26,6 +26,20 @@ def brute_dyck_words(n: int) -> list[str]:
     return out
 
 
+def random_dyck_word(rng, n):
+    """Uniform Dyck word of semilength n by the cycle lemma: of the rotations
+    of a shuffled word with n rises and n + 1 falls, exactly one keeps every
+    proper prefix at or above the ground; drop its final fall."""
+    seq = ["U"] * n + ["D"] * (n + 1)
+    rng.shuffle(seq)
+    height = lowest = cut = 0
+    for i, s in enumerate(seq):
+        height += 1 if s == "U" else -1
+        if height < lowest:
+            lowest, cut = height, i + 1
+    return "".join(seq[cut:] + seq[:cut])[:-1]
+
+
 def brute_heights(steps: str) -> list[int]:
     h = [0]
     for s in steps:

@@ -46,7 +46,7 @@ from dyckperm.paths import (
     _reflected_steps,
     _runs,
     _span,
-    _span_row,
+    _row,
     _step_rows,
     concat,
     enumerate_weighted,
@@ -71,6 +71,7 @@ from .oracles import (
     contains_1234_naive,
     lex_weightings,
     naive_lis,
+    random_dyck_word,
     word_weighting_count,
 )
 
@@ -79,20 +80,6 @@ EX14 = parse_path(EXAMPLE14_TEXT)
 
 def wd(steps, weights=None):
     return WeightedDyckPath.from_steps(steps, weights)
-
-
-def random_dyck_word(rng, n):
-    """Uniform Dyck word of semilength n by the cycle lemma: of the rotations
-    of a shuffled word with n rises and n + 1 falls, exactly one keeps every
-    proper prefix at or above the ground; drop its final fall."""
-    seq = ["U"] * n + ["D"] * (n + 1)
-    rng.shuffle(seq)
-    height = lowest = cut = 0
-    for i, s in enumerate(seq):
-        height += 1 if s == "U" else -1
-        if height < lowest:
-            lowest, cut = height, i + 1
-    return "".join(seq[cut:] + seq[:cut])[:-1]
 
 
 def random_path(rng, n, irreducible):
@@ -592,13 +579,33 @@ class TestInverseBeyondExhaustive:
 
     def test_tall_paths_roundtrip(self):
         # heights above 64, where the span rows are read on demand
+        _row.cache_clear()
+        _step_rows.cache_clear()
         rng = random.Random(70)
         for steps in TALL_WORDS:
             for _ in range(5):
                 x = random_weighting(rng, steps)
                 assert from_permutation(to_permutation(x).perm) == x
-        # only shapes up to height 64 are tabulated, so no row is evicted
-        assert _span_row.cache_info().currsize <= 4 * 65 + 1
+        # the tall words have fewer shapes than `_row` holds, so each shape
+        # is built once and no row is evicted
+        info = _row.cache_info()
+        assert info.misses == info.currsize
+
+    def test_rows_are_evicted_and_built_again(self):
+        # a word of 4,400 shapes, all distinct, more than `_row` holds:
+        # building its rows evicts the first ones, and building them again
+        # (the word's cached rows and plan cleared) misses at every shape
+        steps = "U" * 2200 + "D" * 2200
+        _row.cache_clear()
+        rng = random.Random(4400)
+        for _ in range(2):
+            _step_rows.cache_clear()
+            _factor_plan.cache_clear()
+            x = random_weighting(rng, steps)
+            assert from_permutation(to_permutation(x).perm) == x
+        info = _row.cache_info()
+        assert info.currsize <= 4096
+        assert info.misses == 2 * len(steps)
 
     def test_caches_stay_bounded(self):
         # every fresh path adds two keys (itself and its mirror) to each
@@ -618,9 +625,11 @@ class TestInverseBeyondExhaustive:
             _word_spans(steps)
         for cache in (_step_rows, _factor_plan, _word_spans):
             assert cache.cache_info().currsize <= 4096
-        # at most 4 * 65 + 1 shapes are tabulated, so no workload fills this
-        # cache; the bound itself is what keeps it from growing
-        assert _span_row.cache_info().maxsize == 512
+        # a path of height H has at most 4H + 1 shapes, so only paths
+        # taller than about 1,000 fill `_row`; its bound is what keeps the
+        # rows of taller ones from growing it
+        assert _row.cache_info().maxsize == 4096
+        assert _row.cache_info().currsize <= 4096
 
 
 def _order_pairs(max_n):

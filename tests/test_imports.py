@@ -23,7 +23,7 @@ VERIFY_PRIVATE = {
 
 # every cache in the package: a new one is added here and bounded in
 # tests/test_bijection.py::TestInverseBeyondExhaustive::test_caches_stay_bounded
-CACHED = {"paths._height_profile", "paths._step_rows", "paths._span_row",
+CACHED = {"paths._height_profile", "paths._step_rows", "paths._row",
           "_insertion._factor_plan", "_insertion._image_table", "_insertion._word_spans"}
 
 
@@ -135,6 +135,27 @@ def test_cache_inventory_is_pinned():
     assert found == CACHED
 
 
+def _is_bounded(decorator: ast.expr) -> bool:
+    """The decorator is `lru_cache(maxsize=<int literal>)`."""
+    return (isinstance(decorator, ast.Call) and not decorator.args
+            and getattr(decorator.func, "attr", getattr(decorator.func, "id", None)) == "lru_cache"
+            and [k.arg for k in decorator.keywords] == ["maxsize"]
+            and isinstance(decorator.keywords[0].value, ast.Constant)
+            and type(decorator.keywords[0].value.value) is int)
+
+
+def test_every_cache_is_bounded():
+    # a cache that can grow without bound fails here: `@cache`, a bare
+    # `@lru_cache`, `maxsize=None` and a size that is not an int literal
+    unbounded = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                unbounded += [f"{path.stem}.{fn.name}" for d in fn.decorator_list
+                              if _is_cache(d) and not _is_bounded(d)]
+    assert unbounded == []
+
+
 def test_only_paths_knows_the_tabulation_policy():
     # which step shapes are tabulated, and how the others are read, is
     # decided in paths alone; other modules read rows through `_step_rows`
@@ -190,7 +211,7 @@ def test_weights_are_turned_once():
     # both reads the span rows and raises a list entry by one, as a second
     # odometer would (`counts_upto` adds counts, not ones; the parking
     # functions' odometer in `_references` reads no rows)
-    rows = {"_step_rows", "_span_row", "_row", "_span"}
+    rows = {"_step_rows", "_row", "_span"}
     found = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))

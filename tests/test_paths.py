@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import itertools
+import random
 import tracemalloc
 
 import pytest
@@ -16,6 +17,7 @@ from dyckperm.paths import (
     _dyck_words,
     _fits,
     _odometer,
+    _reflected_steps,
     _step_rows,
     _weighted_lines,
     concat,
@@ -44,9 +46,14 @@ from .oracles import (
     closed_form,
     lex_weightings,
     per_word_count,
+    random_dyck_word,
 )
 
 EX14 = parse_path(EXAMPLE14_TEXT)
+
+# the steps of `random_path(random.Random(8000), 8000, True)` in
+# tests/test_bijection.py, a word of height 226
+N8000 = "U" + random_dyck_word(random.Random(8000), 7999) + "D"
 
 
 def wd(steps, weights=None):
@@ -428,22 +435,34 @@ class TestEnumerateWeighted:
         assert got == list(itertools.islice(lex_weightings(steps), 3000))
         assert max(w[70] for w in got) > 0
 
-    @pytest.mark.parametrize("steps", [
-        "U" * 90 + "D" * 30 + "U" * 20 + "D" * 80 + "UD",  # 82 tall rows
-        "U" * 300 + "D" * 300,  # 471 tall rows
-    ], ids=("82-rows", "471-rows"))
-    def test_a_tall_row_is_its_shape(self, steps):
+    @pytest.mark.parametrize("words", [
+        ("U" * 90 + "D" * 30 + "U" * 20 + "D" * 80 + "UD",),  # 82 tall rows
+        ("U" * 300 + "D" * 300,),  # 471 tall rows
+        (N8000, _reflected_steps(N8000)),  # 28,934 tall rows of 642 shapes
+    ], ids=("82-rows", "471-rows", "n8000"))
+    def test_a_tall_row_is_its_shape(self, words):
         # a row above the tabulated height is the step's shape, one tuple,
-        # so a tall word's rows add at most 2 GC-tracked objects per row
-        # read on demand, where a row holding a closure added about 7
-        _step_rows(steps)  # warm the tabulated rows and the height profile
+        # and every step of a shape shares it, so the rows of a word keep
+        # at most 2 GC-tracked objects per distinct tall shape, however
+        # many steps have it
+        for steps in words:
+            heights(DyckPath(steps))  # warm the height profile
+        paths._row.cache_clear()
         _step_rows.cache_clear()
         gc.collect()
+        gc.collect()
         before = len(gc.get_objects())
-        rows = _step_rows(steps)
+        rows = [row for steps in words for row in _step_rows(steps)]
+        # a collection untracks the tuples of ints, which the collector
+        # never traverses again; what stays tracked is what it keeps
+        # traversing while the caches hold the rows
+        gc.collect()
+        gc.collect()
         added = len(gc.get_objects()) - before
-        tall = sum(isinstance(row, _LazyRow) for row in rows)
-        assert tall and added <= 2 * tall
+        shapes = {row for row in rows if isinstance(row, _LazyRow)}
+        assert shapes and added <= 2 * len(shapes)
+        info = paths._row.cache_info()
+        assert info.misses == info.currsize
 
 
 class TestCountWeighted:

@@ -195,6 +195,11 @@ class TestRunSuite:
     def test_reference_counts(self):
         assert REFERENCE_COUNTS == (1, 1, 5, 42, 462, 6006, 87516, 1385670, 23371634)
 
+    def test_catalan_counts(self):
+        # OEIS A000108: the parking suite checks n = 8 against the last
+        # entry at its default cap, past the brute filter's n <= 7
+        assert verify.CATALAN == (1, 1, 2, 5, 14, 42, 132, 429, 1430)
+
     def test_catalan_values_against_brute_filter(self):
         import itertools
 
