@@ -3,12 +3,16 @@ compares the package against, independently of the code under test.
 `top_word_direct` reads the falls straight off the path, where the forward
 map inserts the rises of the mirrored path; `_up_down_perms` lists the
 up-down permutations without reference to 1234; `_parking_functions` lists
-the non-decreasing parking functions by an odometer.
+the non-decreasing parking functions by an odometer.  `a005789`, `catalan`
+and `euler_zigzag` are the count checks' sequences, each from its formula,
+so a check holds at every size.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import accumulate
+from math import comb, factorial
 from typing import Iterator
 
 # the cut is read through its module, so a patch of it reaches the
@@ -124,3 +128,24 @@ def _parking_functions(n: int) -> Iterator[tuple[int, ...]]:
             return
         vals[i] += 1
         vals[i + 1:] = [vals[i]] * (n - 1 - i)
+
+
+def a005789(n: int) -> int:
+    """OEIS A005789 at n, the common size of both families: the tableaux
+    of shape (n, n, n) by the hook length formula, 2(3n)!/(n!(n+1)!(n+2)!)."""
+    return 2 * factorial(3 * n) // (factorial(n) * factorial(n + 1) * factorial(n + 2))
+
+
+def catalan(n: int) -> int:
+    """OEIS A000108 at n: the non-decreasing parking functions of length n."""
+    return comb(2 * n, n) // (n + 1)
+
+
+def euler_zigzag(m: int) -> int:
+    """OEIS A000364 at m, the up-down permutations of size 2m: the last
+    entry of row 2m of Seidel's boustrophedon, each row the running sums
+    of the one before it, read backwards."""
+    row = [1]
+    for _ in range(2 * m):
+        row = list(accumulate(reversed(row), initial=0))
+    return row[-1]

@@ -15,6 +15,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import bijection, paths, perms, verify
+from ._references import a005789
 
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
@@ -82,13 +83,10 @@ def _cmd_invert(args: argparse.Namespace) -> int:
 def _cmd_count(args: argparse.Namespace) -> int:
     mismatch = False
     for n, got in enumerate(paths.counts_upto(args.max_n)):
-        if n < len(verify.REFERENCE_COUNTS):
-            ref = verify.REFERENCE_COUNTS[n]
-            flag = "" if got == ref else " MISMATCH"
-            mismatch = mismatch or bool(flag)
-            print(f"{n}: {got} (ref {ref}){flag}")
-        else:
-            print(f"{n}: {got}")
+        ref = a005789(n)
+        flag = "" if got == ref else " MISMATCH"
+        mismatch = mismatch or bool(flag)
+        print(f"{n}: {got} (ref {ref}){flag}")
     return 1 if mismatch else 0
 
 

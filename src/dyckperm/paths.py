@@ -392,15 +392,14 @@ SpanRow = Union[tuple[tuple[int, int], ...], _LazyRow]
 def _row(prev: Optional[str], kind: str, h0: int, h1: int) -> SpanRow:
     """The span row of a step shape: `_span` for every C1-feasible weight
     of the previous step, indexed by that weight (0..h0-1 after a rise,
-    which ends at h0, 0..h0 after a fall, and the single index 0 for the
-    first step).  Up to `_TABULATED_HEIGHT` the spans are tabulated, and
-    above it the row is the shape as a `_LazyRow`.  A span depends only
-    on the shape and the previous weight, so every step of a shape, in
-    every path, shares one row."""
+    which ends at h0, and 0..h0 otherwise: after a fall, and at the first
+    step, where h0 = 0 leaves the single index 0).  Up to
+    `_TABULATED_HEIGHT` the spans are tabulated, and above it the row is
+    the shape as a `_LazyRow`.  A span depends only on the shape and the
+    previous weight, so every step of a shape, in every path, shares one
+    row."""
     if h0 > _TABULATED_HEIGHT:
         return _LazyRow((prev, kind, h0, h1))
-    if prev is None:
-        return (_span(None, kind, h0, h1, 0),)
     feasible = h0 if prev == UP else h0 + 1
     return tuple(_span(prev, kind, h0, h1, pw) for pw in range(feasible))
 

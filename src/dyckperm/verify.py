@@ -25,7 +25,14 @@ from typing import Iterator, Optional
 # the kernel is read through its module, so a fault patched into it reaches
 # the suites too
 from . import _insertion
-from ._references import _parking_functions, _top_word_direct, _up_down_perms
+from ._references import (
+    _parking_functions,
+    _top_word_direct,
+    _up_down_perms,
+    a005789,
+    catalan,
+    euler_zigzag,
+)
 from .bijection import (
     InternalConsistencyError,
     ParkingFunction,
@@ -62,17 +69,13 @@ from .perms import (
     standardize,
 )
 
-# Three-dimensional Catalan numbers (OEIS A005789): the common size of both
-# families, embedded so no lookup is ever needed.
-REFERENCE_COUNTS = (1, 1, 5, 42, 462, 6006, 87516, 1385670, 23371634)
-
-# Euler zigzag numbers E_0, E_2, ..., E_10 (OEIS A000364): the up-down
-# permutations of each even size up to the criteria suite's default 10.
-EULER_ZIGZAG = (1, 1, 5, 61, 1385, 50521)
-
-# Catalan numbers: non-decreasing parking functions of length n and
-# 123-avoiding permutations of size n.
-CATALAN = (1, 1, 2, 5, 14, 42, 132, 429, 1430)
+# The first values of the count checks' sequences, each of which the
+# suites compute at every size from its formula: A005789, the common size
+# of both families, and the Catalan numbers for n <= 8, and the Euler
+# zigzag numbers E_0, E_2, ..., E_10.
+REFERENCE_COUNTS = tuple(map(a005789, range(9)))
+EULER_ZIGZAG = tuple(map(euler_zigzag, range(6)))
+CATALAN = tuple(map(catalan, range(9)))
 
 
 class VerificationReport(_Value):
@@ -132,12 +135,14 @@ def _table(word: str, failures: list[dict]) -> _insertion.ImageTable:
 
 
 def _suite_counts(n: int, failures: list[dict]) -> int:
+    """Both families' counters against `a005789(n)`, the hook length
+    formula, each in its own record, and then against each other."""
     got = count_weighted(n)
-    ref = REFERENCE_COUNTS[n] if n < len(REFERENCE_COUNTS) else None
-    if ref is not None and got != ref:
+    ref = a005789(n)
+    if got != ref:
         failures.append(_fail(f"weighted paths, n={n}", str(ref), str(got)))
     perm_count = count_updown_avoiders(n)
-    if ref is not None and perm_count != ref:
+    if perm_count != ref:
         failures.append(_fail(f"up-down avoiders, n={n}", str(ref), str(perm_count)))
     if got != perm_count:
         failures.append(_fail(f"family sizes, n={n}", str(got), str(perm_count)))
@@ -311,7 +316,7 @@ def _suite_criteria(m: int, failures: list[dict]) -> int:
     ground truth, up-down and 1234-avoiding, is `_up_down_perms` filtered
     by `avoids_1234`, streamed in lexicographic order too; its up-down
     permutations are counted as they pass, and a count other than
-    `EULER_ZIGZAG`'s is recorded when that stream ends, after the
+    `euler_zigzag(m)` is recorded when that stream ends, after the
     permutations' records.  A permutation is a failure exactly when it
     lies in one of the two sorted streams and not the other, so merging
     them yields the failures of a loop that compares the verdict with the
@@ -328,8 +333,8 @@ def _suite_criteria(m: int, failures: list[dict]) -> int:
             v = _criteria_verdict(p)
             failures.append(_fail(perm_text(p), str(not v), str(v)))
     up_down = next(tally)
-    ref = EULER_ZIGZAG[m] if m < len(EULER_ZIGZAG) else None
-    if ref is not None and up_down != ref:
+    ref = euler_zigzag(m)
+    if up_down != ref:
         failures.append(_fail(f"up-down permutations, size={2 * m}", str(ref), str(up_down)))
     return factorial(2 * m)
 
@@ -446,6 +451,10 @@ def _suite_transformation(n: int, failures: list[dict]) -> int:
 
 
 def _suite_parking(n: int, failures: list[dict]) -> int:
+    """Each non-decreasing parking function of length n, in lexicographic
+    order, maps to a 123-avoiding word that no earlier one maps to; after
+    their records, the count of distinct images is checked against
+    `catalan(n)`, so a map onto all the avoiders passes."""
     checked = 0
     images: dict[tuple[int, ...], tuple[int, ...]] = {}
     for vals in _parking_functions(n):
@@ -458,8 +467,8 @@ def _suite_parking(n: int, failures: list[dict]) -> int:
                 str(list(vals)), "a fresh image",
                 f"{perm_text(word)} already hit by {list(images[word])}"))
         images[word] = vals
-    ref = CATALAN[n] if n < len(CATALAN) else None
-    if ref is not None and len(images) != ref:
+    ref = catalan(n)
+    if len(images) != ref:
         failures.append(_fail(f"image count, n={n}", str(ref), str(len(images))))
     return checked
 

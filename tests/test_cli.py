@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import dyckperm
-from dyckperm import _insertion, bijection
+from dyckperm import _insertion, bijection, paths
 from dyckperm.bijection import InternalConsistencyError
 from dyckperm.cli import main, render_ascii
 from dyckperm.paths import parse_path
@@ -306,19 +306,27 @@ class TestCount:
         code, out, _ = run(capsys, "count", "--max-n", "7")
         assert (code, out) == (0, COUNT7)
 
-    def test_reference_ends_at_n8(self, capsys):
+    def test_reference_goes_past_n8(self, capsys):
         code, out, _ = run(capsys, "count", "--max-n", "9")
         lines = out.splitlines()
         assert code == 0
         assert lines[8] == "8: 23371634 (ref 23371634)"
-        assert lines[9] == f"9: {closed_form(9)}"
+        assert lines[9] == "9: 414315330 (ref 414315330)"
 
-    def test_past_the_reference_list(self, capsys):
+    def test_reference_on_every_line(self, capsys):
         code, out, _ = run(capsys, "count", "--max-n", "30")
         lines = out.splitlines()
         assert code == 0
-        assert len(lines) == 31
-        assert lines[-1] == f"30: {closed_form(30)}"
+        assert lines == [f"{n}: {closed_form(n)} (ref {closed_form(n)})" for n in range(31)]
+
+    def test_mismatch_past_n8(self, capsys, monkeypatch):
+        # a counter one too high at n = 9 is flagged against the formula
+        real = paths.counts_upto
+        monkeypatch.setattr(paths, "counts_upto",
+                            lambda n: [c + (i == 9) for i, c in enumerate(real(n))])
+        code, out, _ = run(capsys, "count", "--max-n", "9")
+        assert code == 1
+        assert out.splitlines()[9] == "9: 414315331 (ref 414315330) MISMATCH"
 
 
 class TestVerify:

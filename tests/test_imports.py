@@ -183,6 +183,27 @@ def test_pair_constraints_are_stated_once():
     assert found == {"paths._PAIRS": pair_ids}
 
 
+def test_no_count_check_stops_at_a_table_end():
+    # each count check reads its sequence's formula in `_references`,
+    # which has no end; the tuples of first values in verify are for
+    # readers, and a module that indexes one of them or takes its length
+    # has a check that stops where the tuple does
+    tables = {"REFERENCE_COUNTS", "EULER_ZIGZAG", "CATALAN"}
+
+    def names_table(node: ast.expr) -> bool:
+        return (getattr(node, "id", None) or getattr(node, "attr", None)) in tables
+
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Subscript) and names_table(node.value):
+                found.add(f"{path.stem}: {ast.unparse(node)}")
+            elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "len"
+                  and any(map(names_table, node.args))):
+                found.add(f"{path.stem}: {ast.unparse(node)}")
+    assert found == set()
+
+
 def test_slopes_are_scanned_once():
     # `paths._runs` is the one scan of a word into its slopes, which
     # `slopes` and the kernel's plans both read; a second scan, such as a

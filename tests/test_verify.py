@@ -12,7 +12,7 @@ import pytest
 import dyckperm._insertion as _insertion
 import dyckperm.verify as verify
 from dyckperm._insertion import _factor_plan, _image_table
-from dyckperm._references import top_word_direct
+from dyckperm._references import a005789, catalan, euler_zigzag, top_word_direct
 from dyckperm.bijection import (
     LEFT,
     RIGHT,
@@ -211,6 +211,14 @@ class TestRunSuite:
                 if not contains_123_triple(p)
             )
             assert found == verify.CATALAN[n]
+
+    def test_formulas_past_the_tables(self):
+        # the suites and `count` compare against the formulas at every n;
+        # the tuples above pin their first values, these the values beyond
+        assert all(a005789(n) == closed_form(n) for n in range(61))
+        assert a005789(10) == 7646001090
+        assert catalan(10) == 16796
+        assert (euler_zigzag(6), euler_zigzag(7)) == (2702765, 199360981)
 
 
 class TestSuiteTable:
@@ -878,6 +886,44 @@ class TestFaultInjection:
         assert list(perms_off.failures) == [
             {"input": "up-down avoiders, n=2", "expected": "5", "actual": "6"},
             {"input": "family sizes, n=2", "expected": "5", "actual": "6"}]
+
+    def test_counts_are_checked_past_the_first_values(self, monkeypatch):
+        # n = 12 lies past the first values that `REFERENCE_COUNTS` holds;
+        # the formula still names each family counted one too many there
+        real_paths, real_perms = verify.count_weighted, verify.count_updown_avoiders
+        monkeypatch.setattr(verify, "count_weighted", lambda n: real_paths(n) + (n == 12))
+        paths_off = run_suite("counts", 12)
+        monkeypatch.setattr(verify, "count_weighted", real_paths)
+        monkeypatch.setattr(verify, "count_updown_avoiders", lambda n: real_perms(n) + (n == 12))
+        perms_off = run_suite("counts", 12)
+        assert list(paths_off.failures) == [
+            {"input": "weighted paths, n=12", "expected": "2861142656400",
+             "actual": "2861142656401"},
+            {"input": "family sizes, n=12", "expected": "2861142656401",
+             "actual": "2861142656400"}]
+        assert list(perms_off.failures) == [
+            {"input": "up-down avoiders, n=12", "expected": "2861142656400",
+             "actual": "2861142656401"},
+            {"input": "family sizes, n=12", "expected": "2861142656400",
+             "actual": "2861142656401"}]
+
+    def test_parking_image_count_past_the_first_values(self, monkeypatch):
+        # at length 9, past the first values that `CATALAN` holds, one
+        # parking function given another's image: its record, then the
+        # count of distinct images, one short of Catalan(9)
+        real = verify.parking_to_123_avoiding
+        zeros, last = (0,) * 9, (0,) * 8 + (1,)
+
+        def corrupted(pf):
+            return real(ParkingFunction(zeros) if pf.values == last else pf)
+
+        monkeypatch.setattr(verify, "parking_to_123_avoiding", corrupted)
+        report = run_suite("parking", 10)
+        image = perm_text(real(ParkingFunction(zeros)))
+        assert list(report.failures) == [
+            {"input": str(list(last)), "expected": "a fresh image",
+             "actual": f"{image} already hit by {list(zeros)}"},
+            {"input": "image count, n=9", "expected": "4862", "actual": "4861"}]
 
     def test_parking_names_each_kind_of_fault(self, monkeypatch):
         # of the five parking functions of length 3, [0, 1, 2] maps to a
