@@ -14,9 +14,11 @@ letter (see enumerate_updown_avoiders), so no branch of the search dies.
 The backtracker stops 8 letters (`_SUFFIX`) short of the end, and each
 prefix is completed from a table of suffixes in rank space, memoized per
 call by the ranks of the prefix's last letter and tails among its unused
-letters.  Every permutation, the first one included, comes after time
-polynomial in n.  The same signatures count the family without listing
-it (count_updown_avoiders).
+letters.  A table is built from the completions of the states one letter
+below it (a state is the number of unused letters and those ranks), each
+of them built once per call in the same way.  Every permutation, the
+first one included, comes after time polynomial in n.  The same
+signatures count the family without listing it (count_updown_avoiders).
 """
 
 from __future__ import annotations
@@ -322,10 +324,18 @@ def _extend(cur: list[int], free: list[int], tails: list[int],
 
 # L, the number of letters each suffix table completes.  Even, so that every
 # prefix looked up ends at a top.  At 8 there are 70 signatures at n = 6 (over
-# 845 prefixes) and 96 at n = 7 and 8 (over 18,275 and 381,425), and the
-# tables hold 462 distinct rank tuples.  On a 2-vCPU host, n = 6, 7 and 8
-# took 0.13, 0.56 and 10.9 s at L = 8, and 0.07, 1.2 and 24.7 s at L = 6.
+# 845 prefixes) and 96 at n = 7 and 8 (over 18,275 and 381,425), built from
+# 276 states below them, and the tables hold 462 distinct rank records.
+# `enumerate --family perm` at n = 6, 7 and 8 on a 2-vCPU host took 0.045,
+# 0.65 and 11.0 s at L = 8, 0.072, 1.26 and 23.8 s at L = 6, and 0.069, 0.64
+# and 9.4 s at L = 10 (best of 9 runs, of 4 at n = 8); the medians at L = 8,
+# 0.080, 0.91 and 12.8 s, were the lowest at each n.
 _SUFFIX = 8
+
+# _LIFT[r], a table for bytes.translate, raises every rank >= r by one: it
+# takes the rank records of a state to those of the state before it, where
+# the letter just placed has rank r.  A rank is below _SUFFIX.
+_LIFT = [bytes(range(r)) + bytes(range(r + 1, 256)) + b"\xff" for r in range(_SUFFIX)]
 
 
 def enumerate_updown_avoiders(n: int) -> Iterator[Permutation]:
@@ -413,10 +423,18 @@ def enumerate_updown_avoiders(n: int) -> Iterator[Permutation]:
     too.  Keying on them keeps the argument free of the walk's tests, for
     96 tables at n >= 7 instead of 35.)
 
-    On a miss, `_extend` runs from a copy of the prefix to depth 2n, and
-    the table stores each completion as an itemgetter of its ranks, one per
-    distinct rank tuple; an output is the prefix followed by those letters
-    of R.  The tables live in this call and are freed with it.
+    On a miss, `_completions` builds the table from the states one letter
+    below it.  For each next letter that `_extend` places, in increasing
+    order, of rank r in R, the completions of the state it leaves follow r,
+    with every rank >= r raised by one.  Those states, keyed by |R| and
+    signature, have rank-identical completions by the same argument at
+    their depth, so each is built once per call, from the states below it
+    in turn; and the lift keeps lexicographic order.  At n = 6 the 70
+    tables are built from 276 such states, and at n = 7 and 8 the 96
+    tables from the same 276.  The table stores each completion as an
+    itemgetter of its ranks, one per distinct rank record; an output is
+    the prefix followed by those letters of R.  The tables and the states
+    live in this call and are freed with it.
 
     Groups.  The walk is `_avoider_groups`, which yields one group per
     prefix it looks up: the prefix, its table and R.  This generator
@@ -427,8 +445,9 @@ def enumerate_updown_avoiders(n: int) -> Iterator[Permutation]:
 
     Delay.  Between two prefixes at depth 2n - L the walk backtracks at
     most 2n levels and tries at most 2n letters at each, every prefix it
-    keeps completes, and a miss costs the copy plus a walk over L letters,
-    a constant.  So every permutation, the first one included, comes after
+    keeps completes, and a miss builds at most the states below it not yet
+    built, a set bounded in L alone, each at a cost bounded in L, a
+    constant.  So every permutation, the first one included, comes after
     time polynomial in n.
     """
     for prefix, table, free in _avoider_groups(n):
@@ -448,7 +467,8 @@ def count_updown_avoiders(n: int) -> int:
     them.  A pass over the depths holds, for each state of a prefix (|R|
     and its `_signature`), one prefix in that state and how many prefixes
     are in it.  Prefixes in one state have rank-identical completions, by
-    the argument for the suffix tables there, which holds at any depth, so
+    the argument for the suffix tables there, which holds at any depth (the
+    tables share their states below the lookup depth by it too), so
     `_extend` places the next letter on that one prefix only."""
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -467,6 +487,28 @@ def count_updown_avoiders(n: int) -> int:
     return sum(state[0] for state in layer.values())
 
 
+def _completions(cur: list[int], free: list[int], tails: list[int],
+                 memo: dict[tuple[int, tuple[int, ...]], list[bytes]]) -> list[bytes]:
+    """The completions of the prefix `cur` in lexicographic order, each as
+    the ranks among R of its letters, one byte per letter.  `_extend`
+    places each next letter, of rank r; the state it leaves, keyed by |R|
+    and its `_signature`, has its completions in `memo`, built on the first
+    visit, and each gives one here: r, then its ranks with those >= r
+    raised by one.  The three lists are restored on return."""
+    if not free:
+        return [b""]
+    out: list[bytes] = []
+    for _ in _extend(cur, free, tails, len(cur) + 1):
+        r = bisect_left(free, cur[-1])
+        key = (len(free), _signature(cur, free, tails))
+        sub = memo.get(key)
+        if sub is None:
+            sub = memo[key] = _completions(cur, free, tails, memo)
+        head, lift = bytes((r,)), _LIFT[r]
+        out += [head + ranks.translate(lift) for ranks in sub]
+    return out
+
+
 def _avoider_groups(n: int) -> Iterator[tuple[Permutation, list[itemgetter], list[int]]]:
     """The walk of `enumerate_updown_avoiders`, one group per prefix it
     looks up: (the prefix, its suffix table, R).  R is the walk's own list,
@@ -482,16 +524,14 @@ def _avoider_groups(n: int) -> Iterator[tuple[Permutation, list[itemgetter], lis
     free = list(range(1, N + 1))  # R, sorted
     tails: list[int] = []
     tables: dict[tuple[int, ...], list[itemgetter]] = {}
-    getters: dict[tuple[int, ...], itemgetter] = {}  # one per rank tuple
+    getters: dict[bytes, itemgetter] = {}  # one per rank record
+    memo: dict[tuple[int, tuple[int, ...]], list[bytes]] = {}
     for _ in _extend(cur, free, tails, depth):
         key = _signature(cur, free, tails)
         table = tables.get(key)
         if table is None:
-            rank = {v: r for r, v in enumerate(free)}
-            suffix = cur[:]
             table = tables[key] = []
-            for _ in _extend(suffix, free[:], tails[:], N):
-                ranks = tuple([rank[v] for v in suffix[depth:]])
+            for ranks in _completions(cur, free, tails, memo):
                 if ranks not in getters:
                     getters[ranks] = itemgetter(*ranks)
                 table.append(getters[ranks])

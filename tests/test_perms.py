@@ -1,13 +1,17 @@
+import gc
 import hashlib
 import itertools
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dyckperm import perms
 from dyckperm._references import _up_down_perms
 from dyckperm.perms import (
     AlternatingPermutation,
+    _avoider_groups,
     _avoider_lines,
     _extend,
     assemble,
@@ -37,6 +41,19 @@ from .oracles import (
     first_updown_avoider,
     naive_lis,
 )
+
+def walked_table(prefix, N):
+    """The suffix table of `prefix` as rank tuples, from one `_extend` walk
+    of the prefix to depth N, which shares no state with another table."""
+    cur = list(prefix)
+    free = sorted(set(range(1, N + 1)) - set(prefix))
+    tails = []
+    for v in prefix:
+        j = bisect_left(tails, v)
+        tails[j:j + 1] = [v]
+    rank = {v: r for r, v in enumerate(free)}
+    return [tuple(rank[v] for v in cur[len(prefix):]) for _ in _extend(cur, free, tails, N)]
+
 
 perms_up_to_6 = st.integers(min_value=1, max_value=6).flatmap(
     lambda n: st.permutations(list(range(1, n + 1)))
@@ -289,6 +306,49 @@ class TestEnumeration:
             walked = [tuple(cur) for _ in _extend(cur, free, tails, depth)]
             assert walked == sorted({p[:depth] for p in family})
             assert (cur, free, tails) == ([], list(range(1, 2 * n + 1)), [])
+
+
+class TestSuffixTables:
+    @pytest.mark.parametrize("n, signatures", [(5, 35), (6, 70), (7, 96)])
+    def test_each_table_is_a_direct_walk(self, n, signatures):
+        # the tables are shared per signature; check each at the first
+        # prefix that meets it
+        seen = {}
+        for prefix, table, free in _avoider_groups(n):
+            if id(table) not in seen:
+                seen[id(table)] = table
+                ranks = [get(range(len(free))) for get in table]
+                assert ranks == walked_table(prefix, 2 * n)
+        assert len(seen) == signatures
+
+    @pytest.mark.parametrize("n, calls, items", [(6, 345, 1818), (7, 371, 19372)])
+    def test_work_per_call(self, monkeypatch, n, calls, items):
+        # one step per state below the lookup depth; a walk of 8 letters
+        # per table would make 71 calls and 12,857 items at n = 6, and 97
+        # and 33,719 at n = 7
+        count = [0, 0]
+        extend = perms._extend
+
+        def counted(*args):
+            count[0] += 1
+            for _ in extend(*args):
+                count[1] += 1
+                yield
+
+        monkeypatch.setattr(perms, "_extend", counted)
+        assert sum(1 for _ in _avoider_lines(n)) == REFERENCE_COUNTS[n]
+        assert count == [calls, items]
+
+    def test_no_reference_cycle(self):
+        # the memo of sub-states goes with the call, without waiting for
+        # the cyclic collector
+        gc.collect()
+        gc.disable()
+        try:
+            list(_avoider_lines(6))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestCounting:
