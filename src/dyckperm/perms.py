@@ -18,7 +18,9 @@ letters.  A table is built from the completions of the states one letter
 below it (a state is the number of unused letters and those ranks), each
 of them built once per call in the same way.  Every permutation, the
 first one included, comes after time polynomial in n.  The same
-signatures count the family without listing it (count_updown_avoiders).
+recursion over the states, run from the empty prefix with a count in
+place of each state's completions, counts the family without listing it
+(count_updown_avoiders).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left, bisect_right
 from operator import gt, itemgetter, lt
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 Permutation = tuple[int, ...]
 
@@ -431,10 +433,11 @@ def enumerate_updown_avoiders(n: int) -> Iterator[Permutation]:
     their depth, so each is built once per call, from the states below it
     in turn; and the lift keeps lexicographic order.  At n = 6 the 70
     tables are built from 276 such states, and at n = 7 and 8 the 96
-    tables from the same 276.  The table stores each completion as an
-    itemgetter of its ranks, one per distinct rank record; an output is
-    the prefix followed by those letters of R.  The tables and the states
-    live in this call and are freed with it.
+    tables from the same 276.  The states share one bytes object per
+    distinct rank record (174 of 4,861 at n = 6), and the table stores
+    each completion as an itemgetter of its ranks, one per distinct
+    record; an output is the prefix followed by those letters of R.  The
+    tables and the states live in this call and are freed with it.
 
     Groups.  The walk is `_avoider_groups`, which yields one group per
     prefix it looks up: the prefix, its table and R.  This generator
@@ -464,48 +467,40 @@ def _signature(cur: list[int], free: list[int], tails: list[int]) -> tuple[int, 
 def count_updown_avoiders(n: int) -> int:
     """The number of up-down permutations of size 2n that avoid 1234, as
     many as `enumerate_updown_avoiders(n)` yields, counted without listing
-    them.  A pass over the depths holds, for each state of a prefix (|R|
-    and its `_signature`), one prefix in that state and how many prefixes
-    are in it.  Prefixes in one state have rank-identical completions, by
-    the argument for the suffix tables there, which holds at any depth (the
-    tables share their states below the lookup depth by it too), so
-    `_extend` places the next letter on that one prefix only."""
+    them: `_completions` run from the empty prefix, with 1 for a finished
+    prefix and each next state's count taken as it is.  The recursion is
+    2n + 1 frames deep, so Python's default limit is met only near n = 495;
+    the work grows about as n^4 (n^3 states, O(n) per step), and n = 25
+    takes about 2 s."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    # signature -> [prefixes, cur, R, tails]; |R| is fixed within a depth
-    layer = {(): [1, [], list(range(1, 2 * n + 1)), []]}
-    for d in range(1, 2 * n + 1):
-        nxt: dict[tuple[int, ...], list] = {}
-        for count, cur, free, tails in layer.values():
-            for _ in _extend(cur, free, tails, d):
-                key = _signature(cur, free, tails)
-                if key in nxt:
-                    nxt[key][0] += count
-                else:
-                    nxt[key] = [count, cur[:], free[:], tails[:]]
-        layer = nxt
-    return sum(state[0] for state in layer.values())
+    return _completions([], list(range(1, 2 * n + 1)), [], {}, 1, lambda _r, count: count)
 
 
-def _completions(cur: list[int], free: list[int], tails: list[int],
-                 memo: dict[tuple[int, tuple[int, ...]], list[bytes]]) -> list[bytes]:
-    """The completions of the prefix `cur` in lexicographic order, each as
-    the ranks among R of its letters, one byte per letter.  `_extend`
-    places each next letter, of rank r; the state it leaves, keyed by |R|
-    and its `_signature`, has its completions in `memo`, built on the first
-    visit, and each gives one here: r, then its ranks with those >= r
-    raised by one.  The three lists are restored on return."""
+def _completions(cur: list[int], free: list[int], tails: list[int], memo: dict,
+                 done: list[bytes] | int, lift: Callable) -> list[bytes] | int:
+    """The package's one recursion over avoider states: the value of the
+    completions of the prefix `cur`.  It is `done` once R is empty, and
+    otherwise the sum, over each next letter that `_extend` places in
+    increasing order, of `lift(r, value)`: r is the letter's rank in R and
+    value that of the state it leaves.  That state, keyed by |R| and its
+    `_signature`, has its value in `memo`, built on its first visit; all
+    prefixes in one state have rank-identical completions (see
+    enumerate_updown_avoiders).  `_avoider_groups` sums lists of rank
+    records, one byte per letter, in lexicographic order (`[b""]`, and r
+    followed by the next state's ranks raised through `_LIFT[r]`), and
+    `count_updown_avoiders` counts (1, and the next state's count).  The
+    three lists are restored on return."""
     if not free:
-        return [b""]
-    out: list[bytes] = []
+        return done
+    out = type(done)()  # the empty sum
     for _ in _extend(cur, free, tails, len(cur) + 1):
-        r = bisect_left(free, cur[-1])
-        key = (len(free), _signature(cur, free, tails))
+        sig = _signature(cur, free, tails)  # sig[0], the last letter's rank, is r
+        key = (len(free), sig)
         sub = memo.get(key)
         if sub is None:
-            sub = memo[key] = _completions(cur, free, tails, memo)
-        head, lift = bytes((r,)), _LIFT[r]
-        out += [head + ranks.translate(lift) for ranks in sub]
+            sub = memo[key] = _completions(cur, free, tails, memo, done, lift)
+        out += lift(sig[0], sub)
     return out
 
 
@@ -526,12 +521,18 @@ def _avoider_groups(n: int) -> Iterator[tuple[Permutation, list[itemgetter], lis
     tables: dict[tuple[int, ...], list[itemgetter]] = {}
     getters: dict[bytes, itemgetter] = {}  # one per rank record
     memo: dict[tuple[int, tuple[int, ...]], list[bytes]] = {}
+    records: dict[bytes, bytes] = {}  # one object per distinct rank record
+
+    def lift(r: int, sub: list[bytes]) -> list[bytes]:
+        head, shift = bytes((r,)), _LIFT[r]
+        return [records.setdefault(x, x) for x in [head + ranks.translate(shift) for ranks in sub]]
+
     for _ in _extend(cur, free, tails, depth):
         key = _signature(cur, free, tails)
         table = tables.get(key)
         if table is None:
             table = tables[key] = []
-            for ranks in _completions(cur, free, tails, memo):
+            for ranks in _completions(cur, free, tails, memo, [b""], lift):
                 if ranks not in getters:
                     getters[ranks] = itemgetter(*ranks)
                 table.append(getters[ranks])

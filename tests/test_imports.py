@@ -250,6 +250,25 @@ def test_weights_are_turned_once():
     assert found == {"paths._odometer"}
 
 
+def test_avoider_states_are_walked_once():
+    # `perms._completions` is the one recursion over avoider states, for
+    # both the suffix tables and the count; only it and the prefix walk
+    # `perms._avoider_groups` step the backtracker, so a second pass over
+    # the states, such as a forward pass of the counter, fails here
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        functions = [fn for node in tree.body
+                     for fn in (node.body if isinstance(node, ast.ClassDef) else [node])
+                     if isinstance(fn, ast.FunctionDef)]
+        for fn in functions:
+            if any(isinstance(n, ast.Call) and "_extend" in (getattr(n.func, "id", None),
+                                                            getattr(n.func, "attr", None))
+                   for n in ast.walk(fn)):
+                found.add(f"{path.stem}.{fn.name}")
+    assert found == {"perms._avoider_groups", "perms._completions"}
+
+
 def test_every_parameter_is_read():
     # a parameter accepted and then ignored fails here: each parameter of
     # each `def` in src/ is loaded somewhere in its body.  `self`, `cls`

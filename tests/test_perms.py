@@ -55,6 +55,21 @@ def walked_table(prefix, N):
     return [tuple(rank[v] for v in cur[len(prefix):]) for _ in _extend(cur, free, tails, N)]
 
 
+def count_extend_work(monkeypatch):
+    """[calls, items] of `perms._extend` from here on, counted in place."""
+    count = [0, 0]
+    extend = perms._extend
+
+    def counted(*args):
+        count[0] += 1
+        for _ in extend(*args):
+            count[1] += 1
+            yield
+
+    monkeypatch.setattr(perms, "_extend", counted)
+    return count
+
+
 perms_up_to_6 = st.integers(min_value=1, max_value=6).flatmap(
     lambda n: st.permutations(list(range(1, n + 1)))
 )
@@ -326,16 +341,7 @@ class TestSuffixTables:
         # one step per state below the lookup depth; a walk of 8 letters
         # per table would make 71 calls and 12,857 items at n = 6, and 97
         # and 33,719 at n = 7
-        count = [0, 0]
-        extend = perms._extend
-
-        def counted(*args):
-            count[0] += 1
-            for _ in extend(*args):
-                count[1] += 1
-                yield
-
-        monkeypatch.setattr(perms, "_extend", counted)
+        count = count_extend_work(monkeypatch)
         assert sum(1 for _ in _avoider_lines(n)) == REFERENCE_COUNTS[n]
         assert count == [calls, items]
 
@@ -364,6 +370,24 @@ class TestCounting:
     def test_negative(self):
         with pytest.raises(ValueError):
             count_updown_avoiders(-1)
+
+    @pytest.mark.parametrize("n, calls, items", [(6, 481, 1524), (10, 2647, 13453)])
+    def test_work_per_call(self, monkeypatch, n, calls, items):
+        # one `_extend` step per state that is not finished, one item per
+        # way out of it; a memo that never hit would give the same counts
+        # after exponentially many steps
+        count = count_extend_work(monkeypatch)
+        assert count_updown_avoiders(n) == closed_form(n)
+        assert count == [calls, items]
+
+    def test_one_memo_serves_every_n(self):
+        # a state's count does not depend on n, only on |R| and its
+        # signature, so a memo filled at smaller n answers at larger n
+        memo = {}
+        for n in range(13):
+            count = perms._completions([], list(range(1, 2 * n + 1)), [], memo, 1,
+                                       lambda _r, count: count)
+            assert count == closed_form(n)
 
 
 class TestCriteria:
