@@ -89,16 +89,21 @@ _PlanRise = tuple[int, int, int, SpanRow, int]
 
 
 def _plan_frame(ups: Sequence[tuple[int, int]],
-                rows: tuple[Sequence[SpanRow], Sequence[SpanRow]]) -> tuple[_PlanRise, ...]:
+                rows: tuple[Sequence[SpanRow], Sequence[SpanRow]],
+                base: int) -> tuple[_PlanRise, ...]:
     """The rises of a word in insertion order, from the (start, length) of
     each of its up runs, left to right, and the span rows of the word and
     of its reflection.  A rise on a slope with `shift` falls left of it has
     off shift - 1 on the left half and shift on the right half.  A rise at
     step 1 on the left half reads step 0, the padding, and its row has one
-    entry, at index 0."""
+    entry, at index 0.  The steps are numbered base - p for the word's step
+    p when `base` is set, so a mirror of a path of length m, with base
+    m + 1, writes its records in the path's own step numbers; base 0 keeps
+    p."""
     own, mirror = rows
     m = len(own)
     cut = _left_count(len(ups))
+    sign = -1 if base else 1
     frame: list[_PlanRise] = []
     rises_before = 0
     for idx, (start, length) in enumerate(ups):
@@ -106,23 +111,25 @@ def _plan_frame(ups: Sequence[tuple[int, int]],
         shift = start - 1 - rises_before
         rises_before += length
         for p in range(start, start + length):
+            s = base + sign * p
             if idx < cut:
-                frame.append((p, p - 1, shift - 1, own[p - 1], 0))
+                frame.append((s, s - sign, shift - 1, own[p - 1], 0))
             else:
-                frame.append((p, p + 1, shift, mirror[m - p], 1))
+                frame.append((s, s + sign, shift, mirror[m - p], 1))
     return tuple(frame)
 
 
 @lru_cache(maxsize=4096)
 def _factor_plan(steps: str) -> tuple[tuple[_PlanRise, ...], tuple[_PlanRise, ...],
-                                      tuple[tuple[int, _PlanRise], ...], tuple[_PlanRise, ...]]:
+                                      tuple[Optional[int], ...], tuple[_PlanRise, ...]]:
     """The rises of `steps`, then those of its mirror, each frame from
-    `_plan_frame`; each step's record with its index in its frame; and the
-    records in the order the inverse settles its jumps: those that read
-    step pos+1 by decreasing step, then those that read pos-1 by
+    `_plan_frame`; each step's index in its own frame (None at index 0);
+    and the records in the order the inverse settles its jumps: those that
+    read step pos+1 by decreasing step, then those that read pos-1 by
     increasing step.  Step p of the mirror is step m + 1 - p of the path,
-    and so is its neighbour; the weights are padded with a 0 at each end,
-    where the first step of either frame reads its one-entry row.
+    and so is its neighbour, and the mirror's frame is written in the
+    path's numbers as it is built; the weights are padded with a 0 at each
+    end, where the first step of either frame reads its one-entry row.
 
     Both frames' runs are read off one loop over `paths._runs(steps)`, the
     one slope scan: its up runs, and its down runs, which right to left are
@@ -135,13 +142,12 @@ def _factor_plan(steps: str) -> tuple[tuple[_PlanRise, ...], tuple[_PlanRise, ..
             ups.append((a, k))
         else:
             mirror_ups.append((m + 2 - a - k, k))
-    bottom = _plan_frame(ups, rows)
-    top = tuple((m + 1 - s, m + 1 - nb, off, row, end)
-                for s, nb, off, row, end in _plan_frame(mirror_ups[::-1], rows[::-1]))
-    by_step: list = [None] * (m + 1)
+    bottom = _plan_frame(ups, rows, 0)
+    top = _plan_frame(mirror_ups[::-1], rows[::-1], m + 1)
+    by_step: list[Optional[int]] = [None] * (m + 1)
     for frame in (bottom, top):
         for k, rise in enumerate(frame):
-            by_step[rise[0]] = (k, rise)
+            by_step[rise[0]] = k
     both = bottom + top
     settle = (*sorted((r for r in both if r[1] > r[0]), reverse=True),
               *sorted(r for r in both if r[1] < r[0]))
@@ -261,7 +267,7 @@ def _compose(m: int, spans: Sequence[tuple[int, int]],
 def _map_path(steps: str, weights: tuple[int, ...]) -> tuple[int, ...]:
     """The image of a valid weighting of any Dyck word: each irreducible
     factor mapped with `_map_factor`, the images composed by `_compose`."""
-    spans = factor_spans(steps)
+    spans = _word_spans(steps)
     return _compose(len(steps), spans,
                     [_map_factor(steps[a:b], weights[a:b]) for a, b in spans])
 
@@ -325,10 +331,12 @@ def _invert_factor(steps: str, image: Sequence[int]) -> Optional[tuple[int, ...]
     backwards, so for a fall it is the earlier falls left of it in the top
     word.  So the bottom letters are walked right to left and the top
     letters left to right, each frame's records walked so far in a bit
-    mask, bit k for the k-th: of the k records before a letter's own,
-    those already walked stand on the far side of it, and their number c
-    is its distance.  When c = k, the letter was inserted in front of all
-    of them, a jump; otherwise its weight is c - off (the insertion_lemma
+    mask, bit k for the k-th.  The plan's `by_step` gives each letter k,
+    the index of its record in its own frame: of the k records before a
+    letter's own, those already walked stand on the far side of it, and
+    their number c is its distance.  When c = k, the letter was inserted
+    in front of all of them, a jump, and its record is not read here;
+    otherwise its weight is c - off, the record's off (the insertion_lemma
     suite checks that a non-jump never lands at the front).  A negative
     weight has no preimage: C1 fails for every candidate, so the walk
     stops there, before any row is read at it.
@@ -371,16 +379,17 @@ def _invert_factor(steps: str, image: Sequence[int]) -> Optional[tuple[int, ...]
     at most h0 - 1, plus one on the left half.  A jump's weight is an end
     of a non-empty span inside [0, lower height].
     """
-    _, _, by_step, settle = _factor_plan(steps)
+    bottom, top, by_step, settle = _factor_plan(steps)
     w: list = [0] + [None] * len(steps) + [0]
     nonjumps: list[_PlanRise] = []
-    for letters in (image[-2::-2], image[1::2]):
+    for frame, letters in ((bottom, image[-2::-2]), (top, image[1::2])):
         walked = 0  # the frame's records walked so far, as a bit mask
         for v in letters:
-            k, rise = by_step[v]
+            k = by_step[v]
             c = (walked & ((1 << k) - 1)).bit_count()
             walked |= 1 << k
             if c != k:
+                rise = frame[k]
                 x = c - rise[2]
                 if x < 0:
                     return None
@@ -406,12 +415,23 @@ def _bottom_word(p: tuple[int, ...]) -> str:
 
 @lru_cache(maxsize=4096)
 def _word_spans(word: str) -> Optional[tuple[tuple[int, int], ...]]:
-    """The factor spans of a bottom word, or None when it dips below the
-    ground: both checks the inverses make on the word, once per word."""
-    if min(_height_profile(word)) < 0:
-        return None
+    """The factor spans of a balanced word, or None when it dips below the
+    ground: both checks the inverses make on the word, once per word, in
+    one walk that stops at the first dip."""
+    spans = []
+    h = a = 0
+    for b, s in enumerate(word, 1):
+        if s == UP:
+            h += 1
+        elif not h:
+            return None
+        else:
+            h -= 1
+            if not h:
+                spans.append((a, b))
+                a = b
     # n rises among 2n steps, so the word ends on the ground
-    return tuple(factor_spans(word))
+    return tuple(spans)
 
 
 def _weighting(steps: str, k: int) -> bytes:

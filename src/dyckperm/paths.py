@@ -284,8 +284,8 @@ def concat(p: WeightedDyckPath, q: WeightedDyckPath) -> WeightedDyckPath:
 
 def factor_spans(steps: str) -> list[tuple[int, int]]:
     """Half-open 0-based spans of the irreducible factors (ground-to-ground
-    arcs) of a Dyck word, read off the ground returns of its cached height
-    profile."""
+    arcs) of a Dyck word, read off the ground returns of its height
+    profile, which is built for this call."""
     h = _height_profile(steps)
     out: list[tuple[int, int]] = []
     a = 0
@@ -406,10 +406,16 @@ def _row(prev: Optional[str], kind: str, h0: int, h1: int) -> SpanRow:
 @lru_cache(maxsize=4096)
 def _step_rows(steps: str) -> tuple[SpanRow, ...]:
     """The span row of each step of a word, from `_row`: one object per
-    shape, shared with every step of the same shape."""
-    h = _height_profile(steps)
-    return tuple(_row(steps[k - 1] if k else None, steps[k], h[k], h[k + 1])
-                 for k in range(len(steps)))
+    shape, shared with every step of the same shape, in one walk with a
+    running height."""
+    rows = []
+    prev = None
+    h = 0
+    for kind in steps:
+        h1 = h + 1 if kind == UP else h - 1
+        rows.append(_row(prev, kind, h, h1))
+        prev, h = kind, h1
+    return tuple(rows)
 
 
 def _odometer(steps: str, w: list[int], start: int = 0) -> Iterator[int]:

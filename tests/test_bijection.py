@@ -683,8 +683,7 @@ class TestInvertFactor:
             return s, nb, off, Unread(), end
 
         bottom, top, by_step, settle = _factor_plan(steps)
-        hidden = (tuple(map(hide, bottom)), tuple(map(hide, top)),
-                  tuple(entry and (entry[0], hide(entry[1])) for entry in by_step),
+        hidden = (tuple(map(hide, bottom)), tuple(map(hide, top)), by_step,
                   tuple(map(hide, settle)))
         monkeypatch.setattr(_insertion, "_factor_plan", lambda word: hidden)
         assert _invert_factor(steps, image) is None
@@ -775,6 +774,58 @@ class TestPlanFromOneScan:
         assert len(factors) == sum((1, 1, 2, 5, 14, 42, 132))
         for steps in sorted(factors):
             assert _factor_plan(steps)[:2] == _frames_from_runs(steps), steps
+
+    def test_by_step_holds_each_steps_index_in_its_frame(self):
+        # the plan keeps one int per step, the index of the step's record in
+        # its own frame: the bottom frame for a rise, the top for a fall
+        factors = {steps[a:b] for n in range(8) for steps in _dyck_words(n)
+                   for a, b in factor_spans(steps)}
+        for steps in sorted(factors):
+            bottom, top, by_step, _ = _factor_plan(steps)
+            assert (bottom, top) == _frames_from_runs(steps), steps
+            assert len(by_step) == len(steps) + 1 and by_step[0] is None
+            assert all(type(k) is int for k in by_step[1:]), steps
+            for s, kind in enumerate(steps, start=1):
+                frame = bottom if kind == UP else top
+                assert frame[by_step[s]][0] == s, (steps, s)
+
+
+def _spans_or_dip(word):
+    """`factor_spans` of a balanced word, or None when it dips below the
+    ground, from the word's height profile."""
+    return None if min(_height_profile(word)) < 0 else tuple(factor_spans(word))
+
+
+class TestWordSpans:
+    def test_one_walk_matches_the_profile_scans(self):
+        # every arrangement of n rises and n falls, n <= 6 (924 at n = 6),
+        # the dipping ones among them, and the tall words
+        checked = dips = 0
+        for n in range(7):
+            for rises in itertools.combinations(range(2 * n), n):
+                word = "".join(UP if i in rises else "D" for i in range(2 * n))
+                expected = _spans_or_dip(word)
+                assert _word_spans(word) == expected, word
+                checked += 1
+                dips += expected is None
+        # binomial(2n, n) words, of which the Catalan number C(n) never dip
+        assert (checked, checked - dips) == (1 + 2 + 6 + 20 + 70 + 252 + 924,
+                                             1 + 1 + 2 + 5 + 14 + 42 + 132)
+        for word in TALL_WORDS:
+            assert _word_spans(word) == _spans_or_dip(word) is not None
+
+    def test_both_directions_read_one_spans_entry(self):
+        # the forward map reads the path's spans from `_word_spans`, and the
+        # inverse reads the same entry: the image's bottom word is the path
+        x = random_path(random.Random(12), 12, False)
+        assert len(factor_spans(x.steps)) > 1
+        _word_spans.cache_clear()
+        p = to_permutation(x).perm
+        info = _word_spans.cache_info()
+        assert (info.hits, info.misses) == (0, 1)
+        assert from_permutation(p) == x
+        info = _word_spans.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
 
 
 class TestPlanAgainstSpec:

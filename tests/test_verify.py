@@ -1159,8 +1159,8 @@ def _perturbed_plan_frame(real):
     last rise of every frame: their off, and with it their shift
     (off + 1 - end), is one higher, so the first rise's shift then exceeds
     the next one's, and the last rise inserts one letter further left."""
-    def perturbed(ups, rows):
-        frame = real(ups, rows)
+    def perturbed(ups, rows, base):
+        frame = real(ups, rows, base)
         return tuple((s, nb, off + 1, row, end) if k in (0, len(frame) - 1)
                      else (s, nb, off, row, end)
                      for k, (s, nb, off, row, end) in enumerate(frame))
@@ -1230,10 +1230,10 @@ class TestInsertionSuitePerturbation:
         # checks record, and the insertion run overflows where rise 2 weighs 0
         real = _insertion._plan_frame
 
-        def raised(ups, rows):
+        def raised(ups, rows, base):
             return tuple((s, nb, off, tuple((lo + 1, hi) for lo, hi in row), end)
                          if k == 1 and end == 0 else (s, nb, off, row, end)
-                         for k, (s, nb, off, row, end) in enumerate(real(ups, rows)))
+                         for k, (s, nb, off, row, end) in enumerate(real(ups, rows, base)))
 
         _factor_plan.cache_clear()
         _image_table.cache_clear()
