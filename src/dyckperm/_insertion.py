@@ -266,8 +266,10 @@ def _compose(m: int, spans: Sequence[tuple[int, int]],
 
 def _map_path(steps: str, weights: tuple[int, ...]) -> tuple[int, ...]:
     """The image of a valid weighting of any Dyck word: each irreducible
-    factor mapped with `_map_factor`, the images composed by `_compose`."""
-    spans = _word_spans(steps)
+    factor, at its span from the cached walk `factor_spans`, mapped with
+    `_map_factor`, and the images composed by `_compose`.  The image's
+    bottom word is `steps`, so the inverse reads the same cache entry."""
+    spans = factor_spans(steps)
     return _compose(len(steps), spans,
                     [_map_factor(steps[a:b], weights[a:b]) for a, b in spans])
 
@@ -411,27 +413,6 @@ def _bottom_word(p: tuple[int, ...]) -> str:
     for i in p[0::2]:
         word[i - 1] = UP
     return "".join(word)
-
-
-@lru_cache(maxsize=4096)
-def _word_spans(word: str) -> Optional[tuple[tuple[int, int], ...]]:
-    """The factor spans of a balanced word, or None when it dips below the
-    ground: both checks the inverses make on the word, once per word, in
-    one walk that stops at the first dip."""
-    spans = []
-    h = a = 0
-    for b, s in enumerate(word, 1):
-        if s == UP:
-            h += 1
-        elif not h:
-            return None
-        else:
-            h -= 1
-            if not h:
-                spans.append((a, b))
-                a = b
-    # n rises among 2n steps, so the word ends on the ground
-    return tuple(spans)
 
 
 def _weighting(steps: str, k: int) -> bytes:

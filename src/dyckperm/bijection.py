@@ -30,7 +30,6 @@ from ._insertion import (
     _map_factor,
     _map_path,
     _run_insertion,
-    _word_spans,
 )
 from .paths import (
     DOWN,
@@ -170,9 +169,11 @@ def parking_to_123_avoiding(pf: ParkingFunction) -> tuple[int, ...]:
 
 def _membership_checks(p: tuple[int, ...]) -> tuple[str, tuple[tuple[int, int], ...]]:
     """The checks both inverses run on p, in this order: a permutation of
-    ints, up-down, no 1234, bottom letters marking a Dyck word.  Returns
-    that word and its factor spans, which `_word_spans` reads once per
-    word; the empty p passes, with the empty word and no span.
+    ints, up-down, no 1234, bottom letters marking a Dyck word, which
+    `factor_spans` decides in the walk that finds the word's factors.
+    Returns that word and its spans, the cache entry that the forward map
+    reads for the preimage; the empty p passes, with the empty word and no
+    span.
 
     No input that passes the up-down check fails the last check, nor the
     block check of `from_permutation`; both stay as guards.  Each top
@@ -190,7 +191,7 @@ def _membership_checks(p: tuple[int, ...]) -> tuple[str, tuple[tuple[int, int], 
         raise NotInImageError(
             "not in image: contains an increasing subsequence of length 4")
     word = _bottom_word(p)
-    spans = _word_spans(word)
+    spans = factor_spans(word)
     if spans is None:
         raise NotInImageError("not in image: bottom letters do not mark a Dyck path")
     return word, spans

@@ -282,18 +282,26 @@ def concat(p: WeightedDyckPath, q: WeightedDyckPath) -> WeightedDyckPath:
                             p.weights + q.weights)
 
 
-def factor_spans(steps: str) -> list[tuple[int, int]]:
+@lru_cache(maxsize=4096)
+def factor_spans(steps: str) -> Optional[tuple[tuple[int, int], ...]]:
     """Half-open 0-based spans of the irreducible factors (ground-to-ground
-    arcs) of a Dyck word, read off the ground returns of its height
-    profile, which is built for this call."""
-    h = _height_profile(steps)
-    out: list[tuple[int, int]] = []
-    a = 0
-    while a < len(steps):
-        b = h.index(0, a + 1)
-        out.append((a, b))
-        a = b
-    return out
+    arcs) of a word over U and D, or None when it is not a Dyck word: when
+    it dips below the ground or does not end on it.  The package's one
+    factor walk, which the map, both inverses and the oracle read: one pass
+    with a running height that stops at the first dip, once per word."""
+    spans = []
+    h = a = 0
+    for b, s in enumerate(steps, 1):
+        if s == UP:
+            h += 1
+        elif not h:
+            return None
+        else:
+            h -= 1
+            if not h:
+                spans.append((a, b))
+                a = b
+    return None if h else tuple(spans)
 
 
 def factor_irreducible(wd: WeightedDyckPath) -> list[WeightedDyckPath]:

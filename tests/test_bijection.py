@@ -18,7 +18,6 @@ from dyckperm._insertion import (
     _invert_factor,
     _map_factor,
     _map_path,
-    _word_spans,
 )
 from dyckperm.bijection import (
     LEFT,
@@ -613,14 +612,14 @@ class TestInverseBeyondExhaustive:
             x = random_path(rng, 50, True)
             assert from_permutation(to_permutation(x).perm) == x
         # the round trips leave _step_rows, _factor_plan (one key per
-        # path: the inverse reuses the forward map's plan) and _word_spans
+        # path: the inverse reuses the forward map's plan) and factor_spans
         # (one key per path, its bottom word) well below their bounds; the
         # 4,862 Dyck words of semilength 9 drive them past
         for steps in _dyck_words(9):
             _step_rows(steps)
             _factor_plan(steps)
-            _word_spans(steps)
-        for cache in (_step_rows, _factor_plan, _word_spans):
+            factor_spans(steps)
+        for cache in (_step_rows, _factor_plan, factor_spans):
             assert cache.cache_info().currsize <= 4096
         # a path of height H has at most 4H + 1 shapes, so only paths
         # taller than about 1,000 fill `_row`; its bound is what keeps the
@@ -791,9 +790,13 @@ class TestPlanFromOneScan:
 
 
 def _spans_or_dip(word):
-    """`factor_spans` of a balanced word, or None when it dips below the
-    ground, from the word's height profile."""
-    return None if min(_height_profile(word)) < 0 else tuple(factor_spans(word))
+    """The factor spans of a word over U and D, read off the ground returns
+    of its height profile, or None when the profile dips below the ground
+    or does not end on it: a reference that calls no factor walk."""
+    h = _height_profile(word)
+    if min(h) < 0 or h[-1]:
+        return None
+    return tuple(itertools.pairwise(i for i, x in enumerate(h) if not x))
 
 
 class TestWordSpans:
@@ -805,26 +808,43 @@ class TestWordSpans:
             for rises in itertools.combinations(range(2 * n), n):
                 word = "".join(UP if i in rises else "D" for i in range(2 * n))
                 expected = _spans_or_dip(word)
-                assert _word_spans(word) == expected, word
+                assert factor_spans(word) == expected, word
                 checked += 1
                 dips += expected is None
         # binomial(2n, n) words, of which the Catalan number C(n) never dip
         assert (checked, checked - dips) == (1 + 2 + 6 + 20 + 70 + 252 + 924,
                                              1 + 1 + 2 + 5 + 14 + 42 + 132)
         for word in TALL_WORDS:
-            assert _word_spans(word) == _spans_or_dip(word) is not None
+            assert factor_spans(word) == _spans_or_dip(word) is not None
+
+    def test_a_word_that_is_not_dyck_has_no_spans(self):
+        # a word that dips, or that ends above the ground, is no Dyck word
+        # and has no factors; the empty word is the Dyck word with none
+        assert factor_spans("") == ()
+        for word in ("D", "DU", "UDDU", "U", "UUD", "UDU", "UUDDU"):
+            assert factor_spans(word) is None, word
+        # every word of length <= 10, balanced or not
+        dyck = 0
+        for m in range(11):
+            for letters in itertools.product(UP + "D", repeat=m):
+                word = "".join(letters)
+                expected = _spans_or_dip(word)
+                assert factor_spans(word) == expected, word
+                dyck += expected is not None
+        assert dyck == 1 + 1 + 2 + 5 + 14 + 42
 
     def test_both_directions_read_one_spans_entry(self):
-        # the forward map reads the path's spans from `_word_spans`, and the
-        # inverse reads the same entry: the image's bottom word is the path
+        # the forward map reads the path's spans from `factor_spans`, and
+        # the inverse reads the same entry: the image's bottom word is the
+        # path
         x = random_path(random.Random(12), 12, False)
         assert len(factor_spans(x.steps)) > 1
-        _word_spans.cache_clear()
+        factor_spans.cache_clear()
         p = to_permutation(x).perm
-        info = _word_spans.cache_info()
+        info = factor_spans.cache_info()
         assert (info.hits, info.misses) == (0, 1)
         assert from_permutation(p) == x
-        info = _word_spans.cache_info()
+        info = factor_spans.cache_info()
         assert (info.hits, info.misses) == (1, 1)
 
 

@@ -11,8 +11,8 @@ TEST_FILES = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 # verify.py's private imports: the kernel, read through its module (its
 # `_frame_key` too, so the transformation suite keys its runs by the rule
-# the oracle's tables use), the suites' own references, and six helpers,
-# each from the module that defines it
+# the oracle's tables use), the suites' own references, and eight helpers,
+# six from `paths` and two from `perms`, each from the module that defines it
 VERIFY_PRIVATE = {
     "_insertion": {"_factor_plan", "_flatten_run", "_frame_key", "_image_table", "_insert"},
     "_references": {"_parking_functions", "_top_word_direct", "_up_down_perms"},
@@ -23,8 +23,8 @@ VERIFY_PRIVATE = {
 
 # every cache in the package: a new one is added here and bounded in
 # tests/test_bijection.py::TestInverseBeyondExhaustive::test_caches_stay_bounded
-CACHED = {"paths._step_rows", "paths._row", "_insertion._factor_plan",
-          "_insertion._image_table", "_insertion._word_spans"}
+CACHED = {"paths._step_rows", "paths._row", "paths.factor_spans", "_insertion._factor_plan",
+          "_insertion._image_table"}
 
 
 def _package_module(node: ast.ImportFrom):
@@ -224,6 +224,18 @@ def test_slopes_are_scanned_once():
                 if names & {"UP", "DOWN"} or {"U", "D"} & set(text):
                     found.add(f"{path.stem}: re.{node.func.attr}")
     assert found == {"paths._runs", "paths: re.compile"}
+
+
+def test_factors_are_walked_once():
+    # `paths.factor_spans` is the one walk of a word to its ground returns,
+    # cached per word, which the map, both inverses and the oracle read; a
+    # second walk, such as a spans cache of another module, fails here
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.FunctionDef) and node.name.endswith("_spans"):
+                found.add(f"{path.stem}.{node.name}")
+    assert found == {"paths.factor_spans"}
 
 
 def test_weights_are_turned_once():
